@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping
 
 from .multiindex import mi_factorial
@@ -381,15 +381,17 @@ class _Engine:
         return out
 
     def mono_mul_flat(self, ma: PBWMonomial, mb: PBWMonomial) -> tuple:
-        """mono_mul flattened into (monomial, h exponent, rational) triples."""
+        """mono_mul flattened over one denominator: (den, ((monomial,
+        h exponent, integer numerator), ...)), each numerator over den."""
         key = (ma, mb)
         cached = self._mono_flat_cache.get(key)
         if cached is None:
-            flat = []
-            for m, s in self.mono_mul(ma, mb).items():
-                for h, c in s.terms.items():
-                    flat.append((m, h, c))
-            cached = self._mono_flat_cache[key] = tuple(flat)
+            flat = [(m, h, c) for m, s in self.mono_mul(ma, mb).items()
+                    for h, c in s.terms.items()]
+            den = lcm(*(c.denominator for _, _, c in flat))
+            cached = self._mono_flat_cache[key] = (den, tuple(
+                (m, h, c.numerator * (den // c.denominator))
+                for m, h, c in flat))
         return cached
 
     def mono_to_z(self, mono: PBWMonomial) -> dict:

@@ -188,6 +188,8 @@ def _dispatch(args) -> int:
         _emit(args, _render((dual_to_text(out), dual_to_json(out)), fmt))
         return 0
     if args.command == "staroracle":
+        if args.cap is not None and args.cap < 0:
+            raise InvalidParamsError(f"--cap must be >= 0, got {args.cap}")
         u = _eval_dual(args.exprs[0], params)
         v = _eval_dual(args.exprs[1], params)
         out = star_oracle_element(u, v, params, args.cap)
@@ -212,6 +214,9 @@ def _dispatch(args) -> int:
         _emit(args, _render((group_to_text(out), group_to_json(out)), fmt))
         return 0
     if args.command == "verify":
+        for flag, bound in (("--maxdeg", args.maxdeg), ("--deg", args.deg)):
+            if bound < 0:
+                raise InvalidParamsError(f"{flag} must be >= 0, got {bound}")
         if args.what == "hopf":
             report = verify_hopf_axioms(args.maxdeg, params)
         elif args.what == "star":

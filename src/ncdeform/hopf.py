@@ -12,22 +12,29 @@ and inverted by a geometric series in the central tensor subalgebra, which is
 valid because its h-free part is exactly 1 (x) 1.
 
 Tensor terms are stored flat -- key = (leg monomials..., h exponent) with a
-rational value -- and multiplication buckets terms by h-degree so that pairs
-over the truncation budget are never touched.  This keeps the exhaustive
-degree-3 verification grids fast enough for interactive use.
+Fraction value -- and that map is what every caller sees.  Multiplication
+runs on integers instead, in the layout of FLINT's fmpq_poly (an integer
+polynomial plus one denominator): each tensor keeps, once built, integer
+numerators over one denominator per tensor, with its leg monomials interned
+to small ints and its terms grouped by h exponent in order of h-degree, so
+that pairs over the truncation budget are never touched.  Each product call
+takes the leg products it can reach over one denominator per call, adds
+integer products only, and normalises every output coefficient (one gcd)
+once, when it becomes a Fraction.  This keeps the exhaustive degree-3
+verification grids fast enough for interactive use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       Q1, Q2, TH, AlgebraElement, DeformParams,
-                      ParamsMismatchError, PBWMonomial, _central_mul, _engine,
-                      commutator, make_generator, make_rho, mono_factors,
-                      normal_order_mul)
+                      InvalidParamsError, ParamsMismatchError, PBWMonomial,
+                      _central_mul, _engine, commutator, make_generator,
+                      make_rho, mono_factors, normal_order_mul)
 from .multiindex import multiindices_graded
 from .report import VerificationReport
 from .series import SeriesScalar
@@ -41,8 +48,10 @@ TensorKey = tuple
 class TensorElement:
     """Finite sum of monomial tensors (arity 2 or 3) with series coefficients.
 
-    terms maps (m_1, ..., m_arity, h) -> Fraction; multiplication is
-    componentwise on the legs, and there is no sign rule.
+    terms maps (m_1, ..., m_arity, h) -> Fraction, with no zero values;
+    multiplication is componentwise on the legs, and there is no sign rule.
+    For multiplication the element also keeps, built lazily once, the same
+    terms as integer numerators over one denominator (see buckets()).
     """
 
     __slots__ = ("params", "arity", "terms", "_buckets")
@@ -80,14 +89,38 @@ class TensorElement:
         if self.params != other.params or self.arity != other.arity:
             raise ParamsMismatchError("tensor elements are not compatible")
 
-    def buckets(self) -> dict[int, list]:
-        """Terms grouped by h-degree, built lazily for multiplication."""
+    def buckets(self) -> tuple:
+        """Integer view for tensor_mul, built lazily once: (L, legs, groups).
+
+        L is the lcm of the coefficient denominators.  legs[i] is
+        (monomials, min_deg): the distinct monomials on leg i and, for each,
+        the least h-degree of a term carrying it.  groups lists
+        (h, h-degree, terms) in order of h-degree; a term is the indices of
+        its leg monomials in legs followed by its numerator over L.
+        """
         if self._buckets is None:
-            buckets: dict[int, list] = {}
+            L = lcm(*(c.denominator for c in self.terms.values()))
+            index: list[dict] = [{} for _ in range(self.arity)]
+            min_deg: list[list[int]] = [[] for _ in range(self.arity)]
+            groups: dict[tuple, list] = {}
             for key, c in self.terms.items():
                 h = key[-1]
-                buckets.setdefault(h[0] + h[1] + h[2], []).append((key, c))
-            self._buckets = buckets
+                d = h[0] + h[1] + h[2]
+                term = []
+                for leg in range(self.arity):
+                    degs = min_deg[leg]
+                    pos = index[leg].setdefault(key[leg], len(degs))
+                    if pos == len(degs):
+                        degs.append(d)
+                    elif d < degs[pos]:
+                        degs[pos] = d
+                    term.append(pos)
+                term.append(c.numerator * (L // c.denominator))
+                groups.setdefault(h, []).append(tuple(term))
+            self._buckets = (
+                L, [(list(idx), degs) for idx, degs in zip(index, min_deg)],
+                sorted(((h, sum(h), terms) for h, terms in groups.items()),
+                       key=lambda group: group[1]))
         return self._buckets
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
@@ -154,14 +187,6 @@ class TensorElement:
                              {k: c for k, c in self.terms.items()
                               if all(k[-1][i - 1] == 0 for i in zeroed)})
 
-    def by_legs(self) -> dict[tuple, SeriesScalar]:
-        """Regrouped view: leg tuple -> series coefficient."""
-        acc: dict[tuple, dict] = {}
-        for key, c in self.terms.items():
-            acc.setdefault(key[:-1], {})[key[-1]] = c
-        D = self.params.trunc
-        return {legs: SeriesScalar(hmap, D) for legs, hmap in acc.items()}
-
     def coefficient(self, legs: tuple) -> SeriesScalar:
         acc = {key[-1]: c for key, c in self.terms.items()
                if key[:-1] == tuple(legs)}
@@ -207,56 +232,126 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
 
 
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
+    """Componentwise product of two tensors of the same arity.
+
+    With a's numerators over La, b's over Lb and every leg product over this
+    call's Lm, a term pair adds the integer na * nb * c_1 * ... * c_arity to
+    its output key, and each output coefficient is that sum over
+    La * Lb * Lm**arity, normalised once.
+    """
     a._check(b)
-    eng = _engine(a.params)
     D = a.params.trunc
-    mono_mul_flat = eng.mono_mul_flat
-    out: dict[TensorKey, Fraction] = {}
     arity = a.arity
-    abuckets = a.buckets()
-    bbuckets = b.buckets()
-    for da, aterms in abuckets.items():
-        for db, bterms in bbuckets.items():
-            budget = D - da - db
-            if budget < 0:
+    La, alegs, agroups = a.buckets()
+    Lb, blegs, bgroups = b.buckets()
+    tables, Lm = _leg_tables(_engine(a.params), alegs, blegs, D)
+    pairs = _pairs2 if arity == 2 else _pairs3
+    out: dict[TensorKey, int] = {}
+    for ha, da, aterms in agroups:
+        for hb, db, bterms in bgroups:
+            if da + db > D:
+                break
+            h = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
+            pairs(out, h, aterms, bterms, tables, D)
+    den = La * Lb * Lm ** arity
+    return TensorElement(a.params, arity,
+                         {k: Fraction(v, den) for k, v in out.items() if v})
+
+
+def _leg_tables(eng, alegs, blegs, D: int) -> tuple[list, int]:
+    """Per-leg products of a's and b's leg monomials over one denominator.
+
+    tables[i][ia][ib] is the cell for a's monomial ia times b's monomial ib
+    on leg i: (monomial, numerator) when the product is one h-free
+    monomial, else (None, ((monomial, h, numerator), ...)).  A cell that no
+    term pair within the truncation budget reaches is None.  Every
+    numerator is over the returned Lm, the lcm of the fetched denominators.
+    """
+    mono_mul_flat = eng.mono_mul_flat
+    raw = []
+    dens = set()
+    for (amonos, amin), (bmonos, bmin) in zip(alegs, blegs):
+        table = []
+        for ma, da in zip(amonos, amin):
+            row = []
+            for mb, db in zip(bmonos, bmin):
+                if da + db > D:
+                    row.append(None)
+                    continue
+                cell = mono_mul_flat(ma, mb)
+                dens.add(cell[0])
+                row.append(cell)
+            table.append(row)
+        raw.append(table)
+    Lm = lcm(*dens)
+
+    def rescale(cell):
+        if cell is None:
+            return None
+        den, entries = cell
+        f = Lm // den
+        (m, h, c), *rest = entries
+        if not rest and h == _H0:
+            return (m, c * f)
+        return (None, tuple((m, h, c * f) for m, h, c in entries))
+
+    return [[[rescale(cell) for cell in row] for row in table]
+            for table in raw], Lm
+
+
+def _pairs2(out: dict, h: tuple, aterms, bterms, tables, D: int) -> None:
+    """Accumulate the two-leg term pairs of one (h_a, h_b) group pair."""
+    t0, t1 = tables
+    get = out.get
+    for a0, a1, na in aterms:
+        r0 = t0[a0]
+        r1 = t1[a1]
+        for b0, b1, nb in bterms:
+            m0, c0 = r0[b0]
+            m1, c1 = r1[b1]
+            if m0 is None or m1 is None:
+                _spread(out, (r0[b0], r1[b1]), h, na * nb, D)
                 continue
-            for ka, ca in aterms:
-                ha = ka[-1]
-                for kb, cb in bterms:
-                    hb = kb[-1]
-                    h0 = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
-                    c0 = ca * cb
-                    prods = [mono_mul_flat(ka[i], kb[i]) for i in range(arity)]
-                    if all(len(p) == 1 and p[0][1] == _H0 for p in prods):
-                        key = tuple(p[0][0] for p in prods) + (h0,)
-                        c = c0
-                        for p in prods:
-                            if p[0][2] != 1:
-                                c *= p[0][2]
-                        v = out.get(key, 0) + c
-                        if v:
-                            out[key] = v
-                        else:
-                            out.pop(key, None)
-                        continue
-                    stack = [((), h0, c0)]
-                    for p in prods:
-                        new = []
-                        for legs, h, c in stack:
-                            for m, hm, cm in p:
-                                hh = (h[0] + hm[0], h[1] + hm[1], h[2] + hm[2])
-                                if hh[0] + hh[1] + hh[2] > D:
-                                    continue
-                                new.append((legs + (m,), hh, c * cm))
-                        stack = new
-                    for legs, h, c in stack:
-                        key = legs + (h,)
-                        v = out.get(key, 0) + c
-                        if v:
-                            out[key] = v
-                        else:
-                            out.pop(key, None)
-    return TensorElement(a.params, arity, out)
+            key = (m0, m1, h)
+            out[key] = get(key, 0) + na * nb * c0 * c1
+
+
+def _pairs3(out: dict, h: tuple, aterms, bterms, tables, D: int) -> None:
+    """Accumulate the three-leg term pairs of one (h_a, h_b) group pair."""
+    t0, t1, t2 = tables
+    get = out.get
+    for a0, a1, a2, na in aterms:
+        r0 = t0[a0]
+        r1 = t1[a1]
+        r2 = t2[a2]
+        for b0, b1, b2, nb in bterms:
+            m0, c0 = r0[b0]
+            m1, c1 = r1[b1]
+            m2, c2 = r2[b2]
+            if m0 is None or m1 is None or m2 is None:
+                _spread(out, (r0[b0], r1[b1], r2[b2]), h, na * nb, D)
+                continue
+            key = (m0, m1, m2, h)
+            out[key] = get(key, 0) + na * nb * c0 * c1 * c2
+
+
+def _spread(out: dict, cells: tuple, h: tuple, c: int, D: int) -> None:
+    """Generic pair path, for pairs where some leg product has several
+    terms or carries h: expand leg by leg within the truncation budget."""
+    stack = [((), h, c)]
+    for mono, x in cells:
+        entries = x if mono is None else ((mono, _H0, x),)
+        new = []
+        for legs, h, c in stack:
+            for m, hm, cm in entries:
+                hh = (h[0] + hm[0], h[1] + hm[1], h[2] + hm[2])
+                if hh[0] + hh[1] + hh[2] > D:
+                    continue
+                new.append((legs + (m,), hh, c * cm))
+        stack = new
+    for legs, h, c in stack:
+        key = legs + (h,)
+        out[key] = out.get(key, 0) + c
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -488,6 +583,9 @@ def verify_hopf_axioms(max_generator_degree: int,
     """Exhaustively check the Hopf axioms on all ordered monomials of
     generator degree <= max_generator_degree, plus the homomorphism laws on
     generator pairs."""
+    if max_generator_degree < 0:
+        raise InvalidParamsError(
+            f"generator-degree bound must be >= 0, got {max_generator_degree}")
     cache = _hopf(params)
     report = VerificationReport()
     unit = AlgebraElement.unit(params)

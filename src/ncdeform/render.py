@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GENERATOR_NAMES, AlgebraElement, mono_factors
-from .series import _h_factors, format_rational, render_terms
+from .series import SeriesScalar, _h_factors, format_rational, render_terms
 
 
 def _render_flat(pairs) -> str:
@@ -95,16 +95,25 @@ def zmap_to_json(zmap) -> dict:
                       for k in sorted(zmap)]}
 
 
+def _tensor_by_legs(t) -> dict:
+    """Regrouped view of a tensor: leg tuple -> series coefficient."""
+    acc: dict[tuple, dict] = {}
+    for key, c in t.terms.items():
+        acc.setdefault(key[:-1], {})[key[-1]] = c
+    D = t.params.trunc
+    return {legs: SeriesScalar(hmap, D) for legs, hmap in acc.items()}
+
+
 def tensor_to_text(t) -> str:
     def factors(legs):
         return [" (x) ".join("*".join(mono_factors(m)) or "1" for m in legs)]
     return _render_flat((legs, factors(legs), s)
-                        for legs, s in t.by_legs().items())
+                        for legs, s in _tensor_by_legs(t).items())
 
 
 def tensor_to_json(t) -> dict:
     names = ("left", "right") if t.arity == 2 else ("left", "middle", "right")
-    by_legs = t.by_legs()
+    by_legs = _tensor_by_legs(t)
     out = []
     for legs in sorted(by_legs):
         item = {name: list(m) for name, m in zip(names, legs)}

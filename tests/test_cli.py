@@ -165,3 +165,19 @@ def test_verify_star_json_report(capsys):
     assert "star-oracle-gate" in names
     diags = [c for c in report["checks"] if c.get("diagnostic")]
     assert diags, "deep diagnostic entries should be present"
+
+
+@pytest.mark.parametrize("target", ["hopf", "star", "all"])
+@pytest.mark.parametrize("flag", ["--maxdeg", "--deg"])
+def test_verify_rejects_negative_bounds(capsys, target, flag):
+    code, out, err = run(capsys, "verify", target, flag, "-1")
+    assert code == 3
+    assert out == ""
+    assert flag in err
+
+
+def test_staroracle_rejects_negative_cap(capsys):
+    code, out, err = run(capsys, "staroracle", "x1", "x1", "--cap", "-2")
+    assert code == 3
+    assert out == ""
+    assert "--cap" in err

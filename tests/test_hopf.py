@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       apply_coproduct_leg, commutator, coproduct, counit,
@@ -8,10 +10,11 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       make_lambda, make_rho, mu_antipode_leg,
                       normal_order_mul, tensor_commutator, tensor_mul,
                       tensor_of, verify_hopf_axioms)
-from ncdeform.algebra import _central_mul
+from ncdeform.algebra import InvalidParamsError, _central_mul, _engine
 from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf, _tensor_inverse
+from ncdeform.multiindex import multiindices_graded
 
-from conftest import params
+from conftest import h_exponents, params, small_fractions
 
 
 def gens(p):
@@ -186,3 +189,67 @@ def test_hopf_axioms_every_truncation_up_to_3():
     for trunc in (0, 1, 2):
         report = verify_hopf_axioms(3, params(1, 1, 1, trunc))
         assert report.passed, report.to_text()
+
+
+def test_verify_hopf_axioms_rejects_negative_degree():
+    with pytest.raises(InvalidParamsError):
+        verify_hopf_axioms(-1, params(1, 1, 1, 1))
+
+
+def reference_tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
+    """Plain product: every term pair, Fraction arithmetic, the engine's
+    mono_mul on each leg, and truncation on the summed h exponents."""
+    eng = _engine(a.params)
+    out: dict = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            h0 = tuple(x + y for x, y in zip(ka[-1], kb[-1]))
+            parts = [((), h0, ca * cb)]
+            for leg in range(a.arity):
+                parts = [(legs + (m,), tuple(x + y for x, y in zip(h, hs)),
+                          c * cs)
+                         for legs, h, c in parts
+                         for m, s in eng.mono_mul(ka[leg], kb[leg]).items()
+                         for hs, cs in s.terms.items()]
+            for legs, h, c in parts:
+                if sum(h) <= a.params.trunc:
+                    key = legs + (h,)
+                    out[key] = out.get(key, 0) + c
+    return TensorElement(a.params, a.arity, out)
+
+
+def leg_monomials():
+    """Ordered monomials of generator degree <= 2."""
+    return st.lists(st.integers(0, 6), max_size=2).map(
+        lambda gens: tuple(gens.count(g) for g in range(7)))
+
+
+@st.composite
+def tensor_pairs(draw):
+    alpha, beta, gamma = draw(st.sampled_from(
+        [(1, 1, 1), (2, Fraction(1, 2), -3), (Fraction(-3, 2), 0, 5)]))
+    p = params(alpha, beta, gamma, draw(st.integers(0, 3)))
+    arity = draw(st.sampled_from((2, 3)))
+    keys = st.tuples(*[leg_monomials()] * arity, h_exponents(p.trunc))
+    terms = st.dictionaries(keys, small_fractions(), min_size=1, max_size=6)
+    return (TensorElement(p, arity, draw(terms)),
+            TensorElement(p, arity, draw(terms)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_pairs())
+def test_tensor_mul_matches_reference(pair):
+    a, b = pair
+    got = tensor_mul(a, b)
+    assert got == reference_tensor_mul(a, b)
+    assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+
+
+def test_three_leg_products_match_leg_substitution():
+    # Leg substitution never multiplies two three-leg tensors, so it checks
+    # the three-leg product path by a different route.
+    cache = _hopf(params(2, Fraction(1, 2), -3, 3))
+    for mono in multiindices_graded(7, 2):
+        cop = _cop_mono(cache, mono)
+        assert apply_coproduct_leg(cop, 0) == _cop3_mono(cache, mono, 0), mono
+        assert apply_coproduct_leg(cop, 1) == _cop3_mono(cache, mono, 1), mono
