@@ -3,13 +3,9 @@ of the centrally extended phase-space translation Lie algebra, its Hopf
 structure, the dual star product and the induced Lie bialgebra."""
 
 from .series import (SeriesScalar, TruncationMismatchError,
-                     NonInvertibleSeriesError, parse_rational, format_rational,
-                     series_add, series_mul, series_inv, series_limit,
-                     series_coeff_at)
-from .multiindex import (IndexRangeError, mi_norm, mi_factorial,
-                         mi_norm_factorial, mi_binom, mi_combine, mi_from_text,
-                         mi_to_text, submultiindices, multiindices,
-                         multiindices_graded)
+                     NonInvertibleSeriesError, parse_rational, format_rational)
+from .multiindex import (mi_norm, mi_factorial, mi_binom, submultiindices,
+                         multiindices, multiindices_graded)
 from .algebra import (GENERATOR_NAMES, AlgebraElement, DeformParams,
                       InvalidParamsError, ParamsMismatchError, central_inverse,
                       classical_limit, commutator, from_z_basis,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 from typing import Iterable, Mapping
 
@@ -66,6 +67,13 @@ class DeformParams:
             raise InvalidParamsError("alpha must be nonzero")
         if self.trunc < 0:
             raise InvalidParamsError("truncation order must be >= 0")
+        # Every memo table is keyed by the parameters, and hashing three
+        # Fractions costs microseconds, so the hash is computed once.
+        object.__setattr__(self, "_hash", hash(
+            (self.alpha, self.beta, self.gamma, self.trunc)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class AlgebraElement:
@@ -140,11 +148,7 @@ class AlgebraElement:
         out = dict(self.terms)
         for m, s in other.terms.items():
             cur = out.get(m)
-            v = s if cur is None else cur + s
-            if v.terms:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            out[m] = s if cur is None else cur + s
         return AlgebraElement(self.params, out)
 
     __radd__ = __add__
@@ -220,8 +224,12 @@ def mono_factors(mono: PBWMonomial) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # The per-parameter engine: commutator table, central series and the
-# normal-ordering caches.  Engines are built once per DeformParams and only
-# ever read afterwards, so sharing them across threads is safe.
+# normal-ordering tables.  engine(params) builds one per DeformParams.  Its
+# tables are functools.cache memos, written on every miss and kept for the
+# life of the process.  Under the interpreter lock two threads that miss
+# the same key may both compute it and one equal result is kept, so the
+# engine may be shared across threads as long as no caller mutates a
+# returned table.
 # ---------------------------------------------------------------------------
 
 _WordBlock = tuple[int, int]            # (generator index, exponent)
@@ -230,19 +238,10 @@ _WordBlock = tuple[int, int]            # (generator index, exponent)
 class _Engine:
     def __init__(self, params: DeformParams):
         self.params = params
-        D = params.trunc
-        self.one_series = SeriesScalar.one(D)
-        self._word_cache: dict[tuple[_WordBlock, ...], dict] = {}
-        self._mono_cache: dict[tuple[PBWMonomial, PBWMonomial], dict] = {}
-        self._mono_flat_cache: dict[tuple[PBWMonomial, PBWMonomial], tuple] = {}
-        self._mono_z_cache: dict[PBWMonomial, dict] = {}
-
+        self.one_series = SeriesScalar.one(params.trunc)
         self.rho = self._build_rho()
         self.lam = self._build_lambda()
         self.lam_inv = central_inverse(self.lam)
-        self._lam_pows: dict[int, AlgebraElement] = {
-            0: AlgebraElement.unit(params), 1: self.lam, -1: self.lam_inv}
-        self._exp_rho: dict[Fraction, AlgebraElement] = {}
 
         # [A, B] for the straightening rule, keyed by generator pair A < B.
         alpha, beta, gamma = params.alpha, params.beta, params.gamma
@@ -258,7 +257,6 @@ class _Engine:
             (Q2, P1): None,
         }
         self._comms = {k: (v if v else None) for k, v in table.items()}
-        self._comm_pows: dict[tuple[int, int, int], AlgebraElement] = {}
 
     def _build_rho(self) -> AlgebraElement:
         D = self.params.trunc
@@ -282,125 +280,85 @@ class _Engine:
             n += 1
         return out
 
+    @cache
     def lam_pow(self, k: int) -> AlgebraElement:
-        cached = self._lam_pows.get(k)
-        if cached is None:
-            base = self.lam if k > 0 else self.lam_inv
-            cached = _central_mul(self.lam_pow(k - (1 if k > 0 else -1)), base)
-            self._lam_pows[k] = cached
-        return cached
+        """lam^k for any integer k."""
+        if k == 0:
+            return AlgebraElement.unit(self.params)
+        base, step = (self.lam, 1) if k > 0 else (self.lam_inv, -1)
+        if k == step:
+            return base
+        return _central_mul(self.lam_pow(k - step), base)
 
+    @cache
     def exp_rho(self, c: Fraction) -> AlgebraElement:
-        c = Fraction(c)
-        cached = self._exp_rho.get(c)
-        if cached is None:
-            out = AlgebraElement.unit(self.params)
-            power = AlgebraElement.unit(self.params)
-            for n in range(1, self.params.trunc + 1):
-                power = _central_mul(power, self.rho)
-                out = out + power.scale(c ** n / factorial(n))
-            cached = self._exp_rho[c] = out
-        return cached
+        out = AlgebraElement.unit(self.params)
+        power = AlgebraElement.unit(self.params)
+        for n in range(1, self.params.trunc + 1):
+            power = _central_mul(power, self.rho)
+            out = out + power.scale(c ** n / factorial(n))
+        return out
 
+    @cache
     def comm_pow(self, a: int, b: int, k: int) -> AlgebraElement:
-        key = (a, b, k)
-        cached = self._comm_pows.get(key)
-        if cached is None:
-            if k == 0:
-                cached = AlgebraElement.unit(self.params)
-            else:
-                cached = _central_mul(self.comm_pow(a, b, k - 1),
-                                      self._comms[(a, b)])
-            self._comm_pows[key] = cached
-        return cached
+        if k == 0:
+            return AlgebraElement.unit(self.params)
+        return _central_mul(self.comm_pow(a, b, k - 1), self._comms[(a, b)])
 
     # -- normal ordering ---------------------------------------------------
 
+    @cache
     def mono_mul(self, ma: PBWMonomial, mb: PBWMonomial) -> dict:
         """Product of two ordered monomials as a term map."""
-        key = (ma, mb)
-        cached = self._mono_cache.get(key)
-        if cached is not None:
-            return cached
         central = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
         word = _canon_word(
             [(g, ma[g]) for g in (Q1, Q2, P1, P2) if ma[g]]
             + [(g, mb[g]) for g in (Q1, Q2, P1, P2) if mb[g]])
         straight = self._straighten(word)
         if central == (0, 0, 0):
-            out = straight
-        else:
-            out = {}
-            for m, s in straight.items():
-                shifted = (m[0] + central[0], m[1] + central[1],
-                           m[2] + central[2]) + m[3:]
-                out[shifted] = s
-        self._mono_cache[key] = out
-        return out
+            return straight
+        return {(m[0] + central[0], m[1] + central[1], m[2] + central[2])
+                + m[3:]: s for m, s in straight.items()}
 
+    @cache
     def _straighten(self, word: tuple[_WordBlock, ...]) -> dict:
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
         pos = next((t for t in range(len(word) - 1)
                     if word[t][0] > word[t + 1][0]), None)
         if pos is None:
             mono = list(EMPTY_MONO)
             for g, e in word:
                 mono[g] = e
-            out = {tuple(mono): self.one_series}
-        else:
-            (b, n), (a, m) = word[pos], word[pos + 1]
-            c = self._comms[(a, b)]
-            swapped = _canon_word(
-                list(word[:pos]) + [(a, m), (b, n)] + list(word[pos + 2:]))
-            if c is None:
-                out = self._straighten(swapped)
-            else:
-                out = {}
-                for k in range(min(m, n) + 1):
-                    coeff = Fraction((-1) ** k * factorial(k)
-                                     * comb(m, k) * comb(n, k))
-                    rest = _canon_word(
-                        list(word[:pos]) + [(a, m - k), (b, n - k)]
-                        + list(word[pos + 2:]))
-                    sub = self._straighten(rest)
-                    ck = self.comm_pow(a, b, k)
-                    for mc, sc in ck.terms.items():
-                        for ms, ss in sub.items():
-                            mono = (mc[0] + ms[0], mc[1] + ms[1],
-                                    mc[2] + ms[2]) + ms[3:]
-                            v = sc * ss * coeff
-                            cur = out.get(mono)
-                            v = v if cur is None else cur + v
-                            if v.terms:
-                                out[mono] = v
-                            else:
-                                out.pop(mono, None)
-        self._word_cache[word] = out
-        return out
+            return {tuple(mono): self.one_series}
+        (b, n), (a, m) = word[pos], word[pos + 1]
+        c = self._comms[(a, b)]
+        if c is None:
+            return self._straighten(_canon_word(
+                list(word[:pos]) + [(a, m), (b, n)] + list(word[pos + 2:])))
+        out: dict[PBWMonomial, SeriesScalar] = {}
+        for k in range(min(m, n) + 1):
+            coeff = Fraction((-1) ** k * factorial(k)
+                             * comb(m, k) * comb(n, k))
+            sub = self._straighten(_canon_word(
+                list(word[:pos]) + [(a, m - k), (b, n - k)]
+                + list(word[pos + 2:])))
+            for mc, sc in self.comm_pow(a, b, k).terms.items():
+                for ms, ss in sub.items():
+                    mono = (mc[0] + ms[0], mc[1] + ms[1],
+                            mc[2] + ms[2]) + ms[3:]
+                    v = sc * ss * coeff
+                    cur = out.get(mono)
+                    out[mono] = v if cur is None else cur + v
+        return {mono: s for mono, s in out.items() if s.terms}
 
+    @cache
     def mono_mul_flat(self, ma: PBWMonomial, mb: PBWMonomial) -> tuple:
         """mono_mul flattened over one denominator: (den, ((monomial,
         h exponent, integer numerator), ...)), each numerator over den."""
-        key = (ma, mb)
-        cached = self._mono_flat_cache.get(key)
-        if cached is None:
-            flat = [(m, h, c) for m, s in self.mono_mul(ma, mb).items()
-                    for h, c in s.terms.items()]
-            den = lcm(*(c.denominator for _, _, c in flat))
-            cached = self._mono_flat_cache[key] = (den, tuple(
-                (m, h, c.numerator * (den // c.denominator))
-                for m, h, c in flat))
-        return cached
-
-    def mono_to_z(self, mono: PBWMonomial) -> dict:
-        """Z-basis expansion of a single ordered monomial."""
-        cached = self._mono_z_cache.get(mono)
-        if cached is None:
-            elt = AlgebraElement.monomial(self.params, mono)
-            cached = self._mono_z_cache[mono] = to_z_basis(elt)
-        return cached
+        flat = [(m, h, c) for m, s in self.mono_mul(ma, mb).items()
+                for h, c in s.terms.items()]
+        den = lcm(*(c.denominator for _, _, c in flat))
+        return den, tuple((m, h, c.numerator * (den // c.denominator))
+                          for m, h, c in flat)
 
 
 def _unit_mono(idx: int) -> PBWMonomial:
@@ -427,12 +385,9 @@ def _central_mul(c: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
             mono = (mc[0] + mx[0], mc[1] + mx[1], mc[2] + mx[2],
                     mc[3] + mx[3], mc[4] + mx[4], mc[5] + mx[5], mc[6] + mx[6])
             v = sc * sx
-            cur = out.get(mono)
-            v = v if cur is None else cur + v
-            if v.terms:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
+            if v.terms:     # truncation empties many products; skip them
+                cur = out.get(mono)
+                out[mono] = v if cur is None else cur + v
     return AlgebraElement(c.params, out)
 
 
@@ -458,15 +413,16 @@ def central_inverse(x: AlgebraElement) -> AlgebraElement:
     return acc.scale(1 / u)
 
 
-_engines: dict[DeformParams, _Engine] = {}
+@cache
+def engine(params: DeformParams) -> _Engine:
+    """The normal-ordering engine of one parameter set, built once.
 
-
-def _engine(params: DeformParams) -> _Engine:
-    eng = _engines.get(params)
-    if eng is None:
-        eng = _engines[params] = _Engine(params)
-    return eng
-
+    It holds rho, lam and lam^-1, the commutator table and the memoised
+    products of ordered monomials: mono_mul(ma, mb) as a term map, and
+    mono_mul_flat(ma, mb), the same over one integer denominator, which
+    is what tensor_mul reads.
+    """
+    return _Engine(params)
 
 # ---------------------------------------------------------------------------
 # Public operations.
@@ -490,23 +446,23 @@ def make_generator(name, params: DeformParams) -> AlgebraElement:
 
 def make_rho(params: DeformParams) -> AlgebraElement:
     """rho = h1*Th + h2*Ph + h3*Ps."""
-    return _engine(params).rho
+    return engine(params).rho
 
 
 def make_lambda(params: DeformParams) -> AlgebraElement:
     """lam = sinh(2*rho)/(2*rho), an invertible central series."""
-    return _engine(params).lam
+    return engine(params).lam
 
 
 def make_exp_rho(c, params: DeformParams) -> AlgebraElement:
     """exp(c*rho) truncated at the configured order."""
-    return _engine(params).exp_rho(Fraction(c))
+    return engine(params).exp_rho(Fraction(c))
 
 
 def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product of two elements, re-expressed in the ordered-monomial basis."""
     x._check(y)
-    eng = _engine(x.params)
+    eng = engine(x.params)
     out: dict[PBWMonomial, SeriesScalar] = {}
     for ma, sa in x.terms.items():
         for mb, sb in y.terms.items():
@@ -516,11 +472,7 @@ def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             for m, s in eng.mono_mul(ma, mb).items():
                 v = s * scale
                 cur = out.get(m)
-                v = v if cur is None else cur + v
-                if v.terms:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
+                out[m] = v if cur is None else cur + v
     return AlgebraElement(x.params, out)
 
 
@@ -539,13 +491,15 @@ def phi_automorphism(x: AlgebraElement) -> AlgebraElement:
     A monomial of total generator degree g picks up the central factor
     lam^(-g); the map is extended linearly.
     """
-    eng = _engine(x.params)
-    out = AlgebraElement.zero(x.params)
+    eng = engine(x.params)
+    out: dict[PBWMonomial, SeriesScalar] = {}
     for m, s in x.terms.items():
-        g = sum(m)
-        out = out + _central_mul(
-            eng.lam_pow(-g), AlgebraElement.monomial(x.params, m, s))
-    return out
+        piece = _central_mul(eng.lam_pow(-sum(m)),
+                             AlgebraElement.monomial(x.params, m, s))
+        for mp, sp in piece.terms.items():
+            cur = out.get(mp)
+            out[mp] = sp if cur is None else cur + sp
+    return AlgebraElement(x.params, out)
 
 
 def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
@@ -554,16 +508,19 @@ def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
 
     Z^I X^J = lam^|I| Th^i1 Ph^i2 Ps^i3 Q1^j1 Q2^j2 P1^j3 P2^j4 / (I! J!).
     """
-    eng = _engine(params)
-    out = AlgebraElement.zero(params)
+    eng = engine(params)
+    out: dict[PBWMonomial, SeriesScalar] = {}
     for (ci, qp), s in zmap.items():
         if isinstance(s, SeriesScalar) and not s.terms:
             continue
         mono = tuple(ci) + tuple(qp)
         scale = Fraction(1, mi_factorial(ci) * mi_factorial(qp))
-        piece = AlgebraElement.monomial(params, mono, s * scale)
-        out = out + _central_mul(eng.lam_pow(sum(ci)), piece)
-    return out
+        piece = _central_mul(eng.lam_pow(sum(ci)),
+                             AlgebraElement.monomial(params, mono, s * scale))
+        for mp, sp in piece.terms.items():
+            cur = out.get(mp)
+            out[mp] = sp if cur is None else cur + sp
+    return AlgebraElement(params, out)
 
 
 def to_z_basis(x: AlgebraElement) -> dict[ZMonomial, SeriesScalar]:
@@ -585,12 +542,8 @@ def to_z_basis(x: AlgebraElement) -> dict[ZMonomial, SeriesScalar]:
             inc[(ci, qp)] = s * (mi_factorial(ci) * mi_factorial(qp))
         for k, s in inc.items():
             cur = out.get(k)
-            v = s if cur is None else cur + s
-            if v.terms:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            out[k] = s if cur is None else cur + s
         rem = rem - from_z_basis(inc, params)
     if rem.terms:
         raise RuntimeError("z-basis conversion failed to terminate")
-    return out
+    return {k: s for k, s in out.items() if s.terms}

@@ -44,12 +44,8 @@ class LieData:
         for i, xi in x.items():
             for j, yj in y.items():
                 for k, c in self.bracket_basis(i, j).items():
-                    v = out.get(k, Fraction(0)) + xi * yj * c
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
+                    out[k] = out.get(k, 0) + xi * yj * c
+        return {k: c for k, c in out.items() if c}
 
     def is_antisymmetric(self) -> bool:
         for i in range(self.dim):
@@ -69,11 +65,8 @@ class LieData:
                         inner = self.bracket_basis(a, b)
                         for m, w in inner.items():
                             for n, v in self.bracket_basis(m, c).items():
-                                s = acc.get(n, Fraction(0)) + w * v
-                                if s:
-                                    acc[n] = s
-                                else:
-                                    acc.pop(n, None)
+                                acc[n] = acc.get(n, 0) + w * v
+                    acc = {n: s for n, s in acc.items() if s}
                     if acc:
                         return (i, j, k, acc)
         return None
@@ -142,12 +135,8 @@ class WedgeElement:
                     continue
                 if i > j:
                     i, j, c = j, i, -c
-                v = clean.get((i, j), Fraction(0)) + c
-                if v:
-                    clean[(i, j)] = v
-                else:
-                    clean.pop((i, j), None)
-        self.terms = clean
+                clean[(i, j)] = clean.get((i, j), 0) + c
+        self.terms = {k: c for k, c in clean.items() if c}
 
     @classmethod
     def wedge(cls, i: int, j: int, c=1) -> "WedgeElement":
@@ -164,11 +153,7 @@ class WedgeElement:
     def __add__(self, other: "WedgeElement") -> "WedgeElement":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return WedgeElement(out)
 
     def __neg__(self) -> "WedgeElement":
@@ -200,13 +185,13 @@ class WedgeElement:
 
 def ad_wedge(x: int, w: WedgeElement, L: LieData) -> WedgeElement:
     """(ad_x (x) 1 + 1 (x) ad_x) acting on a wedge element."""
-    out = WedgeElement()
+    out: dict[tuple[int, int], Fraction] = {}
     for (a, b), c in w.terms.items():
         for k, v in L.bracket_basis(x, a).items():
-            out = out + WedgeElement.wedge(k, b, c * v)
+            out[(k, b)] = out.get((k, b), 0) + c * v
         for k, v in L.bracket_basis(x, b).items():
-            out = out + WedgeElement.wedge(a, k, c * v)
-    return out
+            out[(a, k)] = out.get((a, k), 0) + c * v
+    return WedgeElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +295,7 @@ def cocommutator_dir(generator, direction: int,
                 f"non-primitive residue: {m1} (x) {m2}")
         i = m1.index(1)
         j = m2.index(1)
-        acc[(i, j)] = acc.get((i, j), Fraction(0)) + c
+        acc[(i, j)] = acc.get((i, j), 0) + c
     for (i, j), c in acc.items():
         if acc.get((j, i), Fraction(0)) != -c:
             raise NonPrimitiveResidueError("non-primitive residue: "
@@ -337,10 +322,11 @@ def combine_cocommutators(weights, params: DeformParams) -> dict[str, WedgeEleme
 
 
 def _delta_vec(delta: Mapping[str, WedgeElement], x: Vector) -> WedgeElement:
-    out = WedgeElement()
+    out: dict[tuple[int, int], Fraction] = {}
     for i, c in x.items():
-        out = out + delta[GENERATOR_NAMES[i]].scale(c)
-    return out
+        for k, v in delta[GENERATOR_NAMES[i]].terms.items():
+            out[k] = out.get(k, 0) + v * c
+    return WedgeElement(out)
 
 
 def bialgebra_axiom_check(delta: Mapping[str, WedgeElement],

@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("staroracle", parents=[common])
     p.add_argument("exprs", nargs=2, metavar="DUAL_EXPR")
     p.add_argument("--cap", type=int, default=None,
-                   help="enumeration cap |S|+|T| for the pairing oracle")
+                   help="enumeration cap |S|+|T| for the pairing oracle; "
+                        "at least |a|+|b|+trunc for every term pair")
     p = sub.add_parser("poisson", parents=[common])
     p.add_argument("exprs", nargs=2, metavar="DUAL_EXPR")
     p.add_argument("--dir", type=int, choices=(1, 2, 3), required=True)
@@ -74,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxdeg", type=int, default=2,
                    help="generator-degree / index-norm bound for the grids")
     p.add_argument("--deg", type=int, default=3,
-                   help="h-degree for the one-parameter limit report")
+                   help="h-degree (truncation) for the one-parameter limit "
+                        "report, at most the configured cap")
     return top
 
 
@@ -92,7 +94,7 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _settings(args) -> tuple[DeformParams, str]:
+def _settings(args) -> tuple[DeformParams, str, int]:
     values = dict(DEFAULTS)
     if args.config:
         values.update(_load_config(args.config))
@@ -113,7 +115,7 @@ def _settings(args) -> tuple[DeformParams, str]:
                           parse_rational(values["gamma"]), trunc)
     if values["format"] not in ("text", "json"):
         raise InvalidParamsError(f"unknown format {values['format']!r}")
-    return params, values["format"]
+    return params, values["format"], cap
 
 
 def _emit(args, text: str) -> None:
@@ -140,14 +142,14 @@ def _eval_primal(text: str, params: DeformParams) -> AlgebraElement:
 
 def _eval_dual(text: str, params: DeformParams) -> DualElement:
     node = parse_expression(text)
-    from .parser import evaluate_dual, _classify
-    if "primal" in _classify(node):
+    from .parser import classify, evaluate_dual
+    if "primal" in classify(node):
         raise ExpressionError("this command expects a dual expression")
     return evaluate_dual(node, params.trunc)
 
 
 def _dispatch(args) -> int:
-    params, fmt = _settings(args)
+    params, fmt, trunc_cap = _settings(args)
 
     if args.command == "mul":
         x = _eval_primal(args.exprs[0], params)
@@ -217,6 +219,10 @@ def _dispatch(args) -> int:
         for flag, bound in (("--maxdeg", args.maxdeg), ("--deg", args.deg)):
             if bound < 0:
                 raise InvalidParamsError(f"{flag} must be >= 0, got {bound}")
+        if args.deg > trunc_cap:
+            # --deg is the truncation order of the one-parameter limit report.
+            raise InvalidParamsError(
+                f"--deg {args.deg} exceeds the configured cap {trunc_cap}")
         if args.what == "hopf":
             report = verify_hopf_axioms(args.maxdeg, params)
         elif args.what == "star":

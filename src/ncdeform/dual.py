@@ -20,9 +20,11 @@ divided-power basis.  It never touches the closed formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping
 
-from .algebra import DeformParams, ZMonomial, _engine, from_z_basis
+from .algebra import (AlgebraElement, DeformParams, InvalidParamsError,
+                      PBWMonomial, ZMonomial, from_z_basis, to_z_basis)
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
@@ -87,11 +89,7 @@ class DualElement:
         out = dict(self.terms)
         for k, s in other.terms.items():
             cur = out.get(k)
-            v = s if cur is None else cur + s
-            if v.terms:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            out[k] = s if cur is None else cur + s
         return DualElement(self.trunc, out)
 
     def __neg__(self) -> "DualElement":
@@ -153,11 +151,7 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
                    tuple(a + b for a, b in zip(ya, yb)))
             s = sa * sb
             cur = out.get(key)
-            s = s if cur is None else cur + s
-            if s.terms:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = s if cur is None else cur + s
     return DualElement(u.trunc, out)
 
 
@@ -165,6 +159,7 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
 # The closed star product.
 # ---------------------------------------------------------------------------
 
+@cache
 def _star_monos(I, J, K, L, trunc: int) -> dict[DualMonomial, SeriesScalar]:
     out: dict[DualMonomial, SeriesScalar] = {}
     normL = mi_norm(L)
@@ -187,15 +182,8 @@ def _star_monos(I, J, K, L, trunc: int) -> dict[DualMonomial, SeriesScalar]:
             key = (w_key, y_key)
             inc = SeriesScalar.monomial(h, c, trunc)
             cur = out.get(key)
-            inc = inc if cur is None else cur + inc
-            if inc.terms:
-                out[key] = inc
-            else:
-                out.pop(key, None)
-    return out
-
-
-_star_mono_cache: dict[tuple[DualMonomial, DualMonomial, int], dict] = {}
+            out[key] = inc if cur is None else cur + inc
+    return {key: s for key, s in out.items() if s.terms}
 
 
 def star_closed(u: DualElement, v: DualElement) -> DualElement:
@@ -207,19 +195,10 @@ def star_closed(u: DualElement, v: DualElement) -> DualElement:
             scale = sa * sb
             if not scale.terms:
                 continue
-            key = ((wa, ya), (wb, yb), trunc)
-            table = _star_mono_cache.get(key)
-            if table is None:
-                table = _star_mono_cache[key] = _star_monos(
-                    wa, ya, wb, yb, trunc)
-            for k, s in table.items():
+            for k, s in _star_monos(wa, ya, wb, yb, trunc).items():
                 val = s * scale
                 cur = out.get(k)
-                val = val if cur is None else cur + val
-                if val.terms:
-                    out[k] = val
-                else:
-                    out.pop(k, None)
+                out[k] = val if cur is None else cur + val
     return DualElement(trunc, out)
 
 
@@ -233,12 +212,13 @@ def star_commutator(u: DualElement, v: DualElement) -> DualElement:
 
 def pairing(u: DualElement, zmap: Mapping[ZMonomial, SeriesScalar]) -> SeriesScalar:
     """<W^K Y^L, Z^I X^J> = delta_KI delta_LJ, extended bilinearly."""
-    out = SeriesScalar.zero(u.trunc)
+    out: dict = {}
     for key, s in u.terms.items():
         c = zmap.get(key)
         if c is not None:
-            out = out + s * c
-    return out
+            for h, v in (s * c).terms.items():
+                out[h] = out.get(h, 0) + v
+    return SeriesScalar(out, u.trunc)
 
 
 def delta_on_zbasis(S, T, params: DeformParams) -> dict[tuple[ZMonomial, ZMonomial], SeriesScalar]:
@@ -247,21 +227,22 @@ def delta_on_zbasis(S, T, params: DeformParams) -> dict[tuple[ZMonomial, ZMonomi
     Computed entirely by the engine: build the element, apply the coproduct,
     convert each leg monomial through the cached Z-basis expansion.
     """
-    S, T = tuple(S), tuple(T)
-    eng = _engine(params)
-    cache = getattr(eng, "_delta_z_cache", None)
-    if cache is None:
-        cache = eng._delta_z_cache = {}
-    cached = cache.get((S, T))
-    if cached is not None:
-        return cached
+    return _delta_z(tuple(S), tuple(T), params)
+
+
+@cache
+def _mono_z(mono: PBWMonomial, params: DeformParams) -> dict:
+    """Z-basis expansion of a single ordered monomial."""
+    return to_z_basis(AlgebraElement.monomial(params, mono))
+
+
+@cache
+def _delta_z(S, T, params: DeformParams) -> dict:
     one = SeriesScalar.one(params.trunc)
-    elt = from_z_basis({(S, T): one}, params)
-    ten = coproduct(elt)
+    ten = coproduct(from_z_basis({(S, T): one}, params))
     out: dict[tuple[ZMonomial, ZMonomial], SeriesScalar] = {}
     for (m1, m2, h), c in ten.terms.items():
-        z1 = eng.mono_to_z(m1)
-        z2 = eng.mono_to_z(m2)
+        z1, z2 = _mono_z(m1, params), _mono_z(m2, params)
         for k1, c1 in z1.items():
             sc1 = c1.shifted(h, c)
             if not sc1.terms:
@@ -272,13 +253,8 @@ def delta_on_zbasis(S, T, params: DeformParams) -> dict[tuple[ZMonomial, ZMonomi
                     continue
                 key = (k1, k2)
                 cur = out.get(key)
-                v = v if cur is None else cur + v
-                if v.terms:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    cache[(S, T)] = out
-    return out
+                out[key] = v if cur is None else cur + v
+    return {key: s for key, s in out.items() if s.terms}
 
 
 def star_oracle(a: DualMonomial, b: DualMonomial, params: DeformParams,
@@ -287,13 +263,19 @@ def star_oracle(a: DualMonomial, b: DualMonomial, params: DeformParams,
 
     Enumerates targets Z^S X^T with |S| + |T| <= degree_cap; the default cap
     |a| + |b| + trunc is sufficient because every extra unit of Z-degree in
-    the coproduct costs at least one h-degree in the pairing.
+    the coproduct costs at least one h-degree in the pairing.  A smaller cap
+    would silently truncate the product, so it raises InvalidParamsError.
     """
     a = (tuple(a[0]), tuple(a[1]))
     b = (tuple(b[0]), tuple(b[1]))
+    bound = (mi_norm(a[0]) + mi_norm(a[1])
+             + mi_norm(b[0]) + mi_norm(b[1]) + params.trunc)
     if degree_cap is None:
-        degree_cap = (mi_norm(a[0]) + mi_norm(a[1])
-                      + mi_norm(b[0]) + mi_norm(b[1]) + params.trunc)
+        degree_cap = bound
+    elif degree_cap < bound:
+        raise InvalidParamsError(
+            f"degree cap {degree_cap} is below the sufficient bound {bound} "
+            f"(|a| + |b| + trunc) and would truncate the product")
     out: dict[DualMonomial, SeriesScalar] = {}
     for S in multiindices(3, degree_cap):
         for T in multiindices(4, degree_cap - sum(S)):
@@ -307,11 +289,14 @@ def star_oracle(a: DualMonomial, b: DualMonomial, params: DeformParams,
 def star_oracle_element(u: DualElement, v: DualElement, params: DeformParams,
                         degree_cap: int | None = None) -> DualElement:
     """Bilinear extension of star_oracle to arbitrary dual elements."""
-    out = DualElement.zero(u.trunc)
+    out: dict[DualMonomial, SeriesScalar] = {}
     for ka, sa in u.terms.items():
         for kb, sb in v.terms.items():
-            out = out + star_oracle(ka, kb, params, degree_cap).scale(sa * sb)
-    return out
+            piece = star_oracle(ka, kb, params, degree_cap).scale(sa * sb)
+            for k, s in piece.terms.items():
+                cur = out.get(k)
+                out[k] = s if cur is None else cur + s
+    return DualElement(u.trunc, out)
 
 
 def star_oracle_grid(norm_bound: int, params: DeformParams) -> dict:

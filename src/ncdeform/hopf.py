@@ -27,14 +27,15 @@ verification grids fast enough for interactive use.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       Q1, Q2, TH, AlgebraElement, DeformParams,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
-                      _central_mul, _engine, commutator, make_generator,
-                      make_rho, mono_factors, normal_order_mul)
+                      commutator, engine, make_exp_rho, make_generator,
+                      make_lambda, make_rho, mono_factors, normal_order_mul)
 from .multiindex import multiindices_graded
 from .report import VerificationReport
 from .series import SeriesScalar
@@ -127,11 +128,7 @@ class TensorElement:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return TensorElement(self.params, self.arity, out)
 
     def __neg__(self) -> "TensorElement":
@@ -152,11 +149,7 @@ class TensorElement:
                     if hh[0] + hh[1] + hh[2] > D:
                         continue
                     nk = key[:-1] + (hh,)
-                    v = out.get(nk, 0) + c * cs
-                    if v:
-                        out[nk] = v
-                    else:
-                        out.pop(nk, None)
+                    out[nk] = out.get(nk, 0) + c * cs
             return TensorElement(self.params, self.arity, out)
         factor = Fraction(factor)
         if not factor:
@@ -223,11 +216,7 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
     out: dict[TensorKey, Fraction] = {}
     for legs, h, c in parts:
         key = legs + (h,)
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, 0) + c
     return TensorElement(params, len(factors), out)
 
 
@@ -244,7 +233,7 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     arity = a.arity
     La, alegs, agroups = a.buckets()
     Lb, blegs, bgroups = b.buckets()
-    tables, Lm = _leg_tables(_engine(a.params), alegs, blegs, D)
+    tables, Lm = _leg_tables(engine(a.params), alegs, blegs, D)
     pairs = _pairs2 if arity == 2 else _pairs3
     out: dict[TensorKey, int] = {}
     for ha, da, aterms in agroups:
@@ -376,16 +365,15 @@ def _tensor_inverse(t: TensorElement) -> TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# Per-parameter coproduct/antipode caches.
+# Per-parameter coproduct/antipode tables, memoised with functools.cache.
 # ---------------------------------------------------------------------------
 
 class _HopfCache:
     def __init__(self, params: DeformParams):
         self.params = params
-        eng = _engine(params)
         D = params.trunc
         one = AlgebraElement.unit(params)
-        rho, lam = eng.rho, eng.lam
+        rho, lam = make_rho(params), make_lambda(params)
 
         cop_rho = tensor_of(rho, one) + tensor_of(one, rho)
         cop_lam = TensorElement.unit(params)
@@ -400,55 +388,42 @@ class _HopfCache:
         self.cop_lam = cop_lam
         self.cop_lam_inv = _tensor_inverse(cop_lam)
 
-        e1, em1 = eng.exp_rho(1), eng.exp_rho(-1)
-        e2, em2 = eng.exp_rho(2), eng.exp_rho(-2)
+        e1, em1 = make_exp_rho(1, params), make_exp_rho(-1, params)
+        e2, em2 = make_exp_rho(2, params), make_exp_rho(-2, params)
         self.cop_gen: list[TensorElement] = []
         for idx in range(7):
             gen = make_generator(idx, params)
             if idx in CENTRAL_GENERATORS:
-                lam_gen = _central_mul(lam, gen)
+                lam_gen = normal_order_mul(lam, gen)
                 num = tensor_of(lam_gen, e2) + tensor_of(em2, lam_gen)
                 self.cop_gen.append(tensor_mul(num, self.cop_lam_inv))
             else:
                 self.cop_gen.append(tensor_of(gen, e1) + tensor_of(em1, gen))
-
-        self.cop_mono: dict[PBWMonomial, TensorElement] = {
-            EMPTY_MONO: TensorElement.unit(params)}
-        self.s_mono: dict[PBWMonomial, AlgebraElement] = {EMPTY_MONO: one}
         self.neg_gen = [make_generator(i, params).scale(-1) for i in range(7)]
-        self._gen3: dict[tuple[int, int], TensorElement] = {}
-        self.cop3_mono: dict[tuple[PBWMonomial, int], TensorElement] = {}
-        self.mu_cache: dict[tuple[PBWMonomial, PBWMonomial, int],
-                            AlgebraElement] = {}
 
 
-_caches: dict[DeformParams, _HopfCache] = {}
-
-
+@cache
 def _hopf(params: DeformParams) -> _HopfCache:
-    cache = _caches.get(params)
-    if cache is None:
-        cache = _caches[params] = _HopfCache(params)
-    return cache
+    return _HopfCache(params)
 
 
-def _cop_mono(cache: _HopfCache, mono: PBWMonomial) -> TensorElement:
-    cached = cache.cop_mono.get(mono)
-    if cached is None:
-        g = max(i for i in range(7) if mono[i])
-        prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-        cached = tensor_mul(_cop_mono(cache, prev), cache.cop_gen[g])
-        cache.cop_mono[mono] = cached
-    return cached
+@cache
+def _cop_mono(hc: _HopfCache, mono: PBWMonomial) -> TensorElement:
+    if mono == EMPTY_MONO:
+        return TensorElement.unit(hc.params)
+    g = max(i for i in range(7) if mono[i])
+    prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
+    return tensor_mul(_cop_mono(hc, prev), hc.cop_gen[g])
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproducts."""
-    cache = _hopf(x.params)
-    out = TensorElement.zero(x.params)
+    hc = _hopf(x.params)
+    out: dict[TensorKey, Fraction] = {}
     for m, s in x.terms.items():
-        out = out + _cop_mono(cache, m).scale(s)
-    return out
+        for key, c in _cop_mono(hc, m).scale(s).terms.items():
+            out[key] = out.get(key, 0) + c
+    return TensorElement(x.params, 2, out)
 
 
 def counit(x: AlgebraElement) -> SeriesScalar:
@@ -456,44 +431,42 @@ def counit(x: AlgebraElement) -> SeriesScalar:
     return x.coefficient(EMPTY_MONO)
 
 
-def antipode_mono(cache: _HopfCache, mono: PBWMonomial) -> AlgebraElement:
-    cached = cache.s_mono.get(mono)
-    if cached is None:
-        g = min(i for i in range(7) if mono[i])
-        prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-        # S(g * m') = S(m') * S(g) = S(m') * (-g)
-        cached = normal_order_mul(antipode_mono(cache, prev), cache.neg_gen[g])
-        cache.s_mono[mono] = cached
-    return cached
+@cache
+def antipode_mono(hc: _HopfCache, mono: PBWMonomial) -> AlgebraElement:
+    if mono == EMPTY_MONO:
+        return AlgebraElement.unit(hc.params)
+    g = min(i for i in range(7) if mono[i])
+    prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
+    # S(g * m') = S(m') * S(g) = S(m') * (-g)
+    return normal_order_mul(antipode_mono(hc, prev), hc.neg_gen[g])
 
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
     """Anti-homomorphism with S(g) = -g on every generator."""
-    cache = _hopf(x.params)
-    out = AlgebraElement.zero(x.params)
+    hc = _hopf(x.params)
+    out: dict[PBWMonomial, SeriesScalar] = {}
     for m, s in x.terms.items():
-        out = out + antipode_mono(cache, m).scale(s)
-    return out
+        for ms, ss in antipode_mono(hc, m).terms.items():
+            v = ss * s
+            cur = out.get(ms)
+            out[ms] = v if cur is None else cur + v
+    return AlgebraElement(x.params, out)
 
 
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
-    cache = _hopf(t.params)
+    hc = _hopf(t.params)
     D = t.params.trunc
     out: dict[TensorKey, Fraction] = {}
     for key, c in t.terms.items():
         h = key[-1]
-        for sub, cs in _cop_mono(cache, key[leg]).terms.items():
+        for sub, cs in _cop_mono(hc, key[leg]).terms.items():
             hs = sub[-1]
             hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
             if hh[0] + hh[1] + hh[2] > D:
                 continue
             nk = key[:leg] + sub[:-1] + key[leg + 1:-1] + (hh,)
-            v = out.get(nk, 0) + c * cs
-            if v:
-                out[nk] = v
-            else:
-                out.pop(nk, None)
+            out[nk] = out.get(nk, 0) + c * cs
     return TensorElement(t.params, t.arity + 1, out)
 
 
@@ -504,11 +477,7 @@ def apply_counit_leg(t: TensorElement, leg: int):
         if key[leg] != EMPTY_MONO:
             continue
         nk = key[:leg] + key[leg + 1:]
-        v = out.get(nk, 0) + c
-        if v:
-            out[nk] = v
-        else:
-            out.pop(nk, None)
+        out[nk] = out.get(nk, 0) + c
     if t.arity == 2:
         acc: dict[PBWMonomial, dict] = {}
         for key, c in out.items():
@@ -520,47 +489,42 @@ def apply_counit_leg(t: TensorElement, leg: int):
     return TensorElement(t.params, t.arity - 1, out)
 
 
+@cache
+def _mu_mono(hc: _HopfCache, m1: PBWMonomial, m2: PBWMonomial,
+             leg: int) -> AlgebraElement:
+    """S(m1) m2 (leg = 0) or m1 S(m2) (leg = 1)."""
+    if leg == 0:
+        return normal_order_mul(antipode_mono(hc, m1),
+                                AlgebraElement.monomial(hc.params, m2))
+    return normal_order_mul(AlgebraElement.monomial(hc.params, m1),
+                            antipode_mono(hc, m2))
+
+
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg tensor."""
-    cache = _hopf(t.params)
-    params = t.params
-    out = AlgebraElement.zero(params)
+    hc = _hopf(t.params)
+    out: dict[PBWMonomial, SeriesScalar] = {}
     for (m1, m2, h), c in t.terms.items():
-        prod = cache.mu_cache.get((m1, m2, leg))
-        if prod is None:
-            if leg == 0:
-                prod = normal_order_mul(antipode_mono(cache, m1),
-                                        AlgebraElement.monomial(params, m2))
-            else:
-                prod = normal_order_mul(AlgebraElement.monomial(params, m1),
-                                        antipode_mono(cache, m2))
-            cache.mu_cache[(m1, m2, leg)] = prod
-        out = out + prod.scale(SeriesScalar.monomial(h, c, params.trunc))
-    return out
+        for m, s in _mu_mono(hc, m1, m2, leg).terms.items():
+            v = s.shifted(h, c)
+            cur = out.get(m)
+            out[m] = v if cur is None else cur + v
+    return AlgebraElement(t.params, out)
 
 
-def _gen3(cache: _HopfCache, g: int, side: int) -> TensorElement:
-    cached = cache._gen3.get((g, side))
-    if cached is None:
-        cached = apply_coproduct_leg(cache.cop_gen[g], 0 if side == 0 else 1)
-        cache._gen3[(g, side)] = cached
-    return cached
+@cache
+def _gen3(hc: _HopfCache, g: int, side: int) -> TensorElement:
+    return apply_coproduct_leg(hc.cop_gen[g], side)
 
 
-def _cop3_mono(cache: _HopfCache, mono: PBWMonomial, side: int) -> TensorElement:
+@cache
+def _cop3_mono(hc: _HopfCache, mono: PBWMonomial, side: int) -> TensorElement:
     """(cop (x) 1) cop  (side 0) or (1 (x) cop) cop  (side 1) on a monomial."""
-    key = (mono, side)
-    cached = cache.cop3_mono.get(key)
-    if cached is None:
-        if mono == EMPTY_MONO:
-            cached = TensorElement.unit(cache.params, 3)
-        else:
-            g = max(i for i in range(7) if mono[i])
-            prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-            cached = tensor_mul(_cop3_mono(cache, prev, side),
-                                _gen3(cache, g, side))
-        cache.cop3_mono[key] = cached
-    return cached
+    if mono == EMPTY_MONO:
+        return TensorElement.unit(hc.params, 3)
+    g = max(i for i in range(7) if mono[i])
+    prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
+    return tensor_mul(_cop3_mono(hc, prev, side), _gen3(hc, g, side))
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +550,17 @@ def verify_hopf_axioms(max_generator_degree: int,
     if max_generator_degree < 0:
         raise InvalidParamsError(
             f"generator-degree bound must be >= 0, got {max_generator_degree}")
-    cache = _hopf(params)
+    hc = _hopf(params)
     report = VerificationReport()
     unit = AlgebraElement.unit(params)
 
     for mono in multiindices_graded(7, max_generator_degree):
         name = _mono_name(mono)
         elt = AlgebraElement.monomial(params, mono)
-        cop = _cop_mono(cache, mono)
+        cop = _cop_mono(hc, mono)
 
-        left3 = _cop3_mono(cache, mono, 0)
-        right3 = _cop3_mono(cache, mono, 1)
+        left3 = _cop3_mono(hc, mono, 0)
+        right3 = _cop3_mono(hc, mono, 1)
         ok = left3 == right3
         report.add("coassociativity", name, ok,
                    None if ok else _diff_note("(cop(x)1)cop - (1(x)cop)cop",
@@ -622,7 +586,7 @@ def verify_hopf_axioms(max_generator_degree: int,
         for j in range(i + 1, 7):
             pair = f"[{GENERATOR_NAMES[i]},{GENERATOR_NAMES[j]}]"
             lhs = coproduct(commutator(gens[i], gens[j]))
-            rhs = tensor_commutator(cache.cop_gen[i], cache.cop_gen[j])
+            rhs = tensor_commutator(hc.cop_gen[i], hc.cop_gen[j])
             ok = lhs == rhs
             report.add("coproduct-homomorphism", pair, ok,
                        None if ok else _diff_note("cop[x,y] - [cop x,cop y]",
@@ -636,10 +600,10 @@ def verify_hopf_axioms(max_generator_degree: int,
                                                   slhs - srhs))
 
     lhs = coproduct(make_rho(params))
-    ok = lhs == cache.cop_rho
+    ok = lhs == hc.cop_rho
     report.add("coproduct-consistency", "rho", ok,
                None if ok else _diff_note("cop(rho) - (rho(x)1 + 1(x)rho)",
-                                          lhs - cache.cop_rho))
+                                          lhs - hc.cop_rho))
 
     # Multiplicativity through reordered products: cop(x y) = cop(x) cop(y)
     # for products that exercise the exchange rule.

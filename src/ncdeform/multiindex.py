@@ -1,5 +1,5 @@
-"""Multi-index combinatorics: norms, factorials, componentwise binomials,
-linear combinations and the bounded iterations behind every summation range.
+"""Multi-index combinatorics: norms, factorials, componentwise binomials
+and the bounded iterations behind every summation range.
 
 Indices are plain tuples of nonnegative ints; length 3 for central indices,
 length 4 for Q/P indices, length 7 for full ordered-monomial exponents.
@@ -14,10 +14,6 @@ from typing import Iterator
 MultiIndex = tuple[int, ...]
 
 
-class IndexRangeError(ValueError):
-    """A combination produced a negative component where a natural is required."""
-
-
 def mi_norm(i: MultiIndex) -> int:
     return sum(i)
 
@@ -27,10 +23,6 @@ def mi_factorial(i: MultiIndex) -> int:
     for c in i:
         out *= math.factorial(c)
     return out
-
-
-def mi_norm_factorial(i: MultiIndex) -> tuple[int, int]:
-    return sum(i), mi_factorial(i)
 
 
 def mi_binom(i: MultiIndex, j: MultiIndex) -> int:
@@ -43,30 +35,6 @@ def mi_binom(i: MultiIndex, j: MultiIndex) -> int:
         if not out:
             return 0
     return out
-
-
-def mi_combine(a: int, i: MultiIndex, b: int, j: MultiIndex) -> MultiIndex:
-    """Componentwise a*i + b*j, failing when a component goes negative."""
-    if len(i) != len(j):
-        raise ValueError(f"length mismatch: {len(i)} vs {len(j)}")
-    out = tuple(a * x + b * y for x, y in zip(i, j))
-    if any(c < 0 for c in out):
-        raise IndexRangeError(f"out of range: {out}")
-    return out
-
-
-def mi_to_text(i: MultiIndex) -> str:
-    return "(" + ",".join(str(c) for c in i) + ")"
-
-
-def mi_from_text(text: str) -> MultiIndex:
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"not a multi-index: {text!r}")
-    entries = tuple(int(part) for part in body[1:-1].split(","))
-    if any(c < 0 for c in entries):
-        raise ValueError(f"negative entry in multi-index: {text!r}")
-    return entries
 
 
 def submultiindices(i: MultiIndex) -> Iterator[MultiIndex]:

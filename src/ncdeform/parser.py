@@ -4,7 +4,7 @@ Grammar (whitespace insensitive):
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' nat)?
+    factor := atom ('^' nat)?          (nat <= MAX_EXPONENT)
     atom   := rational | token | '(' expr ')'
 
 Tokens: rationals "p" or "p/q"; deformation parameters h1 h2 h3; generators
@@ -24,6 +24,11 @@ from .algebra import AlgebraElement, DeformParams, make_generator, \
     make_lambda, make_rho, make_exp_rho, normal_order_mul
 from .dual import DualElement, chi, classical_product
 from .series import SeriesScalar
+
+
+#: Largest exponent accepted after '^'; a power is evaluated by repeated
+#: multiplication, so the exponent bounds the work before any starts.
+MAX_EXPONENT = 32
 
 
 class ExpressionError(ValueError):
@@ -162,7 +167,12 @@ class _Parser:
             num = self._next()
             if num[0] != "number" or "/" in num[1]:
                 raise ExpressionError("exponent must be a natural number", num[2])
-            return Pow(base, int(num[1]))
+            exponent = int(num[1])
+            if exponent > MAX_EXPONENT:
+                raise ExpressionError(
+                    f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
+                    num[2])
+            return Pow(base, exponent)
         return base
 
     def atom(self):
@@ -233,13 +243,15 @@ class _Parser:
 def parse_expression(text: str):
     """Parse into an AST; raises ExpressionError with a position on bad input."""
     node = _Parser(text).parse()
-    kinds = _classify(node)
+    kinds = classify(node)
     if "primal" in kinds and "dual" in kinds:
         raise ExpressionError("mixed primal and dual tokens in one expression")
     return node
 
 
-def _classify(node) -> set[str]:
+def classify(node) -> set[str]:
+    """The kinds of token in an AST: a subset of {"primal", "dual"}; the
+    scalars h1..h3 and rationals belong to neither."""
     if isinstance(node, Num):
         return set()
     if isinstance(node, Sym):
@@ -249,22 +261,22 @@ def _classify(node) -> set[str]:
     if isinstance(node, DualSym):
         return {"dual"}
     if isinstance(node, Pow):
-        return _classify(node.base)
+        return classify(node.base)
     if isinstance(node, Mul):
         out = set()
         for f in node.factors:
-            out |= _classify(f)
+            out |= classify(f)
         return out
     if isinstance(node, Add):
         out = set()
         for _, t in node.terms:
-            out |= _classify(t)
+            out |= classify(t)
         return out
     raise TypeError(node)
 
 
 def is_dual_expression(node) -> bool:
-    return "dual" in _classify(node)
+    return "dual" in classify(node)
 
 
 # -- evaluation -------------------------------------------------------------

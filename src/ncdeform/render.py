@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GENERATOR_NAMES, AlgebraElement, mono_factors
-from .series import SeriesScalar, _h_factors, format_rational, render_terms
+from .series import SeriesScalar, format_rational, h_factors, render_terms
 
 
 def _render_flat(pairs) -> str:
@@ -17,7 +17,7 @@ def _render_flat(pairs) -> str:
     items = []
     for key, factors, series in pairs:
         for h in sorted(series.terms):
-            items.append(((key, h), series.terms[h], _h_factors(h) + factors))
+            items.append(((key, h), series.terms[h], h_factors(h) + factors))
     items.sort(key=lambda t: t[0])
     if not items:
         return "0"
@@ -35,7 +35,6 @@ def element_to_json(x: AlgebraElement) -> dict:
 
 
 def element_from_json(data: dict, params) -> AlgebraElement:
-    from .series import SeriesScalar
     terms = {}
     for item in data["terms"]:
         mono = tuple(item["exp"])
@@ -68,13 +67,13 @@ def dual_to_json(u) -> dict:
 
 def dual_from_json(data: dict, trunc: int):
     from .dual import DualElement
-    from .series import SeriesScalar
-    out = DualElement.zero(trunc)
+    out: dict = {}
     for item in data["terms"]:
+        key = (tuple(item["w"]), tuple(item["y"]))
         coeff = SeriesScalar.from_json(item["coeff"], trunc)
-        out = out + DualElement.monomial(tuple(item["w"]), tuple(item["y"]),
-                                         trunc, coeff)
-    return out
+        cur = out.get(key)
+        out[key] = coeff if cur is None else cur + coeff
+    return DualElement(trunc, out)
 
 
 def zmap_to_text(zmap) -> str:

@@ -90,9 +90,6 @@ class SeriesScalar:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_one(self) -> bool:
-        return self.terms == {_ZERO_H: Fraction(1)}
-
     def constant(self) -> Fraction:
         return self.terms.get(_ZERO_H, Fraction(0))
 
@@ -130,12 +127,8 @@ class SeriesScalar:
         self._check(other)
         out = dict(self.terms)
         for h, c in other.terms.items():
-            s = out.get(h, Fraction(0)) + c
-            if s:
-                out[h] = s
-            else:
-                out.pop(h, None)
-        return _raw(out, self.trunc)
+            out[h] = out.get(h, 0) + c
+        return _raw({h: c for h, c in out.items() if c}, self.trunc)
 
     __radd__ = __add__
 
@@ -159,12 +152,8 @@ class SeriesScalar:
                 h = (h1[0] + h2[0], h1[1] + h2[1], h1[2] + h2[2])
                 if h[0] + h[1] + h[2] > trunc:
                     continue
-                s = out.get(h, Fraction(0)) + c1 * c2
-                if s:
-                    out[h] = s
-                else:
-                    del out[h]
-        return _raw(out, trunc)
+                out[h] = out.get(h, 0) + c1 * c2
+        return _raw({h: c for h, c in out.items() if c}, trunc)
 
     __rmul__ = __mul__
 
@@ -210,7 +199,7 @@ class SeriesScalar:
             return "0"
         parts = []
         for h in sorted(self.terms):
-            parts.append((self.terms[h], _h_factors(h)))
+            parts.append((self.terms[h], h_factors(h)))
         return render_terms(parts)
 
     def to_json(self) -> list:
@@ -230,7 +219,8 @@ def _raw(terms: dict, trunc: int) -> SeriesScalar:
     return s
 
 
-def _h_factors(h: HExponent) -> list[str]:
+def h_factors(h: HExponent) -> list[str]:
+    """The factors of h1^a h2^b h3^c as text, e.g. ["h1", "h3^2"]."""
     out = []
     for i, e in enumerate(h):
         if e == 1:
@@ -260,24 +250,3 @@ def render_terms(parts: list[tuple[Fraction, list[str]]]) -> str:
             chunks.append(f" {sign} {body}")
     return "".join(chunks)
 
-
-# Named operation aliases.
-
-def series_add(a: SeriesScalar, b: SeriesScalar) -> SeriesScalar:
-    return a + b
-
-
-def series_mul(a: SeriesScalar, b: SeriesScalar) -> SeriesScalar:
-    return a * b
-
-
-def series_inv(a: SeriesScalar) -> SeriesScalar:
-    return a.inv()
-
-
-def series_limit(a: SeriesScalar, zeroed: Iterable[int]) -> SeriesScalar:
-    return a.limit(zeroed)
-
-
-def series_coeff_at(a: SeriesScalar, h: HExponent) -> Fraction:
-    return a.coeff(h)

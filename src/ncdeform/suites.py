@@ -191,13 +191,11 @@ def _poisson_checks(report: VerificationReport, trunc: int) -> None:
         for key, vec in data.constants.items():
             acc = combined.setdefault(key, {})
             for k, c in vec.items():
-                v = acc.get(k, Fraction(0)) + w * c
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
+                acc[k] = acc.get(k, 0) + w * c
     combo = LieData(names=tuple(f"chi{i}" for i in range(1, 8)),
-                    constants={k: v for k, v in combined.items() if v})
+                    constants={key: {k: c for k, c in vec.items() if c}
+                               for key, vec in combined.items()
+                               if any(vec.values())})
     failure = combo.first_jacobi_failure()
     report.add("poisson-jacobi", f"weights {tuple(map(str, weights))}",
                failure is None,

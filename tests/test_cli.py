@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -181,3 +182,32 @@ def test_staroracle_rejects_negative_cap(capsys):
     assert code == 3
     assert out == ""
     assert "--cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("x4", "x1", "--trunc", "1", "--cap", "0"),
+    ("x4", "x1", "--trunc", "1", "--cap", "2"),
+    ("x4*x5", "x1+x2", "--trunc", "1", "--cap", "3"),
+])
+def test_staroracle_rejects_cap_below_sufficient_bound(capsys, argv):
+    code, out, err = run(capsys, "staroracle", *argv)
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+def test_huge_exponent_exits_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mul", "Q1^99999999", "Q1", "--trunc", "0")
+    assert code == 2
+    assert out == ""
+    assert "exponent" in err
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "all"])
+def test_verify_deg_obeys_truncation_cap(capsys, target):
+    code, out, err = run(capsys, "verify", target, "--deg", "9")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err

@@ -10,7 +10,7 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       make_lambda, make_rho, mu_antipode_leg,
                       normal_order_mul, tensor_commutator, tensor_mul,
                       tensor_of, verify_hopf_axioms)
-from ncdeform.algebra import InvalidParamsError, _central_mul, _engine
+from ncdeform.algebra import InvalidParamsError, _central_mul, engine
 from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf, _tensor_inverse
 from ncdeform.multiindex import multiindices_graded
 
@@ -199,7 +199,7 @@ def test_verify_hopf_axioms_rejects_negative_degree():
 def reference_tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Plain product: every term pair, Fraction arithmetic, the engine's
     mono_mul on each leg, and truncation on the summed h exponents."""
-    eng = _engine(a.params)
+    eng = engine(a.params)
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():

@@ -74,6 +74,15 @@ def test_syntax_errors_carry_position():
         parse_expression("bogus")
 
 
+@pytest.mark.parametrize("base", ["Q1", "x4", "h2", "3", "(P1+Th)"])
+def test_exponent_bound(base):
+    from ncdeform.parser import MAX_EXPONENT
+    parse_expression(f"{base}^{MAX_EXPONENT}")
+    with pytest.raises(ExpressionError, match="exponent") as err:
+        parse_expression(f"{base}^{MAX_EXPONENT + 1}")
+    assert err.value.position == len(base) + 1
+
+
 def test_leading_minus(p111_d2):
     got = evaluate("-Th + Q1", p111_d2)
     want = make_generator("Q1", p111_d2) - make_generator("Th", p111_d2)
