@@ -30,6 +30,11 @@ from .suites import verify_all, verify_bialgebra_suite, verify_star_suite
 DEFAULTS = {"alpha": "1", "beta": "1", "gamma": "1",
             "trunc": "2", "format": "text", "cap": "6"}
 
+#: Largest `verify --maxdeg`: the generator degree of the Hopf grid that the
+#: acceptance suite proves.  The grids grow as C(N + 7, 7) monomials (and
+#: the star cube as their cube), so the bound is checked before any work.
+MAX_VERIFY_DEGREE = 3
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -73,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("hopf", "star", "bialgebra",
                                     "heisenberg", "all"))
     p.add_argument("--maxdeg", type=int, default=2,
-                   help="generator-degree / index-norm bound for the grids")
+                   help="generator-degree / index-norm bound for the grids, "
+                        f"at most {MAX_VERIFY_DEGREE}")
     p.add_argument("--deg", type=int, default=3,
                    help="h-degree (truncation) for the one-parameter limit "
                         "report, at most the configured cap")
@@ -219,6 +225,9 @@ def _dispatch(args) -> int:
         for flag, bound in (("--maxdeg", args.maxdeg), ("--deg", args.deg)):
             if bound < 0:
                 raise InvalidParamsError(f"{flag} must be >= 0, got {bound}")
+        if args.maxdeg > MAX_VERIFY_DEGREE:
+            raise InvalidParamsError(
+                f"--maxdeg {args.maxdeg} exceeds the bound {MAX_VERIFY_DEGREE}")
         if args.deg > trunc_cap:
             # --deg is the truncation order of the one-parameter limit report.
             raise InvalidParamsError(

@@ -15,12 +15,21 @@ The oracle reconstructs the same product from first principles through
 <u * v, Z^S X^T> = <u (x) v, cop(Z^S X^T)> with the coproduct evaluated by
 the normal-ordering engine and both tensor legs converted back to the
 divided-power basis.  It never touches the closed formula.
+
+DualElement keeps {key: SeriesScalar} with Fraction coefficients, and that
+map is what every caller sees.  Both products run on integers instead, in
+the layout of FLINT's fmpq_poly (integer numerators over one denominator):
+an operand, a Z-basis expansion or a coproduct is brought once to integer
+numerators over the lcm of its denominators, the inner loops add integer
+products keyed by (key, h), and each output coefficient becomes a Fraction
+(one gcd) once, when the sum is complete.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Mapping
 
 from .algebra import (AlgebraElement, DeformParams, InvalidParamsError,
@@ -28,7 +37,7 @@ from .algebra import (AlgebraElement, DeformParams, InvalidParamsError,
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
-from .series import SeriesScalar
+from .series import HExponent, SeriesScalar
 
 DualMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
 
@@ -156,12 +165,40 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
 
 
 # ---------------------------------------------------------------------------
+# Integer numerators, shared by the closed product and the oracle.
+# ---------------------------------------------------------------------------
+
+def _numerators(terms: Mapping) -> tuple[int, list]:
+    """A map {key: SeriesScalar} as integer numerators over one denominator:
+    (L, [(key, [(h, numerator), ...]), ...]), L the lcm of the denominators
+    of every coefficient."""
+    L = lcm(*(c.denominator for s in terms.values() for c in s.terms.values()))
+    return L, [(key, [(h, c.numerator * (L // c.denominator))
+                      for h, c in s.terms.items()])
+               for key, s in terms.items()]
+
+
+def _collect(acc: Mapping[tuple, int], den: int, trunc: int) -> dict:
+    """Integer sums keyed by (key, h) as {key: SeriesScalar}, each nonzero
+    sum becoming one Fraction over den."""
+    out: dict = {}
+    for (key, h), n in acc.items():
+        if n:
+            out.setdefault(key, {})[h] = Fraction(n, den)
+    return {key: SeriesScalar(terms, trunc) for key, terms in out.items()}
+
+
+# ---------------------------------------------------------------------------
 # The closed star product.
 # ---------------------------------------------------------------------------
 
 @cache
-def _star_monos(I, J, K, L, trunc: int) -> dict[DualMonomial, SeriesScalar]:
-    out: dict[DualMonomial, SeriesScalar] = {}
+def _star_monos(I, J, K, L, trunc: int
+                ) -> tuple[tuple[DualMonomial, HExponent, int], ...]:
+    """The closed formula for W^I Y^J * W^K Y^L as ((key, h, c), ...), one
+    entry per term c * h1^a h2^b h3^c * key with its integer coefficient c;
+    zero sums and h-degrees above trunc are dropped."""
+    out: dict[tuple[DualMonomial, HExponent], int] = {}
     normL = mi_norm(L)
     normJ = mi_norm(J)
     y_key = tuple(a + b for a, b in zip(J, L))
@@ -176,30 +213,48 @@ def _star_monos(I, J, K, L, trunc: int) -> dict[DualMonomial, SeriesScalar]:
             base1 = -2 * (mi_norm(K) - mi_norm(N)) - normL
             base2 = 2 * (mi_norm(I) - normM) + normJ
             c = bIM * mi_binom(K, N) * base1 ** normM * base2 ** mi_norm(N)
-            if not c:
-                continue
             w_key = tuple(a + b - m - n for a, b, m, n in zip(I, K, M, N))
-            key = (w_key, y_key)
-            inc = SeriesScalar.monomial(h, c, trunc)
-            cur = out.get(key)
-            out[key] = inc if cur is None else cur + inc
-    return {key: s for key, s in out.items() if s.terms}
+            key = ((w_key, y_key), h)
+            out[key] = out.get(key, 0) + c
+    return tuple((key, h, c) for (key, h), c in out.items() if c)
 
 
 def star_closed(u: DualElement, v: DualElement) -> DualElement:
-    """Bilinear extension of the closed-formula product of dual monomials."""
+    """Bilinear extension of the closed-formula product of dual monomials.
+
+    With u's numerators over Lu and v's over Lv, a pair of coefficient
+    terms h^ha, h^hb of keys a, b adds the integer nu * nv * c to
+    (key, ha + hb + h) for every (key, h, c) of _star_monos(a, b) within
+    the truncation budget; each output coefficient is that sum over
+    Lu * Lv, normalised once.
+    """
     trunc = u.trunc
-    out: dict[DualMonomial, SeriesScalar] = {}
-    for (wa, ya), sa in u.terms.items():
-        for (wb, yb), sb in v.terms.items():
-            scale = sa * sb
-            if not scale.terms:
-                continue
-            for k, s in _star_monos(wa, ya, wb, yb, trunc).items():
-                val = s * scale
-                cur = out.get(k)
-                out[k] = val if cur is None else cur + val
-    return DualElement(trunc, out)
+    Lu, uterms = _numerators(u.terms)
+    Lv, vterms = _numerators(v.terms)
+    acc: dict[tuple[DualMonomial, HExponent], int] = {}
+    get = acc.get
+    for (wa, ya), ucoef in uterms:
+        for (wb, yb), vcoef in vterms:
+            monos = _star_monos(wa, ya, wb, yb, trunc)
+            for ha, na in ucoef:
+                for hb, nb in vcoef:
+                    h0, h1, h2 = ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2]
+                    budget = trunc - h0 - h1 - h2
+                    n = na * nb
+                    if budget == trunc:
+                        # h-free pair: monos is already within trunc.
+                        for key, h, c in monos:
+                            k = (key, h)
+                            acc[k] = get(k, 0) + n * c
+                        continue
+                    if budget < 0:
+                        continue
+                    for key, h, c in monos:
+                        if h[0] + h[1] + h[2] > budget:
+                            continue
+                        k = (key, (h0 + h[0], h1 + h[1], h2 + h[2]))
+                        acc[k] = get(k, 0) + n * c
+    return DualElement(trunc, _collect(acc, Lu * Lv, trunc))
 
 
 def star_commutator(u: DualElement, v: DualElement) -> DualElement:
@@ -225,36 +280,51 @@ def delta_on_zbasis(S, T, params: DeformParams) -> dict[tuple[ZMonomial, ZMonomi
     """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis.
 
     Computed entirely by the engine: build the element, apply the coproduct,
-    convert each leg monomial through the cached Z-basis expansion.
+    convert each leg monomial through the cached Z-basis expansion.  Each
+    expansion is kept as integer numerators over its own denominator; the
+    coproduct's rows are put over one common denominator, the products of
+    numerators are added per ((k1, k2), h), and each table entry is
+    normalised to a Fraction once.
     """
     return _delta_z(tuple(S), tuple(T), params)
 
 
 @cache
-def _mono_z(mono: PBWMonomial, params: DeformParams) -> dict:
-    """Z-basis expansion of a single ordered monomial."""
-    return to_z_basis(AlgebraElement.monomial(params, mono))
+def _mono_z(mono: PBWMonomial, params: DeformParams) -> tuple[int, tuple]:
+    """Z-basis expansion of a single ordered monomial as integer numerators
+    over one denominator: (L, ((zkey, h, numerator), ...))."""
+    L, rows = _numerators(to_z_basis(AlgebraElement.monomial(params, mono)))
+    return L, tuple((k, h, n) for k, coef in rows for h, n in coef)
 
 
 @cache
 def _delta_z(S, T, params: DeformParams) -> dict:
-    one = SeriesScalar.one(params.trunc)
-    ten = coproduct(from_z_basis({(S, T): one}, params))
-    out: dict[tuple[ZMonomial, ZMonomial], SeriesScalar] = {}
-    for (m1, m2, h), c in ten.terms.items():
-        z1, z2 = _mono_z(m1, params), _mono_z(m2, params)
-        for k1, c1 in z1.items():
-            sc1 = c1.shifted(h, c)
-            if not sc1.terms:
+    trunc = params.trunc
+    ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)}, params))
+    rows = [(_mono_z(m1, params), _mono_z(m2, params), h, c)
+            for (m1, m2, h), c in ten.terms.items()]
+    # Every row over one denominator: the coproduct's lcm Lt times the lcms
+    # L1, L2 of the Z-expansions met on each leg.
+    Lt = lcm(*(c.denominator for *_, c in rows))
+    L1 = lcm(*(z1[0] for z1, *_ in rows))
+    L2 = lcm(*(z2[0] for _, z2, *_ in rows))
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for (d1, z1), (d2, z2), h, c in rows:
+        n = c.numerator * (Lt // c.denominator) * (L1 // d1) * (L2 // d2)
+        budget = trunc - h[0] - h[1] - h[2]
+        for k1, g, n1 in z1:
+            b1 = budget - g[0] - g[1] - g[2]
+            if b1 < 0:
                 continue
-            for k2, c2 in z2.items():
-                v = sc1 * c2
-                if not v.terms:
+            g0, g1, g2 = h[0] + g[0], h[1] + g[1], h[2] + g[2]
+            m = n * n1
+            for k2, e, n2 in z2:
+                if e[0] + e[1] + e[2] > b1:
                     continue
-                key = (k1, k2)
-                cur = out.get(key)
-                out[key] = v if cur is None else cur + v
-    return {key: s for key, s in out.items() if s.terms}
+                key = ((k1, k2), (g0 + e[0], g1 + e[1], g2 + e[2]))
+                acc[key] = get(key, 0) + m * n2
+    return _collect(acc, Lt * L1 * L2, trunc)
 
 
 def star_oracle(a: DualMonomial, b: DualMonomial, params: DeformParams,

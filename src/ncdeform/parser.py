@@ -7,6 +7,9 @@ Grammar (whitespace insensitive):
     factor := atom ('^' nat)?          (nat <= MAX_EXPONENT)
     atom   := rational | token | '(' expr ')'
 
+The generator degree of the whole expression (see degree()) is at most
+MAX_EXPONENT as well.
+
 Tokens: rationals "p" or "p/q"; deformation parameters h1 h2 h3; generators
 Th Ph Ps Q1 Q2 P1 P2; built-ins rho, lambda, exp(c*rho); dual functionals
 W[i,j,k], Y[a,b,c,d] and the aliases x1..x7.  Product order is preserved, so
@@ -26,8 +29,9 @@ from .dual import DualElement, chi, classical_product
 from .series import SeriesScalar
 
 
-#: Largest exponent accepted after '^'; a power is evaluated by repeated
-#: multiplication, so the exponent bounds the work before any starts.
+#: Largest exponent accepted after '^', and largest generator degree of a
+#: whole expression (see degree()); powers and products are multiplied out,
+#: so both bound the work before any starts.
 MAX_EXPONENT = 32
 
 
@@ -151,12 +155,15 @@ class _Parser:
 
     def term(self):
         factors = [self.factor()]
+        total = degree(factors[0])
         while True:
             tok = self._peek()
             if tok is None or tok[1] != "*":
                 break
             self._next()
             factors.append(self.factor())
+            total += degree(factors[-1])
+            _check_degree(total, tok[2])
         return Mul(tuple(factors))
 
     def factor(self):
@@ -172,6 +179,7 @@ class _Parser:
                 raise ExpressionError(
                     f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
                     num[2])
+            _check_degree(degree(base) * exponent, num[2])
             return Pow(base, exponent)
         return base
 
@@ -238,6 +246,32 @@ class _Parser:
             raise ExpressionError("exp(...) accepts c*rho only", tok[2])
         self._expect(")")
         return ExpRho(sign * coeff)
+
+
+def degree(node) -> int:
+    """Static generator degree of an AST: every token other than a rational
+    or h1..h3 counts 1, a product adds, a sum takes the largest term and a
+    power multiplies."""
+    if isinstance(node, Num):
+        return 0
+    if isinstance(node, Sym):
+        return 0 if node.name in ("h1", "h2", "h3") else 1
+    if isinstance(node, (DualSym, ExpRho)):
+        return 1
+    if isinstance(node, Pow):
+        return degree(node.base) * node.exponent
+    if isinstance(node, Mul):
+        return sum(degree(f) for f in node.factors)
+    if isinstance(node, Add):
+        return max(degree(t) for _, t in node.terms)
+    raise TypeError(node)
+
+
+def _check_degree(total: int, position: int) -> None:
+    if total > MAX_EXPONENT:
+        raise ExpressionError(
+            f"generator degree {total} exceeds the bound {MAX_EXPONENT}",
+            position)
 
 
 def parse_expression(text: str):

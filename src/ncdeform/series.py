@@ -53,7 +53,8 @@ class SeriesScalar:
         for h, c in terms.items():
             if sum(h) > trunc:
                 continue
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[h] = c
         self.terms = clean

@@ -21,8 +21,8 @@ from .bialgebra import (LieData, WedgeElement, bialgebra_axiom_check,
                         group_compose, group_identity, group_inverse,
                         nc_lie_data)
 from .dual import (DualElement, chi, classical_product, dual_structure_constants,
-                   poisson_bracket_dir, star_closed, star_commutator,
-                   star_oracle_grid, star_oracle_restricted)
+                   poisson_bracket_dir, star_closed, star_oracle_grid,
+                   star_oracle_restricted)
 from .multiindex import multiindices
 from .report import VerificationReport
 
@@ -65,41 +65,39 @@ def verify_star_suite(norm_bound: int = 2, deep: bool = True,
     report.add("star-unit-law", f"{len(monos)} monomials, norm <= {norm_bound}",
                bad is None, None if bad is None else bad.to_text())
 
-    first = None
-    for u, v in product(monos, repeat=2):
-        d = star_commutator(u, v).hdegree_truncated(1)
-        if d.terms:
-            first = (u, v, d)
-            break
-    report.add("star-classical-commutativity",
-               f"{len(monos) ** 2} pairs", first is None,
-               None if first is None else
-               f"{first[0].to_text()} , {first[1].to_text()}")
+    # Every pair product once; the checks below read it in pair order.
+    n = len(monos)
+    table = [[star_closed(u, v) for v in monos] for u in monos]
+    pairs = list(product(range(n), repeat=2))
 
-    first = None
-    for u, v in product(monos, repeat=2):
-        got = star_closed(u, v).hdegree_truncated(1)
-        want = classical_product(u, v)
-        if got != want:
-            first = (u, v)
-            break
+    first = next(((i, j) for i, j in pairs
+                  if (table[i][j] - table[j][i]).hdegree_truncated(1).terms),
+                 None)
+    report.add("star-classical-commutativity",
+               f"{n ** 2} pairs", first is None,
+               None if first is None else
+               f"{monos[first[0]].to_text()} , {monos[first[1]].to_text()}")
+
+    first = next(((i, j) for i, j in pairs
+                  if table[i][j].hdegree_truncated(1)
+                  != classical_product(monos[i], monos[j])), None)
     report.add("star-constant-term",
-               f"classical divided-power product on {len(monos) ** 2} pairs",
+               f"classical divided-power product on {n ** 2} pairs",
                first is None,
                None if first is None else
-               f"{first[0].to_text()} , {first[1].to_text()}")
+               f"{monos[first[0]].to_text()} , {monos[first[1]].to_text()}")
 
     oracle = star_oracle_grid(norm_bound, params)
     first = None
     checked = 0
-    for u, v in product(monos, repeat=2):
-        ku = next(iter(u.terms))
-        kv = next(iter(v.terms))
-        got = star_closed(u, v)
+    for i, j in pairs:
+        ku = next(iter(monos[i].terms))
+        kv = next(iter(monos[j].terms))
+        got = table[i][j]
         want = oracle.get((ku, kv), DualElement.zero(trunc))
         checked += 1
         if got != want:
-            first = (u, v, got - want)
+            first = (monos[i], monos[j], got - want)
             break
     report.add("star-oracle-gate",
                f"{checked} pairs at truncation {trunc} (mod h^2)",
@@ -108,18 +106,13 @@ def verify_star_suite(norm_bound: int = 2, deep: bool = True,
                f"{first[0].to_text()} , {first[1].to_text()} -> "
                f"{first[2].to_text()}")
 
-    first = None
-    for u, v, w in product(monos, repeat=3):
-        left = star_closed(star_closed(u, v), w)
-        right = star_closed(u, star_closed(v, w))
-        if left != right:
-            first = (u, v, w)
-            break
+    first = next(((i, j, k) for i, j, k in product(range(n), repeat=3)
+                  if star_closed(table[i][j], monos[k])
+                  != star_closed(monos[i], table[j][k])), None)
     report.add("star-associativity",
-               f"{len(monos) ** 3} triples (mod h^2)", first is None,
+               f"{n ** 3} triples (mod h^2)", first is None,
                None if first is None else
-               f"{first[0].to_text()}, {first[1].to_text()}, "
-               f"{first[2].to_text()}")
+               ", ".join(monos[i].to_text() for i in first))
 
     _poisson_checks(report, trunc)
 

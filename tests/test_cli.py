@@ -1,9 +1,13 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from ncdeform.cli import main
+from ncdeform.cli import MAX_VERIFY_DEGREE, main
+from ncdeform.parser import MAX_EXPONENT
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -150,10 +154,12 @@ def test_verify_bialgebra(capsys):
 
 
 def test_verify_all(capsys):
+    # The whole report, byte for byte, including the four h^3 differences
+    # of the non-gating closed-vs-oracle diagnostic.
     code, out, _ = run(capsys, "verify", "all", "--trunc", "2",
                        "--maxdeg", "2")
     assert code == 0
-    assert "ALL PASS" in out
+    assert out == (DATA / "verify_all.txt").read_text()
 
 
 def test_verify_star_json_report(capsys):
@@ -203,6 +209,41 @@ def test_huge_exponent_exits_at_once(capsys):
     assert out == ""
     assert "exponent" in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("target", ["hopf", "star", "all"])
+def test_verify_rejects_maxdeg_above_bound(capsys, target):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", target, "--maxdeg",
+                         str(MAX_VERIFY_DEGREE + 1))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "--maxdeg" in err
+
+
+@pytest.mark.parametrize("command,expr", [
+    ("mul", "((Q1+P1+Q2+P2)^32)^32"),
+    ("mul", "Q1^16*(Q1*P1)^9"),
+    ("star", "((x1+x4)^32)^32"),
+])
+def test_expression_degree_bound_exits_at_once(capsys, command, expr):
+    other = "Q1" if command == "mul" else "x1"
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, expr, other, "--trunc", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "degree" in err and "position" in err
+
+
+def test_expression_degree_at_bound_accepted(capsys):
+    code, out, _ = run(capsys, "mul", f"Q1^{MAX_EXPONENT}", "1",
+                       "--trunc", "0")
+    assert (code, out) == (0, f"Q1^{MAX_EXPONENT}\n")
+    code, out, _ = run(capsys, "star", f"W[1,0,0]^{MAX_EXPONENT}", "1",
+                       "--trunc", "1")
+    assert (code, out) == (0, f"W[{MAX_EXPONENT},0,0]\n")
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "all"])

@@ -2,14 +2,20 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncdeform import (DualElement, SeriesScalar, chi, classical_product,
-                      delta_on_zbasis, dual_structure_constants, pairing,
+from ncdeform import (AlgebraElement, DualElement, SeriesScalar, chi,
+                      classical_product, coproduct, delta_on_zbasis,
+                      dual_structure_constants, from_z_basis, pairing,
                       poisson_bracket_dir, star_closed, star_commutator,
-                      star_oracle, star_oracle_grid)
-from ncdeform.multiindex import multiindices
+                      star_oracle, star_oracle_grid, to_z_basis)
+from ncdeform import dual
+from ncdeform.dual import star_oracle_restricted
+from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
+                                 submultiindices)
 
-from conftest import params
+from conftest import h_exponents, params, small_fractions
 
 W0 = (0, 0, 0)
 Y0 = (0, 0, 0, 0)
@@ -91,6 +97,130 @@ def test_constant_term_is_classical_product():
     monos = grid(2, t)
     for u, v in product(monos, repeat=2):
         assert star_closed(u, v).hdegree_truncated(1) == classical_product(u, v)
+
+
+def test_star_cancelling_key_is_dropped():
+    # chi1*chi2 and chi2*chi1 share the W[1,1,0] term, which cancels here.
+    t = 2
+    got = star_closed(chi(1, t) + chi(2, t), chi(1, t) - chi(2, t))
+    expected = (dm((2, 0, 0), Y0, t) - dm((0, 2, 0), Y0, t)
+                + dm((1, 0, 0), Y0, t, h_series((0, 1, 0), -4, t))
+                + dm((0, 1, 0), Y0, t, h_series((1, 0, 0), 4, t)))
+    assert got == expected
+    assert ((1, 1, 0), Y0) not in got.terms
+
+
+# -- the integer kernels against SeriesScalar references -----------------------
+
+def reference_star_monos(I, J, K, L, trunc):
+    """The closed formula summed in SeriesScalar arithmetic."""
+    out = {}
+    y_key = tuple(a + b for a, b in zip(J, L))
+    for M in submultiindices(I):
+        for N in submultiindices(K):
+            h = tuple(m + n for m, n in zip(M, N))
+            if sum(h) > trunc:
+                continue
+            base1 = -2 * (mi_norm(K) - mi_norm(N)) - mi_norm(L)
+            base2 = 2 * (mi_norm(I) - mi_norm(M)) + mi_norm(J)
+            c = (mi_binom(I, M) * mi_binom(K, N) * base1 ** mi_norm(M)
+                 * base2 ** mi_norm(N))
+            key = (tuple(a + b - m - n for a, b, m, n in zip(I, K, M, N)),
+                   y_key)
+            inc = SeriesScalar.monomial(h, c, trunc)
+            out[key] = out[key] + inc if key in out else inc
+    return {key: s for key, s in out.items() if s.terms}
+
+
+def reference_star_closed(u, v):
+    trunc = u.trunc
+    out = {}
+    for (wa, ya), sa in u.terms.items():
+        for (wb, yb), sb in v.terms.items():
+            scale = sa * sb
+            for k, s in reference_star_monos(wa, ya, wb, yb, trunc).items():
+                val = s * scale
+                out[k] = out[k] + val if k in out else val
+    return DualElement(trunc, out)
+
+
+def dual_elements(trunc):
+    keys = st.sampled_from([(m.terms.popitem()[0]) for m in grid(2, 0)])
+    coeffs = st.one_of(st.sampled_from([1, -1, 2]), small_fractions())
+    coeff_series = st.dictionaries(h_exponents(trunc), coeffs, min_size=1,
+                                   max_size=3).map(
+        lambda d: SeriesScalar(d, trunc))
+    return st.lists(st.tuples(keys, coeff_series), max_size=4).map(
+        lambda terms: sum((DualElement(trunc, {k: s}) for k, s in terms),
+                          DualElement.zero(trunc)))
+
+
+@st.composite
+def star_operands(draw):
+    trunc = draw(st.integers(0, 3))
+    return draw(dual_elements(trunc)), draw(dual_elements(trunc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_operands())
+def test_star_closed_matches_series_reference(operands):
+    u, v = operands
+    for a, b in ((u, v), (u + v, u - v)):
+        got = star_closed(a, b)
+        assert got == reference_star_closed(a, b)
+        for s in got.terms.values():
+            assert s.terms
+            assert all(type(c) is Fraction and c for c in s.terms.values())
+
+
+def reference_delta_on_zbasis(S, T, p):
+    """cop(Z^S X^T) in the Z X basis, summed in SeriesScalar arithmetic."""
+    ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(p.trunc)}, p))
+    zmaps = {}
+
+    def zmap(mono):
+        if mono not in zmaps:
+            zmaps[mono] = to_z_basis(AlgebraElement.monomial(p, mono))
+        return zmaps[mono]
+
+    out = {}
+    for (m1, m2, h), c in ten.terms.items():
+        for k1, c1 in zmap(m1).items():
+            sc1 = c1 * SeriesScalar.monomial(h, c, p.trunc)
+            for k2, c2 in zmap(m2).items():
+                key = (k1, k2)
+                out[key] = out[key] + sc1 * c2 if key in out else sc1 * c2
+    return {key: s for key, s in out.items() if s.terms}
+
+
+@pytest.mark.parametrize("trunc", [1, 2])
+@pytest.mark.parametrize("abc", [(1, 1, 1), (2, Fraction(1, 2), -3)])
+def test_delta_on_zbasis_matches_series_reference(trunc, abc):
+    # The cap grid of star_oracle_grid at norm bound 1 and truncation 1.
+    p = params(*abc, trunc)
+    cap = 3
+    for S in multiindices(3, cap):
+        for T in multiindices(4, cap - sum(S)):
+            got = delta_on_zbasis(S, T, p)
+            assert got == reference_delta_on_zbasis(S, T, p), (S, T)
+            for s in got.values():
+                assert s.terms
+                assert all(type(c) is Fraction for c in s.terms.values())
+
+
+def test_oracle_never_calls_the_closed_formula(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called the closed formula")
+
+    monkeypatch.setattr(dual, "star_closed", forbidden)
+    monkeypatch.setattr(dual, "_star_monos", forbidden)
+    # Parameters no other test uses, so that every table is built here.
+    p = params(3, Fraction(1, 3), 5, 1)
+    a, b = (W0, (1, 0, 0, 0)), ((1, 0, 0), Y0)
+    assert star_oracle(a, b, p) == dm((1, 0, 0), (1, 0, 0, 0), 1) + dm(
+        W0, (1, 0, 0, 0), 1, h_series((1, 0, 0), 1, 1))
+    assert star_oracle_grid(1, p)[(a, b)] == star_oracle(a, b, p)
+    assert star_oracle_restricted(a, b, p) == star_oracle(a, b, p)
 
 
 # -- pairing and the engine oracle ---------------------------------------------

@@ -83,6 +83,36 @@ def test_exponent_bound(base):
     assert err.value.position == len(base) + 1
 
 
+@pytest.mark.parametrize("text,want", [
+    ("3*h1^5", 0), ("Q1", 1), ("Q1*P1 + Th", 2), ("(Q1 + Th*P1)^3", 6),
+    ("exp(2*rho)*lambda", 2), ("W[3,0,0]*x4^2 - x1", 3),
+])
+def test_degree_examples(text, want):
+    from ncdeform.parser import degree
+    assert degree(parse_expression(text)) == want
+
+
+@pytest.mark.parametrize("text,position", [
+    ("((Q1+P1+Q2+P2)^32)^32", 19),
+    ("(Q1*Q1)^17", 8),
+    ("Q1^16*Q1^16*Q1", 11),
+    ("x1*(x2+x3^31)*x4", 13),
+])
+def test_generator_degree_bound(text, position):
+    with pytest.raises(ExpressionError, match="degree") as err:
+        parse_expression(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text", [
+    "Q1^32", "W[1,0,0]^32", "h1^32*Q1^32", "(Q1+P1+Q2+P2)^8*Th^24",
+    "(x1+x2)^16*(x3+x4)^16",
+])
+def test_generator_degree_at_bound_accepted(text):
+    from ncdeform.parser import MAX_EXPONENT, degree
+    assert degree(parse_expression(text)) == MAX_EXPONENT
+
+
 def test_leading_minus(p111_d2):
     got = evaluate("-Th + Q1", p111_d2)
     want = make_generator("Q1", p111_d2) - make_generator("Th", p111_d2)
