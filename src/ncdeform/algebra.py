@@ -19,6 +19,12 @@ rule for adjacent out-of-order powers (c = [A, B] central):
 The central factors c^k are series-valued central elements and multiply
 through commutatively.  Generator exponents are never truncated; only the
 h-degree of coefficients is.
+
+alpha, beta and gamma enter only through these commutators.  rho, lam,
+lam^-1, lam^k and exp(c*rho) contain none of them, so they are built once
+per truncation order, as elements over Truncation(trunc), and every
+parameter set of that truncation reads the same tables; make_rho,
+make_lambda and make_exp_rho hand out copies over the caller's parameters.
 """
 
 from __future__ import annotations
@@ -74,6 +80,20 @@ class DeformParams:
 
     def __hash__(self) -> int:
         return self._hash
+
+
+@dataclass(frozen=True)
+class Truncation:
+    """The parameter-free side of one truncation order.
+
+    Tables that contain no alpha, beta or gamma (the central series here,
+    the coproduct tables in hopf, the Z-basis tables in dual) are built
+    once as elements over Truncation(trunc) and shared by every parameter
+    set.  Its engine has no commutator table, so a product that would need
+    reordering raises instead of using some parameter set's commutators.
+    """
+
+    trunc: int
 
 
 class AlgebraElement:
@@ -138,6 +158,14 @@ class AlgebraElement:
     def _check(self, other: "AlgebraElement") -> None:
         if self.params != other.params:
             raise ParamsMismatchError("elements live over different parameters")
+
+    def over(self, params) -> "AlgebraElement":
+        """The same terms over other parameters of the same truncation: how
+        a per-truncation table reaches one parameter set."""
+        if params.trunc != self.params.trunc:
+            raise ParamsMismatchError(
+                "elements live over different truncations")
+        return AlgebraElement(params, self.terms)
 
     # -- linear operations -------------------------------------------------
 
@@ -223,8 +251,11 @@ def mono_factors(mono: PBWMonomial) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The per-parameter engine: commutator table, central series and the
-# normal-ordering tables.  engine(params) builds one per DeformParams.  Its
+# The normal-ordering engine.  engine(params) builds one per DeformParams,
+# holding the commutator table and the memoised products of ordered
+# monomials, and one per Truncation, with no commutator table, for the
+# shared per-truncation tables (the hopf coproduct tables and the dual
+# Z-basis tables multiply only products that are already ordered).  Its
 # tables are functools.cache memos, written on every miss and kept for the
 # life of the process.  Under the interpreter lock two threads that miss
 # the same key may both compute it and one equal result is kept, so the
@@ -236,68 +267,28 @@ _WordBlock = tuple[int, int]            # (generator index, exponent)
 
 
 class _Engine:
-    def __init__(self, params: DeformParams):
+    def __init__(self, params: DeformParams | Truncation):
         self.params = params
         self.one_series = SeriesScalar.one(params.trunc)
-        self.rho = self._build_rho()
-        self.lam = self._build_lambda()
-        self.lam_inv = central_inverse(self.lam)
+        if isinstance(params, Truncation):
+            self._comms = None
+            return
 
         # [A, B] for the straightening rule, keyed by generator pair A < B.
         alpha, beta, gamma = params.alpha, params.beta, params.gamma
+        lam = _lam_pow(1, params.trunc)
         th = AlgebraElement.monomial(params, _unit_mono(TH))
         ph = AlgebraElement.monomial(params, _unit_mono(PH))
         ps = AlgebraElement.monomial(params, _unit_mono(PS))
         table: dict[tuple[int, int], AlgebraElement | None] = {
-            (Q1, P1): _central_mul(self.lam, th).scale(1 / alpha),
-            (Q2, P2): _central_mul(self.lam, th).scale(1 / alpha),
-            (Q1, Q2): _central_mul(self.lam, ph).scale(beta / alpha ** 2),
-            (P1, P2): _central_mul(self.lam, ps).scale(gamma / alpha ** 2),
+            (Q1, P1): _central_mul(lam, th).scale(1 / alpha),
+            (Q2, P2): _central_mul(lam, th).scale(1 / alpha),
+            (Q1, Q2): _central_mul(lam, ph).scale(beta / alpha ** 2),
+            (P1, P2): _central_mul(lam, ps).scale(gamma / alpha ** 2),
             (Q1, P2): None,
             (Q2, P1): None,
         }
         self._comms = {k: (v if v else None) for k, v in table.items()}
-
-    def _build_rho(self) -> AlgebraElement:
-        D = self.params.trunc
-        return AlgebraElement(self.params, {
-            _unit_mono(TH): SeriesScalar.hbar(1, D),
-            _unit_mono(PH): SeriesScalar.hbar(2, D),
-            _unit_mono(PS): SeriesScalar.hbar(3, D),
-        })
-
-    def _build_lambda(self) -> AlgebraElement:
-        # lam = sum_n (2 rho)^(2n) / (2n+1)!; rho carries h-degree 1, so the
-        # sum stops once 2n exceeds the truncation order.
-        D = self.params.trunc
-        out = AlgebraElement.unit(self.params)
-        rho2 = _central_mul(self.rho, self.rho)
-        power = AlgebraElement.unit(self.params)
-        n = 1
-        while 2 * n <= D:
-            power = _central_mul(power, rho2)
-            out = out + power.scale(Fraction(4 ** n, factorial(2 * n + 1)))
-            n += 1
-        return out
-
-    @cache
-    def lam_pow(self, k: int) -> AlgebraElement:
-        """lam^k for any integer k."""
-        if k == 0:
-            return AlgebraElement.unit(self.params)
-        base, step = (self.lam, 1) if k > 0 else (self.lam_inv, -1)
-        if k == step:
-            return base
-        return _central_mul(self.lam_pow(k - step), base)
-
-    @cache
-    def exp_rho(self, c: Fraction) -> AlgebraElement:
-        out = AlgebraElement.unit(self.params)
-        power = AlgebraElement.unit(self.params)
-        for n in range(1, self.params.trunc + 1):
-            power = _central_mul(power, self.rho)
-            out = out + power.scale(c ** n / factorial(n))
-        return out
 
     @cache
     def comm_pow(self, a: int, b: int, k: int) -> AlgebraElement:
@@ -330,6 +321,10 @@ class _Engine:
                 mono[g] = e
             return {tuple(mono): self.one_series}
         (b, n), (a, m) = word[pos], word[pos + 1]
+        if self._comms is None:
+            raise RuntimeError(
+                f"{GENERATOR_NAMES[b]} before {GENERATOR_NAMES[a]} needs a "
+                f"commutator, and the engine of {self.params} has none")
         c = self._comms[(a, b)]
         if c is None:
             return self._straighten(_canon_word(
@@ -378,7 +373,10 @@ def _canon_word(blocks: list[_WordBlock]) -> tuple[_WordBlock, ...]:
 
 
 def _central_mul(c: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
-    """Product where the left factor is central (no straightening needed)."""
+    """Product where the left factor is central (no straightening needed).
+
+    The product lives over x's parameters: c may be a per-truncation table.
+    """
     out: dict[PBWMonomial, SeriesScalar] = {}
     for mc, sc in c.terms.items():
         for mx, sx in x.terms.items():
@@ -388,7 +386,7 @@ def _central_mul(c: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
             if v.terms:     # truncation empties many products; skip them
                 cur = out.get(mono)
                 out[mono] = v if cur is None else cur + v
-    return AlgebraElement(c.params, out)
+    return AlgebraElement(x.params, out)
 
 
 def central_inverse(x: AlgebraElement) -> AlgebraElement:
@@ -414,15 +412,60 @@ def central_inverse(x: AlgebraElement) -> AlgebraElement:
 
 
 @cache
-def engine(params: DeformParams) -> _Engine:
+def engine(params: DeformParams | Truncation) -> _Engine:
     """The normal-ordering engine of one parameter set, built once.
 
-    It holds rho, lam and lam^-1, the commutator table and the memoised
-    products of ordered monomials: mono_mul(ma, mb) as a term map, and
-    mono_mul_flat(ma, mb), the same over one integer denominator, which
-    is what tensor_mul reads.
+    It holds the commutator table and the memoised products of ordered
+    monomials: mono_mul(ma, mb) as a term map, and mono_mul_flat(ma, mb),
+    the same over one integer denominator, which is what tensor_mul reads.
+    The engine of a Truncation has no commutator table and raises on any
+    product that is not already ordered.
     """
     return _Engine(params)
+
+
+# ---------------------------------------------------------------------------
+# The central series, one set per truncation order, over Truncation(trunc).
+# ---------------------------------------------------------------------------
+
+@cache
+def _rho(trunc: int) -> AlgebraElement:
+    return AlgebraElement(Truncation(trunc), {
+        _unit_mono(TH): SeriesScalar.hbar(1, trunc),
+        _unit_mono(PH): SeriesScalar.hbar(2, trunc),
+        _unit_mono(PS): SeriesScalar.hbar(3, trunc),
+    })
+
+
+@cache
+def _lam_pow(k: int, trunc: int) -> AlgebraElement:
+    """lam^k for any integer k."""
+    if k == 0:
+        return AlgebraElement.unit(Truncation(trunc))
+    if k == -1:
+        return central_inverse(_lam_pow(1, trunc))
+    if k == 1:
+        # lam = sum_n (2 rho)^(2n) / (2n+1)!; rho carries h-degree 1, so
+        # the sum stops once 2n exceeds the truncation order.
+        out = power = AlgebraElement.unit(Truncation(trunc))
+        rho2 = _central_mul(_rho(trunc), _rho(trunc))
+        n = 1
+        while 2 * n <= trunc:
+            power = _central_mul(power, rho2)
+            out = out + power.scale(Fraction(4 ** n, factorial(2 * n + 1)))
+            n += 1
+        return out
+    step = 1 if k > 0 else -1
+    return _central_mul(_lam_pow(k - step, trunc), _lam_pow(step, trunc))
+
+
+@cache
+def _exp_rho(c: Fraction, trunc: int) -> AlgebraElement:
+    out = power = AlgebraElement.unit(Truncation(trunc))
+    for n in range(1, trunc + 1):
+        power = _central_mul(power, _rho(trunc))
+        out = out + power.scale(c ** n / factorial(n))
+    return out
 
 # ---------------------------------------------------------------------------
 # Public operations.
@@ -446,17 +489,17 @@ def make_generator(name, params: DeformParams) -> AlgebraElement:
 
 def make_rho(params: DeformParams) -> AlgebraElement:
     """rho = h1*Th + h2*Ph + h3*Ps."""
-    return engine(params).rho
+    return _rho(params.trunc).over(params)
 
 
 def make_lambda(params: DeformParams) -> AlgebraElement:
     """lam = sinh(2*rho)/(2*rho), an invertible central series."""
-    return engine(params).lam
+    return _lam_pow(1, params.trunc).over(params)
 
 
 def make_exp_rho(c, params: DeformParams) -> AlgebraElement:
     """exp(c*rho) truncated at the configured order."""
-    return engine(params).exp_rho(Fraction(c))
+    return _exp_rho(Fraction(c), params.trunc).over(params)
 
 
 def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -491,10 +534,9 @@ def phi_automorphism(x: AlgebraElement) -> AlgebraElement:
     A monomial of total generator degree g picks up the central factor
     lam^(-g); the map is extended linearly.
     """
-    eng = engine(x.params)
     out: dict[PBWMonomial, SeriesScalar] = {}
     for m, s in x.terms.items():
-        piece = _central_mul(eng.lam_pow(-sum(m)),
+        piece = _central_mul(_lam_pow(-sum(m), x.params.trunc),
                              AlgebraElement.monomial(x.params, m, s))
         for mp, sp in piece.terms.items():
             cur = out.get(mp)
@@ -508,14 +550,13 @@ def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
 
     Z^I X^J = lam^|I| Th^i1 Ph^i2 Ps^i3 Q1^j1 Q2^j2 P1^j3 P2^j4 / (I! J!).
     """
-    eng = engine(params)
     out: dict[PBWMonomial, SeriesScalar] = {}
     for (ci, qp), s in zmap.items():
         if isinstance(s, SeriesScalar) and not s.terms:
             continue
         mono = tuple(ci) + tuple(qp)
         scale = Fraction(1, mi_factorial(ci) * mi_factorial(qp))
-        piece = _central_mul(eng.lam_pow(sum(ci)),
+        piece = _central_mul(_lam_pow(sum(ci), params.trunc),
                              AlgebraElement.monomial(params, mono, s * scale))
         for mp, sp in piece.terms.items():
             cur = out.get(mp)

@@ -214,7 +214,10 @@ class GroupElement:
 
     @classmethod
     def from_text(cls, text: str) -> "GroupElement":
-        parts = [Fraction(part.strip()) for part in text.split(",")]
+        try:
+            parts = [Fraction(part.strip()) for part in text.split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         if len(parts) != 7:
             raise ValueError("group element needs 7 comma-separated rationals")
         t, f, s, q1, q2, p1, p2 = parts

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .algebra import (AlgebraElement, DeformParams, InvalidParamsError,
                       commutator, normal_order_mul, phi_automorphism,
@@ -36,7 +37,10 @@ DEFAULTS = {"alpha": "1", "beta": "1", "gamma": "1",
 MAX_VERIFY_DEGREE = 3
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  Parsing does not change it, so it is built
+    once per process instead of once per call of main()."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", help="deformation parameter alpha (rational, nonzero)")
     common.add_argument("--beta", help="deformation parameter beta (rational)")

@@ -14,7 +14,10 @@ commutative divided-power product W^(I+K) Y^(J+L).
 The oracle reconstructs the same product from first principles through
 <u * v, Z^S X^T> = <u (x) v, cop(Z^S X^T)> with the coproduct evaluated by
 the normal-ordering engine and both tensor legs converted back to the
-divided-power basis.  It never touches the closed formula.
+divided-power basis.  It never touches the closed formula.  The coproduct
+and the divided-power basis contain no alpha, beta or gamma, so its tables
+(the Z-basis expansion of each monomial and cop(Z^S X^T) in that basis) are
+built once per truncation order and shared by every parameter set.
 
 DualElement keeps {key: SeriesScalar} with Fraction coefficients, and that
 map is what every caller sees.  Both products run on integers instead, in
@@ -33,7 +36,8 @@ from math import lcm
 from typing import Mapping
 
 from .algebra import (AlgebraElement, DeformParams, InvalidParamsError,
-                      PBWMonomial, ZMonomial, from_z_basis, to_z_basis)
+                      PBWMonomial, Truncation, ZMonomial, from_z_basis,
+                      to_z_basis)
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
@@ -280,28 +284,30 @@ def delta_on_zbasis(S, T, params: DeformParams) -> dict[tuple[ZMonomial, ZMonomi
     """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis.
 
     Computed entirely by the engine: build the element, apply the coproduct,
-    convert each leg monomial through the cached Z-basis expansion.  Each
-    expansion is kept as integer numerators over its own denominator; the
-    coproduct's rows are put over one common denominator, the products of
-    numerators are added per ((k1, k2), h), and each table entry is
+    convert each leg monomial through the cached Z-basis expansion.  The
+    table depends only on params.trunc and is built once per truncation.
+    Each expansion is kept as integer numerators over its own denominator;
+    the coproduct's rows are put over one common denominator, the products
+    of numerators are added per ((k1, k2), h), and each table entry is
     normalised to a Fraction once.
     """
-    return _delta_z(tuple(S), tuple(T), params)
+    return _delta_z(tuple(S), tuple(T), params.trunc)
 
 
 @cache
-def _mono_z(mono: PBWMonomial, params: DeformParams) -> tuple[int, tuple]:
+def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
     """Z-basis expansion of a single ordered monomial as integer numerators
     over one denominator: (L, ((zkey, h, numerator), ...))."""
-    L, rows = _numerators(to_z_basis(AlgebraElement.monomial(params, mono)))
+    L, rows = _numerators(to_z_basis(
+        AlgebraElement.monomial(Truncation(trunc), mono)))
     return L, tuple((k, h, n) for k, coef in rows for h, n in coef)
 
 
 @cache
-def _delta_z(S, T, params: DeformParams) -> dict:
-    trunc = params.trunc
-    ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)}, params))
-    rows = [(_mono_z(m1, params), _mono_z(m2, params), h, c)
+def _delta_z(S, T, trunc: int) -> dict:
+    ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)},
+                                 Truncation(trunc)))
+    rows = [(_mono_z(m1, trunc), _mono_z(m2, trunc), h, c)
             for (m1, m2, h), c in ten.terms.items()]
     # Every row over one denominator: the coproduct's lcm Lt times the lcms
     # L1, L2 of the Z-expansions met on each leg.

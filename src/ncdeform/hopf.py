@@ -11,6 +11,14 @@ computed directly from the sinh series in cop(rho) = rho (x) 1 + 1 (x) rho
 and inverted by a geometric series in the central tensor subalgebra, which is
 valid because its h-free part is exactly 1 (x) 1.
 
+None of this contains alpha, beta or gamma, so cop(rho), cop(lam) and its
+inverse, the generator coproducts and the coproducts of monomials on two
+and three legs are built once per truncation order, over
+algebra.Truncation(trunc), and shared by every parameter set; coproduct()
+and apply_coproduct_leg() return their results over the caller's
+parameters.  The antipode reverses products, so its tables are built per
+parameter set, with that set's commutators.
+
 Tensor terms are stored flat -- key = (leg monomials..., h exponent) with a
 Fraction value -- and that map is what every caller sees.  Multiplication
 runs on integers instead, in the layout of FLINT's fmpq_poly (an integer
@@ -34,8 +42,9 @@ from typing import Mapping
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       Q1, Q2, TH, AlgebraElement, DeformParams,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
-                      commutator, engine, make_exp_rho, make_generator,
-                      make_lambda, make_rho, mono_factors, normal_order_mul)
+                      Truncation, commutator, engine, make_exp_rho,
+                      make_generator, make_lambda, make_rho, mono_factors,
+                      normal_order_mul)
 from .multiindex import multiindices_graded
 from .report import VerificationReport
 from .series import SeriesScalar
@@ -89,6 +98,14 @@ class TensorElement:
     def _check(self, other: "TensorElement") -> None:
         if self.params != other.params or self.arity != other.arity:
             raise ParamsMismatchError("tensor elements are not compatible")
+
+    def over(self, params) -> "TensorElement":
+        """The same terms over other parameters of the same truncation: how
+        a per-truncation table reaches one parameter set."""
+        if params.trunc != self.params.trunc:
+            raise ParamsMismatchError(
+                "tensors live over different truncations")
+        return TensorElement(params, self.arity, self.terms)
 
     def buckets(self) -> tuple:
         """Integer view for tensor_mul, built lazily once: (L, legs, groups).
@@ -365,22 +382,27 @@ def _tensor_inverse(t: TensorElement) -> TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# Per-parameter coproduct/antipode tables, memoised with functools.cache.
+# Coproduct tables, one set per truncation order over Truncation(trunc):
+# the coproduct contains no alpha, beta or gamma, and every leg product in
+# them is already ordered (cop of a monomial is built by multiplying on the
+# right by cop of its largest generator), so no commutator is ever needed.
+# Antipode tables, one set per parameter set: S reverses products, so they
+# reorder with that parameter set's commutators.  All are functools.cache
+# memos.
 # ---------------------------------------------------------------------------
 
 class _HopfCache:
-    def __init__(self, params: DeformParams):
-        self.params = params
-        D = params.trunc
-        one = AlgebraElement.unit(params)
-        rho, lam = make_rho(params), make_lambda(params)
+    def __init__(self, trunc: int):
+        shared = Truncation(trunc)
+        one = AlgebraElement.unit(shared)
+        rho, lam = make_rho(shared), make_lambda(shared)
 
         cop_rho = tensor_of(rho, one) + tensor_of(one, rho)
-        cop_lam = TensorElement.unit(params)
+        cop_lam = TensorElement.unit(shared)
         rho2 = tensor_mul(cop_rho, cop_rho)
-        power = TensorElement.unit(params)
+        power = TensorElement.unit(shared)
         n = 1
-        while 2 * n <= D:
+        while 2 * n <= trunc:
             power = tensor_mul(power, rho2)
             cop_lam = cop_lam + power.scale(Fraction(4 ** n, factorial(2 * n + 1)))
             n += 1
@@ -388,40 +410,39 @@ class _HopfCache:
         self.cop_lam = cop_lam
         self.cop_lam_inv = _tensor_inverse(cop_lam)
 
-        e1, em1 = make_exp_rho(1, params), make_exp_rho(-1, params)
-        e2, em2 = make_exp_rho(2, params), make_exp_rho(-2, params)
+        e1, em1 = make_exp_rho(1, shared), make_exp_rho(-1, shared)
+        e2, em2 = make_exp_rho(2, shared), make_exp_rho(-2, shared)
         self.cop_gen: list[TensorElement] = []
         for idx in range(7):
-            gen = make_generator(idx, params)
+            gen = make_generator(idx, shared)
             if idx in CENTRAL_GENERATORS:
                 lam_gen = normal_order_mul(lam, gen)
                 num = tensor_of(lam_gen, e2) + tensor_of(em2, lam_gen)
                 self.cop_gen.append(tensor_mul(num, self.cop_lam_inv))
             else:
                 self.cop_gen.append(tensor_of(gen, e1) + tensor_of(em1, gen))
-        self.neg_gen = [make_generator(i, params).scale(-1) for i in range(7)]
 
 
 @cache
-def _hopf(params: DeformParams) -> _HopfCache:
-    return _HopfCache(params)
+def _hopf(trunc: int) -> _HopfCache:
+    return _HopfCache(trunc)
 
 
 @cache
-def _cop_mono(hc: _HopfCache, mono: PBWMonomial) -> TensorElement:
+def _cop_mono(trunc: int, mono: PBWMonomial) -> TensorElement:
     if mono == EMPTY_MONO:
-        return TensorElement.unit(hc.params)
+        return TensorElement.unit(Truncation(trunc))
     g = max(i for i in range(7) if mono[i])
     prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-    return tensor_mul(_cop_mono(hc, prev), hc.cop_gen[g])
+    return tensor_mul(_cop_mono(trunc, prev), _hopf(trunc).cop_gen[g])
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproducts."""
-    hc = _hopf(x.params)
+    trunc = x.params.trunc
     out: dict[TensorKey, Fraction] = {}
     for m, s in x.terms.items():
-        for key, c in _cop_mono(hc, m).scale(s).terms.items():
+        for key, c in _cop_mono(trunc, m).scale(s).terms.items():
             out[key] = out.get(key, 0) + c
     return TensorElement(x.params, 2, out)
 
@@ -432,21 +453,21 @@ def counit(x: AlgebraElement) -> SeriesScalar:
 
 
 @cache
-def antipode_mono(hc: _HopfCache, mono: PBWMonomial) -> AlgebraElement:
+def antipode_mono(params: DeformParams, mono: PBWMonomial) -> AlgebraElement:
     if mono == EMPTY_MONO:
-        return AlgebraElement.unit(hc.params)
+        return AlgebraElement.unit(params)
     g = min(i for i in range(7) if mono[i])
     prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
     # S(g * m') = S(m') * S(g) = S(m') * (-g)
-    return normal_order_mul(antipode_mono(hc, prev), hc.neg_gen[g])
+    return normal_order_mul(antipode_mono(params, prev),
+                            -make_generator(g, params))
 
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
     """Anti-homomorphism with S(g) = -g on every generator."""
-    hc = _hopf(x.params)
     out: dict[PBWMonomial, SeriesScalar] = {}
     for m, s in x.terms.items():
-        for ms, ss in antipode_mono(hc, m).terms.items():
+        for ms, ss in antipode_mono(x.params, m).terms.items():
             v = ss * s
             cur = out.get(ms)
             out[ms] = v if cur is None else cur + v
@@ -455,12 +476,11 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
 
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
-    hc = _hopf(t.params)
     D = t.params.trunc
     out: dict[TensorKey, Fraction] = {}
     for key, c in t.terms.items():
         h = key[-1]
-        for sub, cs in _cop_mono(hc, key[leg]).terms.items():
+        for sub, cs in _cop_mono(D, key[leg]).terms.items():
             hs = sub[-1]
             hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
             if hh[0] + hh[1] + hh[2] > D:
@@ -490,22 +510,21 @@ def apply_counit_leg(t: TensorElement, leg: int):
 
 
 @cache
-def _mu_mono(hc: _HopfCache, m1: PBWMonomial, m2: PBWMonomial,
+def _mu_mono(params: DeformParams, m1: PBWMonomial, m2: PBWMonomial,
              leg: int) -> AlgebraElement:
     """S(m1) m2 (leg = 0) or m1 S(m2) (leg = 1)."""
     if leg == 0:
-        return normal_order_mul(antipode_mono(hc, m1),
-                                AlgebraElement.monomial(hc.params, m2))
-    return normal_order_mul(AlgebraElement.monomial(hc.params, m1),
-                            antipode_mono(hc, m2))
+        return normal_order_mul(antipode_mono(params, m1),
+                                AlgebraElement.monomial(params, m2))
+    return normal_order_mul(AlgebraElement.monomial(params, m1),
+                            antipode_mono(params, m2))
 
 
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg tensor."""
-    hc = _hopf(t.params)
     out: dict[PBWMonomial, SeriesScalar] = {}
     for (m1, m2, h), c in t.terms.items():
-        for m, s in _mu_mono(hc, m1, m2, leg).terms.items():
+        for m, s in _mu_mono(t.params, m1, m2, leg).terms.items():
             v = s.shifted(h, c)
             cur = out.get(m)
             out[m] = v if cur is None else cur + v
@@ -513,18 +532,18 @@ def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
 
 
 @cache
-def _gen3(hc: _HopfCache, g: int, side: int) -> TensorElement:
-    return apply_coproduct_leg(hc.cop_gen[g], side)
+def _gen3(trunc: int, g: int, side: int) -> TensorElement:
+    return apply_coproduct_leg(_hopf(trunc).cop_gen[g], side)
 
 
 @cache
-def _cop3_mono(hc: _HopfCache, mono: PBWMonomial, side: int) -> TensorElement:
+def _cop3_mono(trunc: int, mono: PBWMonomial, side: int) -> TensorElement:
     """(cop (x) 1) cop  (side 0) or (1 (x) cop) cop  (side 1) on a monomial."""
     if mono == EMPTY_MONO:
-        return TensorElement.unit(hc.params, 3)
+        return TensorElement.unit(Truncation(trunc), 3)
     g = max(i for i in range(7) if mono[i])
     prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-    return tensor_mul(_cop3_mono(hc, prev, side), _gen3(hc, g, side))
+    return tensor_mul(_cop3_mono(trunc, prev, side), _gen3(trunc, g, side))
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +569,17 @@ def verify_hopf_axioms(max_generator_degree: int,
     if max_generator_degree < 0:
         raise InvalidParamsError(
             f"generator-degree bound must be >= 0, got {max_generator_degree}")
-    hc = _hopf(params)
+    D = params.trunc
     report = VerificationReport()
     unit = AlgebraElement.unit(params)
 
     for mono in multiindices_graded(7, max_generator_degree):
         name = _mono_name(mono)
         elt = AlgebraElement.monomial(params, mono)
-        cop = _cop_mono(hc, mono)
+        cop = _cop_mono(D, mono).over(params)
 
-        left3 = _cop3_mono(hc, mono, 0)
-        right3 = _cop3_mono(hc, mono, 1)
+        left3 = _cop3_mono(D, mono, 0)
+        right3 = _cop3_mono(D, mono, 1)
         ok = left3 == right3
         report.add("coassociativity", name, ok,
                    None if ok else _diff_note("(cop(x)1)cop - (1(x)cop)cop",
@@ -582,11 +601,12 @@ def verify_hopf_axioms(max_generator_degree: int,
                                               (sleft - target) + (sright - target)))
 
     gens = [make_generator(i, params) for i in range(7)]
+    cop_gen = [t.over(params) for t in _hopf(D).cop_gen]
     for i in range(7):
         for j in range(i + 1, 7):
             pair = f"[{GENERATOR_NAMES[i]},{GENERATOR_NAMES[j]}]"
             lhs = coproduct(commutator(gens[i], gens[j]))
-            rhs = tensor_commutator(hc.cop_gen[i], hc.cop_gen[j])
+            rhs = tensor_commutator(cop_gen[i], cop_gen[j])
             ok = lhs == rhs
             report.add("coproduct-homomorphism", pair, ok,
                        None if ok else _diff_note("cop[x,y] - [cop x,cop y]",
@@ -600,10 +620,11 @@ def verify_hopf_axioms(max_generator_degree: int,
                                                   slhs - srhs))
 
     lhs = coproduct(make_rho(params))
-    ok = lhs == hc.cop_rho
+    cop_rho = _hopf(D).cop_rho.over(params)
+    ok = lhs == cop_rho
     report.add("coproduct-consistency", "rho", ok,
                None if ok else _diff_note("cop(rho) - (rho(x)1 + 1(x)rho)",
-                                          lhs - hc.cop_rho))
+                                          lhs - cop_rho))
 
     # Multiplicativity through reordered products: cop(x y) = cop(x) cop(y)
     # for products that exercise the exchange rule.

@@ -8,7 +8,8 @@ Grammar (whitespace insensitive):
     atom   := rational | token | '(' expr ')'
 
 The generator degree of the whole expression (see degree()) is at most
-MAX_EXPONENT as well.
+MAX_EXPONENT as well, and no element met while it is evaluated may have
+more than MAX_TERMS terms.
 
 Tokens: rationals "p" or "p/q"; deformation parameters h1 h2 h3; generators
 Th Ph Ps Q1 Q2 P1 P2; built-ins rho, lambda, exp(c*rho); dual functionals
@@ -33,6 +34,12 @@ from .series import SeriesScalar
 #: whole expression (see degree()); powers and products are multiplied out,
 #: so both bound the work before any starts.
 MAX_EXPONENT = 32
+
+#: Largest number of terms of any element met while an expression is
+#: evaluated, checked after every sum, product and power step.  The degree
+#: bound does not bound it: a power of a k-term sum has about
+#: C(n + k - 1, k - 1) terms.  (Q1+P1)^32 at truncation 2 reaches 1,825.
+MAX_TERMS = 2048
 
 
 class ExpressionError(ValueError):
@@ -187,7 +194,7 @@ class _Parser:
         tok = self._next()
         kind, value, pos = tok
         if kind == "number":
-            return Num(Fraction(value))
+            return Num(_rational(tok))
         if value == "(":
             node = self.expr()
             self._expect(")")
@@ -237,7 +244,7 @@ class _Parser:
             sign = -1
         tok = self._next()
         if tok[0] == "number":
-            coeff = Fraction(tok[1])
+            coeff = _rational(tok)
             self._expect("*")
             tok = self._next()
         else:
@@ -246,6 +253,14 @@ class _Parser:
             raise ExpressionError("exp(...) accepts c*rho only", tok[2])
         self._expect(")")
         return ExpRho(sign * coeff)
+
+
+def _rational(tok) -> Fraction:
+    try:
+        return Fraction(tok[1])
+    except ZeroDivisionError:
+        raise ExpressionError(f"zero denominator in {tok[1]!r}",
+                              tok[2]) from None
 
 
 def degree(node) -> int:
@@ -265,6 +280,13 @@ def degree(node) -> int:
     if isinstance(node, Add):
         return max(degree(t) for _, t in node.terms)
     raise TypeError(node)
+
+
+def _bounded(x):
+    if len(x.terms) > MAX_TERMS:
+        raise ExpressionError(
+            f"expression expands to more than {MAX_TERMS} terms")
+    return x
 
 
 def _check_degree(total: int, position: int) -> None:
@@ -330,17 +352,21 @@ def evaluate_primal(node, params: DeformParams) -> AlgebraElement:
     if isinstance(node, ExpRho):
         return make_exp_rho(node.coeff, params)
     if isinstance(node, Pow):
-        return evaluate_primal(node.base, params) ** node.exponent
+        out = AlgebraElement.unit(params)
+        base = evaluate_primal(node.base, params)
+        for _ in range(node.exponent):
+            out = _bounded(normal_order_mul(out, base))
+        return out
     if isinstance(node, Mul):
         out = AlgebraElement.unit(params)
         for f in node.factors:
-            out = normal_order_mul(out, evaluate_primal(f, params))
+            out = _bounded(normal_order_mul(out, evaluate_primal(f, params)))
         return out
     if isinstance(node, Add):
         out = AlgebraElement.zero(params)
         for sign, t in node.terms:
             piece = evaluate_primal(t, params)
-            out = out + (piece if sign > 0 else -piece)
+            out = _bounded(out + (piece if sign > 0 else -piece))
         return out
     raise ExpressionError("dual token in a primal context")
 
@@ -361,18 +387,18 @@ def evaluate_dual(node, trunc: int) -> DualElement:
         out = DualElement.unit(trunc)
         base = evaluate_dual(node.base, trunc)
         for _ in range(node.exponent):
-            out = classical_product(out, base)
+            out = _bounded(classical_product(out, base))
         return out
     if isinstance(node, Mul):
         out = DualElement.unit(trunc)
         for f in node.factors:
-            out = classical_product(out, evaluate_dual(f, trunc))
+            out = _bounded(classical_product(out, evaluate_dual(f, trunc)))
         return out
     if isinstance(node, Add):
         out = DualElement.zero(trunc)
         for sign, t in node.terms:
             piece = evaluate_dual(t, trunc)
-            out = out + (piece if sign > 0 else -piece)
+            out = _bounded(out + (piece if sign > 0 else -piece))
         return out
     raise ExpressionError("primal token in a dual context")
 

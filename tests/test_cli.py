@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncdeform.cli import MAX_VERIFY_DEGREE, main
-from ncdeform.parser import MAX_EXPONENT
+from ncdeform.cli import MAX_VERIFY_DEGREE, build_parser, main
+from ncdeform.parser import MAX_EXPONENT, MAX_TERMS
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -252,3 +256,113 @@ def test_verify_deg_obeys_truncation_cap(capsys, target):
     assert code == 3
     assert out == ""
     assert "cap" in err
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    good = ["mul", "P1", "Q1", "--trunc", "1", "--alpha=2"]
+    build_parser.cache_clear()
+    alone = run(capsys, *good)
+    assert run(capsys, "mul", "P1", "--bogus")[0] == 2
+    assert run(capsys, *good) == alone
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("command,expr,other", [
+    ("mul", "(Q1+P1+Q2+P2)^32", "Q1"),
+    ("star", "(x1+x2+x3+x4+x5+x6+x7)^32", "1"),
+])
+def test_expression_term_bound_exits_in_time(capsys, command, expr, other):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, expr, other, "--trunc", "0")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert f"more than {MAX_TERMS} terms" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "1/0", "P1"),
+    ("coproduct", "exp(1/0*rho)"),
+    ("mul", "Q1", "P1", "--alpha=1/0"),
+    ("group", "compose", "1/0,0,0,0,0,0,0", "0,0,0,0,0,0,0"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err
+
+
+# -- fuzzing: random argv drawn from the command grammar -----------------------
+
+_PRIMAL = ("Q1", "P1", "Q2", "P2", "Th", "Ps", "rho", "lambda", "exp(-rho)",
+           "h2", "3/4", "2")
+_DUAL = ("x1", "x4", "x7", "W[1,0,0]", "Y[0,1,0,0]", "h1", "1/2")
+_GARBAGE = ("", "Q1*", "((Q1)", "W[1,2]", "Q1^40", "x9", "Q1*W[1,0,0]",
+            "-Q1", "1/0", "Q1^2^2", "@", "exp(2*Q1)", "Y[0,0,0,0]^99")
+_BAD_RATIONALS = ("0", "1/0", "abc", "", "2/-3", "0/5", "1.5")
+
+
+def _expression(tokens):
+    valid = st.lists(st.sampled_from(tokens), min_size=1, max_size=2).flatmap(
+        lambda factors: st.sampled_from(("*", "+", "-")).map(
+            lambda op: op.join(factors)))
+    return st.one_of(valid, valid, st.sampled_from(_GARBAGE))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from((
+        "mul", "comm", "coproduct", "counit", "antipode", "phi", "zbasis",
+        "star", "staroracle", "poisson", "group", "verify", "frobnicate")))
+    argv = [command]
+    if command in ("mul", "comm"):
+        argv += [draw(_expression(_PRIMAL)), draw(_expression(_PRIMAL))]
+    elif command in ("coproduct", "counit", "antipode", "phi", "zbasis"):
+        argv.append(draw(_expression(_PRIMAL)))
+    elif command in ("star", "staroracle", "poisson"):
+        argv += [draw(_expression(_DUAL)), draw(_expression(_DUAL))]
+    elif command == "group":
+        element = st.sampled_from(("0,0,0,1,0,0,0", "1/2,0,0,0,0,1,-1",
+                                   "1,2,3", "a,0,0,0,0,0,0",
+                                   "1/0,0,0,0,0,0,0"))
+        argv += [draw(st.sampled_from(("compose", "inverse", "undo")))]
+        argv += draw(st.lists(element, min_size=0, max_size=3))
+    elif command == "verify":
+        argv.append(draw(st.sampled_from(("hopf", "bialgebra", "heisenberg",
+                                          "star", "all", "nothing"))))
+        # Valid grid degrees run the full grids, which take seconds; the
+        # smallest one and the rejected ones keep each draw short.
+        argv.append(f"--maxdeg={draw(st.sampled_from((-1, 0, 4, 99)))}")
+        argv.append(f"--deg={draw(st.sampled_from((-1, 1, 7)))}")
+    if command == "staroracle":
+        argv.append(f"--cap={draw(st.sampled_from((-1, 0, 2, 3)))}")
+    if command == "poisson":
+        argv.append(f"--dir={draw(st.integers(0, 4))}")
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    for flag in ("alpha", "beta", "gamma"):
+        value = draw(st.one_of(rational.map(str), rational.map(str),
+                               st.sampled_from(_BAD_RATIONALS)))
+        argv.append(f"--{flag}={value}")
+    # The oracle and the grids are slow above truncation 1.
+    top = 1 if command in ("staroracle", "verify") else 3
+    trunc = st.integers(0, top)
+    trunc = st.one_of(trunc, trunc, st.sampled_from((-1, 7, 99)))
+    argv.append(f"--trunc={draw(trunc)}")
+    argv.append(f"--format={draw(st.sampled_from(('text', 'json', 'xml')))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    parser = build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 10, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert build_parser() is parser

@@ -10,7 +10,8 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       make_lambda, make_rho, mu_antipode_leg,
                       normal_order_mul, tensor_commutator, tensor_mul,
                       tensor_of, verify_hopf_axioms)
-from ncdeform.algebra import InvalidParamsError, _central_mul, engine
+from ncdeform.algebra import (InvalidParamsError, Truncation, _central_mul,
+                              engine)
 from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf, _tensor_inverse
 from ncdeform.multiindex import multiindices_graded
 
@@ -131,20 +132,17 @@ def test_antipode_mu_kills_p1():
 
 
 def test_tensor_inverse_of_cop_lambda():
-    p = params(1, 1, 1, 3)
-    cache = _hopf(p)
+    cache = _hopf(3)
     assert tensor_mul(cache.cop_lam, cache.cop_lam_inv) == \
-        TensorElement.unit(p)
+        TensorElement.unit(Truncation(3))
 
 
 def test_coassociativity_dp_matches_leg_application():
-    p = params(1, 1, 1, 2)
-    cache = _hopf(p)
     for mono in [(0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1, 0),
                  (1, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1, 1)]:
-        cop = _cop_mono(cache, mono)
-        assert _cop3_mono(cache, mono, 0) == apply_coproduct_leg(cop, 0)
-        assert _cop3_mono(cache, mono, 1) == apply_coproduct_leg(cop, 1)
+        cop = _cop_mono(2, mono)
+        assert _cop3_mono(2, mono, 0) == apply_coproduct_leg(cop, 0)
+        assert _cop3_mono(2, mono, 1) == apply_coproduct_leg(cop, 1)
 
 
 @pytest.mark.parametrize("alpha,beta,gamma",
@@ -248,8 +246,7 @@ def test_tensor_mul_matches_reference(pair):
 def test_three_leg_products_match_leg_substitution():
     # Leg substitution never multiplies two three-leg tensors, so it checks
     # the three-leg product path by a different route.
-    cache = _hopf(params(2, Fraction(1, 2), -3, 3))
     for mono in multiindices_graded(7, 2):
-        cop = _cop_mono(cache, mono)
-        assert apply_coproduct_leg(cop, 0) == _cop3_mono(cache, mono, 0), mono
-        assert apply_coproduct_leg(cop, 1) == _cop3_mono(cache, mono, 1), mono
+        cop = _cop_mono(3, mono)
+        assert apply_coproduct_leg(cop, 0) == _cop3_mono(3, mono, 0), mono
+        assert apply_coproduct_leg(cop, 1) == _cop3_mono(3, mono, 1), mono

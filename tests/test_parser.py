@@ -113,6 +113,23 @@ def test_generator_degree_at_bound_accepted(text):
     assert degree(parse_expression(text)) == MAX_EXPONENT
 
 
+def test_term_bound_admits_the_largest_binomial_power():
+    from ncdeform.parser import MAX_TERMS
+    x = evaluate("(Q1+P1)^32", params(1, 1, 1, 2))
+    assert len(x.terms) == 1825 <= MAX_TERMS
+
+
+@pytest.mark.parametrize("text", [
+    "(Q1+P1+Q2+P2)^16", "(x1+x2+x3+x4+x5+x6+x7)^8",
+    "(Q1+Q2+Th)^12*(P1+P2)^12",
+    # Each term is under the bound, their sum is not.
+    "(x1+x2+x3+x4+x5+x6+x7)^7+(x1+x2+x3+x4+x5+x6+x7)^6",
+])
+def test_term_bound(text):
+    with pytest.raises(ExpressionError, match="terms"):
+        evaluate(text, params(1, 1, 1, 0))
+
+
 def test_leading_minus(p111_d2):
     got = evaluate("-Th + Q1", p111_d2)
     want = make_generator("Q1", p111_d2) - make_generator("Th", p111_d2)
