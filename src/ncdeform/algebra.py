@@ -71,8 +71,7 @@ class DeformParams:
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         if not self.alpha:
             raise InvalidParamsError("alpha must be nonzero")
-        if self.trunc < 0:
-            raise InvalidParamsError("truncation order must be >= 0")
+        Truncation(self.trunc)  # rejects a negative order
         # Every memo table is keyed by the parameters, and hashing three
         # Fractions costs microseconds, so the hash is computed once.
         object.__setattr__(self, "_hash", hash(
@@ -91,9 +90,14 @@ class Truncation:
     once as elements over Truncation(trunc) and shared by every parameter
     set.  Its engine has no commutator table, so a product that would need
     reordering raises instead of using some parameter set's commutators.
+    A negative order raises InvalidParamsError.
     """
 
     trunc: int
+
+    def __post_init__(self):
+        if self.trunc < 0:
+            raise InvalidParamsError("truncation order must be >= 0")
 
 
 class AlgebraElement:

@@ -2,6 +2,10 @@
 constants, the group law of its Lie group, cocommutators extracted from the
 deformed coproduct, Lie bialgebra axiom checks, a per-candidate coboundary
 verifier and the duality bridge to the dual Poisson structure.
+
+alpha, beta and gamma enter only the structure constants and the group
+law.  The cocommutators, read off the coproduct, take a truncation order
+and build their generators over algebra.Truncation.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import (GENERATOR_NAMES, DeformParams, make_generator)
+from .algebra import GENERATOR_NAMES, DeformParams, Truncation, make_generator
 from .report import VerificationReport
 
 DIM = 7
@@ -256,7 +260,7 @@ def group_compose(g: GroupElement, h: GroupElement,
         (g.p[0] + h.p[0], g.p[1] + h.p[1]))
 
 
-def group_inverse(g: GroupElement, params: DeformParams) -> GroupElement:
+def group_inverse(g: GroupElement) -> GroupElement:
     """Componentwise negation; the central corrections cancel by antisymmetry."""
     return GroupElement.make(-g.theta, -g.phi, -g.psi,
                              (-g.q[0], -g.q[1]), (-g.p[0], -g.p[1]))
@@ -266,9 +270,9 @@ def group_inverse(g: GroupElement, params: DeformParams) -> GroupElement:
 # Cocommutators from the deformed coproduct.
 # ---------------------------------------------------------------------------
 
-def cocommutator_dir(generator, direction: int,
-                     params: DeformParams) -> WedgeElement:
-    """First-order antisymmetric part of the coproduct in one direction.
+def cocommutator_dir(name, direction: int, trunc: int) -> WedgeElement:
+    """First-order antisymmetric part of the coproduct in one direction, for
+    the generator given by name or index, at truncation order trunc.
 
     Computes cop(g) - flip(cop(g)) with the other two deformation parameters
     set to zero, extracts the linear coefficient of h_direction and folds the
@@ -276,13 +280,12 @@ def cocommutator_dir(generator, direction: int,
     """
     from .hopf import coproduct
 
+    shared = Truncation(trunc)
     if direction not in (1, 2, 3):
         raise ValueError("direction must be 1, 2 or 3")
-    if params.trunc < 1:
+    if trunc < 1:
         raise ValueError("cocommutator extraction needs truncation >= 1")
-    g = (generator if not isinstance(generator, (str, int))
-         else make_generator(generator, params))
-    t = coproduct(g)
+    t = coproduct(make_generator(name, shared))
     d = (t - t.flip()).limit(set((1, 2, 3)) - {direction})
     h_linear = tuple(1 if k == direction - 1 else 0 for k in range(3))
 
@@ -306,20 +309,20 @@ def cocommutator_dir(generator, direction: int,
     return WedgeElement({(i, j): c for (i, j), c in acc.items() if i < j})
 
 
-def cocommutator_map(direction: int,
-                     params: DeformParams) -> dict[str, WedgeElement]:
-    return {name: cocommutator_dir(name, direction, params)
+def cocommutator_map(direction: int, trunc: int) -> dict[str, WedgeElement]:
+    return {name: cocommutator_dir(name, direction, trunc)
             for name in GENERATOR_NAMES}
 
 
-def combine_cocommutators(weights, params: DeformParams) -> dict[str, WedgeElement]:
+def combine_cocommutators(weights, trunc: int) -> dict[str, WedgeElement]:
     """Rational-weighted combination sum_i w_i * delta_i."""
+    Truncation(trunc)  # rejects a negative order, also when every w_i is 0
     out: dict[str, WedgeElement] = {}
     for name in GENERATOR_NAMES:
         acc = WedgeElement()
         for i, w in zip((1, 2, 3), weights):
             if w:
-                acc = acc + cocommutator_dir(name, i, params).scale(w)
+                acc = acc + cocommutator_dir(name, i, trunc).scale(w)
         out[name] = acc
     return out
 

@@ -9,23 +9,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
-from .algebra import (AlgebraElement, DeformParams, InvalidParamsError,
-                      commutator, normal_order_mul, phi_automorphism,
-                      to_z_basis)
+from .algebra import (DeformParams, InvalidParamsError, commutator,
+                      normal_order_mul, phi_automorphism, to_z_basis)
 from .bialgebra import GroupElement, group_compose, group_inverse
-from .dual import DualElement, poisson_bracket_dir, star_closed, \
-    star_oracle_element
+from .dual import poisson_bracket_dir, star_closed, star_oracle_element
 from .hopf import antipode, coproduct, counit, heisenberg_limit_report, \
     verify_hopf_axioms
-from .parser import ExpressionError, is_dual_expression, parse_expression
+from .parser import (ExpressionError, classify, evaluate_dual,
+                     evaluate_primal, parse_expression)
 from .render import (dual_to_json, dual_to_text, element_to_json,
                      element_to_text, group_to_json, group_to_text,
                      tensor_to_json, tensor_to_text, zmap_to_json,
                      zmap_to_text)
-from .series import parse_rational
+from .report import VerificationReport
+from .series import SeriesScalar, parse_rational
 from .suites import verify_all, verify_bialgebra_suite, verify_star_suite
 
 DEFAULTS = {"alpha": "1", "beta": "1", "gamma": "1",
@@ -57,22 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "product and the induced Lie bialgebra.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    for name, nargs in (("mul", 2), ("comm", 2), ("coproduct", 1),
-                        ("counit", 1), ("antipode", 1), ("phi", 1),
-                        ("zbasis", 1)):
+    for name, (kind, arity, *_) in _commands(None).items():
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("exprs", nargs=nargs, metavar="EXPR")
-
-    p = sub.add_parser("star", parents=[common])
-    p.add_argument("exprs", nargs=2, metavar="DUAL_EXPR")
-    p = sub.add_parser("staroracle", parents=[common])
-    p.add_argument("exprs", nargs=2, metavar="DUAL_EXPR")
-    p.add_argument("--cap", type=int, default=None,
-                   help="enumeration cap |S|+|T| for the pairing oracle; "
-                        "at least |a|+|b|+trunc for every term pair")
-    p = sub.add_parser("poisson", parents=[common])
-    p.add_argument("exprs", nargs=2, metavar="DUAL_EXPR")
-    p.add_argument("--dir", type=int, choices=(1, 2, 3), required=True)
+        p.add_argument("exprs", nargs=arity,
+                       metavar="EXPR" if kind == "primal" else "DUAL_EXPR")
+    sub.choices["staroracle"].add_argument(
+        "--cap", type=int, default=None,
+        help="enumeration cap |S|+|T| for the pairing oracle; "
+             "at least |a|+|b|+trunc for every term pair")
+    sub.choices["poisson"].add_argument("--dir", type=int, choices=(1, 2, 3),
+                                        required=True)
 
     p = sub.add_parser("group", parents=[common])
     p.add_argument("action", choices=("compose", "inverse"))
@@ -136,83 +129,48 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _render(value, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(value[1])
-    return value[0]
-
-
-def _eval_primal(text: str, params: DeformParams) -> AlgebraElement:
+def _operand(text: str, kind: str, params: DeformParams):
+    """Parse text and evaluate it as a "primal" or a "dual" expression."""
     node = parse_expression(text)
-    if is_dual_expression(node):
-        raise ExpressionError("this command expects a primal expression")
-    from .parser import evaluate_primal
-    return evaluate_primal(node, params)
-
-
-def _eval_dual(text: str, params: DeformParams) -> DualElement:
-    node = parse_expression(text)
-    from .parser import classify, evaluate_dual
-    if "primal" in classify(node):
-        raise ExpressionError("this command expects a dual expression")
+    other = "dual" if kind == "primal" else "primal"
+    if other in classify(node):
+        raise ExpressionError(f"this command expects a {kind} expression")
+    if kind == "primal":
+        return evaluate_primal(node, params)
     return evaluate_dual(node, params.trunc)
+
+
+def _commands(args) -> dict:
+    """One row per command that maps its operands to one value: operand
+    kind, number of operands, operation, and the value's (text, JSON)
+    renderers.  args is read only when an operation runs.  Built per call,
+    so that it reads this module's names as bound at that time."""
+    element = (element_to_text, element_to_json)
+    dual = (dual_to_text, dual_to_json)
+    return {
+        "mul": ("primal", 2, normal_order_mul, element),
+        "comm": ("primal", 2, commutator, element),
+        "coproduct": ("primal", 1, coproduct, (tensor_to_text, tensor_to_json)),
+        "counit": ("primal", 1, counit,
+                   (SeriesScalar.to_text, SeriesScalar.to_json)),
+        "antipode": ("primal", 1, antipode, element),
+        "phi": ("primal", 1, phi_automorphism, element),
+        "zbasis": ("primal", 1, to_z_basis, (zmap_to_text, zmap_to_json)),
+        "star": ("dual", 2, star_closed, dual),
+        "staroracle": ("dual", 2,
+                       lambda u, v: star_oracle_element(u, v, args.cap), dual),
+        "poisson": ("dual", 2,
+                    lambda u, v: poisson_bracket_dir(u, v, args.dir), dual),
+    }
 
 
 def _dispatch(args) -> int:
     params, fmt, trunc_cap = _settings(args)
-
-    if args.command == "mul":
-        x = _eval_primal(args.exprs[0], params)
-        y = _eval_primal(args.exprs[1], params)
-        out = normal_order_mul(x, y)
-        _emit(args, _render((element_to_text(out), element_to_json(out)), fmt))
-        return 0
-    if args.command == "comm":
-        x = _eval_primal(args.exprs[0], params)
-        y = _eval_primal(args.exprs[1], params)
-        out = commutator(x, y)
-        _emit(args, _render((element_to_text(out), element_to_json(out)), fmt))
-        return 0
-    if args.command == "coproduct":
-        out = coproduct(_eval_primal(args.exprs[0], params))
-        _emit(args, _render((tensor_to_text(out), tensor_to_json(out)), fmt))
-        return 0
-    if args.command == "counit":
-        out = counit(_eval_primal(args.exprs[0], params))
-        _emit(args, _render((out.to_text(), out.to_json()), fmt))
-        return 0
-    if args.command == "antipode":
-        out = antipode(_eval_primal(args.exprs[0], params))
-        _emit(args, _render((element_to_text(out), element_to_json(out)), fmt))
-        return 0
-    if args.command == "phi":
-        out = phi_automorphism(_eval_primal(args.exprs[0], params))
-        _emit(args, _render((element_to_text(out), element_to_json(out)), fmt))
-        return 0
-    if args.command == "zbasis":
-        out = to_z_basis(_eval_primal(args.exprs[0], params))
-        _emit(args, _render((zmap_to_text(out), zmap_to_json(out)), fmt))
-        return 0
-    if args.command == "star":
-        u = _eval_dual(args.exprs[0], params)
-        v = _eval_dual(args.exprs[1], params)
-        out = star_closed(u, v)
-        _emit(args, _render((dual_to_text(out), dual_to_json(out)), fmt))
-        return 0
-    if args.command == "staroracle":
-        if args.cap is not None and args.cap < 0:
-            raise InvalidParamsError(f"--cap must be >= 0, got {args.cap}")
-        u = _eval_dual(args.exprs[0], params)
-        v = _eval_dual(args.exprs[1], params)
-        out = star_oracle_element(u, v, params, args.cap)
-        _emit(args, _render((dual_to_text(out), dual_to_json(out)), fmt))
-        return 0
-    if args.command == "poisson":
-        u = _eval_dual(args.exprs[0], params)
-        v = _eval_dual(args.exprs[1], params)
-        out = poisson_bracket_dir(u, v, args.dir)
-        _emit(args, _render((dual_to_text(out), dual_to_json(out)), fmt))
-        return 0
+    for flag in ("maxdeg", "deg", "cap"):  # before any operand is parsed
+        bound = getattr(args, flag, None)
+        if bound is not None and bound < 0:
+            raise InvalidParamsError(f"--{flag} must be >= 0, got {bound}")
+    status = 0
     if args.command == "group":
         elements = [GroupElement.from_text(g) for g in args.elements]
         if args.action == "compose":
@@ -222,13 +180,9 @@ def _dispatch(args) -> int:
         else:
             if len(elements) != 1:
                 raise ExpressionError("group inverse expects one element")
-            out = group_inverse(elements[0], params)
-        _emit(args, _render((group_to_text(out), group_to_json(out)), fmt))
-        return 0
-    if args.command == "verify":
-        for flag, bound in (("--maxdeg", args.maxdeg), ("--deg", args.deg)):
-            if bound < 0:
-                raise InvalidParamsError(f"{flag} must be >= 0, got {bound}")
+            out = group_inverse(elements[0])
+        render = (group_to_text, group_to_json)
+    elif args.command == "verify":
         if args.maxdeg > MAX_VERIFY_DEGREE:
             raise InvalidParamsError(
                 f"--maxdeg {args.maxdeg} exceeds the bound {MAX_VERIFY_DEGREE}")
@@ -236,19 +190,20 @@ def _dispatch(args) -> int:
             # --deg is the truncation order of the one-parameter limit report.
             raise InvalidParamsError(
                 f"--deg {args.deg} exceeds the configured cap {trunc_cap}")
-        if args.what == "hopf":
-            report = verify_hopf_axioms(args.maxdeg, params)
-        elif args.what == "star":
-            report = verify_star_suite(args.maxdeg)
-        elif args.what == "bialgebra":
-            report = verify_bialgebra_suite(params)
-        elif args.what == "heisenberg":
-            report = heisenberg_limit_report(args.deg)
-        else:
-            report = verify_all(params, args.maxdeg, args.deg)
-        _emit(args, _render((report.to_text(), report.to_json()), fmt))
-        return 0 if report.passed else 1
-    raise AssertionError(f"unhandled command {args.command}")
+        out = {"hopf": lambda: verify_hopf_axioms(args.maxdeg, params),
+               "star": lambda: verify_star_suite(args.maxdeg),
+               "bialgebra": lambda: verify_bialgebra_suite(params),
+               "heisenberg": lambda: heisenberg_limit_report(args.deg),
+               "all": lambda: verify_all(params, args.maxdeg, args.deg),
+               }[args.what]()
+        render = (VerificationReport.to_text, VerificationReport.to_json)
+        status = 0 if out.passed else 1
+    else:
+        kind, _, operation, render = _commands(args)[args.command]
+        out = operation(*(_operand(text, kind, params) for text in args.exprs))
+    to_text, to_json = render
+    _emit(args, json.dumps(to_json(out)) if fmt == "json" else to_text(out))
+    return status
 
 
 def main(argv=None) -> int:

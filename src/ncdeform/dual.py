@@ -15,9 +15,11 @@ The oracle reconstructs the same product from first principles through
 <u * v, Z^S X^T> = <u (x) v, cop(Z^S X^T)> with the coproduct evaluated by
 the normal-ordering engine and both tensor legs converted back to the
 divided-power basis.  It never touches the closed formula.  The coproduct
-and the divided-power basis contain no alpha, beta or gamma, so its tables
+and the divided-power basis contain no alpha, beta or gamma, so nothing on
+this side reads them: every function here takes a truncation order, or
+reads it off its operands, and never a DeformParams.  The oracle's tables
 (the Z-basis expansion of each monomial and cop(Z^S X^T) in that basis) are
-built once per truncation order and shared by every parameter set.
+built once per truncation order.
 
 DualElement keeps {key: SeriesScalar} with Fraction coefficients, and that
 map is what every caller sees.  Both products run on integers instead, in
@@ -35,7 +37,7 @@ from functools import cache
 from math import lcm
 from typing import Mapping
 
-from .algebra import (AlgebraElement, DeformParams, InvalidParamsError,
+from .algebra import (AlgebraElement, InvalidParamsError,
                       PBWMonomial, Truncation, ZMonomial, from_z_basis,
                       to_z_basis)
 from .bialgebra import LieData
@@ -280,18 +282,18 @@ def pairing(u: DualElement, zmap: Mapping[ZMonomial, SeriesScalar]) -> SeriesSca
     return SeriesScalar(out, u.trunc)
 
 
-def delta_on_zbasis(S, T, params: DeformParams) -> dict[tuple[ZMonomial, ZMonomial], SeriesScalar]:
+def delta_on_zbasis(S, T, trunc: int) -> dict[tuple[ZMonomial, ZMonomial], SeriesScalar]:
     """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis.
 
     Computed entirely by the engine: build the element, apply the coproduct,
     convert each leg monomial through the cached Z-basis expansion.  The
-    table depends only on params.trunc and is built once per truncation.
+    table is built once per truncation order.
     Each expansion is kept as integer numerators over its own denominator;
     the coproduct's rows are put over one common denominator, the products
     of numerators are added per ((k1, k2), h), and each table entry is
     normalised to a Fraction once.
     """
-    return _delta_z(tuple(S), tuple(T), params.trunc)
+    return _delta_z(tuple(S), tuple(T), trunc)
 
 
 @cache
@@ -305,8 +307,8 @@ def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
 
 @cache
 def _delta_z(S, T, trunc: int) -> dict:
-    ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)},
-                                 Truncation(trunc)))
+    shared = Truncation(trunc)
+    ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)}, shared))
     rows = [(_mono_z(m1, trunc), _mono_z(m2, trunc), h, c)
             for (m1, m2, h), c in ten.terms.items()]
     # Every row over one denominator: the coproduct's lcm Lt times the lcms
@@ -333,7 +335,7 @@ def _delta_z(S, T, trunc: int) -> dict:
     return _collect(acc, Lt * L1 * L2, trunc)
 
 
-def star_oracle(a: DualMonomial, b: DualMonomial, params: DeformParams,
+def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,
                 degree_cap: int | None = None) -> DualElement:
     """Star product of two dual monomials reconstructed through the pairing.
 
@@ -342,58 +344,54 @@ def star_oracle(a: DualMonomial, b: DualMonomial, params: DeformParams,
     the coproduct costs at least one h-degree in the pairing.  A smaller cap
     would silently truncate the product, so it raises InvalidParamsError.
     """
-    a = (tuple(a[0]), tuple(a[1]))
-    b = (tuple(b[0]), tuple(b[1]))
+    Truncation(trunc)  # rejects a negative order, which enumerates nothing
     bound = (mi_norm(a[0]) + mi_norm(a[1])
-             + mi_norm(b[0]) + mi_norm(b[1]) + params.trunc)
+             + mi_norm(b[0]) + mi_norm(b[1]) + trunc)
     if degree_cap is None:
         degree_cap = bound
     elif degree_cap < bound:
         raise InvalidParamsError(
             f"degree cap {degree_cap} is below the sufficient bound {bound} "
             f"(|a| + |b| + trunc) and would truncate the product")
-    out: dict[DualMonomial, SeriesScalar] = {}
-    for S in multiindices(3, degree_cap):
-        for T in multiindices(4, degree_cap - sum(S)):
-            table = delta_on_zbasis(S, T, params)
-            c = table.get((a, b))
-            if c is not None and c.terms:
-                out[(S, T)] = c
-    return DualElement(params.trunc, out)
+    return _pair_oracle(a, b, ((S, T) for S in multiindices(3, degree_cap)
+                               for T in multiindices(4, degree_cap - sum(S))),
+                        trunc)
 
 
-def star_oracle_element(u: DualElement, v: DualElement, params: DeformParams,
+def star_oracle_element(u: DualElement, v: DualElement,
                         degree_cap: int | None = None) -> DualElement:
-    """Bilinear extension of star_oracle to arbitrary dual elements."""
+    """Bilinear extension of star_oracle to arbitrary dual elements, at
+    u's truncation order."""
+    Truncation(u.trunc)  # rejects a negative order, also when u or v is 0
     out: dict[DualMonomial, SeriesScalar] = {}
     for ka, sa in u.terms.items():
         for kb, sb in v.terms.items():
-            piece = star_oracle(ka, kb, params, degree_cap).scale(sa * sb)
+            piece = star_oracle(ka, kb, u.trunc, degree_cap).scale(sa * sb)
             for k, s in piece.terms.items():
                 cur = out.get(k)
                 out[k] = s if cur is None else cur + s
     return DualElement(u.trunc, out)
 
 
-def star_oracle_grid(norm_bound: int, params: DeformParams) -> dict:
+def star_oracle_grid(norm_bound: int, trunc: int) -> dict:
     """Oracle products for every pair of dual monomials of norm <= norm_bound,
     via one pass over the shared coproduct tables."""
-    cap = 2 * norm_bound + params.trunc
+    Truncation(trunc)  # rejects a negative order, which may enumerate nothing
+    cap = 2 * norm_bound + trunc
     buckets: dict[tuple[DualMonomial, DualMonomial], dict] = {}
     for S in multiindices(3, cap):
         for T in multiindices(4, cap - sum(S)):
-            for (k1, k2), c in delta_on_zbasis(S, T, params).items():
+            for (k1, k2), c in delta_on_zbasis(S, T, trunc).items():
                 if (mi_norm(k1[0]) + mi_norm(k1[1]) > norm_bound
                         or mi_norm(k2[0]) + mi_norm(k2[1]) > norm_bound):
                     continue
                 buckets.setdefault((k1, k2), {})[(S, T)] = c
-    trunc = params.trunc
     return {pair: DualElement(trunc, table)
             for pair, table in buckets.items()}
 
 
 def star_oracle_restricted(a: DualMonomial, b: DualMonomial,
-                           params: DeformParams) -> DualElement:
+                           trunc: int) -> DualElement:
     """Oracle with the provable support restriction T = y_a + y_b and
     |S| <= |w_a| + |w_b|.
 
@@ -404,16 +402,20 @@ def star_oracle_restricted(a: DualMonomial, b: DualMonomial,
     check.  Used by the deep diagnostic where the full enumeration would be
     too slow.
     """
-    a = (tuple(a[0]), tuple(a[1]))
-    b = (tuple(b[0]), tuple(b[1]))
     T = tuple(x + y for x, y in zip(a[1], b[1]))
+    return _pair_oracle(a, b, ((S, T) for S in multiindices(
+        3, mi_norm(a[0]) + mi_norm(b[0]))), trunc)
+
+
+def _pair_oracle(a, b, targets, trunc: int) -> DualElement:
+    """sum over the targets (S, T) of <a (x) b, cop(Z^S X^T)> W^S Y^T."""
+    key = ((tuple(a[0]), tuple(a[1])), (tuple(b[0]), tuple(b[1])))
     out: dict[DualMonomial, SeriesScalar] = {}
-    for S in multiindices(3, mi_norm(a[0]) + mi_norm(b[0])):
-        table = delta_on_zbasis(S, T, params)
-        c = table.get((a, b))
-        if c is not None and c.terms:
+    for S, T in targets:
+        c = delta_on_zbasis(S, T, trunc).get(key)
+        if c is not None:
             out[(S, T)] = c
-    return DualElement(params.trunc, out)
+    return DualElement(trunc, out)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       make_generator, make_lambda, make_rho, mono_factors,
                       normal_order_mul)
 from .multiindex import multiindices_graded
-from .report import VerificationReport
+from .report import VerificationReport, clip_note
 from .series import SeriesScalar
 
 _H0 = (0, 0, 0)
@@ -437,14 +437,27 @@ def _cop_mono(trunc: int, mono: PBWMonomial) -> TensorElement:
     return tensor_mul(_cop_mono(trunc, prev), _hopf(trunc).cop_gen[g])
 
 
+def _expand_cop(items, trunc: int) -> dict[TensorKey, Fraction]:
+    """sum c * h^hx * (before (x) cop(m) (x) after) over the items
+    (before, m, after, hx, c), with before and after tuples of leg
+    monomials, dropping h-degrees above trunc."""
+    out: dict[TensorKey, Fraction] = {}
+    get = out.get
+    for before, m, after, h, c in items:
+        for (m1, m2, hs), cs in _cop_mono(trunc, m).terms.items():
+            hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
+            if hh[0] + hh[1] + hh[2] > trunc:
+                continue
+            key = before + (m1, m2) + after + (hh,)
+            out[key] = get(key, 0) + c * cs
+    return out
+
+
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproducts."""
-    trunc = x.params.trunc
-    out: dict[TensorKey, Fraction] = {}
-    for m, s in x.terms.items():
-        for key, c in _cop_mono(trunc, m).scale(s).terms.items():
-            out[key] = out.get(key, 0) + c
-    return TensorElement(x.params, 2, out)
+    return TensorElement(x.params, 2, _expand_cop(
+        (((), m, (), h, c) for m, s in x.terms.items()
+         for h, c in s.terms.items()), x.params.trunc))
 
 
 def counit(x: AlgebraElement) -> SeriesScalar:
@@ -476,18 +489,9 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
 
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
-    D = t.params.trunc
-    out: dict[TensorKey, Fraction] = {}
-    for key, c in t.terms.items():
-        h = key[-1]
-        for sub, cs in _cop_mono(D, key[leg]).terms.items():
-            hs = sub[-1]
-            hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
-            if hh[0] + hh[1] + hh[2] > D:
-                continue
-            nk = key[:leg] + sub[:-1] + key[leg + 1:-1] + (hh,)
-            out[nk] = out.get(nk, 0) + c * cs
-    return TensorElement(t.params, t.arity + 1, out)
+    return TensorElement(t.params, t.arity + 1, _expand_cop(
+        ((key[:leg], key[leg], key[leg + 1:-1], key[-1], c)
+         for key, c in t.terms.items()), t.params.trunc))
 
 
 def apply_counit_leg(t: TensorElement, leg: int):
@@ -555,10 +559,7 @@ def _mono_name(mono: PBWMonomial) -> str:
 
 
 def _diff_note(kind: str, diff) -> str:
-    text = diff.to_text()
-    if len(text) > 120:
-        text = text[:117] + "..."
-    return f"{kind} differs by {text}"
+    return f"{kind} differs by {clip_note(diff.to_text())}"
 
 
 def verify_hopf_axioms(max_generator_degree: int,

@@ -210,7 +210,7 @@ class _Parser:
                 idx = tuple(1 if k == i - 4 else 0 for k in range(4))
                 return DualSym("Y", idx)
             if value == "exp":
-                return self._exp_rho(pos)
+                return self._exp_rho()
             if value in PRIMAL_SYMBOLS:
                 return Sym(value)
             raise ExpressionError(f"unknown token {value!r}", pos)
@@ -235,7 +235,7 @@ class _Parser:
             raise ExpressionError(f"{kind}[...] needs {want} indices", pos)
         return DualSym(kind, tuple(entries))
 
-    def _exp_rho(self, pos: int):
+    def _exp_rho(self):
         self._expect("(")
         sign = 1
         tok = self._peek()
@@ -331,10 +331,6 @@ def classify(node) -> set[str]:
     raise TypeError(node)
 
 
-def is_dual_expression(node) -> bool:
-    return "dual" in classify(node)
-
-
 # -- evaluation -------------------------------------------------------------
 
 def evaluate_primal(node, params: DeformParams) -> AlgebraElement:
@@ -407,6 +403,6 @@ def evaluate(text: str, params: DeformParams):
     """Parse and evaluate; dual expressions yield DualElement, everything
     else an AlgebraElement."""
     node = parse_expression(text)
-    if is_dual_expression(node):
+    if "dual" in classify(node):
         return evaluate_dual(node, params.trunc)
     return evaluate_primal(node, params)

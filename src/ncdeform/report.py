@@ -5,6 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def clip_note(text: str) -> str:
+    """A counterexample note: text, cut to 120 characters ending in "..."
+    when it is longer."""
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
 @dataclass
 class Check:
     name: str
@@ -28,7 +34,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.diagnostic)
+        """Every gated check passed, and at least one ran."""
+        gated = [c.passed for c in self.checks if not c.diagnostic]
+        return bool(gated) and all(gated)
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed and not c.diagnostic]
@@ -58,6 +66,8 @@ class VerificationReport:
         failed = len([c for c in gated if not c.passed])
         if failed:
             lines.append(f"FAILURES: {failed}/{len(gated)} checks")
+        elif not gated:
+            lines.append("FAILED: no check ran")
         else:
             lines.append(f"ALL PASS ({len(gated)} checks)")
         return "\n".join(lines)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdeform import (AlgebraElement, GroupElement, LieData, WedgeElement,
-                      bialgebra_axiom_check, classical_limit,
-                      coboundary_from_r, cocommutator_dir, cocommutator_map,
-                      combine_cocommutators, commutator,
+from ncdeform import (AlgebraElement, GroupElement, InvalidParamsError,
+                      LieData, WedgeElement, bialgebra_axiom_check,
+                      classical_limit, coboundary_from_r, cocommutator_dir,
+                      cocommutator_map, combine_cocommutators, commutator,
                       dual_bracket_from_delta, dual_lie_data_from_delta,
                       dual_structure_constants, group_compose, group_identity,
                       group_inverse, lie_bracket, make_generator, nc_lie_data)
@@ -54,8 +54,8 @@ def test_group_associativity(g, h, f):
 def test_group_inverse(g):
     for alpha, beta, gamma in PARAM_SETS:
         p = params(alpha, beta, gamma, 1)
-        assert group_compose(g, group_inverse(g, p), p) == group_identity()
-        assert group_inverse(group_inverse(g, p), p) == g
+        assert group_compose(g, group_inverse(g), p) == group_identity()
+        assert group_inverse(group_inverse(g)) == g
 
 
 def test_group_text_roundtrip():
@@ -113,21 +113,23 @@ def test_classical_limit_recovers_structure_constants(alpha, beta, gamma):
 # -- cocommutators ----------------------------------------------------------------
 
 def test_cocommutator_displayed_values():
-    p = params(1, 1, 1, 2)
-    assert cocommutator_dir("Th", 1, p) == WedgeElement()
-    assert cocommutator_dir("Th", 2, p) == WedgeElement.wedge(TH, PH, 4)
-    assert cocommutator_dir("Th", 3, p) == WedgeElement.wedge(TH, PS, 4)
-    assert cocommutator_dir("Q1", 1, p) == WedgeElement.wedge(Q1, TH, 2)
+    assert cocommutator_dir("Th", 1, 2) == WedgeElement()
+    assert cocommutator_dir("Th", 2, 2) == WedgeElement.wedge(TH, PH, 4)
+    assert cocommutator_dir("Th", 3, 2) == WedgeElement.wedge(TH, PS, 4)
+    assert cocommutator_dir("Q1", 1, 2) == WedgeElement.wedge(Q1, TH, 2)
 
 
 def test_cocommutator_pattern_all_generators():
-    # delta_i(x) = (4 if x central else 2) x wedge e_i, vanishing when x = e_i.
-    p = params(2, Fraction(1, 2), -3, 2)
-    for direction in (1, 2, 3):
-        for idx, name in enumerate(NAMES):
-            weight = 4 if idx <= 2 else 2
-            want = WedgeElement.wedge(idx, direction - 1, weight)
-            assert cocommutator_dir(name, direction, p) == want, (direction, name)
+    # delta_i(x) = (4 if x central else 2) x wedge e_i, vanishing when x = e_i;
+    # by name and by index, at truncation 2 and 3.
+    for trunc in (2, 3):
+        for direction in (1, 2, 3):
+            for idx, name in enumerate(NAMES):
+                weight = 4 if idx <= 2 else 2
+                want = WedgeElement.wedge(idx, direction - 1, weight)
+                assert cocommutator_dir(name, direction, trunc) == want, \
+                    (direction, name)
+                assert cocommutator_dir(idx, direction, trunc) == want
 
 
 def test_wedge_normalization():
@@ -141,16 +143,14 @@ def test_wedge_normalization():
 
 @pytest.mark.parametrize("direction", [1, 2, 3])
 def test_bialgebra_axioms_per_direction(direction):
-    p = params(1, 1, 1, 2)
     L = nc_lie_data(1, 1, 1)
-    report = bialgebra_axiom_check(cocommutator_map(direction, p), L)
+    report = bialgebra_axiom_check(cocommutator_map(direction, 2), L)
     assert report.passed, report.to_text()
 
 
 def test_bialgebra_axioms_weighted_combination():
-    p = params(2, Fraction(1, 2), -3, 2)
     L = nc_lie_data(2, Fraction(1, 2), -3)
-    delta = combine_cocommutators((Fraction(1, 3), Fraction(-2), Fraction(5)), p)
+    delta = combine_cocommutators((Fraction(1, 3), Fraction(-2), Fraction(5)), 2)
     report = bialgebra_axiom_check(delta, L)
     assert report.passed, report.to_text()
 
@@ -162,9 +162,8 @@ def test_trivial_cocommutator_passes():
 
 
 def test_corrupted_cocommutator_fails_cocycle():
-    p = params(1, 1, 1, 2)
     L = nc_lie_data(1, 1, 1)
-    delta = cocommutator_map(2, p)
+    delta = cocommutator_map(2, 2)
     delta["Th"] = WedgeElement.wedge(TH, Q1, 1)
     report = bialgebra_axiom_check(delta, L)
     assert not report.passed
@@ -204,9 +203,8 @@ def test_coboundary_trivial_candidate_passes():
 
 
 def test_coboundary_never_equals_extracted_target():
-    p = params(1, 1, 1, 2)
     L = nc_lie_data(1, 1, 1)
-    target = cocommutator_map(2, p)
+    target = cocommutator_map(2, 2)
     rng = random.Random(11)
     for _ in range(25):
         r = WedgeElement({(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -219,8 +217,7 @@ def test_coboundary_never_equals_extracted_target():
 # -- duality bridge -----------------------------------------------------------------
 
 def test_dual_bracket_examples():
-    p = params(1, 1, 1, 2)
-    delta2 = cocommutator_map(2, p)
+    delta2 = cocommutator_map(2, 2)
     assert dual_bracket_from_delta(delta2, 1, 2) == {0: Fraction(4)}
     assert dual_bracket_from_delta(delta2, 4, 5) == {}
     for xi in range(1, 8):
@@ -229,12 +226,24 @@ def test_dual_bracket_examples():
 
 @pytest.mark.parametrize("direction", [1, 2, 3])
 def test_duality_closure(direction):
-    p = params(1, 1, 1, 2)
-    from_delta = dual_lie_data_from_delta(cocommutator_map(direction, p))
+    from_delta = dual_lie_data_from_delta(cocommutator_map(direction, 2))
     from_star = dual_structure_constants(direction)
     assert from_delta == from_star
 
 
 def test_cocommutator_requires_positive_truncation():
     with pytest.raises(ValueError, match="truncation"):
-        cocommutator_dir("Th", 2, params(1, 1, 1, 0))
+        cocommutator_dir("Th", 2, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cocommutator_dir("Th", 2, -1),
+    lambda: cocommutator_map(1, -1),
+    lambda: combine_cocommutators((1, 2, -3), -1),
+    lambda: combine_cocommutators((0, 0, 0), -1),
+], ids=["cocommutator_dir", "cocommutator_map", "combine_cocommutators",
+        "combine_cocommutators-zero"])
+def test_cocommutators_reject_negative_truncation(call):
+    # Before the check, zero weights gave zero cocommutators for any order.
+    with pytest.raises(InvalidParamsError, match="truncation"):
+        call()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from ncdeform.cli import MAX_VERIFY_DEGREE, build_parser, main
 from ncdeform.parser import MAX_EXPONENT, MAX_TERMS
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -164,6 +166,27 @@ def test_verify_all(capsys):
                        "--maxdeg", "2")
     assert code == 0
     assert out == (DATA / "verify_all.txt").read_text()
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every command in the README's "Command line" block."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```\n", 2)[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands(capsys):
+    # Stdout and exit code of each README command, as text and as JSON,
+    # byte for byte.
+    transcript = []
+    for argv in readme_commands():
+        for fmt in ([], ["--format", "json"]):
+            code, out, _ = run(capsys, *argv, *fmt)
+            transcript.append(f"$ ncdeform {shlex.join(argv + fmt)}\n"
+                              f"{out}[exit {code}]\n")
+    assert len(transcript) == 30
+    assert "".join(transcript) == (DATA / "readme_commands.txt").read_text()
 
 
 def test_verify_star_json_report(capsys):

@@ -10,7 +10,7 @@ from ncdeform import (AlgebraElement, DualElement, SeriesScalar, chi,
                       dual_structure_constants, from_z_basis, pairing,
                       poisson_bracket_dir, star_closed, star_commutator,
                       star_oracle, star_oracle_grid, to_z_basis)
-from ncdeform import dual
+from ncdeform import InvalidParamsError, dual, star_oracle_element
 from ncdeform.dual import star_oracle_restricted
 from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
                                  submultiindices)
@@ -201,7 +201,7 @@ def test_delta_on_zbasis_matches_series_reference(trunc, abc):
     cap = 3
     for S in multiindices(3, cap):
         for T in multiindices(4, cap - sum(S)):
-            got = delta_on_zbasis(S, T, p)
+            got = delta_on_zbasis(S, T, trunc)
             assert got == reference_delta_on_zbasis(S, T, p), (S, T)
             for s in got.values():
                 assert s.terms
@@ -218,12 +218,11 @@ def test_oracle_never_calls_the_closed_formula(monkeypatch):
     # truncation, so they are dropped to make sure every one is built here.
     dual._delta_z.cache_clear()
     dual._mono_z.cache_clear()
-    p = params(3, Fraction(1, 3), 5, 1)
     a, b = (W0, (1, 0, 0, 0)), ((1, 0, 0), Y0)
-    assert star_oracle(a, b, p) == dm((1, 0, 0), (1, 0, 0, 0), 1) + dm(
+    assert star_oracle(a, b, 1) == dm((1, 0, 0), (1, 0, 0, 0), 1) + dm(
         W0, (1, 0, 0, 0), 1, h_series((1, 0, 0), 1, 1))
-    assert star_oracle_grid(1, p)[(a, b)] == star_oracle(a, b, p)
-    assert star_oracle_restricted(a, b, p) == star_oracle(a, b, p)
+    assert star_oracle_grid(1, 1)[(a, b)] == star_oracle(a, b, 1)
+    assert star_oracle_restricted(a, b, 1) == star_oracle(a, b, 1)
 
 
 # -- pairing and the engine oracle ---------------------------------------------
@@ -240,16 +239,14 @@ def test_pairing_examples():
 
 
 def test_delta_table_unit():
-    p = params(1, 1, 1, 1)
-    table = delta_on_zbasis(W0, Y0, p)
+    table = delta_on_zbasis(W0, Y0, 1)
     assert table == {((W0, Y0), (W0, Y0)): SeriesScalar.one(1)}
 
 
 def test_delta_table_q1():
     # cop(Q1) = Q1 (x) exp(rho) + exp(-rho) (x) Q1; at truncation 1 the
     # exponentials contribute 1 +- h_i Z_i.
-    p = params(1, 1, 1, 1)
-    table = delta_on_zbasis(W0, (1, 0, 0, 0), p)
+    table = delta_on_zbasis(W0, (1, 0, 0, 0), 1)
     xq1 = (W0, (1, 0, 0, 0))
     expected = {
         (xq1, (W0, Y0)): SeriesScalar.one(1),
@@ -265,9 +262,8 @@ def test_delta_table_q1():
 def test_delta_table_classical_shuffle():
     # At h = 0 the coproduct of Z^S X^T is the divided-power shuffle:
     # sum over all splits with coefficient 1.
-    p = params(1, 1, 1, 2)
     S, T = (2, 0, 0), (0, 0, 0, 1)
-    table = delta_on_zbasis(S, T, p)
+    table = delta_on_zbasis(S, T, 2)
     classical = {}
     for key, s in table.items():
         c = s.constant()
@@ -283,18 +279,20 @@ def test_delta_table_classical_shuffle():
 
 
 def test_delta_table_is_parameter_independent():
+    # The table takes no parameters; references built from scratch at two
+    # parameter sets both equal it.
     S, T = (1, 0, 0), (1, 0, 0, 0)
-    t1 = delta_on_zbasis(S, T, params(1, 1, 1, 1))
-    t2 = delta_on_zbasis(S, T, params(2, Fraction(1, 2), -3, 1))
-    assert t1 == t2
+    table = delta_on_zbasis(S, T, 1)
+    assert table == reference_delta_on_zbasis(S, T, params(1, 1, 1, 1))
+    assert table == reference_delta_on_zbasis(
+        S, T, params(2, Fraction(1, 2), -3, 1))
 
 
 def test_oracle_unit_and_constant_term():
-    p = params(1, 1, 1, 1)
     u = ((1, 0, 1), (0, 2, 0, 0))
-    got = star_oracle(u, (W0, Y0), p)
+    got = star_oracle(u, (W0, Y0), 1)
     assert got == dm(u[0], u[1], 1)
-    got = star_oracle(((1, 0, 0), Y0), ((0, 1, 0), Y0), p)
+    got = star_oracle(((1, 0, 0), Y0), ((0, 1, 0), Y0), 1)
     assert got.coefficient(((1, 1, 0), Y0)).constant() == 1
 
 
@@ -306,18 +304,35 @@ def test_oracle_unit_and_constant_term():
     ((W0, (1, 0, 1, 0)), (W0, (0, 1, 0, 1))),
 ])
 def test_oracle_matches_closed_formula_mod_h2(a, b):
-    p = params(1, 1, 1, 1)
-    got = star_oracle(a, b, p)
+    got = star_oracle(a, b, 1)
     want = star_closed(dm(a[0], a[1], 1), dm(b[0], b[1], 1))
     assert got == want
 
 
 def test_oracle_grid_consistency():
-    p = params(1, 1, 1, 1)
-    table = star_oracle_grid(1, p)
+    table = star_oracle_grid(1, 1)
     a = ((1, 0, 0), Y0)
     b = (W0, (1, 0, 0, 0))
-    assert table[(a, b)] == star_oracle(a, b, p)
+    assert table[(a, b)] == star_oracle(a, b, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: delta_on_zbasis(W0, Y0, -1),
+    lambda: star_oracle((W0, Y0), (W0, Y0), -1),
+    lambda: star_oracle((W0, Y0), (W0, Y0), -1, 0),
+    lambda: star_oracle_grid(0, -1),
+    lambda: star_oracle_grid(1, -1),
+    lambda: star_oracle_restricted((W0, Y0), (W0, Y0), -1),
+    lambda: star_oracle_element(DualElement.zero(-1), DualElement.zero(-1)),
+    lambda: star_oracle_element(DualElement(-1, {}), chi(1, 1)),
+], ids=["delta_on_zbasis", "star_oracle", "star_oracle-cap",
+        "star_oracle_grid-0", "star_oracle_grid-1", "star_oracle_restricted",
+        "star_oracle_element-zero", "star_oracle_element"])
+def test_oracle_rejects_negative_truncation(call):
+    # Before the check, star_oracle, star_oracle_grid(0, .) and
+    # star_oracle_element on zero operands returned 0 for a negative order.
+    with pytest.raises(InvalidParamsError, match="truncation"):
+        call()
 
 
 # -- Poisson layer --------------------------------------------------------------

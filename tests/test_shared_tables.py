@@ -4,18 +4,24 @@ every parameter set; each result still lives over the caller's parameters.
 The references here build everything from scratch at the caller's own
 parameters, the way the engine did before the tables were shared."""
 
+import inspect
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from ncdeform import (AlgebraElement, DualElement, SeriesScalar,
-                      TensorElement, coproduct, from_z_basis, make_exp_rho,
-                      make_generator, make_lambda, make_rho, normal_order_mul,
-                      star_oracle_element, tensor_mul, tensor_of, to_z_basis)
+from ncdeform import (AlgebraElement, DualElement, InvalidParamsError,
+                      SeriesScalar, TensorElement, cocommutator_dir,
+                      cocommutator_map, combine_cocommutators, coproduct,
+                      delta_on_zbasis, from_z_basis, group_inverse,
+                      make_exp_rho, make_generator, make_lambda, make_rho,
+                      normal_order_mul, star_oracle, star_oracle_element,
+                      star_oracle_grid, tensor_mul, tensor_of, to_z_basis,
+                      verify_bialgebra_suite, verify_star_suite)
 from ncdeform import algebra, dual, hopf
 from ncdeform.algebra import CENTRAL_GENERATORS, EMPTY_MONO, Truncation
 from ncdeform.cli import main
+from ncdeform.dual import star_oracle_restricted
 from ncdeform.multiindex import mi_norm, multiindices
 
 from conftest import params
@@ -131,6 +137,30 @@ def reference_star_oracle(a, b, p):
 
 # -- tests ------------------------------------------------------------------
 
+def test_parameter_free_functions_take_no_parameters():
+    # alpha, beta and gamma enter only through the commutators; none of
+    # these reads them, so none takes a DeformParams.
+    for fn in (delta_on_zbasis, star_oracle, star_oracle_grid,
+               star_oracle_restricted, star_oracle_element, group_inverse,
+               cocommutator_dir, cocommutator_map, combine_cocommutators):
+        assert "DeformParams" not in str(inspect.signature(fn)), fn.__name__
+    assert list(inspect.signature(group_inverse).parameters) == ["g"]
+    assert list(inspect.signature(star_oracle_element).parameters) == [
+        "u", "v", "degree_cap"]
+    assert list(inspect.signature(verify_star_suite).parameters) == [
+        "norm_bound"]
+    assert list(inspect.signature(verify_bialgebra_suite).parameters) == [
+        "params"]
+
+
+def test_truncation_rejects_a_negative_order():
+    assert Truncation(0).trunc == 0
+    with pytest.raises(InvalidParamsError, match="truncation"):
+        Truncation(-1)
+    with pytest.raises(InvalidParamsError, match="truncation"):
+        params(1, 1, 1, -1)
+
+
 def test_shared_engine_refuses_to_reorder():
     shared = Truncation(2)
     q1, p1 = make_generator("Q1", shared), make_generator("P1", shared)
@@ -167,12 +197,14 @@ def test_coproduct_over_the_callers_parameters(abc):
 
 
 def test_star_oracle_over_the_callers_parameters():
+    # star_oracle_element takes no parameters; a reference built from
+    # scratch at any parameter set equals it.
     p = params(Fraction(5, 7), Fraction(-1, 3), 2, 1)
     u = DualElement.monomial((1, 0, 0), (0, 0, 0, 0), 1)
     v = DualElement.monomial((0, 0, 0), (1, 0, 0, 0), 1, 2)
     want = reference_star_oracle(((1, 0, 0), (0, 0, 0, 0)),
                                  ((0, 0, 0), (1, 0, 0, 0)), p).scale(2)
-    assert star_oracle_element(u, v, p) == want
+    assert star_oracle_element(u, v) == want
 
 
 def test_fresh_parameters_build_no_shared_table():
@@ -182,7 +214,7 @@ def test_fresh_parameters_build_no_shared_table():
 
     def work(p):
         coproduct(AlgebraElement.monomial(p, mono))
-        star_oracle_element(u, v, p)
+        star_oracle_element(u, v)
 
     work(params(2, Fraction(1, 2), -3, 1))
     before = misses(SHARED_BUILDERS + ENGINE_MEMOS)

@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module imports a private name
 (one starting with an underscore) from a sibling module, or reads one as an
-attribute of a sibling module it imported."""
+attribute of a sibling module it imported.  And no function takes a
+parameter that it never reads."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,48 @@ def test_private_uses_catches_each_form():
     assert sorted(private_uses(source)) == [
         "<source>:1 _raw", "<source>:6 d._star_monos",
         "<source>:6 hopf._hopf", "<source>:6 series._raw"]
+
+
+def unread_parameters(source: str, filename: str = "<source>") -> list[str]:
+    """Parameters of functions and lambdas in the source that their body
+    never reads; self and cls are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{filename}:{node.lineno} {name}({arg})" for arg in names
+                  if arg not in ("self", "cls") and arg not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += unread_parameters(path.read_text(), path.name)
+    assert not found, "parameters never read: " + ", ".join(found)
+
+
+def test_unread_parameters_catches_each_form():
+    source = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    return a + kw['x']\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        return self\n"
+        "    @classmethod\n"
+        "    def k(cls, y):\n"
+        "        def inner(z):\n"
+        "            return y + z\n"
+        "        return inner\n"
+        "g = lambda u, v: u\n")
+    assert sorted(unread_parameters(source)) == [
+        "<source>:1 f(args)", "<source>:1 f(b)", "<source>:1 f(c)",
+        "<source>:11 <lambda>(v)", "<source>:4 m(x)"]
