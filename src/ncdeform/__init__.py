@@ -7,7 +7,7 @@ from .series import (SeriesScalar, TruncationMismatchError,
 from .multiindex import (mi_norm, mi_factorial, mi_binom, submultiindices,
                          multiindices, multiindices_graded)
 from .algebra import (GENERATOR_NAMES, AlgebraElement, DeformParams,
-                      InvalidParamsError, ParamsMismatchError, central_inverse,
+                      InvalidParamsError, ParamsMismatchError,
                       classical_limit, commutator, from_z_basis,
                       make_exp_rho, make_generator, make_lambda, make_rho,
                       normal_order_mul, phi_automorphism, to_z_basis)

@@ -1,7 +1,7 @@
 """The deformed enveloping algebra on the seven generators
 Th, Ph, Ps, Q1, Q2, P1, P2.
 
-Elements are finite sums of ordered monomials
+Elements are term maps (series.TermMap): finite sums of ordered monomials
 Th^e1 Ph^e2 Ps^e3 Q1^e4 Q2^e5 P1^e6 P2^e7 with truncated-series coefficients
 (see series.SeriesScalar).  The first three generators are central, and every
 commutator among the last four is a central element:
@@ -25,6 +25,8 @@ lam^-1, lam^k and exp(c*rho) contain none of them, so they are built once
 per truncation order, as elements over Truncation(trunc), and every
 parameter set of that truncation reads the same tables; make_rho,
 make_lambda and make_exp_rho hand out copies over the caller's parameters.
+power_series sums lam, lam^-1 (lambda_coefficients) and exp(c*rho) in rho,
+and, in hopf, cop(lam) and its inverse in cop(rho).
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
-from typing import Iterable, Mapping
+from math import comb, factorial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .multiindex import mi_factorial
-from .series import SeriesScalar
+from .series import (InvalidParamsError, ParamsMismatchError, SeriesScalar,
+                     TermMap, numerators)
 
 GENERATOR_NAMES = ("Th", "Ph", "Ps", "Q1", "Q2", "P1", "P2")
 TH, PH, PS, Q1, Q2, P1, P2 = range(7)
@@ -46,14 +49,6 @@ EMPTY_MONO: tuple[int, ...] = (0,) * 7
 PBWMonomial = tuple[int, int, int, int, int, int, int]
 #: Z-basis key: (central index I, q/p index J) for Z^I X^J.
 ZMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
-
-
-class InvalidParamsError(ValueError):
-    """Rejected deformation parameters (alpha = 0, negative truncation...)."""
-
-
-class ParamsMismatchError(ValueError):
-    """Two elements with different deformation parameters were combined."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class Truncation:
             raise InvalidParamsError("truncation order must be >= 0")
 
 
-class AlgebraElement:
+class AlgebraElement(TermMap):
     """Finite sum of ordered monomials with series coefficients."""
 
     __slots__ = ("params", "terms")
@@ -135,33 +130,14 @@ class AlgebraElement:
 
     # -- structure ---------------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def space(self) -> DeformParams | Truncation:
+        return self.params
+
+    def like(self, terms) -> "AlgebraElement":
+        return AlgebraElement(self.params, terms)
 
     def coefficient(self, mono: PBWMonomial) -> SeriesScalar:
         return self.terms.get(tuple(mono), SeriesScalar.zero(self.params.trunc))
-
-    def is_central(self) -> bool:
-        return all(m[Q1] == m[Q2] == m[P1] == m[P2] == 0 for m in self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AlgebraElement):
-            return self.params == other.params and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.terms
-            return self.terms == {
-                EMPTY_MONO: SeriesScalar.from_rational(other, self.params.trunc)}
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"AlgebraElement({self.to_text()!r})"
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.params != other.params:
-            raise ParamsMismatchError("elements live over different parameters")
 
     def over(self, params) -> "AlgebraElement":
         """The same terms over other parameters of the same truncation: how
@@ -171,37 +147,7 @@ class AlgebraElement:
                 "elements live over different truncations")
         return AlgebraElement(params, self.terms)
 
-    # -- linear operations -------------------------------------------------
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if isinstance(other, (int, Fraction)):
-            other = AlgebraElement.unit(self.params) * other
-        self._check(other)
-        out = dict(self.terms)
-        for m, s in other.terms.items():
-            cur = out.get(m)
-            out[m] = s if cur is None else cur + s
-        return AlgebraElement(self.params, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.params,
-                              {m: -s for m, s in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if isinstance(other, (int, Fraction)):
-            other = AlgebraElement.unit(self.params) * other
-        return self + (-other)
-
-    def scale(self, factor) -> "AlgebraElement":
-        """Multiply every coefficient by a rational or series factor."""
-        out = {}
-        for m, s in self.terms.items():
-            v = s * factor
-            if v.terms:
-                out[m] = v
-        return AlgebraElement(self.params, out)
+    # -- products ----------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
@@ -224,12 +170,7 @@ class AlgebraElement:
     def limit(self, zeroed: Iterable[int]) -> "AlgebraElement":
         """Set the listed deformation parameters (1-based) to zero."""
         zeroed = set(zeroed)
-        out = {}
-        for m, s in self.terms.items():
-            v = s.limit(zeroed)
-            if v.terms:
-                out[m] = v
-        return AlgebraElement(self.params, out)
+        return self.like({m: s.limit(zeroed) for m, s in self.terms.items()})
 
     # -- presentation ------------------------------------------------------
 
@@ -240,8 +181,6 @@ class AlgebraElement:
     def to_json(self) -> dict:
         from .render import element_to_json
         return element_to_json(self)
-
-    __str__ = to_text
 
 
 def mono_factors(mono: PBWMonomial) -> list[str]:
@@ -353,11 +292,8 @@ class _Engine:
     def mono_mul_flat(self, ma: PBWMonomial, mb: PBWMonomial) -> tuple:
         """mono_mul flattened over one denominator: (den, ((monomial,
         h exponent, integer numerator), ...)), each numerator over den."""
-        flat = [(m, h, c) for m, s in self.mono_mul(ma, mb).items()
-                for h, c in s.terms.items()]
-        den = lcm(*(c.denominator for _, _, c in flat))
-        return den, tuple((m, h, c.numerator * (den // c.denominator))
-                          for m, h, c in flat)
+        den, rows = numerators(self.mono_mul(ma, mb))
+        return den, tuple((m, h, n) for m, coef in rows for h, n in coef)
 
 
 def _unit_mono(idx: int) -> PBWMonomial:
@@ -393,28 +329,6 @@ def _central_mul(c: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.params, out)
 
 
-def central_inverse(x: AlgebraElement) -> AlgebraElement:
-    """Inverse of a central element whose h-degree-0 part is a nonzero scalar.
-
-    Works by geometric series: 1 - x/u has positive h-degree in every term,
-    hence is nilpotent at any truncation.
-    """
-    if not x.is_central():
-        raise ValueError("only central elements can be inverted")
-    u = x.coefficient(EMPTY_MONO).constant()
-    if not u:
-        raise ValueError("non-invertible element: zero scalar part")
-    for m, s in x.terms.items():
-        if m != EMPTY_MONO and s.constant():
-            raise ValueError("non-invertible element: h-free non-scalar part")
-    one = AlgebraElement.unit(x.params)
-    g = one - x.scale(1 / u)
-    acc = one
-    for _ in range(x.params.trunc):
-        acc = one + _central_mul(g, acc)
-    return acc.scale(1 / u)
-
-
 @cache
 def engine(params: DeformParams | Truncation) -> _Engine:
     """The normal-ordering engine of one parameter set, built once.
@@ -430,7 +344,33 @@ def engine(params: DeformParams | Truncation) -> _Engine:
 
 # ---------------------------------------------------------------------------
 # The central series, one set per truncation order, over Truncation(trunc).
+# rho carries h-degree 1, so every power series in it stops at rho^trunc.
 # ---------------------------------------------------------------------------
+
+def lambda_coefficients(k: int, trunc: int) -> list[Fraction]:
+    """The coefficients of x^0 .. x^trunc in (sinh(2x)/(2x))^k, k = +-1:
+    4^n/(2n+1)! at x^(2n) for k = 1, their reciprocal series for k = -1."""
+    lam = [Fraction(2 ** n, factorial(n + 1)) if n % 2 == 0 else Fraction(0)
+           for n in range(trunc + 1)]
+    if k == 1:
+        return lam
+    if k != -1:
+        raise ValueError(f"lambda coefficients are built for k = +-1, not {k}")
+    inv = [Fraction(1)]
+    for n in range(1, trunc + 1):
+        inv.append(-sum(lam[j] * inv[n - j] for j in range(1, n + 1)))
+    return inv
+
+
+def power_series(coeffs: Sequence[Fraction], x, one, mul: Callable):
+    """sum_n coeffs[n] * x^n, with x^n built from one by repeated mul."""
+    out = one.scale(coeffs[0])
+    power = one
+    for c in coeffs[1:]:
+        power = mul(power, x)
+        out = out + power.scale(c)
+    return out
+
 
 @cache
 def _rho(trunc: int) -> AlgebraElement:
@@ -444,32 +384,21 @@ def _rho(trunc: int) -> AlgebraElement:
 @cache
 def _lam_pow(k: int, trunc: int) -> AlgebraElement:
     """lam^k for any integer k."""
+    one = AlgebraElement.unit(Truncation(trunc))
     if k == 0:
-        return AlgebraElement.unit(Truncation(trunc))
-    if k == -1:
-        return central_inverse(_lam_pow(1, trunc))
-    if k == 1:
-        # lam = sum_n (2 rho)^(2n) / (2n+1)!; rho carries h-degree 1, so
-        # the sum stops once 2n exceeds the truncation order.
-        out = power = AlgebraElement.unit(Truncation(trunc))
-        rho2 = _central_mul(_rho(trunc), _rho(trunc))
-        n = 1
-        while 2 * n <= trunc:
-            power = _central_mul(power, rho2)
-            out = out + power.scale(Fraction(4 ** n, factorial(2 * n + 1)))
-            n += 1
-        return out
+        return one
+    if k in (1, -1):
+        return power_series(lambda_coefficients(k, trunc), _rho(trunc), one,
+                            _central_mul)
     step = 1 if k > 0 else -1
     return _central_mul(_lam_pow(k - step, trunc), _lam_pow(step, trunc))
 
 
 @cache
 def _exp_rho(c: Fraction, trunc: int) -> AlgebraElement:
-    out = power = AlgebraElement.unit(Truncation(trunc))
-    for n in range(1, trunc + 1):
-        power = _central_mul(power, _rho(trunc))
-        out = out + power.scale(c ** n / factorial(n))
-    return out
+    return power_series([c ** n / factorial(n) for n in range(trunc + 1)],
+                        _rho(trunc), AlgebraElement.unit(Truncation(trunc)),
+                        _central_mul)
 
 # ---------------------------------------------------------------------------
 # Public operations.
@@ -508,7 +437,7 @@ def make_exp_rho(c, params: DeformParams) -> AlgebraElement:
 
 def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product of two elements, re-expressed in the ordered-monomial basis."""
-    x._check(y)
+    x.check(y)
     eng = engine(x.params)
     out: dict[PBWMonomial, SeriesScalar] = {}
     for ma, sa in x.terms.items():

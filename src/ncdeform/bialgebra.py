@@ -15,7 +15,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import GENERATOR_NAMES, DeformParams, Truncation, make_generator
+from .hopf import coproduct
 from .report import VerificationReport
+from .series import TermMap
 
 DIM = 7
 Vector = dict[int, Fraction]        # sparse coordinates over the basis
@@ -124,7 +126,7 @@ def lie_bracket(x, y, L: LieData) -> Vector:
 # Wedge elements.
 # ---------------------------------------------------------------------------
 
-class WedgeElement:
+class WedgeElement(TermMap):
     """Element of Lambda^2 of the Lie algebra; stored with i < j and the
     convention x wedge y = x (x) y - y (x) x."""
 
@@ -146,28 +148,11 @@ class WedgeElement:
     def wedge(cls, i: int, j: int, c=1) -> "WedgeElement":
         return cls({(i, j): Fraction(c)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def space(self) -> None:
+        """Every wedge lives in the one Lambda^2 of the Lie algebra."""
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WedgeElement) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "WedgeElement") -> "WedgeElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return WedgeElement(out)
-
-    def __neg__(self) -> "WedgeElement":
-        return WedgeElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "WedgeElement") -> "WedgeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "WedgeElement":
-        return WedgeElement({k: v * Fraction(c) for k, v in self.terms.items()})
+    def like(self, terms) -> "WedgeElement":
+        return WedgeElement(terms)
 
     def pairs(self):
         """Expand into (i, j, coefficient) with both tensor orders."""
@@ -182,9 +167,6 @@ class WedgeElement:
     def to_json(self) -> list:
         from .render import wedge_to_json
         return wedge_to_json(self)
-
-    __str__ = to_text
-    __repr__ = to_text
 
 
 def ad_wedge(x: int, w: WedgeElement, L: LieData) -> WedgeElement:
@@ -278,8 +260,6 @@ def cocommutator_dir(name, direction: int, trunc: int) -> WedgeElement:
     set to zero, extracts the linear coefficient of h_direction and folds the
     surviving generator (x) generator terms into Lambda^2.
     """
-    from .hopf import coproduct
-
     shared = Truncation(trunc)
     if direction not in (1, 2, 3):
         raise ValueError("direction must be 1, 2 or 3")

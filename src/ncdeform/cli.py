@@ -17,7 +17,7 @@ from .bialgebra import GroupElement, group_compose, group_inverse
 from .dual import poisson_bracket_dir, star_closed, star_oracle_element
 from .hopf import antipode, coproduct, counit, heisenberg_limit_report, \
     verify_hopf_axioms
-from .parser import (ExpressionError, classify, evaluate_dual,
+from .parser import (ExpressionError, check_pairs, classify, evaluate_dual,
                      evaluate_primal, parse_expression)
 from .render import (dual_to_json, dual_to_text, element_to_json,
                      element_to_text, group_to_json, group_to_text,
@@ -199,8 +199,11 @@ def _dispatch(args) -> int:
         render = (VerificationReport.to_text, VerificationReport.to_json)
         status = 0 if out.passed else 1
     else:
-        kind, _, operation, render = _commands(args)[args.command]
-        out = operation(*(_operand(text, kind, params) for text in args.exprs))
+        kind, arity, operation, render = _commands(args)[args.command]
+        operands = [_operand(text, kind, params) for text in args.exprs]
+        if arity == 2:
+            check_pairs(*operands)
+        out = operation(*operands)
     to_text, to_json = render
     _emit(args, json.dumps(to_json(out)) if fmt == "json" else to_text(out))
     return status

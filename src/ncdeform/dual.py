@@ -25,9 +25,10 @@ DualElement keeps {key: SeriesScalar} with Fraction coefficients, and that
 map is what every caller sees.  Both products run on integers instead, in
 the layout of FLINT's fmpq_poly (integer numerators over one denominator):
 an operand, a Z-basis expansion or a coproduct is brought once to integer
-numerators over the lcm of its denominators, the inner loops add integer
-products keyed by (key, h), and each output coefficient becomes a Fraction
-(one gcd) once, when the sum is complete.
+numerators over the lcm of its denominators (series.numerators), the inner
+loops add integer products keyed by (key, h), and each output coefficient
+becomes a Fraction (one gcd) once, when the sum is complete
+(series.from_numerators).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .algebra import (AlgebraElement, InvalidParamsError,
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
-from .series import HExponent, SeriesScalar
+from .series import (HExponent, SeriesScalar, TermMap, from_numerators,
+                     numerators)
 
 DualMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
 
@@ -59,7 +61,7 @@ class NonLinearBracketError(ValueError):
     """A basis bracket failed to be linear in the basis functionals."""
 
 
-class DualElement:
+class DualElement(TermMap):
     """Finite sum of dual monomials W^K Y^L with series coefficients."""
 
     __slots__ = ("trunc", "terms")
@@ -86,40 +88,14 @@ class DualElement:
             coeff = SeriesScalar.from_rational(coeff, trunc)
         return cls(trunc, {(tuple(w), tuple(y)): coeff})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def space(self) -> int:
+        return self.trunc
+
+    def like(self, terms) -> "DualElement":
+        return DualElement(self.trunc, terms)
 
     def coefficient(self, key: DualMonomial) -> SeriesScalar:
         return self.terms.get(key, SeriesScalar.zero(self.trunc))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DualElement) and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"DualElement({self.to_text()!r})"
-
-    def __add__(self, other: "DualElement") -> "DualElement":
-        out = dict(self.terms)
-        for k, s in other.terms.items():
-            cur = out.get(k)
-            out[k] = s if cur is None else cur + s
-        return DualElement(self.trunc, out)
-
-    def __neg__(self) -> "DualElement":
-        return DualElement(self.trunc, {k: -s for k, s in self.terms.items()})
-
-    def __sub__(self, other: "DualElement") -> "DualElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "DualElement":
-        out = {}
-        for k, s in self.terms.items():
-            v = s * factor
-            if v.terms:
-                out[k] = v
-        return DualElement(self.trunc, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
@@ -130,12 +106,9 @@ class DualElement:
 
     def hdegree_truncated(self, below: int) -> "DualElement":
         """Keep only coefficient terms of h-degree < below."""
-        out = {}
-        for k, s in self.terms.items():
-            kept = {h: c for h, c in s.terms.items() if sum(h) < below}
-            if kept:
-                out[k] = SeriesScalar(kept, s.trunc)
-        return DualElement(self.trunc, out)
+        return self.like({k: SeriesScalar({h: c for h, c in s.terms.items()
+                                           if sum(h) < below}, s.trunc)
+                          for k, s in self.terms.items()})
 
     def to_text(self) -> str:
         from .render import dual_to_text
@@ -144,8 +117,6 @@ class DualElement:
     def to_json(self) -> dict:
         from .render import dual_to_json
         return dual_to_json(self)
-
-    __str__ = to_text
 
 
 def chi(i: int, trunc: int) -> DualElement:
@@ -168,30 +139,6 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
             cur = out.get(key)
             out[key] = s if cur is None else cur + s
     return DualElement(u.trunc, out)
-
-
-# ---------------------------------------------------------------------------
-# Integer numerators, shared by the closed product and the oracle.
-# ---------------------------------------------------------------------------
-
-def _numerators(terms: Mapping) -> tuple[int, list]:
-    """A map {key: SeriesScalar} as integer numerators over one denominator:
-    (L, [(key, [(h, numerator), ...]), ...]), L the lcm of the denominators
-    of every coefficient."""
-    L = lcm(*(c.denominator for s in terms.values() for c in s.terms.values()))
-    return L, [(key, [(h, c.numerator * (L // c.denominator))
-                      for h, c in s.terms.items()])
-               for key, s in terms.items()]
-
-
-def _collect(acc: Mapping[tuple, int], den: int, trunc: int) -> dict:
-    """Integer sums keyed by (key, h) as {key: SeriesScalar}, each nonzero
-    sum becoming one Fraction over den."""
-    out: dict = {}
-    for (key, h), n in acc.items():
-        if n:
-            out.setdefault(key, {})[h] = Fraction(n, den)
-    return {key: SeriesScalar(terms, trunc) for key, terms in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +182,8 @@ def star_closed(u: DualElement, v: DualElement) -> DualElement:
     Lu * Lv, normalised once.
     """
     trunc = u.trunc
-    Lu, uterms = _numerators(u.terms)
-    Lv, vterms = _numerators(v.terms)
+    Lu, uterms = numerators(u.terms)
+    Lv, vterms = numerators(v.terms)
     acc: dict[tuple[DualMonomial, HExponent], int] = {}
     get = acc.get
     for (wa, ya), ucoef in uterms:
@@ -260,7 +207,7 @@ def star_closed(u: DualElement, v: DualElement) -> DualElement:
                             continue
                         k = (key, (h0 + h[0], h1 + h[1], h2 + h[2]))
                         acc[k] = get(k, 0) + n * c
-    return DualElement(trunc, _collect(acc, Lu * Lv, trunc))
+    return DualElement(trunc, from_numerators(acc, Lu * Lv, trunc))
 
 
 def star_commutator(u: DualElement, v: DualElement) -> DualElement:
@@ -300,7 +247,7 @@ def delta_on_zbasis(S, T, trunc: int) -> dict[tuple[ZMonomial, ZMonomial], Serie
 def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
     """Z-basis expansion of a single ordered monomial as integer numerators
     over one denominator: (L, ((zkey, h, numerator), ...))."""
-    L, rows = _numerators(to_z_basis(
+    L, rows = numerators(to_z_basis(
         AlgebraElement.monomial(Truncation(trunc), mono)))
     return L, tuple((k, h, n) for k, coef in rows for h, n in coef)
 
@@ -332,7 +279,7 @@ def _delta_z(S, T, trunc: int) -> dict:
                     continue
                 key = ((k1, k2), (g0 + e[0], g1 + e[1], g2 + e[2]))
                 acc[key] = get(key, 0) + m * n2
-    return _collect(acc, Lt * L1 * L2, trunc)
+    return from_numerators(acc, Lt * L1 * L2, trunc)
 
 
 def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,

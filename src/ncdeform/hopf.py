@@ -6,10 +6,10 @@ The coproduct is fixed on generators,
     cop(Qi) = Qi (x) exp(rho)  + exp(-rho)  (x) Qi      (same for Pi)
     cop(Th) = (lam*Th (x) exp(2rho) + exp(-2rho) (x) lam*Th) / cop(lam)
 
-(and likewise for Ph, Ps), and extended multiplicatively.  cop(lam) is
-computed directly from the sinh series in cop(rho) = rho (x) 1 + 1 (x) rho
-and inverted by a geometric series in the central tensor subalgebra, which is
-valid because its h-free part is exactly 1 (x) 1.
+(and likewise for Ph, Ps), and extended multiplicatively.  cop is an
+algebra map and cop(rho) = rho (x) 1 + 1 (x) rho, so cop(lam) and its
+inverse are the power series of lam and lam^-1 (algebra.power_series with
+algebra.lambda_coefficients) in cop(rho) instead of rho.
 
 None of this contains alpha, beta or gamma, so cop(rho), cop(lam) and its
 inverse, the generator coproducts and the coproducts of monomials on two
@@ -42,12 +42,12 @@ from typing import Mapping
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       Q1, Q2, TH, AlgebraElement, DeformParams,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
-                      Truncation, commutator, engine, make_exp_rho,
-                      make_generator, make_lambda, make_rho, mono_factors,
-                      normal_order_mul)
+                      Truncation, commutator, engine, lambda_coefficients,
+                      make_exp_rho, make_generator, make_lambda, make_rho,
+                      mono_factors, normal_order_mul, power_series)
 from .multiindex import multiindices_graded
 from .report import VerificationReport, clip_note
-from .series import SeriesScalar
+from .series import SeriesScalar, TermMap
 
 _H0 = (0, 0, 0)
 
@@ -55,7 +55,7 @@ _H0 = (0, 0, 0)
 TensorKey = tuple
 
 
-class TensorElement:
+class TensorElement(TermMap):
     """Finite sum of monomial tensors (arity 2 or 3) with series coefficients.
 
     terms maps (m_1, ..., m_arity, h) -> Fraction, with no zero values;
@@ -82,22 +82,11 @@ class TensorElement:
         return cls(params, arity,
                    {(EMPTY_MONO,) * arity + (_H0,): Fraction(1)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def space(self) -> tuple:
+        return self.params, self.arity
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorElement)
-                and self.params == other.params and self.arity == other.arity
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TensorElement({self.to_text()!r})"
-
-    def _check(self, other: "TensorElement") -> None:
-        if self.params != other.params or self.arity != other.arity:
-            raise ParamsMismatchError("tensor elements are not compatible")
+    def like(self, terms) -> "TensorElement":
+        return TensorElement(self.params, self.arity, terms)
 
     def over(self, params) -> "TensorElement":
         """The same terms over other parameters of the same truncation: how
@@ -141,20 +130,6 @@ class TensorElement:
                        key=lambda group: group[1]))
         return self._buckets
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return TensorElement(self.params, self.arity, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.params, self.arity,
-                             {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
     def scale(self, factor) -> "TensorElement":
         if isinstance(factor, SeriesScalar):
             D = self.params.trunc
@@ -167,12 +142,8 @@ class TensorElement:
                         continue
                     nk = key[:-1] + (hh,)
                     out[nk] = out.get(nk, 0) + c * cs
-            return TensorElement(self.params, self.arity, out)
-        factor = Fraction(factor)
-        if not factor:
-            return TensorElement.zero(self.params, self.arity)
-        return TensorElement(self.params, self.arity,
-                             {k: c * factor for k, c in self.terms.items()})
+            return self.like(out)
+        return super().scale(factor)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
@@ -193,9 +164,8 @@ class TensorElement:
 
     def limit(self, zeroed) -> "TensorElement":
         zeroed = set(zeroed)
-        return TensorElement(self.params, self.arity,
-                             {k: c for k, c in self.terms.items()
-                              if all(k[-1][i - 1] == 0 for i in zeroed)})
+        return self.like({k: c for k, c in self.terms.items()
+                          if all(k[-1][i - 1] == 0 for i in zeroed)})
 
     def coefficient(self, legs: tuple) -> SeriesScalar:
         acc = {key[-1]: c for key, c in self.terms.items()
@@ -209,8 +179,6 @@ class TensorElement:
     def to_json(self) -> dict:
         from .render import tensor_to_json
         return tensor_to_json(self)
-
-    __str__ = to_text
 
 
 def tensor_of(*factors: AlgebraElement) -> TensorElement:
@@ -245,7 +213,7 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     its output key, and each output coefficient is that sum over
     La * Lb * Lm**arity, normalised once.
     """
-    a._check(b)
+    a.check(b)
     D = a.params.trunc
     arity = a.arity
     La, alegs, agroups = a.buckets()
@@ -364,23 +332,6 @@ def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     return tensor_mul(a, b) - tensor_mul(b, a)
 
 
-def _tensor_inverse(t: TensorElement) -> TensorElement:
-    """Geometric inverse for tensors whose h-free part is u * (1 (x) 1)."""
-    unit_legs = (EMPTY_MONO,) * t.arity
-    u = t.terms.get(unit_legs + (_H0,), Fraction(0))
-    if not u:
-        raise ValueError("non-invertible tensor: zero scalar part")
-    for key, c in t.terms.items():
-        if key[-1] == _H0 and key[:-1] != unit_legs:
-            raise ValueError("non-invertible tensor: h-free non-scalar part")
-    one = TensorElement.unit(t.params, t.arity)
-    g = one - t.scale(Fraction(1) / u)
-    acc = one
-    for _ in range(t.params.trunc):
-        acc = one + tensor_mul(g, acc)
-    return acc.scale(Fraction(1) / u)
-
-
 # ---------------------------------------------------------------------------
 # Coproduct tables, one set per truncation order over Truncation(trunc):
 # the coproduct contains no alpha, beta or gamma, and every leg product in
@@ -397,18 +348,11 @@ class _HopfCache:
         one = AlgebraElement.unit(shared)
         rho, lam = make_rho(shared), make_lambda(shared)
 
-        cop_rho = tensor_of(rho, one) + tensor_of(one, rho)
-        cop_lam = TensorElement.unit(shared)
-        rho2 = tensor_mul(cop_rho, cop_rho)
-        power = TensorElement.unit(shared)
-        n = 1
-        while 2 * n <= trunc:
-            power = tensor_mul(power, rho2)
-            cop_lam = cop_lam + power.scale(Fraction(4 ** n, factorial(2 * n + 1)))
-            n += 1
-        self.cop_rho = cop_rho
-        self.cop_lam = cop_lam
-        self.cop_lam_inv = _tensor_inverse(cop_lam)
+        self.cop_rho = tensor_of(rho, one) + tensor_of(one, rho)
+        self.cop_lam, self.cop_lam_inv = (
+            power_series(lambda_coefficients(k, trunc), self.cop_rho,
+                         TensorElement.unit(shared), tensor_mul)
+            for k in (1, -1))
 
         e1, em1 = make_exp_rho(1, shared), make_exp_rho(-1, shared)
         e2, em2 = make_exp_rho(2, shared), make_exp_rho(-2, shared)

@@ -8,8 +8,9 @@ Grammar (whitespace insensitive):
     atom   := rational | token | '(' expr ')'
 
 The generator degree of the whole expression (see degree()) is at most
-MAX_EXPONENT as well, and no element met while it is evaluated may have
-more than MAX_TERMS terms.
+MAX_EXPONENT as well, no element met while it is evaluated may have more
+than MAX_TERMS terms, and no product met on the way may have more than
+MAX_PAIRS term pairs.
 
 Tokens: rationals "p" or "p/q"; deformation parameters h1 h2 h3; generators
 Th Ph Ps Q1 Q2 P1 P2; built-ins rho, lambda, exp(c*rho); dual functionals
@@ -40,6 +41,13 @@ MAX_EXPONENT = 32
 #: bound does not bound it: a power of a k-term sum has about
 #: C(n + k - 1, k - 1) terms.  (Q1+P1)^32 at truncation 2 reaches 1,825.
 MAX_TERMS = 2048
+
+#: Largest number of term pairs of one product, checked before every product
+#: and power step and every two-operand command: two operands within the term
+#: bound may still take minutes.  At 8 * MAX_TERMS a power of a sum of at
+#: most 8 terms meets the term bound first; (Q1+P1+Q2+P2)^10 at truncation 0
+#: reaches 4,704 pairs in one step.
+MAX_PAIRS = 8 * MAX_TERMS
 
 
 class ExpressionError(ValueError):
@@ -289,6 +297,19 @@ def _bounded(x):
     return x
 
 
+def check_pairs(x, y) -> None:
+    """Raise ExpressionError if x * y has more than MAX_PAIRS term pairs."""
+    if len(x.terms) * len(y.terms) > MAX_PAIRS:
+        raise ExpressionError(
+            f"product of {len(x.terms)} by {len(y.terms)} terms exceeds "
+            f"the bound of {MAX_PAIRS} term pairs")
+
+
+def _product(mul, x, y):
+    check_pairs(x, y)
+    return _bounded(mul(x, y))
+
+
 def _check_degree(total: int, position: int) -> None:
     if total > MAX_EXPONENT:
         raise ExpressionError(
@@ -351,12 +372,12 @@ def evaluate_primal(node, params: DeformParams) -> AlgebraElement:
         out = AlgebraElement.unit(params)
         base = evaluate_primal(node.base, params)
         for _ in range(node.exponent):
-            out = _bounded(normal_order_mul(out, base))
+            out = _product(normal_order_mul, out, base)
         return out
     if isinstance(node, Mul):
         out = AlgebraElement.unit(params)
         for f in node.factors:
-            out = _bounded(normal_order_mul(out, evaluate_primal(f, params)))
+            out = _product(normal_order_mul, out, evaluate_primal(f, params))
         return out
     if isinstance(node, Add):
         out = AlgebraElement.zero(params)
@@ -383,12 +404,12 @@ def evaluate_dual(node, trunc: int) -> DualElement:
         out = DualElement.unit(trunc)
         base = evaluate_dual(node.base, trunc)
         for _ in range(node.exponent):
-            out = _bounded(classical_product(out, base))
+            out = _product(classical_product, out, base)
         return out
     if isinstance(node, Mul):
         out = DualElement.unit(trunc)
         for f in node.factors:
-            out = _bounded(classical_product(out, evaluate_dual(f, trunc)))
+            out = _product(classical_product, out, evaluate_dual(f, trunc))
         return out
     if isinstance(node, Add):
         out = DualElement.zero(trunc)

@@ -1,10 +1,16 @@
-"""Truncated formal power series in the deformation parameters h1, h2, h3.
+"""Truncated formal power series in the deformation parameters h1, h2, h3,
+and the linear-space core shared by every finite sum over a basis.
 
 This is the scalar ring of the whole engine.  A series is a sparse map from
 exponent triples (m1, m2, m3) -- standing for h1^m1 * h2^m2 * h3^m3 -- to
 exact rational coefficients, together with a truncation order: every monomial
 of total degree > trunc is discarded by every operation.  Zero coefficients
 are never stored, so two series are equal iff their term maps are equal.
+
+Every other carrier (algebra elements, tensors, dual functionals, wedges) is
+a TermMap, whose vector-space operations are written once here.
+numerators() and from_numerators() are the integer-numerator layout of a
+{key: SeriesScalar} map that the integer kernels work in.
 
 >>> a = SeriesScalar.one(2) + SeriesScalar.hbar(1, 2)
 >>> print((a * a).to_text())
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 HExponent = tuple[int, int, int]
@@ -29,6 +36,14 @@ class TruncationMismatchError(ValueError):
 
 class NonInvertibleSeriesError(ValueError):
     """The series has zero constant term and cannot be inverted."""
+
+
+class InvalidParamsError(ValueError):
+    """Rejected deformation parameters (alpha = 0, negative truncation...)."""
+
+
+class ParamsMismatchError(ValueError):
+    """Two elements over different parameters or truncations were combined."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,7 +66,7 @@ class SeriesScalar:
 
     def __init__(self, terms: Mapping[HExponent, Fraction], trunc: int):
         if trunc < 0:
-            raise ValueError("truncation order must be >= 0")
+            raise InvalidParamsError("truncation order must be >= 0")
         clean: dict[HExponent, Fraction] = {}
         for h, c in terms.items():
             if sum(h) > trunc:
@@ -221,6 +236,78 @@ def _raw(terms: dict, trunc: int) -> SeriesScalar:
     s.terms = terms
     s.trunc = trunc
     return s
+
+
+class TermMap:
+    """A finite sum over a basis: terms maps basis keys to nonzero
+    coefficients.  A subclass adds to_text(), space(), what two operands
+    must share to be combined or equal, and like(terms), the term map over
+    the same space whose constructor drops zero coefficients."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.space() == other.space()
+                and self.terms == other.terms)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()!r})"
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def check(self, other: "TermMap") -> None:
+        """Raise unless other is the same kind of term map over this space."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
+        if self.space() != other.space():
+            raise ParamsMismatchError(
+                f"{type(self).__name__}s live over different spaces: "
+                f"{self.space()} vs {other.space()}")
+
+    def __add__(self, other: "TermMap") -> "TermMap":
+        self.check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            cur = out.get(k)
+            out[k] = c if cur is None else cur + c
+        return self.like(out)
+
+    def __neg__(self) -> "TermMap":
+        return self.like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "TermMap") -> "TermMap":
+        return self + (-other)
+
+    def scale(self, factor) -> "TermMap":
+        """Multiply every coefficient by factor."""
+        return self.like({k: c * factor for k, c in self.terms.items()})
+
+
+def numerators(terms: Mapping) -> tuple[int, list]:
+    """A map {key: SeriesScalar} as integer numerators over one denominator:
+    (L, [(key, [(h, numerator), ...]), ...]), L the lcm of the denominators
+    of every coefficient."""
+    L = lcm(*(c.denominator for s in terms.values() for c in s.terms.values()))
+    return L, [(key, [(h, c.numerator * (L // c.denominator))
+                      for h, c in s.terms.items()])
+               for key, s in terms.items()]
+
+
+def from_numerators(acc: Mapping[tuple, int], den: int, trunc: int) -> dict:
+    """Integer sums keyed by (key, h) as {key: SeriesScalar}, each nonzero
+    sum becoming one Fraction over den."""
+    out: dict = {}
+    for (key, h), n in acc.items():
+        if n:
+            out.setdefault(key, {})[h] = Fraction(n, den)
+    return {key: SeriesScalar(terms, trunc) for key, terms in out.items()}
 
 
 def h_factors(h: HExponent) -> list[str]:

@@ -19,14 +19,15 @@ from itertools import product
 
 from .algebra import (GENERATOR_NAMES, AlgebraElement, DeformParams,
                       classical_limit, commutator, make_generator)
-from .bialgebra import (LieData, WedgeElement, bialgebra_axiom_check,
-                        coboundary_from_r, cocommutator_map,
-                        combine_cocommutators, dual_lie_data_from_delta,
-                        group_compose, group_identity, group_inverse,
-                        nc_lie_data)
+from .bialgebra import (GroupElement, LieData, WedgeElement,
+                        bialgebra_axiom_check, coboundary_from_r,
+                        cocommutator_map, combine_cocommutators,
+                        dual_lie_data_from_delta, group_compose,
+                        group_identity, group_inverse, nc_lie_data)
 from .dual import (DualElement, chi, classical_product, dual_structure_constants,
                    poisson_bracket_dir, star_closed, star_oracle_grid,
                    star_oracle_restricted)
+from .hopf import heisenberg_limit_report, verify_hopf_axioms
 from .multiindex import multiindices
 from .report import VerificationReport, clip_note
 
@@ -320,7 +321,6 @@ def verify_bialgebra_suite(params: DeformParams) -> VerificationReport:
 
 
 def random_group_element(rng: random.Random):
-    from .bialgebra import GroupElement
     return GroupElement.make(
         _random_fraction(rng), _random_fraction(rng), _random_fraction(rng),
         (_random_fraction(rng), _random_fraction(rng)),
@@ -329,7 +329,6 @@ def random_group_element(rng: random.Random):
 
 def verify_all(params: DeformParams, maxdeg: int = 2,
                heisenberg_degree: int = 3) -> VerificationReport:
-    from .hopf import heisenberg_limit_report, verify_hopf_axioms
     report = VerificationReport()
     report.extend(verify_hopf_axioms(maxdeg, params))
     report.extend(verify_star_suite(min(maxdeg, 2)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncdeform.cli import MAX_VERIFY_DEGREE, build_parser, main
-from ncdeform.parser import MAX_EXPONENT, MAX_TERMS
+from ncdeform.parser import MAX_EXPONENT, MAX_PAIRS, MAX_TERMS
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -302,6 +302,25 @@ def test_expression_term_bound_exits_in_time(capsys, command, expr, other):
     assert code == 2
     assert out == ""
     assert f"more than {MAX_TERMS} terms" in err
+
+
+@pytest.mark.parametrize("command,expr,other,trunc", [
+    ("mul", "(Q1+P1+Q2+P2)^10", "(Q1+P1+Q2+P2)^3", "0"),
+    ("mul", "(Q1+P1)^32", "(Q1+P1)^32", "0"),
+    ("star", "(x1+x2+x3+x4+x5+x6+x7)^4", "(x1+x2+x3+x4+x5+x6+x7)^4", "2"),
+])
+def test_operand_pair_bound_exits_in_time(capsys, command, expr, other,
+                                          trunc):
+    # Each operand is within the term bound; on a 2-vCPU machine their
+    # product took 8.6 s, over 20 s and 4.0 s before the pair count was
+    # checked.  (Q1+P1)^32 at truncation 2 stays accepted: see
+    # test_parser.test_term_bound_admits_the_largest_binomial_power.
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, expr, other, "--trunc", trunc)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert f"{MAX_PAIRS} term pairs" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -335,6 +335,16 @@ def test_oracle_rejects_negative_truncation(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: DualElement.monomial((1, 0, 0), (0, 0, 0, 0), -1),
+    lambda: chi(1, -1),
+], ids=["monomial", "chi"])
+def test_dual_constructors_reject_negative_truncation(call):
+    # The series ring raised a plain ValueError here, unlike Truncation.
+    with pytest.raises(InvalidParamsError, match="truncation"):
+        call()
+
+
 # -- Poisson layer --------------------------------------------------------------
 
 def test_poisson_examples():

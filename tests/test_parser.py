@@ -130,6 +130,19 @@ def test_term_bound(text):
         evaluate(text, params(1, 1, 1, 0))
 
 
+@pytest.mark.parametrize("text", [
+    "(Q1+P1+Q2+P2)^6*(Q1+P1+Q2+P2)^6", "((Q1+P1+Q2+P2)^6)^2",
+    "(x1+x2+x3+x4+x5+x6+x7)^4*(x1+x2+x3+x4+x5+x6+x7)^4",
+    "((x1+x2+x3+x4+x5+x6+x7)^4)^2",
+])
+def test_pair_bound(text):
+    # 259 * 259 and 210 * 210 term pairs: each operand is within the term
+    # bound, and the product step is refused before it starts.
+    from ncdeform.parser import MAX_PAIRS
+    with pytest.raises(ExpressionError, match=f"{MAX_PAIRS} term pairs"):
+        evaluate(text, params(1, 1, 1, 0))
+
+
 def test_leading_minus(p111_d2):
     got = evaluate("-Th + Q1", p111_d2)
     want = make_generator("Q1", p111_d2) - make_generator("Th", p111_d2)

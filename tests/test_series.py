@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from ncdeform import (NonInvertibleSeriesError, SeriesScalar,
-                      TruncationMismatchError, parse_rational)
+from ncdeform import (AlgebraElement, DualElement, NonInvertibleSeriesError,
+                      ParamsMismatchError, SeriesScalar, TensorElement,
+                      TruncationMismatchError, WedgeElement, parse_rational)
 
-from conftest import h_exponents, invertible_series, series, small_fractions
+from conftest import (h_exponents, invertible_series, params, series,
+                      small_fractions)
 
 
 def s(trunc, **terms):
@@ -137,3 +139,36 @@ def test_parse_rational():
     assert parse_rational("-7") == Fraction(-7)
     with pytest.raises(ValueError):
         parse_rational("1.5")
+
+
+# -- the term-map base ----------------------------------------------------------
+
+@pytest.mark.parametrize("x,other", [
+    (AlgebraElement.unit(params(1, 1, 1, 1)),
+     AlgebraElement.unit(params(1, 1, 1, 2))),
+    (TensorElement.unit(params(1, 1, 1, 1)),
+     TensorElement.unit(params(1, 1, 1, 1), 3)),
+    # Equal, and added into one, before DualElement compared truncations.
+    (DualElement.unit(1), DualElement.unit(3)),
+], ids=["algebra", "tensor", "dual"])
+def test_term_maps_over_different_spaces(x, other):
+    assert x == x.like(dict(x.terms)) and x != other
+    with pytest.raises(ParamsMismatchError):
+        x + other
+    with pytest.raises(ParamsMismatchError):
+        x - other
+
+
+@pytest.mark.parametrize("x", [
+    AlgebraElement.unit(params(1, 1, 1, 1)),
+    TensorElement.unit(params(1, 1, 1, 1)),
+    DualElement.unit(1),
+    WedgeElement.wedge(3, 5),
+], ids=["algebra", "tensor", "dual", "wedge"])
+def test_term_maps_add_only_term_maps(x):
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        1 + x
+    assert repr(x) == f"{type(x).__name__}({x.to_text()!r})"
+    assert str(x) == x.to_text()

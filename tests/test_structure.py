@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module imports a private name
 (one starting with an underscore) from a sibling module, or reads one as an
-attribute of a sibling module it imported.  And no function takes a
-parameter that it never reads."""
+attribute of a sibling module it imported.  No function takes a parameter
+that it never reads.  And the vector-space operations of a term map are
+written once, in series.TermMap."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,68 @@ def test_unread_parameters_catches_each_form():
     assert sorted(unread_parameters(source)) == [
         "<source>:1 f(args)", "<source>:1 f(b)", "<source>:1 f(c)",
         "<source>:11 <lambda>(v)", "<source>:4 m(x)"]
+
+
+#: The operations that series.TermMap holds the only copy of.
+TERM_MAP_METHODS = {"__add__", "__neg__", "__sub__", "__bool__", "__eq__",
+                    "__hash__", "__repr__", "check"}
+#: Classes that are not term maps and define one of them for a reason of
+#: their own: DeformParams caches its hash, LieData compares structure
+#: constants whatever its basis names.
+OWN_METHODS = {("DeformParams", "__hash__"), ("LieData", "__eq__")}
+
+
+def term_map_overrides(source: str, filename: str = "<source>") -> list[str]:
+    """Classes other than TermMap and SeriesScalar that define one of
+    TERM_MAP_METHODS, and classes with a terms slot that do not subclass
+    TermMap."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if (not isinstance(node, ast.ClassDef)
+                or node.name in ("TermMap", "SeriesScalar")):
+            continue
+        names = set()
+        slots = ()
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                targets = {t.id for t in stmt.targets
+                           if isinstance(t, ast.Name)}
+                names |= targets
+                if "__slots__" in targets:
+                    slots = ast.literal_eval(stmt.value)
+        found += [f"{filename}:{node.lineno} {node.name}.{name}"
+                  for name in sorted(names & TERM_MAP_METHODS)
+                  if (node.name, name) not in OWN_METHODS]
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        if "terms" in slots and "TermMap" not in bases:
+            found.append(f"{filename}:{node.lineno} {node.name} is no TermMap")
+    return found
+
+
+def test_term_map_operations_live_in_one_place():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += term_map_overrides(path.read_text(), path.name)
+    assert not found, "term-map operations outside TermMap: " + ", ".join(found)
+
+
+def test_term_map_overrides_catches_each_form():
+    source = (
+        "class A(TermMap):\n"
+        "    __slots__ = ('terms',)\n"
+        "    def __add__(self, other):\n"
+        "        return self\n"
+        "class B:\n"
+        "    __slots__ = ('params', 'terms')\n"
+        "    __repr__ = str\n"
+        "class TermMap:\n"
+        "    def check(self, other):\n"
+        "        return other\n"
+        "class LieData:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n")
+    assert term_map_overrides(source) == [
+        "<source>:1 A.__add__", "<source>:5 B.__repr__",
+        "<source>:5 B is no TermMap"]
