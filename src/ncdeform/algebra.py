@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .multiindex import mi_factorial
 from .series import (InvalidParamsError, ParamsMismatchError, SeriesScalar,
-                     TermMap, numerators)
+                     TermMap, flat_numerators)
 
 GENERATOR_NAMES = ("Th", "Ph", "Ps", "Q1", "Q2", "P1", "P2")
 TH, PH, PS, Q1, Q2, P1, P2 = range(7)
@@ -292,8 +292,7 @@ class _Engine:
     def mono_mul_flat(self, ma: PBWMonomial, mb: PBWMonomial) -> tuple:
         """mono_mul flattened over one denominator: (den, ((monomial,
         h exponent, integer numerator), ...)), each numerator over den."""
-        den, rows = numerators(self.mono_mul(ma, mb))
-        return den, tuple((m, h, n) for m, coef in rows for h, n in coef)
+        return flat_numerators(self.mono_mul(ma, mb))
 
 
 def _unit_mono(idx: int) -> PBWMonomial:
@@ -335,7 +334,8 @@ def engine(params: DeformParams | Truncation) -> _Engine:
 
     It holds the commutator table and the memoised products of ordered
     monomials: mono_mul(ma, mb) as a term map, and mono_mul_flat(ma, mb),
-    the same over one integer denominator, which is what tensor_mul reads.
+    the same over one integer denominator, which is what tensor_mul and
+    mu_antipode_leg read.
     The engine of a Truncation has no commutator table and raises on any
     product that is not already ordered.
     """

@@ -297,12 +297,20 @@ def cocommutator_map(direction: int, trunc: int) -> dict[str, WedgeElement]:
 def combine_cocommutators(weights, trunc: int) -> dict[str, WedgeElement]:
     """Rational-weighted combination sum_i w_i * delta_i."""
     Truncation(trunc)  # rejects a negative order, also when every w_i is 0
+    return sum_cocommutators(weights, [
+        cocommutator_map(i, trunc) if w else {}
+        for i, w in zip((1, 2, 3), weights)])
+
+
+def sum_cocommutators(weights, deltas) -> dict[str, WedgeElement]:
+    """sum_i w_i * deltas[i] per generator, deltas[i] being the cocommutator
+    map of direction i + 1; a direction of weight 0 is not read."""
     out: dict[str, WedgeElement] = {}
     for name in GENERATOR_NAMES:
         acc = WedgeElement()
-        for i, w in zip((1, 2, 3), weights):
+        for w, delta in zip(weights, deltas):
             if w:
-                acc = acc + cocommutator_dir(name, i, trunc).scale(w)
+                acc = acc + delta[name].scale(w)
         out[name] = acc
     return out
 

@@ -24,9 +24,10 @@ built once per truncation order.
 DualElement keeps {key: SeriesScalar} with Fraction coefficients, and that
 map is what every caller sees.  Both products run on integers instead, in
 the layout of FLINT's fmpq_poly (integer numerators over one denominator):
-an operand, a Z-basis expansion or a coproduct is brought once to integer
-numerators over the lcm of its denominators (series.numerators), the inner
-loops add integer products keyed by (key, h), and each output coefficient
+an operand or a Z-basis expansion is brought once to integer numerators
+over the lcm of its denominators (series.numerators), a coproduct is stored
+that way already (hopf.TensorElement), the inner loops add integer products
+keyed by (key, h), and each output coefficient
 becomes a Fraction (one gcd) once, when the sum is complete
 (series.from_numerators).
 """
@@ -44,8 +45,8 @@ from .algebra import (AlgebraElement, InvalidParamsError,
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
-from .series import (HExponent, SeriesScalar, TermMap, from_numerators,
-                     numerators)
+from .series import (HExponent, SeriesScalar, TermMap, flat_numerators,
+                     from_numerators, numerators)
 
 DualMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
 
@@ -181,6 +182,7 @@ def star_closed(u: DualElement, v: DualElement) -> DualElement:
     the truncation budget; each output coefficient is that sum over
     Lu * Lv, normalised once.
     """
+    u.check(v)
     trunc = u.trunc
     Lu, uterms = numerators(u.terms)
     Lv, vterms = numerators(v.terms)
@@ -247,9 +249,8 @@ def delta_on_zbasis(S, T, trunc: int) -> dict[tuple[ZMonomial, ZMonomial], Serie
 def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
     """Z-basis expansion of a single ordered monomial as integer numerators
     over one denominator: (L, ((zkey, h, numerator), ...))."""
-    L, rows = numerators(to_z_basis(
+    return flat_numerators(to_z_basis(
         AlgebraElement.monomial(Truncation(trunc), mono)))
-    return L, tuple((k, h, n) for k, coef in rows for h, n in coef)
 
 
 @cache
@@ -257,16 +258,15 @@ def _delta_z(S, T, trunc: int) -> dict:
     shared = Truncation(trunc)
     ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)}, shared))
     rows = [(_mono_z(m1, trunc), _mono_z(m2, trunc), h, c)
-            for (m1, m2, h), c in ten.terms.items()]
-    # Every row over one denominator: the coproduct's lcm Lt times the lcms
-    # L1, L2 of the Z-expansions met on each leg.
-    Lt = lcm(*(c.denominator for *_, c in rows))
+            for (m1, m2, h), c in ten.nums.items()]
+    # Every row over one denominator: the coproduct's denominator times the
+    # lcms L1, L2 of the Z-expansions met on each leg.
     L1 = lcm(*(z1[0] for z1, *_ in rows))
     L2 = lcm(*(z2[0] for _, z2, *_ in rows))
     acc: dict[tuple, int] = {}
     get = acc.get
     for (d1, z1), (d2, z2), h, c in rows:
-        n = c.numerator * (Lt // c.denominator) * (L1 // d1) * (L2 // d2)
+        n = c * (L1 // d1) * (L2 // d2)
         budget = trunc - h[0] - h[1] - h[2]
         for k1, g, n1 in z1:
             b1 = budget - g[0] - g[1] - g[2]
@@ -279,7 +279,7 @@ def _delta_z(S, T, trunc: int) -> dict:
                     continue
                 key = ((k1, k2), (g0 + e[0], g1 + e[1], g2 + e[2]))
                 acc[key] = get(key, 0) + m * n2
-    return from_numerators(acc, Lt * L1 * L2, trunc)
+    return from_numerators(acc, ten.den * L1 * L2, trunc)
 
 
 def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,
@@ -307,9 +307,10 @@ def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,
 
 def star_oracle_element(u: DualElement, v: DualElement,
                         degree_cap: int | None = None) -> DualElement:
-    """Bilinear extension of star_oracle to arbitrary dual elements, at
-    u's truncation order."""
+    """Bilinear extension of star_oracle to two dual elements of one
+    truncation order."""
     Truncation(u.trunc)  # rejects a negative order, also when u or v is 0
+    u.check(v)
     out: dict[DualMonomial, SeriesScalar] = {}
     for ka, sa in u.terms.items():
         for kb, sb in v.terms.items():

@@ -19,24 +19,29 @@ and apply_coproduct_leg() return their results over the caller's
 parameters.  The antipode reverses products, so its tables are built per
 parameter set, with that set's commutators.
 
-Tensor terms are stored flat -- key = (leg monomials..., h exponent) with a
-Fraction value -- and that map is what every caller sees.  Multiplication
-runs on integers instead, in the layout of FLINT's fmpq_poly (an integer
-polynomial plus one denominator): each tensor keeps, once built, integer
-numerators over one denominator per tensor, with its leg monomials interned
-to small ints and its terms grouped by h exponent in order of h-degree, so
-that pairs over the truncation budget are never touched.  Each product call
-takes the leg products it can reach over one denominator per call, adds
-integer products only, and normalises every output coefficient (one gcd)
-once, when it becomes a Fraction.  This keeps the exhaustive degree-3
-verification grids fast enough for interactive use.
+Tensor terms are stored flat, key = (leg monomials..., h exponent), in the
+layout of FLINT's fmpq_poly (an integer polynomial plus one denominator):
+integer numerators over one positive denominator with no common factor.
+Coefficients become Fractions only when they are read (TensorElement.terms:
+rendering, coefficient(), sums).  For multiplication a tensor also keeps,
+built once, its leg monomials interned to small ints and its terms grouped
+by h exponent in order of h-degree (buckets()), so that pairs over the
+truncation budget are never touched.  tensor_mul takes the leg products it
+can reach over one denominator per call, adds integer products only, and
+divides the sums by their common factor once; coproduct() and
+apply_coproduct_leg() fill the same storage from the coproduct tables.  The
+antipode check runs on flat integers as well: mu_antipode_leg reads a
+tensor's buckets, the flat antipode table of each leg monomial and the
+engine's mono_mul_flat cells, and builds Fractions only for its result.
+This keeps the exhaustive degree-3 verification grids fast enough for
+interactive use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
@@ -47,7 +52,8 @@ from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       mono_factors, normal_order_mul, power_series)
 from .multiindex import multiindices_graded
 from .report import VerificationReport, clip_note
-from .series import SeriesScalar, TermMap
+from .series import (SeriesScalar, TermMap, flat_numerators,
+                     from_numerators)
 
 _H0 = (0, 0, 0)
 
@@ -58,20 +64,52 @@ TensorKey = tuple
 class TensorElement(TermMap):
     """Finite sum of monomial tensors (arity 2 or 3) with series coefficients.
 
-    terms maps (m_1, ..., m_arity, h) -> Fraction, with no zero values;
-    multiplication is componentwise on the legs, and there is no sign rule.
-    For multiplication the element also keeps, built lazily once, the same
-    terms as integer numerators over one denominator (see buckets()).
+    The coefficients are stored once, as integer numerators over one
+    positive denominator with no common factor: nums maps
+    (m_1, ..., m_arity, h) -> nonzero int, over den.  That pair is unique
+    per value, so equality compares it.  terms, the same map with Fraction
+    values, is built each time it is read.  Multiplication is componentwise
+    on the legs, and there is no sign rule.
     """
 
-    __slots__ = ("params", "arity", "terms", "_buckets")
+    __slots__ = ("params", "arity", "nums", "den", "_buckets")
 
     def __init__(self, params: DeformParams, arity: int,
                  terms: Mapping[TensorKey, Fraction]):
+        fracs = [(k, c if type(c) is Fraction else Fraction(c))
+                 for k, c in terms.items() if c]
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it: a prime's highest power in the lcm divides some
+        # denominator, and that numerator is then free of the prime.
+        den = lcm(*(c.denominator for _, c in fracs))
         self.params = params
         self.arity = arity
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in fracs}
+        self.den = den
         self._buckets = None
+
+    @classmethod
+    def over_denominator(cls, params: DeformParams, arity: int,
+                         nums: Mapping[TensorKey, int],
+                         den: int) -> "TensorElement":
+        """The tensor sum(nums[key] / den * key), den > 0: zero numerators
+        are dropped and the common factor is divided out."""
+        g = gcd(den, *nums.values())
+        t = cls.__new__(cls)
+        t.params = params
+        t.arity = arity
+        t.nums = {k: n // g for k, n in nums.items() if n}
+        t.den = den // g
+        t._buckets = None
+        return t
+
+    @property
+    def terms(self) -> dict[TensorKey, Fraction]:
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
+
+    def canonical(self) -> tuple:
+        return self.den, self.nums
 
     @classmethod
     def zero(cls, params: DeformParams, arity: int = 2) -> "TensorElement":
@@ -94,23 +132,23 @@ class TensorElement(TermMap):
         if params.trunc != self.params.trunc:
             raise ParamsMismatchError(
                 "tensors live over different truncations")
-        return TensorElement(params, self.arity, self.terms)
+        return TensorElement.over_denominator(params, self.arity, self.nums,
+                                              self.den)
 
     def buckets(self) -> tuple:
-        """Integer view for tensor_mul, built lazily once: (L, legs, groups).
+        """Integer view for tensor_mul and mu_antipode_leg, built lazily
+        once: (den, legs, groups).
 
-        L is the lcm of the coefficient denominators.  legs[i] is
-        (monomials, min_deg): the distinct monomials on leg i and, for each,
-        the least h-degree of a term carrying it.  groups lists
-        (h, h-degree, terms) in order of h-degree; a term is the indices of
-        its leg monomials in legs followed by its numerator over L.
+        legs[i] is (monomials, min_deg): the distinct monomials on leg i
+        and, for each, the least h-degree of a term carrying it.  groups
+        lists (h, h-degree, terms) in order of h-degree; a term is the
+        indices of its leg monomials in legs followed by its numerator.
         """
         if self._buckets is None:
-            L = lcm(*(c.denominator for c in self.terms.values()))
             index: list[dict] = [{} for _ in range(self.arity)]
             min_deg: list[list[int]] = [[] for _ in range(self.arity)]
             groups: dict[tuple, list] = {}
-            for key, c in self.terms.items():
+            for key, n in self.nums.items():
                 h = key[-1]
                 d = h[0] + h[1] + h[2]
                 term = []
@@ -122,10 +160,11 @@ class TensorElement(TermMap):
                     elif d < degs[pos]:
                         degs[pos] = d
                     term.append(pos)
-                term.append(c.numerator * (L // c.denominator))
+                term.append(n)
                 groups.setdefault(h, []).append(tuple(term))
             self._buckets = (
-                L, [(list(idx), degs) for idx, degs in zip(index, min_deg)],
+                self.den,
+                [(list(idx), degs) for idx, degs in zip(index, min_deg)],
                 sorted(((h, sum(h), terms) for h, terms in groups.items()),
                        key=lambda group: group[1]))
         return self._buckets
@@ -158,14 +197,16 @@ class TensorElement(TermMap):
     def flip(self) -> "TensorElement":
         if self.arity != 2:
             raise ValueError("flip is defined for two legs")
-        return TensorElement(self.params, 2,
-                             {(k[1], k[0], k[2]): c
-                              for k, c in self.terms.items()})
+        return TensorElement.over_denominator(
+            self.params, 2, {(k[1], k[0], k[2]): n
+                             for k, n in self.nums.items()}, self.den)
 
     def limit(self, zeroed) -> "TensorElement":
         zeroed = set(zeroed)
-        return self.like({k: c for k, c in self.terms.items()
-                          if all(k[-1][i - 1] == 0 for i in zeroed)})
+        return TensorElement.over_denominator(
+            self.params, self.arity,
+            {k: n for k, n in self.nums.items()
+             if all(k[-1][i - 1] == 0 for i in zeroed)}, self.den)
 
     def coefficient(self, legs: tuple) -> SeriesScalar:
         acc = {key[-1]: c for key, c in self.terms.items()
@@ -210,8 +251,8 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
 
     With a's numerators over La, b's over Lb and every leg product over this
     call's Lm, a term pair adds the integer na * nb * c_1 * ... * c_arity to
-    its output key, and each output coefficient is that sum over
-    La * Lb * Lm**arity, normalised once.
+    its output key, and the sums are the result's numerators over
+    La * Lb * Lm**arity, reduced by one common factor.
     """
     a.check(b)
     D = a.params.trunc
@@ -227,9 +268,8 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
                 break
             h = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
             pairs(out, h, aterms, bterms, tables, D)
-    den = La * Lb * Lm ** arity
-    return TensorElement(a.params, arity,
-                         {k: Fraction(v, den) for k, v in out.items() if v})
+    return TensorElement.over_denominator(a.params, arity, out,
+                                          La * Lb * Lm ** arity)
 
 
 def _leg_tables(eng, alegs, blegs, D: int) -> tuple[list, int]:
@@ -381,27 +421,34 @@ def _cop_mono(trunc: int, mono: PBWMonomial) -> TensorElement:
     return tensor_mul(_cop_mono(trunc, prev), _hopf(trunc).cop_gen[g])
 
 
-def _expand_cop(items, trunc: int) -> dict[TensorKey, Fraction]:
-    """sum c * h^hx * (before (x) cop(m) (x) after) over the items
-    (before, m, after, hx, c), with before and after tuples of leg
-    monomials, dropping h-degrees above trunc."""
-    out: dict[TensorKey, Fraction] = {}
+def _expand_cop(params, arity: int, items: list, den: int) -> TensorElement:
+    """sum n/den * h^hx * (before (x) cop(m) (x) after) over the items
+    (before, m, after, hx, n), with before and after tuples of leg
+    monomials, dropping h-degrees above the truncation.  Every cop(m) is
+    brought to the lcm Lm of their denominators, so the sums are integers
+    over den * Lm."""
+    trunc = params.trunc
+    cops = {m: _cop_mono(trunc, m) for m in {item[1] for item in items}}
+    Lm = lcm(*(t.den for t in cops.values()))
+    out: dict[TensorKey, int] = {}
     get = out.get
-    for before, m, after, h, c in items:
-        for (m1, m2, hs), cs in _cop_mono(trunc, m).terms.items():
+    for before, m, after, h, n in items:
+        cop = cops[m]
+        n *= Lm // cop.den
+        for (m1, m2, hs), cs in cop.nums.items():
             hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
             if hh[0] + hh[1] + hh[2] > trunc:
                 continue
             key = before + (m1, m2) + after + (hh,)
-            out[key] = get(key, 0) + c * cs
-    return out
+            out[key] = get(key, 0) + n * cs
+    return TensorElement.over_denominator(params, arity, out, den * Lm)
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproducts."""
-    return TensorElement(x.params, 2, _expand_cop(
-        (((), m, (), h, c) for m, s in x.terms.items()
-         for h, c in s.terms.items()), x.params.trunc))
+    den, rows = flat_numerators(x.terms)
+    return _expand_cop(x.params, 2, [((), m, (), h, n) for m, h, n in rows],
+                       den)
 
 
 def counit(x: AlgebraElement) -> SeriesScalar:
@@ -433,50 +480,87 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
 
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
-    return TensorElement(t.params, t.arity + 1, _expand_cop(
-        ((key[:leg], key[leg], key[leg + 1:-1], key[-1], c)
-         for key, c in t.terms.items()), t.params.trunc))
+    return _expand_cop(t.params, t.arity + 1,
+                       [(key[:leg], key[leg], key[leg + 1:-1], key[-1], n)
+                        for key, n in t.nums.items()], t.den)
 
 
 def apply_counit_leg(t: TensorElement, leg: int):
     """Contract one tensor leg with the counit (arity drops by one)."""
     out: dict = {}
-    for key, c in t.terms.items():
+    for key, n in t.nums.items():
         if key[leg] != EMPTY_MONO:
             continue
         nk = key[:leg] + key[leg + 1:]
-        out[nk] = out.get(nk, 0) + c
+        out[nk] = out.get(nk, 0) + n
     if t.arity == 2:
-        acc: dict[PBWMonomial, dict] = {}
-        for key, c in out.items():
-            acc.setdefault(key[0], {})[key[1]] = c
-        D = t.params.trunc
         return AlgebraElement(t.params,
-                              {m: SeriesScalar(hmap, D)
-                               for m, hmap in acc.items()})
-    return TensorElement(t.params, t.arity - 1, out)
+                              from_numerators(out, t.den, t.params.trunc))
+    return TensorElement.over_denominator(t.params, t.arity - 1, out, t.den)
 
 
 @cache
-def _mu_mono(params: DeformParams, m1: PBWMonomial, m2: PBWMonomial,
-             leg: int) -> AlgebraElement:
-    """S(m1) m2 (leg = 0) or m1 S(m2) (leg = 1)."""
-    if leg == 0:
-        return normal_order_mul(antipode_mono(params, m1),
-                                AlgebraElement.monomial(params, m2))
-    return normal_order_mul(AlgebraElement.monomial(params, m1),
-                            antipode_mono(params, m2))
+def _antipode_flat(params: DeformParams, mono: PBWMonomial) -> tuple:
+    """S(mono) over one denominator: (den, ((monomial, h exponent,
+    integer numerator), ...))."""
+    return flat_numerators(antipode_mono(params, mono).terms)
 
 
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
-    """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg tensor."""
-    out: dict[PBWMonomial, SeriesScalar] = {}
-    for (m1, m2, h), c in t.terms.items():
-        for m, s in _mu_mono(t.params, m1, m2, leg).terms.items():
-            v = s.shifted(h, c)
-            cur = out.get(m)
-            out[m] = v if cur is None else cur + v
-    return AlgebraElement(t.params, out)
+    """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg tensor.
+
+    Runs on integers.  Each distinct leg pair (m1, m2) of t is expanded
+    once per call, within the h-degree budget of its lowest term: S(m1)
+    from the flat antipode table times m2 (or m1 times S(m2)) through the
+    engine's mono_mul_flat cells, every entry over this call's Lp.  A term
+    of t then adds its numerator times each entry that fits its own budget,
+    and the sums become Fractions over den * Lp once.
+    """
+    params = t.params
+    D = params.trunc
+    flat = engine(params).mono_mul_flat
+    den, legs, groups = t.buckets()
+    monos0, monos1 = legs[0][0], legs[1][0]
+    budget: dict[tuple[int, int], int] = {}
+    for _, d, terms in groups:      # in order of h-degree: least d first
+        for i0, i1, _ in terms:
+            budget.setdefault((i0, i1), D - d)
+
+    raw = {}
+    dens = set()
+    for (i0, i1), b in budget.items():
+        m1, m2 = monos0[i0], monos1[i1]
+        sden, sterms = _antipode_flat(params, m1 if leg == 0 else m2)
+        entries = []
+        for ms, hs, ns in sterms:
+            if hs[0] + hs[1] + hs[2] > b:
+                continue
+            cden, cells = flat(ms, m2) if leg == 0 else flat(m1, ms)
+            pden = sden * cden
+            dens.add(pden)
+            for m, hc, nc in cells:
+                g = (hs[0] + hc[0], hs[1] + hc[1], hs[2] + hc[2])
+                dg = g[0] + g[1] + g[2]
+                if dg <= b:
+                    entries.append((dg, m, g, ns * nc, pden))
+        raw[(i0, i1)] = entries
+    Lp = lcm(*dens)
+    table = {pair: sorted(((dg, m, g, n * (Lp // pden))
+                           for dg, m, g, n, pden in entries),
+                          key=lambda entry: entry[0])
+             for pair, entries in raw.items()}
+
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for h, d, terms in groups:
+        b = D - d
+        for i0, i1, n in terms:
+            for dg, m, g, k in table[(i0, i1)]:
+                if dg > b:
+                    break
+                key = (m, (h[0] + g[0], h[1] + g[1], h[2] + g[2]))
+                acc[key] = get(key, 0) + n * k
+    return AlgebraElement(params, from_numerators(acc, den * Lp, D))
 
 
 @cache

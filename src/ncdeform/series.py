@@ -9,8 +9,9 @@ are never stored, so two series are equal iff their term maps are equal.
 
 Every other carrier (algebra elements, tensors, dual functionals, wedges) is
 a TermMap, whose vector-space operations are written once here.
-numerators() and from_numerators() are the integer-numerator layout of a
-{key: SeriesScalar} map that the integer kernels work in.
+numerators(), flat_numerators() and from_numerators() are the
+integer-numerator layout of a {key: SeriesScalar} map that the integer
+kernels work in.
 
 >>> a = SeriesScalar.one(2) + SeriesScalar.hbar(1, 2)
 >>> print((a * a).to_text())
@@ -251,9 +252,14 @@ class TermMap:
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.space() == other.space()
-                and self.terms == other.terms)
+                and self.canonical() == other.canonical())
 
     __hash__ = None
+
+    def canonical(self):
+        """What equality compares: the term map itself, unless a subclass
+        stores its coefficients in another form that is unique per value."""
+        return self.terms
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_text()!r})"
@@ -298,6 +304,12 @@ def numerators(terms: Mapping) -> tuple[int, list]:
     return L, [(key, [(h, c.numerator * (L // c.denominator))
                       for h, c in s.terms.items()])
                for key, s in terms.items()]
+
+
+def flat_numerators(terms: Mapping) -> tuple[int, tuple]:
+    """numerators() flattened: (L, ((key, h, numerator), ...))."""
+    L, rows = numerators(terms)
+    return L, tuple((key, h, n) for key, coef in rows for h, n in coef)
 
 
 def from_numerators(acc: Mapping[tuple, int], den: int, trunc: int) -> dict:

@@ -21,9 +21,9 @@ from .algebra import (GENERATOR_NAMES, AlgebraElement, DeformParams,
                       classical_limit, commutator, make_generator)
 from .bialgebra import (GroupElement, LieData, WedgeElement,
                         bialgebra_axiom_check, coboundary_from_r,
-                        cocommutator_map, combine_cocommutators,
-                        dual_lie_data_from_delta, group_compose,
-                        group_identity, group_inverse, nc_lie_data)
+                        cocommutator_map, dual_lie_data_from_delta,
+                        group_compose, group_identity, group_inverse,
+                        nc_lie_data, sum_cocommutators)
 from .dual import (DualElement, chi, classical_product, dual_structure_constants,
                    poisson_bracket_dir, star_closed, star_oracle_grid,
                    star_oracle_restricted)
@@ -264,8 +264,8 @@ def verify_bialgebra_suite(params: DeformParams) -> VerificationReport:
         sub = bialgebra_axiom_check(deltas[direction], L)
         report.add(f"bialgebra-axioms", f"direction {direction}", sub.passed,
                    None if sub.passed else sub.failures()[0].counterexample)
-    combo = combine_cocommutators((Fraction(1), Fraction(2), Fraction(-3)),
-                                  ex_trunc)
+    combo = sum_cocommutators((Fraction(1), Fraction(2), Fraction(-3)),
+                              (deltas[1], deltas[2], deltas[3]))
     sub = bialgebra_axiom_check(combo, L)
     report.add("bialgebra-axioms", "weighted combination (1,2,-3)", sub.passed,
                None if sub.passed else sub.failures()[0].counterexample)

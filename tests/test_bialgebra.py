@@ -11,7 +11,9 @@ from ncdeform import (AlgebraElement, GroupElement, InvalidParamsError,
                       cocommutator_map, combine_cocommutators, commutator,
                       dual_bracket_from_delta, dual_lie_data_from_delta,
                       dual_structure_constants, group_compose, group_identity,
-                      group_inverse, lie_bracket, make_generator, nc_lie_data)
+                      group_inverse, lie_bracket, make_generator, nc_lie_data,
+                      verify_bialgebra_suite)
+from ncdeform import bialgebra
 
 from conftest import PARAM_SETS, params, small_fractions
 
@@ -153,6 +155,19 @@ def test_bialgebra_axioms_weighted_combination():
     delta = combine_cocommutators((Fraction(1, 3), Fraction(-2), Fraction(5)), 2)
     report = bialgebra_axiom_check(delta, L)
     assert report.passed, report.to_text()
+
+
+def test_bialgebra_suite_extracts_each_cocommutator_once(monkeypatch):
+    calls = []
+    extract = bialgebra.cocommutator_dir
+
+    def counted(name, direction, trunc):
+        calls.append((name, direction, trunc))
+        return extract(name, direction, trunc)
+
+    monkeypatch.setattr(bialgebra, "cocommutator_dir", counted)
+    assert verify_bialgebra_suite(params(2, Fraction(1, 2), -3, 2)).passed
+    assert len(calls) == len(set(calls)) == 21
 
 
 def test_trivial_cocommutator_passes():

@@ -10,7 +10,8 @@ from ncdeform import (AlgebraElement, DualElement, SeriesScalar, chi,
                       dual_structure_constants, from_z_basis, pairing,
                       poisson_bracket_dir, star_closed, star_commutator,
                       star_oracle, star_oracle_grid, to_z_basis)
-from ncdeform import InvalidParamsError, dual, star_oracle_element
+from ncdeform import (InvalidParamsError, ParamsMismatchError, dual,
+                      star_oracle_element)
 from ncdeform.dual import star_oracle_restricted
 from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
                                  submultiindices)
@@ -343,6 +344,19 @@ def test_dual_constructors_reject_negative_truncation(call):
     # The series ring raised a plain ValueError here, unlike Truncation.
     with pytest.raises(InvalidParamsError, match="truncation"):
         call()
+
+
+@pytest.mark.parametrize("product", [
+    star_closed, star_oracle_element,
+    lambda u, v: poisson_bracket_dir(u, v, 1),
+], ids=["star_closed", "star_oracle_element", "poisson_bracket_dir"])
+@pytest.mark.parametrize("u,v", [
+    (DualElement.unit(1), chi(1, 3)), (chi(1, 3), DualElement.unit(1)),
+], ids=["low-first", "high-first"])
+def test_dual_products_reject_mixed_truncations(product, u, v):
+    # Each product used to return an element at the first operand's order.
+    with pytest.raises(ParamsMismatchError):
+        product(u, v)
 
 
 # -- Poisson layer --------------------------------------------------------------

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
@@ -10,12 +11,14 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       make_lambda, make_rho, mu_antipode_leg,
                       normal_order_mul, tensor_commutator, tensor_mul,
                       tensor_of, verify_hopf_axioms)
-from ncdeform.algebra import (InvalidParamsError, Truncation, _central_mul,
-                              engine)
+from ncdeform.algebra import (EMPTY_MONO, DeformParams, InvalidParamsError,
+                              Truncation, _central_mul, engine)
 from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import h_exponents, params, small_fractions
+
+EMPTY_KEY = (EMPTY_MONO, EMPTY_MONO, (0, 0, 0))
 
 
 def gens(p):
@@ -217,11 +220,11 @@ def leg_monomials():
 
 
 @st.composite
-def tensor_pairs(draw):
+def tensor_pairs(draw, arities=(2, 3)):
     alpha, beta, gamma = draw(st.sampled_from(
         [(1, 1, 1), (2, Fraction(1, 2), -3), (Fraction(-3, 2), 0, 5)]))
     p = params(alpha, beta, gamma, draw(st.integers(0, 3)))
-    arity = draw(st.sampled_from((2, 3)))
+    arity = draw(st.sampled_from(arities))
     keys = st.tuples(*[leg_monomials()] * arity, h_exponents(p.trunc))
     terms = st.dictionaries(keys, small_fractions(), min_size=1, max_size=6)
     return (TensorElement(p, arity, draw(terms)),
@@ -234,7 +237,19 @@ def test_tensor_mul_matches_reference(pair):
     a, b = pair
     got = tensor_mul(a, b)
     assert got == reference_tensor_mul(a, b)
-    assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+    assert_stored_once(got)
+    rebuilt = TensorElement(got.params, got.arity, got.terms)
+    assert got == rebuilt and rebuilt == got
+
+
+def assert_stored_once(t: TensorElement):
+    """Integer numerators over one positive denominator, no zero and no
+    common factor; the Fraction view holds reduced nonzero Fractions."""
+    assert t.den > 0 and all(t.nums.values())
+    assert gcd(t.den, *t.nums.values()) == 1
+    assert all(isinstance(c, Fraction) and c
+               and gcd(c.numerator, c.denominator) == 1
+               for c in t.terms.values())
 
 
 def test_three_leg_products_match_leg_substitution():
@@ -244,3 +259,67 @@ def test_three_leg_products_match_leg_substitution():
         cop = _cop_mono(3, mono)
         assert apply_coproduct_leg(cop, 0) == _cop3_mono(3, mono, 0), mono
         assert apply_coproduct_leg(cop, 1) == _cop3_mono(3, mono, 1), mono
+
+
+def reference_mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
+    """Fraction path: sum c * h^h * S(m1) m2 (leg 0) or m1 S(m2) (leg 1),
+    each product by normal_order_mul."""
+    p = t.params
+    out = AlgebraElement.zero(p)
+    for (m1, m2, h), c in t.terms.items():
+        x = AlgebraElement.monomial(p, m1)
+        y = AlgebraElement.monomial(p, m2)
+        prod = (normal_order_mul(antipode(x), y) if leg == 0
+                else normal_order_mul(x, antipode(y)))
+        out = out + prod.scale(SeriesScalar.monomial(h, c, p.trunc))
+    return out
+
+
+# One leg pair at h-degrees 0 and 1: S(P1) Q1 = -P1 Q1 reorders into lam,
+# whose h^2 terms only the degree-0 term may reach.
+P1_Q1 = TensorElement(params(2, Fraction(1, 2), -3, 2), 2, {
+    ((0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0, 0), h): 1
+    for h in ((0, 0, 0), (1, 0, 0))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_pairs(arities=(2,)), st.sampled_from((0, 1)))
+@example((P1_Q1, P1_Q1.flip()), 0)
+@example((P1_Q1, P1_Q1.flip()), 1)
+def test_mu_antipode_leg_matches_reference(pair, leg):
+    # The product repeats leg pairs at several h-degrees.
+    for t in (pair[0], tensor_mul(*pair)):
+        assert mu_antipode_leg(t, leg) == reference_mu_antipode_leg(t, leg)
+
+
+def test_tensor_storage_is_canonical():
+    p, q = params(1, 1, 1, 2), params(2, Fraction(1, 2), -3, 2)
+    key = ((0, 0, 0, 1, 0, 0, 0), EMPTY_MONO, (1, 0, 0))
+    t = TensorElement(p, 2, {key: Fraction(4, 6), EMPTY_KEY: Fraction(-2)})
+    assert (t.den, t.nums) == (3, {key: 2, EMPTY_KEY: -6})
+    assert TensorElement.over_denominator(p, 2, {key: 8, EMPTY_KEY: -24},
+                                          12) == t
+    assert_stored_once(t.over(q))
+    assert t.over(q).over(p) == t and t.over(q) != t
+    # A sum whose numerators all cancel is the zero tensor, over 1.
+    zero = TensorElement.over_denominator(p, 2, {key: 0, EMPTY_KEY: 0}, 12)
+    assert zero == TensorElement.zero(p) and (zero.den, zero.nums) == (1, {})
+
+
+def test_cancelling_products_are_zero():
+    p = params(2, Fraction(1, 2), -3, 2)
+    cop = {name: coproduct(x) for name, x in gens(p).items()}
+    # Th is central and cop a homomorphism: every term of the two
+    # products cancels.
+    comm = tensor_commutator(cop["Th"], cop["Q1"])
+    assert comm == TensorElement.zero(p) and not comm.nums
+    # Every term pair of (h1 * 1 (x) 1)^2 lies over truncation order 1.
+    h1 = TensorElement(params(1, 1, 1, 1), 2,
+                       {(EMPTY_MONO, EMPTY_MONO, (1, 0, 0)): 1})
+    assert tensor_mul(h1, h1) == TensorElement.zero(params(1, 1, 1, 1))
+
+
+def test_hopf_axioms_degree3_trunc4():
+    report = verify_hopf_axioms(3, DeformParams(2, Fraction(1, 2), -3, 4))
+    assert report.passed, report.to_text()
+    assert len([c for c in report.checks if not c.diagnostic]) == 408
