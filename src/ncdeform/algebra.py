@@ -34,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from math import comb, factorial, lcm
+from typing import Callable, Mapping, Sequence
 
 from .multiindex import mi_factorial
 from .series import (InvalidParamsError, ParamsMismatchError, SeriesScalar,
-                     TermMap, flat_numerators)
+                     TermMap)
 
 GENERATOR_NAMES = ("Th", "Ph", "Ps", "Q1", "Q2", "P1", "P2")
 TH, PH, PS, Q1, Q2, P1, P2 = range(7)
@@ -96,18 +96,15 @@ class Truncation:
 
 
 class AlgebraElement(TermMap):
-    """Finite sum of ordered monomials with series coefficients."""
+    """Finite sum of ordered monomials with series coefficients; a basis
+    key is the monomial's exponent tuple."""
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("params",)
 
     def __init__(self, params: DeformParams,
                  terms: Mapping[PBWMonomial, SeriesScalar]):
-        clean: dict[PBWMonomial, SeriesScalar] = {}
-        for m, s in terms.items():
-            if s.terms:
-                clean[tuple(m)] = s
         self.params = params
-        self.terms = clean
+        self._store_series(terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -117,18 +114,20 @@ class AlgebraElement(TermMap):
 
     @classmethod
     def unit(cls, params: DeformParams) -> "AlgebraElement":
-        return cls(params, {EMPTY_MONO: SeriesScalar.one(params.trunc)})
+        return cls.monomial(params, EMPTY_MONO)
 
     @classmethod
     def monomial(cls, params: DeformParams, mono: PBWMonomial,
                  coeff=1) -> "AlgebraElement":
-        if isinstance(coeff, SeriesScalar):
-            s = coeff
-        else:
-            s = SeriesScalar.from_rational(coeff, params.trunc)
-        return cls(params, {tuple(mono): s})
+        if not isinstance(coeff, SeriesScalar):
+            coeff = SeriesScalar.from_rational(coeff, params.trunc)
+        return cls(params, {tuple(mono): coeff})
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def trunc(self) -> int:
+        return self.params.trunc
 
     def space(self) -> DeformParams | Truncation:
         return self.params
@@ -136,16 +135,14 @@ class AlgebraElement(TermMap):
     def like(self, terms) -> "AlgebraElement":
         return AlgebraElement(self.params, terms)
 
-    def coefficient(self, mono: PBWMonomial) -> SeriesScalar:
-        return self.terms.get(tuple(mono), SeriesScalar.zero(self.params.trunc))
-
     def over(self, params) -> "AlgebraElement":
         """The same terms over other parameters of the same truncation: how
         a per-truncation table reaches one parameter set."""
         if params.trunc != self.params.trunc:
             raise ParamsMismatchError(
                 "elements live over different truncations")
-        return AlgebraElement(params, self.terms)
+        return AlgebraElement.zero(params).over_denominator(self.nums,
+                                                            self.den)
 
     # -- products ----------------------------------------------------------
 
@@ -166,11 +163,6 @@ class AlgebraElement(TermMap):
         for _ in range(n):
             out = normal_order_mul(out, self)
         return out
-
-    def limit(self, zeroed: Iterable[int]) -> "AlgebraElement":
-        """Set the listed deformation parameters (1-based) to zero."""
-        zeroed = set(zeroed)
-        return self.like({m: s.limit(zeroed) for m, s in self.terms.items()})
 
     # -- presentation ------------------------------------------------------
 
@@ -212,7 +204,6 @@ _WordBlock = tuple[int, int]            # (generator index, exponent)
 class _Engine:
     def __init__(self, params: DeformParams | Truncation):
         self.params = params
-        self.one_series = SeriesScalar.one(params.trunc)
         if isinstance(params, Truncation):
             self._comms = None
             return
@@ -242,27 +233,28 @@ class _Engine:
     # -- normal ordering ---------------------------------------------------
 
     @cache
-    def mono_mul(self, ma: PBWMonomial, mb: PBWMonomial) -> dict:
-        """Product of two ordered monomials as a term map."""
-        central = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-        word = _canon_word(
+    def mono_mul(self, ma: PBWMonomial, mb: PBWMonomial) -> tuple:
+        """Product of two ordered monomials over one denominator: (den,
+        ((monomial, h exponent, numerator), ...)) in order of h-degree,
+        each numerator over den."""
+        c0, c1, c2 = ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2]
+        x = self._straighten(_canon_word(
             [(g, ma[g]) for g in (Q1, Q2, P1, P2) if ma[g]]
-            + [(g, mb[g]) for g in (Q1, Q2, P1, P2) if mb[g]])
-        straight = self._straighten(word)
-        if central == (0, 0, 0):
-            return straight
-        return {(m[0] + central[0], m[1] + central[1], m[2] + central[2])
-                + m[3:]: s for m, s in straight.items()}
+            + [(g, mb[g]) for g in (Q1, Q2, P1, P2) if mb[g]]))
+        cells = [((k[0] + c0, k[1] + c1, k[2] + c2) + k[3:7], k[7], n)
+                 for k, n in x.nums.items()]
+        cells.sort(key=lambda cell: sum(cell[1]))
+        return x.den, tuple(cells)
 
     @cache
-    def _straighten(self, word: tuple[_WordBlock, ...]) -> dict:
+    def _straighten(self, word: tuple[_WordBlock, ...]) -> AlgebraElement:
         pos = next((t for t in range(len(word) - 1)
                     if word[t][0] > word[t + 1][0]), None)
         if pos is None:
             mono = list(EMPTY_MONO)
             for g, e in word:
                 mono[g] = e
-            return {tuple(mono): self.one_series}
+            return AlgebraElement.monomial(self.params, tuple(mono))
         (b, n), (a, m) = word[pos], word[pos + 1]
         if self._comms is None:
             raise RuntimeError(
@@ -272,27 +264,14 @@ class _Engine:
         if c is None:
             return self._straighten(_canon_word(
                 list(word[:pos]) + [(a, m), (b, n)] + list(word[pos + 2:])))
-        out: dict[PBWMonomial, SeriesScalar] = {}
+        out = AlgebraElement.zero(self.params)
         for k in range(min(m, n) + 1):
-            coeff = Fraction((-1) ** k * factorial(k)
-                             * comb(m, k) * comb(n, k))
             sub = self._straighten(_canon_word(
                 list(word[:pos]) + [(a, m - k), (b, n - k)]
                 + list(word[pos + 2:])))
-            for mc, sc in self.comm_pow(a, b, k).terms.items():
-                for ms, ss in sub.items():
-                    mono = (mc[0] + ms[0], mc[1] + ms[1],
-                            mc[2] + ms[2]) + ms[3:]
-                    v = sc * ss * coeff
-                    cur = out.get(mono)
-                    out[mono] = v if cur is None else cur + v
-        return {mono: s for mono, s in out.items() if s.terms}
-
-    @cache
-    def mono_mul_flat(self, ma: PBWMonomial, mb: PBWMonomial) -> tuple:
-        """mono_mul flattened over one denominator: (den, ((monomial,
-        h exponent, integer numerator), ...)), each numerator over den."""
-        return flat_numerators(self.mono_mul(ma, mb))
+            out = out + _central_mul(self.comm_pow(a, b, k), sub).scale(
+                (-1) ** k * factorial(k) * comb(m, k) * comb(n, k))
+        return out
 
 
 def _unit_mono(idx: int) -> PBWMonomial:
@@ -316,28 +295,31 @@ def _central_mul(c: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
 
     The product lives over x's parameters: c may be a per-truncation table.
     """
-    out: dict[PBWMonomial, SeriesScalar] = {}
-    for mc, sc in c.terms.items():
-        for mx, sx in x.terms.items():
-            mono = (mc[0] + mx[0], mc[1] + mx[1], mc[2] + mx[2],
-                    mc[3] + mx[3], mc[4] + mx[4], mc[5] + mx[5], mc[6] + mx[6])
-            v = sc * sx
-            if v.terms:     # truncation empties many products; skip them
-                cur = out.get(mono)
-                out[mono] = v if cur is None else cur + v
-    return AlgebraElement(x.params, out)
+    trunc = x.params.trunc
+    out: dict = {}
+    get = out.get
+    for kc, nc in c.nums.items():
+        hc = kc[7]
+        for kx, nx in x.nums.items():
+            hx = kx[7]
+            h = (hc[0] + hx[0], hc[1] + hx[1], hc[2] + hx[2])
+            if h[0] + h[1] + h[2] > trunc:
+                continue
+            key = (kc[0] + kx[0], kc[1] + kx[1], kc[2] + kx[2], kc[3] + kx[3],
+                   kc[4] + kx[4], kc[5] + kx[5], kc[6] + kx[6], h)
+            out[key] = get(key, 0) + nc * nx
+    return x.over_denominator(out, c.den * x.den)
 
 
 @cache
 def engine(params: DeformParams | Truncation) -> _Engine:
     """The normal-ordering engine of one parameter set, built once.
 
-    It holds the commutator table and the memoised products of ordered
-    monomials: mono_mul(ma, mb) as a term map, and mono_mul_flat(ma, mb),
-    the same over one integer denominator, which is what tensor_mul and
-    mu_antipode_leg read.
-    The engine of a Truncation has no commutator table and raises on any
-    product that is not already ordered.
+    It holds the commutator table and one memo of monomial products,
+    mono_mul(ma, mb), the product of two ordered monomials as integer
+    numerators over one denominator; normal_order_mul, tensor_mul and
+    mu_antipode_leg read it.  The engine of a Truncation has no commutator
+    table and raises on any product that is not already ordered.
     """
     return _Engine(params)
 
@@ -436,20 +418,41 @@ def make_exp_rho(c, params: DeformParams) -> AlgebraElement:
 
 
 def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product of two elements, re-expressed in the ordered-monomial basis."""
+    """Product of two elements, re-expressed in the ordered-monomial basis.
+
+    A key pair whose lowest h-degrees already exceed the truncation is
+    skipped; every other reads its mono_mul cell, all brought to the lcm Lm
+    of their denominators, so the sums are integers over
+    x.den * y.den * Lm.
+    """
     x.check(y)
-    eng = engine(x.params)
-    out: dict[PBWMonomial, SeriesScalar] = {}
-    for ma, sa in x.terms.items():
-        for mb, sb in y.terms.items():
-            scale = sa * sb
-            if not scale.terms:
-                continue
-            for m, s in eng.mono_mul(ma, mb).items():
-                v = s * scale
-                cur = out.get(m)
-                out[m] = v if cur is None else cur + v
-    return AlgebraElement(x.params, out)
+    trunc = x.params.trunc
+    mono_mul = engine(x.params).mono_mul
+    yrows = [(mb, row, min(sum(h) for h, _ in row))
+             for mb, row in y.rows().items()]
+    cells = []
+    for ma, xrow in x.rows().items():
+        low = trunc - min(sum(h) for h, _ in xrow)
+        cells += [(xrow, yrow, mono_mul(ma, mb))
+                  for mb, yrow, d in yrows if d <= low]
+    Lm = lcm(*{cell[0] for *_, cell in cells})
+    out: dict = {}
+    get = out.get
+    for xrow, yrow, (den, entries) in cells:
+        f = Lm // den
+        for ha, na in xrow:
+            for hb, nb in yrow:
+                h0, h1, h2 = ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2]
+                budget = trunc - h0 - h1 - h2
+                if budget < 0:
+                    continue
+                n = na * nb * f
+                for m, hc, c in entries:
+                    if hc[0] + hc[1] + hc[2] > budget:
+                        break
+                    key = m + ((h0 + hc[0], h1 + hc[1], h2 + hc[2]),)
+                    out[key] = get(key, 0) + n * c
+    return x.over_denominator(out, x.den * y.den * Lm)
 
 
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -461,20 +464,40 @@ def classical_limit(x: AlgebraElement) -> AlgebraElement:
     return x.limit((1, 2, 3))
 
 
+def _lam_graded(x: AlgebraElement, power: Callable) -> AlgebraElement:
+    """The sum over the terms of x of lam^power(key) times the term."""
+    parts: dict[int, dict] = {}
+    for k, n in x.nums.items():
+        parts.setdefault(power(k), {})[k] = n
+    out = AlgebraElement.zero(x.params)
+    for p, nums in parts.items():
+        out = out + _central_mul(_lam_pow(p, x.params.trunc),
+                                 x.over_denominator(nums, x.den))
+    return out
+
+
 def phi_automorphism(x: AlgebraElement) -> AlgebraElement:
     """The flatness automorphism: each generator is divided by lam.
 
     A monomial of total generator degree g picks up the central factor
     lam^(-g); the map is extended linearly.
     """
-    out: dict[PBWMonomial, SeriesScalar] = {}
-    for m, s in x.terms.items():
-        piece = _central_mul(_lam_pow(-sum(m), x.params.trunc),
-                             AlgebraElement.monomial(x.params, m, s))
-        for mp, sp in piece.terms.items():
-            cur = out.get(mp)
-            out[mp] = sp if cur is None else cur + sp
-    return AlgebraElement(x.params, out)
+    return _lam_graded(x, lambda k: -sum(k[:7]))
+
+
+def _z_factorial(key: tuple) -> int:
+    """I! J! for the key of Z^I X^J, read as a monomial I + J."""
+    return mi_factorial(key[:3]) * mi_factorial(key[3:7])
+
+
+def _from_z(z: AlgebraElement) -> AlgebraElement:
+    """The element whose coefficient of Z^I X^J is z's at the monomial
+    I + J, where Z^I X^J = lam^|I| Th^i1 Ph^i2 Ps^i3 Q1^j1 Q2^j2 P1^j3 P2^j4
+    / (I! J!)."""
+    L = lcm(*{_z_factorial(k) for k in z.nums})
+    scaled = z.over_denominator(
+        {k: n * (L // _z_factorial(k)) for k, n in z.nums.items()}, z.den * L)
+    return _lam_graded(scaled, lambda k: sum(k[:3]))
 
 
 def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
@@ -483,41 +506,34 @@ def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
 
     Z^I X^J = lam^|I| Th^i1 Ph^i2 Ps^i3 Q1^j1 Q2^j2 P1^j3 P2^j4 / (I! J!).
     """
-    out: dict[PBWMonomial, SeriesScalar] = {}
-    for (ci, qp), s in zmap.items():
-        if isinstance(s, SeriesScalar) and not s.terms:
-            continue
-        mono = tuple(ci) + tuple(qp)
-        scale = Fraction(1, mi_factorial(ci) * mi_factorial(qp))
-        piece = _central_mul(_lam_pow(sum(ci), params.trunc),
-                             AlgebraElement.monomial(params, mono, s * scale))
-        for mp, sp in piece.terms.items():
-            cur = out.get(mp)
-            out[mp] = sp if cur is None else cur + sp
-    return AlgebraElement(params, out)
+    return _from_z(AlgebraElement(params, {
+        tuple(ci) + tuple(qp): s if isinstance(s, SeriesScalar)
+        else SeriesScalar.from_rational(s, params.trunc)
+        for (ci, qp), s in zmap.items()}))
 
 
-def to_z_basis(x: AlgebraElement) -> dict[ZMonomial, SeriesScalar]:
-    """Divided-power coordinates of an element.
+def z_element(x: AlgebraElement) -> AlgebraElement:
+    """The divided-power coordinates of x as an element over its
+    parameters: the coefficient of Z^I X^J stands at the monomial I + J.
 
     Successive approximation: reading off Z-coefficients as if lam were 1 is
     exact up to terms of two more h-degrees, so repeating on the remainder
     terminates within trunc/2 + 1 rounds.
     """
-    params = x.params
-    out: dict[ZMonomial, SeriesScalar] = {}
+    z = AlgebraElement.zero(x.params)
     rem = x
-    for _ in range(params.trunc // 2 + 2):
-        if not rem.terms:
+    for _ in range(x.params.trunc // 2 + 2):
+        if not rem.nums:
             break
-        inc: dict[ZMonomial, SeriesScalar] = {}
-        for m, s in rem.terms.items():
-            ci, qp = m[:3], m[3:]
-            inc[(ci, qp)] = s * (mi_factorial(ci) * mi_factorial(qp))
-        for k, s in inc.items():
-            cur = out.get(k)
-            out[k] = s if cur is None else cur + s
-        rem = rem - from_z_basis(inc, params)
-    if rem.terms:
+        inc = rem.over_denominator(
+            {k: n * _z_factorial(k) for k, n in rem.nums.items()}, rem.den)
+        z = z + inc
+        rem = rem - _from_z(inc)
+    if rem.nums:
         raise RuntimeError("z-basis conversion failed to terminate")
-    return {k: s for k, s in out.items() if s.terms}
+    return z
+
+
+def to_z_basis(x: AlgebraElement) -> dict[ZMonomial, SeriesScalar]:
+    """Divided-power coordinates of an element, by z_element."""
+    return {(m[:3], m[3:]): s for m, s in z_element(x).terms.items()}

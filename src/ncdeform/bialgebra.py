@@ -20,6 +20,7 @@ from .report import VerificationReport
 from .series import TermMap
 
 DIM = 7
+_H0 = (0, 0, 0)
 Vector = dict[int, Fraction]        # sparse coordinates over the basis
 
 
@@ -127,38 +128,32 @@ def lie_bracket(x, y, L: LieData) -> Vector:
 # ---------------------------------------------------------------------------
 
 class WedgeElement(TermMap):
-    """Element of Lambda^2 of the Lie algebra; stored with i < j and the
-    convention x wedge y = x (x) y - y (x) x."""
+    """Element of Lambda^2 of the Lie algebra, with the convention
+    x wedge y = x (x) y - y (x) x; a basis key is (i, j) with i < j, its
+    coefficient is h-free, and terms maps each key to a Fraction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    trunc = 0
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = Fraction(c)
-                if not c or i == j:
-                    continue
-                if i > j:
-                    i, j, c = j, i, -c
-                clean[(i, j)] = clean.get((i, j), 0) + c
-        self.terms = {k: c for k, c in clean.items() if c}
+        self._store(((j, i, _H0), -c) if i > j else ((i, j, _H0), c)
+                    for (i, j), c in (terms or {}).items() if i != j)
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        den = self.den
+        return {k[:2]: Fraction(n, den) for k, n in self.nums.items()}
 
     @classmethod
     def wedge(cls, i: int, j: int, c=1) -> "WedgeElement":
-        return cls({(i, j): Fraction(c)})
+        return cls({(i, j): c})
 
     def space(self) -> None:
         """Every wedge lives in the one Lambda^2 of the Lie algebra."""
 
     def like(self, terms) -> "WedgeElement":
         return WedgeElement(terms)
-
-    def pairs(self):
-        """Expand into (i, j, coefficient) with both tensor orders."""
-        for (i, j), c in self.terms.items():
-            yield (i, j, c)
-            yield (j, i, -c)
 
     def to_text(self) -> str:
         from .render import wedge_to_text
@@ -377,15 +372,13 @@ def dual_bracket_from_delta(delta: Mapping[str, WedgeElement],
 
     xi, eta are 1-based functional indices aligned with the generator order.
     """
-    out: Vector = {}
     a, b = xi - 1, eta - 1
+    key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+    out: Vector = {}
     for k, name in enumerate(GENERATOR_NAMES):
-        coeff = Fraction(0)
-        for (i, j, c) in delta[name].pairs():
-            if i == a and j == b:
-                coeff += c
+        coeff = delta[name].coefficient(key).constant()
         if coeff:
-            out[k] = coeff
+            out[k] = sign * coeff
     return out
 
 

@@ -17,8 +17,8 @@ from .bialgebra import GroupElement, group_compose, group_inverse
 from .dual import poisson_bracket_dir, star_closed, star_oracle_element
 from .hopf import antipode, coproduct, counit, heisenberg_limit_report, \
     verify_hopf_axioms
-from .parser import (ExpressionError, check_pairs, classify, evaluate_dual,
-                     evaluate_primal, parse_expression)
+from .parser import (ExpressionError, check_degree, check_pairs, classify,
+                     degree, evaluate_dual, evaluate_primal, parse_expression)
 from .render import (dual_to_json, dual_to_text, element_to_json,
                      element_to_text, group_to_json, group_to_text,
                      tensor_to_json, tensor_to_text, zmap_to_json,
@@ -129,15 +129,16 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _operand(text: str, kind: str, params: DeformParams):
-    """Parse text and evaluate it as a "primal" or a "dual" expression."""
+def _operand(text: str, kind: str, params: DeformParams) -> tuple:
+    """Parse text and evaluate it as a "primal" or a "dual" expression:
+    (AST, value)."""
     node = parse_expression(text)
     other = "dual" if kind == "primal" else "primal"
     if other in classify(node):
         raise ExpressionError(f"this command expects a {kind} expression")
     if kind == "primal":
-        return evaluate_primal(node, params)
-    return evaluate_dual(node, params.trunc)
+        return node, evaluate_primal(node, params)
+    return node, evaluate_dual(node, params.trunc)
 
 
 def _commands(args) -> dict:
@@ -200,9 +201,13 @@ def _dispatch(args) -> int:
         status = 0 if out.passed else 1
     else:
         kind, arity, operation, render = _commands(args)[args.command]
-        operands = [_operand(text, kind, params) for text in args.exprs]
+        nodes, operands = zip(*(_operand(text, kind, params)
+                                for text in args.exprs))
         if arity == 2:
             check_pairs(*operands)
+            if kind == "primal":
+                # One pair straightens a word of both operands' degree.
+                check_degree(sum(map(degree, nodes)))
         out = operation(*operands)
     to_text, to_json = render
     _emit(args, json.dumps(to_json(out)) if fmt == "json" else to_text(out))

@@ -21,15 +21,9 @@ reads it off its operands, and never a DeformParams.  The oracle's tables
 (the Z-basis expansion of each monomial and cop(Z^S X^T) in that basis) are
 built once per truncation order.
 
-DualElement keeps {key: SeriesScalar} with Fraction coefficients, and that
-map is what every caller sees.  Both products run on integers instead, in
-the layout of FLINT's fmpq_poly (integer numerators over one denominator):
-an operand or a Z-basis expansion is brought once to integer numerators
-over the lcm of its denominators (series.numerators), a coproduct is stored
-that way already (hopf.TensorElement), the inner loops add integer products
-keyed by (key, h), and each output coefficient
-becomes a Fraction (one gcd) once, when the sum is complete
-(series.from_numerators).
+Both products run on the integer numerators of series.TermMap: the inner
+loops add integer products per key, and the oracle's tables keep each
+Z-basis expansion over its own denominator.
 """
 
 from __future__ import annotations
@@ -41,12 +35,11 @@ from typing import Mapping
 
 from .algebra import (AlgebraElement, InvalidParamsError,
                       PBWMonomial, Truncation, ZMonomial, from_z_basis,
-                      to_z_basis)
+                      z_element)
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
-from .series import (HExponent, SeriesScalar, TermMap, flat_numerators,
-                     from_numerators, numerators)
+from .series import SeriesScalar, TermMap
 
 DualMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
 
@@ -56,6 +49,7 @@ _W_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _Y_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _ZERO_W = (0, 0, 0)
 _ZERO_Y = (0, 0, 0, 0)
+_H0 = (0, 0, 0)
 
 
 class NonLinearBracketError(ValueError):
@@ -63,17 +57,14 @@ class NonLinearBracketError(ValueError):
 
 
 class DualElement(TermMap):
-    """Finite sum of dual monomials W^K Y^L with series coefficients."""
+    """Finite sum of dual monomials W^K Y^L with series coefficients; a
+    basis key is the pair (K, L)."""
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ("trunc",)
 
     def __init__(self, trunc: int, terms: Mapping[DualMonomial, SeriesScalar]):
-        clean = {}
-        for k, s in terms.items():
-            if s.terms:
-                clean[k] = s
         self.trunc = trunc
-        self.terms = clean
+        self._store_series(terms)
 
     @classmethod
     def zero(cls, trunc: int) -> "DualElement":
@@ -81,7 +72,7 @@ class DualElement(TermMap):
 
     @classmethod
     def unit(cls, trunc: int) -> "DualElement":
-        return cls(trunc, {(_ZERO_W, _ZERO_Y): SeriesScalar.one(trunc)})
+        return cls.monomial(_ZERO_W, _ZERO_Y, trunc)
 
     @classmethod
     def monomial(cls, w, y, trunc: int, coeff=1) -> "DualElement":
@@ -95,21 +86,12 @@ class DualElement(TermMap):
     def like(self, terms) -> "DualElement":
         return DualElement(self.trunc, terms)
 
-    def coefficient(self, key: DualMonomial) -> SeriesScalar:
-        return self.terms.get(key, SeriesScalar.zero(self.trunc))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
             return self.scale(other)
         return classical_product(self, other)
 
     __rmul__ = __mul__
-
-    def hdegree_truncated(self, below: int) -> "DualElement":
-        """Keep only coefficient terms of h-degree < below."""
-        return self.like({k: SeriesScalar({h: c for h, c in s.terms.items()
-                                           if sum(h) < below}, s.trunc)
-                          for k, s in self.terms.items()})
 
     def to_text(self) -> str:
         from .render import dual_to_text
@@ -131,15 +113,19 @@ def chi(i: int, trunc: int) -> DualElement:
 
 def classical_product(u: DualElement, v: DualElement) -> DualElement:
     """The commutative constant-term product: indices simply add."""
-    out: dict[DualMonomial, SeriesScalar] = {}
-    for (wa, ya), sa in u.terms.items():
-        for (wb, yb), sb in v.terms.items():
+    u.check(v)
+    trunc = u.trunc
+    out: dict = {}
+    get = out.get
+    for (wa, ya, ha), na in u.nums.items():
+        for (wb, yb, hb), nb in v.nums.items():
+            h = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
+            if h[0] + h[1] + h[2] > trunc:
+                continue
             key = (tuple(a + b for a, b in zip(wa, wb)),
-                   tuple(a + b for a, b in zip(ya, yb)))
-            s = sa * sb
-            cur = out.get(key)
-            out[key] = s if cur is None else cur + s
-    return DualElement(u.trunc, out)
+                   tuple(a + b for a, b in zip(ya, yb)), h)
+            out[key] = get(key, 0) + na * nb
+    return u.over_denominator(out, u.den * v.den)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +133,12 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
 # ---------------------------------------------------------------------------
 
 @cache
-def _star_monos(I, J, K, L, trunc: int
-                ) -> tuple[tuple[DualMonomial, HExponent, int], ...]:
-    """The closed formula for W^I Y^J * W^K Y^L as ((key, h, c), ...), one
-    entry per term c * h1^a h2^b h3^c * key with its integer coefficient c;
-    zero sums and h-degrees above trunc are dropped."""
-    out: dict[tuple[DualMonomial, HExponent], int] = {}
+def _star_monos(I, J, K, L, trunc: int) -> tuple[tuple[tuple, int], ...]:
+    """The closed formula for W^I Y^J * W^K Y^L as ((key, c), ...), one
+    entry per term c * h1^a h2^b h3^c * W^w Y^y, key = (w, y, (a, b, c)),
+    with its integer coefficient c; zero sums and h-degrees above trunc
+    are dropped."""
+    out: dict[tuple, int] = {}
     normL = mi_norm(L)
     normJ = mi_norm(J)
     y_key = tuple(a + b for a, b in zip(J, L))
@@ -168,48 +154,45 @@ def _star_monos(I, J, K, L, trunc: int
             base2 = 2 * (mi_norm(I) - normM) + normJ
             c = bIM * mi_binom(K, N) * base1 ** normM * base2 ** mi_norm(N)
             w_key = tuple(a + b - m - n for a, b, m, n in zip(I, K, M, N))
-            key = ((w_key, y_key), h)
+            key = (w_key, y_key, h)
             out[key] = out.get(key, 0) + c
-    return tuple((key, h, c) for (key, h), c in out.items() if c)
+    return tuple((key, c) for key, c in out.items() if c)
 
 
 def star_closed(u: DualElement, v: DualElement) -> DualElement:
     """Bilinear extension of the closed-formula product of dual monomials.
 
-    With u's numerators over Lu and v's over Lv, a pair of coefficient
-    terms h^ha, h^hb of keys a, b adds the integer nu * nv * c to
-    (key, ha + hb + h) for every (key, h, c) of _star_monos(a, b) within
-    the truncation budget; each output coefficient is that sum over
-    Lu * Lv, normalised once.
+    A pair of terms nu h^ha a, nv h^hb b adds the integer nu * nv * c to
+    the key (w, y, ha + h) for every ((w, y, h), c) of _star_monos(a, b)
+    within the truncation budget; the sums are the result's numerators
+    over u.den * v.den.
     """
     u.check(v)
     trunc = u.trunc
-    Lu, uterms = numerators(u.terms)
-    Lv, vterms = numerators(v.terms)
-    acc: dict[tuple[DualMonomial, HExponent], int] = {}
+    acc: dict = {}
     get = acc.get
-    for (wa, ya), ucoef in uterms:
-        for (wb, yb), vcoef in vterms:
+    vrows = v.rows().items()
+    for (wa, ya), urow in u.rows().items():
+        for (wb, yb), vrow in vrows:
             monos = _star_monos(wa, ya, wb, yb, trunc)
-            for ha, na in ucoef:
-                for hb, nb in vcoef:
+            for ha, na in urow:
+                for hb, nb in vrow:
                     h0, h1, h2 = ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2]
                     budget = trunc - h0 - h1 - h2
                     n = na * nb
                     if budget == trunc:
                         # h-free pair: monos is already within trunc.
-                        for key, h, c in monos:
-                            k = (key, h)
-                            acc[k] = get(k, 0) + n * c
+                        for key, c in monos:
+                            acc[key] = get(key, 0) + n * c
                         continue
                     if budget < 0:
                         continue
-                    for key, h, c in monos:
+                    for (w, y, h), c in monos:
                         if h[0] + h[1] + h[2] > budget:
                             continue
-                        k = (key, (h0 + h[0], h1 + h[1], h2 + h[2]))
-                        acc[k] = get(k, 0) + n * c
-    return DualElement(trunc, from_numerators(acc, Lu * Lv, trunc))
+                        key = (w, y, (h0 + h[0], h1 + h[1], h2 + h[2]))
+                        acc[key] = get(key, 0) + n * c
+    return u.over_denominator(acc, u.den * v.den)
 
 
 def star_commutator(u: DualElement, v: DualElement) -> DualElement:
@@ -222,13 +205,12 @@ def star_commutator(u: DualElement, v: DualElement) -> DualElement:
 
 def pairing(u: DualElement, zmap: Mapping[ZMonomial, SeriesScalar]) -> SeriesScalar:
     """<W^K Y^L, Z^I X^J> = delta_KI delta_LJ, extended bilinearly."""
-    out: dict = {}
+    out = SeriesScalar.zero(u.trunc)
     for key, s in u.terms.items():
         c = zmap.get(key)
         if c is not None:
-            for h, v in (s * c).terms.items():
-                out[h] = out.get(h, 0) + v
-    return SeriesScalar(out, u.trunc)
+            out = out + s * c
+    return out
 
 
 def delta_on_zbasis(S, T, trunc: int) -> dict[tuple[ZMonomial, ZMonomial], SeriesScalar]:
@@ -236,11 +218,10 @@ def delta_on_zbasis(S, T, trunc: int) -> dict[tuple[ZMonomial, ZMonomial], Serie
 
     Computed entirely by the engine: build the element, apply the coproduct,
     convert each leg monomial through the cached Z-basis expansion.  The
-    table is built once per truncation order.
-    Each expansion is kept as integer numerators over its own denominator;
-    the coproduct's rows are put over one common denominator, the products
-    of numerators are added per ((k1, k2), h), and each table entry is
-    normalised to a Fraction once.
+    table is built once per truncation order, on integers: each expansion
+    keeps its own denominator, the coproduct's terms are put over one common
+    denominator, the products of numerators are added per ((k1, k2), h),
+    and each entry becomes a SeriesScalar once.
     """
     return _delta_z(tuple(S), tuple(T), trunc)
 
@@ -248,9 +229,9 @@ def delta_on_zbasis(S, T, trunc: int) -> dict[tuple[ZMonomial, ZMonomial], Serie
 @cache
 def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
     """Z-basis expansion of a single ordered monomial as integer numerators
-    over one denominator: (L, ((zkey, h, numerator), ...))."""
-    return flat_numerators(to_z_basis(
-        AlgebraElement.monomial(Truncation(trunc), mono)))
+    over one denominator: (den, ((zkey, h, numerator), ...))."""
+    z = z_element(AlgebraElement.monomial(Truncation(trunc), mono))
+    return z.den, tuple(((k[:3], k[3:7]), k[7], n) for k, n in z.nums.items())
 
 
 @cache
@@ -279,7 +260,12 @@ def _delta_z(S, T, trunc: int) -> dict:
                     continue
                 key = ((k1, k2), (g0 + e[0], g1 + e[1], g2 + e[2]))
                 acc[key] = get(key, 0) + m * n2
-    return from_numerators(acc, ten.den * L1 * L2, trunc)
+    den = ten.den * L1 * L2
+    out: dict = {}
+    for (pair, h), n in acc.items():
+        if n:
+            out.setdefault(pair, {})[h] = Fraction(n, den)
+    return {pair: SeriesScalar(hmap, trunc) for pair, hmap in out.items()}
 
 
 def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,
@@ -311,14 +297,12 @@ def star_oracle_element(u: DualElement, v: DualElement,
     truncation order."""
     Truncation(u.trunc)  # rejects a negative order, also when u or v is 0
     u.check(v)
-    out: dict[DualMonomial, SeriesScalar] = {}
+    out = DualElement.zero(u.trunc)
+    vterms = v.terms.items()
     for ka, sa in u.terms.items():
-        for kb, sb in v.terms.items():
-            piece = star_oracle(ka, kb, u.trunc, degree_cap).scale(sa * sb)
-            for k, s in piece.terms.items():
-                cur = out.get(k)
-                out[k] = s if cur is None else cur + s
-    return DualElement(u.trunc, out)
+        for kb, sb in vterms:
+            out = out + star_oracle(ka, kb, u.trunc, degree_cap).scale(sa * sb)
+    return out
 
 
 def star_oracle_grid(norm_bound: int, trunc: int) -> dict:
@@ -380,12 +364,9 @@ def poisson_bracket_dir(u: DualElement, v: DualElement, i: int) -> DualElement:
         raise ValueError("direction must be 1, 2 or 3")
     h = tuple(1 if k == i - 1 else 0 for k in range(3))
     comm = star_commutator(u, v)
-    out = {}
-    for key, s in comm.terms.items():
-        c = s.terms.get(h)
-        if c:
-            out[key] = SeriesScalar.from_rational(c, u.trunc)
-    return DualElement(u.trunc, out)
+    return comm.over_denominator({k[:-1] + (_H0,): n
+                                  for k, n in comm.nums.items() if k[-1] == h},
+                                 comm.den)
 
 
 _CHI_KEYS = tuple((w, _ZERO_Y) for w in _W_UNITS) + tuple(

@@ -19,29 +19,22 @@ and apply_coproduct_leg() return their results over the caller's
 parameters.  The antipode reverses products, so its tables are built per
 parameter set, with that set's commutators.
 
-Tensor terms are stored flat, key = (leg monomials..., h exponent), in the
-layout of FLINT's fmpq_poly (an integer polynomial plus one denominator):
-integer numerators over one positive denominator with no common factor.
-Coefficients become Fractions only when they are read (TensorElement.terms:
-rendering, coefficient(), sums).  For multiplication a tensor also keeps,
-built once, its leg monomials interned to small ints and its terms grouped
-by h exponent in order of h-degree (buckets()), so that pairs over the
-truncation budget are never touched.  tensor_mul takes the leg products it
-can reach over one denominator per call, adds integer products only, and
-divides the sums by their common factor once; coproduct() and
-apply_coproduct_leg() fill the same storage from the coproduct tables.  The
-antipode check runs on flat integers as well: mu_antipode_leg reads a
-tensor's buckets, the flat antipode table of each leg monomial and the
-engine's mono_mul_flat cells, and builds Fractions only for its result.
-This keeps the exhaustive degree-3 verification grids fast enough for
-interactive use.
+A tensor's basis key is its tuple of leg monomials (series.TermMap holds
+the storage).  For multiplication a tensor also keeps, built once, its leg
+monomials interned to small ints and its terms grouped by h exponent in
+order of h-degree (buckets()), so that pairs over the truncation budget are
+never touched.  tensor_mul takes the leg products it can reach over one
+denominator per call and adds integer products only; the antipode check
+(mu_antipode_leg) reads the same buckets, antipode_mono and the engine's
+mono_mul cells.  This keeps the exhaustive degree-3 verification grids fast
+enough for interactive use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
@@ -52,8 +45,7 @@ from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       mono_factors, normal_order_mul, power_series)
 from .multiindex import multiindices_graded
 from .report import VerificationReport, clip_note
-from .series import (SeriesScalar, TermMap, flat_numerators,
-                     from_numerators)
+from .series import SeriesScalar, TermMap, substitute
 
 _H0 = (0, 0, 0)
 
@@ -62,54 +54,29 @@ TensorKey = tuple
 
 
 class TensorElement(TermMap):
-    """Finite sum of monomial tensors (arity 2 or 3) with series coefficients.
-
-    The coefficients are stored once, as integer numerators over one
-    positive denominator with no common factor: nums maps
-    (m_1, ..., m_arity, h) -> nonzero int, over den.  That pair is unique
-    per value, so equality compares it.  terms, the same map with Fraction
-    values, is built each time it is read.  Multiplication is componentwise
-    on the legs, and there is no sign rule.
+    """Finite sum of monomial tensors (arity 2 or 3) with series
+    coefficients; a basis key is the tuple of leg monomials, so terms, the
+    view built when it is read, maps (m_1, ..., m_arity, h) to a Fraction.
+    Multiplication is componentwise on the legs, and there is no sign rule.
     """
 
-    __slots__ = ("params", "arity", "nums", "den", "_buckets")
+    __slots__ = ("params", "arity", "_buckets")
 
     def __init__(self, params: DeformParams, arity: int,
                  terms: Mapping[TensorKey, Fraction]):
-        fracs = [(k, c if type(c) is Fraction else Fraction(c))
-                 for k, c in terms.items() if c]
-        # Over the lcm of reduced denominators the numerators share no
-        # factor with it: a prime's highest power in the lcm divides some
-        # denominator, and that numerator is then free of the prime.
-        den = lcm(*(c.denominator for _, c in fracs))
         self.params = params
         self.arity = arity
-        self.nums = {k: c.numerator * (den // c.denominator) for k, c in fracs}
-        self.den = den
         self._buckets = None
-
-    @classmethod
-    def over_denominator(cls, params: DeformParams, arity: int,
-                         nums: Mapping[TensorKey, int],
-                         den: int) -> "TensorElement":
-        """The tensor sum(nums[key] / den * key), den > 0: zero numerators
-        are dropped and the common factor is divided out."""
-        g = gcd(den, *nums.values())
-        t = cls.__new__(cls)
-        t.params = params
-        t.arity = arity
-        t.nums = {k: n // g for k, n in nums.items() if n}
-        t.den = den // g
-        t._buckets = None
-        return t
+        self._store(terms.items())
 
     @property
     def terms(self) -> dict[TensorKey, Fraction]:
         den = self.den
         return {k: Fraction(n, den) for k, n in self.nums.items()}
 
-    def canonical(self) -> tuple:
-        return self.den, self.nums
+    @property
+    def trunc(self) -> int:
+        return self.params.trunc
 
     @classmethod
     def zero(cls, params: DeformParams, arity: int = 2) -> "TensorElement":
@@ -117,8 +84,7 @@ class TensorElement(TermMap):
 
     @classmethod
     def unit(cls, params: DeformParams, arity: int = 2) -> "TensorElement":
-        return cls(params, arity,
-                   {(EMPTY_MONO,) * arity + (_H0,): Fraction(1)})
+        return cls(params, arity, {(EMPTY_MONO,) * arity + (_H0,): 1})
 
     def space(self) -> tuple:
         return self.params, self.arity
@@ -132,8 +98,8 @@ class TensorElement(TermMap):
         if params.trunc != self.params.trunc:
             raise ParamsMismatchError(
                 "tensors live over different truncations")
-        return TensorElement.over_denominator(params, self.arity, self.nums,
-                                              self.den)
+        return TensorElement.zero(params, self.arity).over_denominator(
+            self.nums, self.den)
 
     def buckets(self) -> tuple:
         """Integer view for tensor_mul and mu_antipode_leg, built lazily
@@ -169,21 +135,6 @@ class TensorElement(TermMap):
                        key=lambda group: group[1]))
         return self._buckets
 
-    def scale(self, factor) -> "TensorElement":
-        if isinstance(factor, SeriesScalar):
-            D = self.params.trunc
-            out: dict[TensorKey, Fraction] = {}
-            for key, c in self.terms.items():
-                h = key[-1]
-                for hs, cs in factor.terms.items():
-                    hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
-                    if hh[0] + hh[1] + hh[2] > D:
-                        continue
-                    nk = key[:-1] + (hh,)
-                    out[nk] = out.get(nk, 0) + c * cs
-            return self.like(out)
-        return super().scale(factor)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
             return self.scale(other)
@@ -197,21 +148,8 @@ class TensorElement(TermMap):
     def flip(self) -> "TensorElement":
         if self.arity != 2:
             raise ValueError("flip is defined for two legs")
-        return TensorElement.over_denominator(
-            self.params, 2, {(k[1], k[0], k[2]): n
-                             for k, n in self.nums.items()}, self.den)
-
-    def limit(self, zeroed) -> "TensorElement":
-        zeroed = set(zeroed)
-        return TensorElement.over_denominator(
-            self.params, self.arity,
-            {k: n for k, n in self.nums.items()
-             if all(k[-1][i - 1] == 0 for i in zeroed)}, self.den)
-
-    def coefficient(self, legs: tuple) -> SeriesScalar:
-        acc = {key[-1]: c for key, c in self.terms.items()
-               if key[:-1] == tuple(legs)}
-        return SeriesScalar(acc, self.params.trunc)
+        return self.over_denominator(
+            {(k[1], k[0], k[2]): n for k, n in self.nums.items()}, self.den)
 
     def to_text(self) -> str:
         from .render import tensor_to_text
@@ -226,24 +164,25 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
     """Independent legs: (sum_a) (x) (sum_b) ... with coefficient products."""
     params = factors[0].params
     D = params.trunc
-    parts = [((), _H0, Fraction(1))]
+    parts = [((), _H0, 1)]
+    den = 1
     for f in factors:
         if f.params != params:
             raise ParamsMismatchError("tensor legs over different parameters")
+        den *= f.den
         new = []
         for legs, h, c in parts:
-            for m, s in f.terms.items():
-                for hs, cs in s.terms.items():
-                    hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
-                    if hh[0] + hh[1] + hh[2] > D:
-                        continue
-                    new.append((legs + (m,), hh, c * cs))
+            for k, n in f.nums.items():
+                hs = k[7]
+                hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
+                if hh[0] + hh[1] + hh[2] <= D:
+                    new.append((legs + (k[:7],), hh, c * n))
         parts = new
-    out: dict[TensorKey, Fraction] = {}
+    out: dict[TensorKey, int] = {}
     for legs, h, c in parts:
         key = legs + (h,)
         out[key] = out.get(key, 0) + c
-    return TensorElement(params, len(factors), out)
+    return TensorElement.zero(params, len(factors)).over_denominator(out, den)
 
 
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -268,8 +207,7 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
                 break
             h = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
             pairs(out, h, aterms, bterms, tables, D)
-    return TensorElement.over_denominator(a.params, arity, out,
-                                          La * Lb * Lm ** arity)
+    return a.over_denominator(out, La * Lb * Lm ** arity)
 
 
 def _leg_tables(eng, alegs, blegs, D: int) -> tuple[list, int]:
@@ -281,7 +219,7 @@ def _leg_tables(eng, alegs, blegs, D: int) -> tuple[list, int]:
     term pair within the truncation budget reaches is None.  Every
     numerator is over the returned Lm, the lcm of the fetched denominators.
     """
-    mono_mul_flat = eng.mono_mul_flat
+    mono_mul = eng.mono_mul
     raw = []
     dens = set()
     for (amonos, amin), (bmonos, bmin) in zip(alegs, blegs):
@@ -292,7 +230,7 @@ def _leg_tables(eng, alegs, blegs, D: int) -> tuple[list, int]:
                 if da + db > D:
                     row.append(None)
                     continue
-                cell = mono_mul_flat(ma, mb)
+                cell = mono_mul(ma, mb)
                 dens.add(cell[0])
                 row.append(cell)
             table.append(row)
@@ -421,34 +359,12 @@ def _cop_mono(trunc: int, mono: PBWMonomial) -> TensorElement:
     return tensor_mul(_cop_mono(trunc, prev), _hopf(trunc).cop_gen[g])
 
 
-def _expand_cop(params, arity: int, items: list, den: int) -> TensorElement:
-    """sum n/den * h^hx * (before (x) cop(m) (x) after) over the items
-    (before, m, after, hx, n), with before and after tuples of leg
-    monomials, dropping h-degrees above the truncation.  Every cop(m) is
-    brought to the lcm Lm of their denominators, so the sums are integers
-    over den * Lm."""
-    trunc = params.trunc
-    cops = {m: _cop_mono(trunc, m) for m in {item[1] for item in items}}
-    Lm = lcm(*(t.den for t in cops.values()))
-    out: dict[TensorKey, int] = {}
-    get = out.get
-    for before, m, after, h, n in items:
-        cop = cops[m]
-        n *= Lm // cop.den
-        for (m1, m2, hs), cs in cop.nums.items():
-            hh = (h[0] + hs[0], h[1] + hs[1], h[2] + hs[2])
-            if hh[0] + hh[1] + hh[2] > trunc:
-                continue
-            key = before + (m1, m2) + after + (hh,)
-            out[key] = get(key, 0) + n * cs
-    return TensorElement.over_denominator(params, arity, out, den * Lm)
-
-
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproducts."""
-    den, rows = flat_numerators(x.terms)
-    return _expand_cop(x.params, 2, [((), m, (), h, n) for m, h, n in rows],
-                       den)
+    trunc = x.params.trunc
+    return substitute(TensorElement.zero(x.params),
+                      [((), _cop_mono(trunc, k[:7]), (), k[7], n)
+                       for k, n in x.nums.items()], x.den)
 
 
 def counit(x: AlgebraElement) -> SeriesScalar:
@@ -469,20 +385,17 @@ def antipode_mono(params: DeformParams, mono: PBWMonomial) -> AlgebraElement:
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
     """Anti-homomorphism with S(g) = -g on every generator."""
-    out: dict[PBWMonomial, SeriesScalar] = {}
-    for m, s in x.terms.items():
-        for ms, ss in antipode_mono(x.params, m).terms.items():
-            v = ss * s
-            cur = out.get(ms)
-            out[ms] = v if cur is None else cur + v
-    return AlgebraElement(x.params, out)
+    return substitute(x, [((), antipode_mono(x.params, k[:7]), (), k[7], n)
+                          for k, n in x.nums.items()], x.den)
 
 
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
-    return _expand_cop(t.params, t.arity + 1,
-                       [(key[:leg], key[leg], key[leg + 1:-1], key[-1], n)
-                        for key, n in t.nums.items()], t.den)
+    trunc = t.params.trunc
+    return substitute(TensorElement.zero(t.params, t.arity + 1),
+                      [(key[:leg], _cop_mono(trunc, key[leg]),
+                        key[leg + 1:-1], key[-1], n)
+                       for key, n in t.nums.items()], t.den)
 
 
 def apply_counit_leg(t: TensorElement, leg: int):
@@ -492,18 +405,12 @@ def apply_counit_leg(t: TensorElement, leg: int):
         if key[leg] != EMPTY_MONO:
             continue
         nk = key[:leg] + key[leg + 1:]
+        if t.arity == 2:
+            nk = nk[0] + nk[1:]     # (m, h) as the algebra key m + (h,)
         out[nk] = out.get(nk, 0) + n
-    if t.arity == 2:
-        return AlgebraElement(t.params,
-                              from_numerators(out, t.den, t.params.trunc))
-    return TensorElement.over_denominator(t.params, t.arity - 1, out, t.den)
-
-
-@cache
-def _antipode_flat(params: DeformParams, mono: PBWMonomial) -> tuple:
-    """S(mono) over one denominator: (den, ((monomial, h exponent,
-    integer numerator), ...))."""
-    return flat_numerators(antipode_mono(params, mono).terms)
+    into = (AlgebraElement.zero(t.params) if t.arity == 2
+            else TensorElement.zero(t.params, t.arity - 1))
+    return into.over_denominator(out, t.den)
 
 
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
@@ -511,14 +418,14 @@ def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
 
     Runs on integers.  Each distinct leg pair (m1, m2) of t is expanded
     once per call, within the h-degree budget of its lowest term: S(m1)
-    from the flat antipode table times m2 (or m1 times S(m2)) through the
-    engine's mono_mul_flat cells, every entry over this call's Lp.  A term
-    of t then adds its numerator times each entry that fits its own budget,
-    and the sums become Fractions over den * Lp once.
+    from antipode_mono times m2 (or m1 times S(m2)) through the engine's
+    mono_mul cells, every entry over this call's Lp.  A term of t then adds
+    its numerator times each entry that fits its own budget, and the sums
+    are the result's numerators over den * Lp.
     """
     params = t.params
     D = params.trunc
-    flat = engine(params).mono_mul_flat
+    mono_mul = engine(params).mono_mul
     den, legs, groups = t.buckets()
     monos0, monos1 = legs[0][0], legs[1][0]
     budget: dict[tuple[int, int], int] = {}
@@ -530,13 +437,14 @@ def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     dens = set()
     for (i0, i1), b in budget.items():
         m1, m2 = monos0[i0], monos1[i1]
-        sden, sterms = _antipode_flat(params, m1 if leg == 0 else m2)
+        S = antipode_mono(params, m1 if leg == 0 else m2)
         entries = []
-        for ms, hs, ns in sterms:
+        for ks, ns in S.nums.items():
+            ms, hs = ks[:7], ks[7]
             if hs[0] + hs[1] + hs[2] > b:
                 continue
-            cden, cells = flat(ms, m2) if leg == 0 else flat(m1, ms)
-            pden = sden * cden
+            cden, cells = mono_mul(ms, m2) if leg == 0 else mono_mul(m1, ms)
+            pden = S.den * cden
             dens.add(pden)
             for m, hc, nc in cells:
                 g = (hs[0] + hc[0], hs[1] + hc[1], hs[2] + hc[2])
@@ -558,9 +466,9 @@ def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
             for dg, m, g, k in table[(i0, i1)]:
                 if dg > b:
                     break
-                key = (m, (h[0] + g[0], h[1] + g[1], h[2] + g[2]))
+                key = m + ((h[0] + g[0], h[1] + g[1], h[2] + g[2]),)
                 acc[key] = get(key, 0) + n * k
-    return AlgebraElement(params, from_numerators(acc, den * Lp, D))
+    return AlgebraElement.zero(params).over_denominator(acc, den * Lp)
 
 
 @cache
@@ -708,7 +616,7 @@ def heisenberg_limit_report(hbar_degree: int) -> VerificationReport:
     for name, (x, y) in (("[Q1,Q2]", (qs[0], qs[1])),
                          ("[P1,P2]", (ps[0], ps[1]))):
         got = commutator(x, y).limit(zeroed)
-        ok = not got.terms
+        ok = not got
         report.add("limit-commutator", name, ok,
                    None if ok else _diff_note("nonzero", got))
 

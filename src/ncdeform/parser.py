@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, DeformParams, make_generator, \
     make_lambda, make_rho, make_exp_rho, normal_order_mul
-from .dual import DualElement, chi, classical_product
+from .dual import DualElement, classical_product
 from .series import SeriesScalar
 
 
@@ -178,7 +178,7 @@ class _Parser:
             self._next()
             factors.append(self.factor())
             total += degree(factors[-1])
-            _check_degree(total, tok[2])
+            check_degree(total, tok[2])
         return Mul(tuple(factors))
 
     def factor(self):
@@ -194,7 +194,7 @@ class _Parser:
                 raise ExpressionError(
                     f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
                     num[2])
-            _check_degree(degree(base) * exponent, num[2])
+            check_degree(degree(base) * exponent, num[2])
             return Pow(base, exponent)
         return base
 
@@ -290,8 +290,13 @@ def degree(node) -> int:
     raise TypeError(node)
 
 
+def _size(x) -> int:
+    """The number of terms of x: its distinct basis keys."""
+    return len(x.rows())
+
+
 def _bounded(x):
-    if len(x.terms) > MAX_TERMS:
+    if _size(x) > MAX_TERMS:
         raise ExpressionError(
             f"expression expands to more than {MAX_TERMS} terms")
     return x
@@ -299,18 +304,15 @@ def _bounded(x):
 
 def check_pairs(x, y) -> None:
     """Raise ExpressionError if x * y has more than MAX_PAIRS term pairs."""
-    if len(x.terms) * len(y.terms) > MAX_PAIRS:
+    nx, ny = _size(x), _size(y)
+    if nx * ny > MAX_PAIRS:
         raise ExpressionError(
-            f"product of {len(x.terms)} by {len(y.terms)} terms exceeds "
+            f"product of {nx} by {ny} terms exceeds "
             f"the bound of {MAX_PAIRS} term pairs")
 
 
-def _product(mul, x, y):
-    check_pairs(x, y)
-    return _bounded(mul(x, y))
-
-
-def _check_degree(total: int, position: int) -> None:
+def check_degree(total: int, position: int | None = None) -> None:
+    """Raise ExpressionError if a generator degree exceeds MAX_EXPONENT."""
     if total > MAX_EXPONENT:
         raise ExpressionError(
             f"generator degree {total} exceeds the bound {MAX_EXPONENT}",
@@ -354,70 +356,72 @@ def classify(node) -> set[str]:
 
 # -- evaluation -------------------------------------------------------------
 
-def evaluate_primal(node, params: DeformParams) -> AlgebraElement:
-    if isinstance(node, Num):
-        return AlgebraElement.unit(params).scale(node.value)
-    if isinstance(node, Sym):
-        if node.name in ("h1", "h2", "h3"):
-            return AlgebraElement.unit(params).scale(
-                SeriesScalar.hbar(int(node.name[1]), params.trunc))
-        if node.name == "rho":
-            return make_rho(params)
-        if node.name == "lambda":
-            return make_lambda(params)
-        return make_generator(node.name, params)
+def _primal_leaf(node, params: DeformParams):
     if isinstance(node, ExpRho):
         return make_exp_rho(node.coeff, params)
-    if isinstance(node, Pow):
-        out = AlgebraElement.unit(params)
-        base = evaluate_primal(node.base, params)
-        for _ in range(node.exponent):
-            out = _product(normal_order_mul, out, base)
-        return out
-    if isinstance(node, Mul):
-        out = AlgebraElement.unit(params)
-        for f in node.factors:
-            out = _product(normal_order_mul, out, evaluate_primal(f, params))
+    if not isinstance(node, Sym):
+        return None
+    if node.name == "rho":
+        return make_rho(params)
+    if node.name == "lambda":
+        return make_lambda(params)
+    return make_generator(node.name, params)
+
+
+def _dual_leaf(node, trunc: int):
+    if not isinstance(node, DualSym):
+        return None
+    if node.kind == "W":
+        return DualElement.monomial(node.index, (0, 0, 0, 0), trunc)
+    return DualElement.monomial((0, 0, 0), node.index, trunc)
+
+
+#: What evaluation reads for one kind of expression: the unit and zero over
+#: a space, the element of a leaf token (None for a token of the other
+#: kind), the product, and the error for a token of the other kind.
+_PRIMAL = (AlgebraElement.unit, AlgebraElement.zero, _primal_leaf,
+           normal_order_mul, "dual token in a primal context")
+_DUAL = (DualElement.unit, DualElement.zero, _dual_leaf, classical_product,
+         "primal token in a dual context")
+
+
+def _evaluate(node, space, kind: tuple):
+    """One walk for both kinds; space is a DeformParams for primal
+    expressions and a truncation order for dual ones."""
+    unit, zero, leaf, mul, wrong = kind
+    if isinstance(node, Num):
+        return unit(space).scale(node.value)
+    if isinstance(node, Sym) and node.name in ("h1", "h2", "h3"):
+        one = unit(space)
+        return one.scale(SeriesScalar.hbar(int(node.name[1]), one.trunc))
+    if isinstance(node, (Pow, Mul)):
+        if isinstance(node, Pow):
+            factors = [_evaluate(node.base, space, kind)] * node.exponent
+        else:
+            factors = (_evaluate(f, space, kind) for f in node.factors)
+        out = unit(space)
+        for f in factors:
+            check_pairs(out, f)
+            out = _bounded(mul(out, f))
         return out
     if isinstance(node, Add):
-        out = AlgebraElement.zero(params)
+        out = zero(space)
         for sign, t in node.terms:
-            piece = evaluate_primal(t, params)
+            piece = _evaluate(t, space, kind)
             out = _bounded(out + (piece if sign > 0 else -piece))
         return out
-    raise ExpressionError("dual token in a primal context")
+    value = leaf(node, space)
+    if value is None:
+        raise ExpressionError(wrong)
+    return value
+
+
+def evaluate_primal(node, params: DeformParams) -> AlgebraElement:
+    return _evaluate(node, params, _PRIMAL)
 
 
 def evaluate_dual(node, trunc: int) -> DualElement:
-    if isinstance(node, Num):
-        return DualElement.unit(trunc).scale(node.value)
-    if isinstance(node, Sym):
-        if node.name in ("h1", "h2", "h3"):
-            return DualElement.unit(trunc).scale(
-                SeriesScalar.hbar(int(node.name[1]), trunc))
-        raise ExpressionError("primal token in a dual context")
-    if isinstance(node, DualSym):
-        if node.kind == "W":
-            return DualElement.monomial(node.index, (0, 0, 0, 0), trunc)
-        return DualElement.monomial((0, 0, 0), node.index, trunc)
-    if isinstance(node, Pow):
-        out = DualElement.unit(trunc)
-        base = evaluate_dual(node.base, trunc)
-        for _ in range(node.exponent):
-            out = _product(classical_product, out, base)
-        return out
-    if isinstance(node, Mul):
-        out = DualElement.unit(trunc)
-        for f in node.factors:
-            out = _product(classical_product, out, evaluate_dual(f, trunc))
-        return out
-    if isinstance(node, Add):
-        out = DualElement.zero(trunc)
-        for sign, t in node.terms:
-            piece = evaluate_dual(t, trunc)
-            out = _bounded(out + (piece if sign > 0 else -piece))
-        return out
-    raise ExpressionError("primal token in a dual context")
+    return _evaluate(node, trunc, _DUAL)
 
 
 def evaluate(text: str, params: DeformParams):

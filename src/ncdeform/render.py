@@ -6,7 +6,6 @@ so identical values always serialize to identical bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .algebra import GENERATOR_NAMES, AlgebraElement, mono_factors
 from .series import SeriesScalar, format_rational, h_factors, render_terms
@@ -30,8 +29,9 @@ def element_to_text(x: AlgebraElement) -> str:
 
 
 def element_to_json(x: AlgebraElement) -> dict:
-    return {"terms": [{"exp": list(m), "coeff": x.terms[m].to_json()}
-                      for m in sorted(x.terms)]}
+    terms = x.terms
+    return {"terms": [{"exp": list(m), "coeff": terms[m].to_json()}
+                      for m in sorted(terms)]}
 
 
 def element_from_json(data: dict, params) -> AlgebraElement:
@@ -60,9 +60,9 @@ def dual_to_text(u) -> str:
 
 
 def dual_to_json(u) -> dict:
+    terms = u.terms
     return {"terms": [{"w": list(k[0]), "y": list(k[1]),
-                       "coeff": u.terms[k].to_json()}
-                      for k in sorted(u.terms)]}
+                       "coeff": terms[k].to_json()} for k in sorted(terms)]}
 
 
 def dual_from_json(data: dict, trunc: int):
@@ -94,25 +94,16 @@ def zmap_to_json(zmap) -> dict:
                       for k in sorted(zmap)]}
 
 
-def _tensor_by_legs(t) -> dict:
-    """Regrouped view of a tensor: leg tuple -> series coefficient."""
-    acc: dict[tuple, dict] = {}
-    for key, c in t.terms.items():
-        acc.setdefault(key[:-1], {})[key[-1]] = c
-    D = t.params.trunc
-    return {legs: SeriesScalar(hmap, D) for legs, hmap in acc.items()}
-
-
 def tensor_to_text(t) -> str:
     def factors(legs):
         return [" (x) ".join("*".join(mono_factors(m)) or "1" for m in legs)]
     return _render_flat((legs, factors(legs), s)
-                        for legs, s in _tensor_by_legs(t).items())
+                        for legs, s in t.coefficients().items())
 
 
 def tensor_to_json(t) -> dict:
     names = ("left", "right") if t.arity == 2 else ("left", "middle", "right")
-    by_legs = _tensor_by_legs(t)
+    by_legs = t.coefficients()
     out = []
     for legs in sorted(by_legs):
         item = {name: list(m) for name, m in zip(names, legs)}
@@ -127,13 +118,10 @@ def wedge_to_json(w) -> list:
 
 
 def wedge_to_text(w) -> str:
-    if not w.terms:
+    if not w:
         return "0"
-    parts = []
-    for (i, j) in sorted(w.terms):
-        parts.append((Fraction(w.terms[(i, j)]),
-                      [f"{GENERATOR_NAMES[i]}/\\{GENERATOR_NAMES[j]}"]))
-    return render_terms(parts)
+    return render_terms([(c, [f"{GENERATOR_NAMES[i]}/\\{GENERATOR_NAMES[j]}"])
+                         for (i, j), c in sorted(w.terms.items())])
 
 
 def group_to_text(g) -> str:

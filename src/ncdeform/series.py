@@ -8,10 +8,17 @@ of total degree > trunc is discarded by every operation.  Zero coefficients
 are never stored, so two series are equal iff their term maps are equal.
 
 Every other carrier (algebra elements, tensors, dual functionals, wedges) is
-a TermMap, whose vector-space operations are written once here.
-numerators(), flat_numerators() and from_numerators() are the
-integer-numerator layout of a {key: SeriesScalar} map that the integer
-kernels work in.
+a TermMap: a finite sum over a basis whose coefficients are such series.
+All four share one storage, in the layout of FLINT's fmpq_poly (an integer
+polynomial and one denominator, https://flintlib.org/doc/fmpq_poly.html):
+nums maps key + (h,), a basis key (a tuple) followed by an h exponent
+triple, to a nonzero int numerator, and den is one positive int sharing no
+factor with all of them.  That pair is unique per value, so equality
+compares it.  TermMap holds the only copy of the conversion from a public
+coefficient map, of sum, negation, scaling, equality and the h filters,
+all on those integers; every kernel reads and fills nums and den directly,
+and coefficients become Fractions only when they are read (terms,
+coefficient(), rendering).
 
 >>> a = SeriesScalar.one(2) + SeriesScalar.hbar(1, 2)
 >>> print((a * a).to_text())
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 HExponent = tuple[int, int, int]
@@ -177,19 +184,6 @@ class SeriesScalar:
 
     __rmul__ = __mul__
 
-    def shifted(self, h: HExponent, scale=1) -> "SeriesScalar":
-        """Multiply by scale * h1^a h2^b h3^c, dropping overflowing terms."""
-        scale = Fraction(scale)
-        if not scale:
-            return SeriesScalar.zero(self.trunc)
-        trunc = self.trunc
-        out: dict[HExponent, Fraction] = {}
-        for k, c in self.terms.items():
-            nk = (k[0] + h[0], k[1] + h[1], k[2] + h[2])
-            if nk[0] + nk[1] + nk[2] <= trunc:
-                out[nk] = c * scale
-        return _raw(out, trunc)
-
     def inv(self) -> "SeriesScalar":
         """Inverse by geometric series; requires a nonzero constant term."""
         u = self.constant()
@@ -240,26 +234,80 @@ def _raw(terms: dict, trunc: int) -> SeriesScalar:
 
 
 class TermMap:
-    """A finite sum over a basis: terms maps basis keys to nonzero
-    coefficients.  A subclass adds to_text(), space(), what two operands
-    must share to be combined or equal, and like(terms), the term map over
-    the same space whose constructor drops zero coefficients."""
+    """A finite sum over a basis with coefficients in Q[h1, h2, h3],
+    truncated above total h-degree trunc, stored as nums over den (see the
+    module docstring).  terms is a view built when it is read,
+    {key: SeriesScalar} unless a subclass shapes it otherwise.
 
-    __slots__ = ()
+    A subclass adds trunc, to_text(), space(), what two operands must share
+    to be combined or equal, and like(terms), the term map over the same
+    space converted from a public coefficient map by _store().
+    """
+
+    __slots__ = ("nums", "den")
+
+    def _store(self, coeffs: Iterable) -> None:
+        """Fill nums and den from (key + (h,), rational) pairs: repeated
+        keys add up, and zeros and h-degrees above trunc are dropped."""
+        trunc = self.trunc
+        acc: dict = {}
+        for key, c in coeffs:
+            h = key[-1]
+            if h[0] + h[1] + h[2] <= trunc:
+                acc[key] = acc.get(key, 0) + (
+                    c if type(c) in (int, Fraction) else Fraction(c))
+        fracs = [(key, c) for key, c in acc.items() if c]
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it: a prime's highest power in the lcm divides some
+        # denominator, and that numerator is then free of the prime.
+        den = lcm(*(c.denominator for _, c in fracs))
+        self.nums = {key: c.numerator * (den // c.denominator)
+                     for key, c in fracs}
+        self.den = den
+
+    def _store_series(self, terms: Mapping) -> None:
+        """_store() from a {key: SeriesScalar} map."""
+        self._store((tuple(key) + (h,), c) for key, s in terms.items()
+                    for h, c in s.terms.items())
+
+    def over_denominator(self, nums: Mapping[tuple, int],
+                         den: int) -> "TermMap":
+        """The term map sum nums[k] / den * k over this one's space,
+        den > 0: zero numerators are dropped and the common factor is
+        divided out."""
+        g = gcd(den, *nums.values())
+        out = self.like({})
+        out.nums = {k: n // g for k, n in nums.items() if n}
+        out.den = den // g
+        return out
+
+    def rows(self) -> dict:
+        """The numerators grouped by basis key: {key: [(h, numerator)]}."""
+        out: dict = {}
+        for k, n in self.nums.items():
+            out.setdefault(k[:-1], []).append((k[-1], n))
+        return out
+
+    def coefficients(self) -> dict:
+        """{key: SeriesScalar}, one coefficient per basis key."""
+        den, trunc = self.den, self.trunc
+        return {key: _raw({h: Fraction(n, den) for h, n in row}, trunc)
+                for key, row in self.rows().items()}
+
+    terms = property(coefficients)
+
+    def coefficient(self, key: tuple) -> SeriesScalar:
+        """The coefficient of one basis key, zero if it has no term."""
+        return self.coefficients().get(tuple(key), _raw({}, self.trunc))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.space() == other.space()
-                and self.canonical() == other.canonical())
+                and self.den == other.den and self.nums == other.nums)
 
     __hash__ = None
-
-    def canonical(self):
-        """What equality compares: the term map itself, unless a subclass
-        stores its coefficients in another form that is unique per value."""
-        return self.terms
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_text()!r})"
@@ -277,49 +325,72 @@ class TermMap:
                 f"{type(self).__name__}s live over different spaces: "
                 f"{self.space()} vs {other.space()}")
 
-    def __add__(self, other: "TermMap") -> "TermMap":
+    def _sum(self, other: "TermMap", sign: int) -> "TermMap":
         self.check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        return self.like(out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {k: n * fa for k, n in self.nums.items()}
+        get = out.get
+        for k, n in other.nums.items():
+            out[k] = get(k, 0) + n * fb
+        return self.over_denominator(out, den)
 
-    def __neg__(self) -> "TermMap":
-        return self.like({k: -c for k, c in self.terms.items()})
+    def __add__(self, other: "TermMap") -> "TermMap":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "TermMap") -> "TermMap":
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def __neg__(self) -> "TermMap":
+        return self.over_denominator(
+            {k: -n for k, n in self.nums.items()}, self.den)
 
     def scale(self, factor) -> "TermMap":
-        """Multiply every coefficient by factor."""
-        return self.like({k: c * factor for k, c in self.terms.items()})
+        """Multiply every coefficient by a rational or a SeriesScalar."""
+        if not isinstance(factor, SeriesScalar):
+            factor = SeriesScalar.from_rational(factor, self.trunc)
+        elif factor.trunc != self.trunc:
+            raise TruncationMismatchError(
+                f"truncation mismatch: {self.trunc} vs {factor.trunc}")
+        den = lcm(*(c.denominator for c in factor.terms.values()))
+        return substitute(self, [((), self, (), h, c.numerator
+                                  * (den // c.denominator))
+                                 for h, c in factor.terms.items()], den)
+
+    def _filtered(self, keep) -> "TermMap":
+        return self.over_denominator(
+            {k: n for k, n in self.nums.items() if keep(k[-1])}, self.den)
+
+    def limit(self, zeroed: Iterable[int]) -> "TermMap":
+        """Set the listed deformation parameters (1-based) to zero."""
+        zeroed = {i - 1 for i in zeroed}
+        return self._filtered(lambda h: not any(h[i] for i in zeroed))
+
+    def hdegree_truncated(self, below: int) -> "TermMap":
+        """Keep only the terms of h-degree < below."""
+        return self._filtered(lambda h: h[0] + h[1] + h[2] < below)
 
 
-def numerators(terms: Mapping) -> tuple[int, list]:
-    """A map {key: SeriesScalar} as integer numerators over one denominator:
-    (L, [(key, [(h, numerator), ...]), ...]), L the lcm of the denominators
-    of every coefficient."""
-    L = lcm(*(c.denominator for s in terms.values() for c in s.terms.values()))
-    return L, [(key, [(h, c.numerator * (L // c.denominator))
-                      for h, c in s.terms.items()])
-               for key, s in terms.items()]
-
-
-def flat_numerators(terms: Mapping) -> tuple[int, tuple]:
-    """numerators() flattened: (L, ((key, h, numerator), ...))."""
-    L, rows = numerators(terms)
-    return L, tuple((key, h, n) for key, coef in rows for h, n in coef)
-
-
-def from_numerators(acc: Mapping[tuple, int], den: int, trunc: int) -> dict:
-    """Integer sums keyed by (key, h) as {key: SeriesScalar}, each nonzero
-    sum becoming one Fraction over den."""
+def substitute(into: TermMap, items: list, den: int) -> TermMap:
+    """The term map over into's space summing n/den * h^g * t, with each
+    key k + (h,) of t placed as before + k + after, over the items
+    (before, t, after, g, n), t a term map and before, after tuples of
+    basis-key parts; h-degrees above into's truncation are dropped.  Every
+    t is brought to the lcm Lt of their denominators, so the sums are
+    integers over den * Lt."""
+    trunc = into.trunc
+    Lt = lcm(*{t.den for _, t, *_ in items})
     out: dict = {}
-    for (key, h), n in acc.items():
-        if n:
-            out.setdefault(key, {})[h] = Fraction(n, den)
-    return {key: SeriesScalar(terms, trunc) for key, terms in out.items()}
+    get = out.get
+    for before, t, after, g, n in items:
+        n *= Lt // t.den
+        for k, c in t.nums.items():
+            h = k[-1]
+            hh = (g[0] + h[0], g[1] + h[1], g[2] + h[2])
+            if hh[0] + hh[1] + hh[2] <= trunc:
+                key = before + k[:-1] + after + (hh,)
+                out[key] = get(key, 0) + n * c
+    return into.over_denominator(out, den * Lt)
 
 
 def h_factors(h: HExponent) -> list[str]:

@@ -74,7 +74,7 @@ def verify_star_suite(norm_bound: int = 2) -> VerificationReport:
     pairs = list(product(range(n), repeat=2))
 
     first = next(((i, j) for i, j in pairs
-                  if (table[i][j] - table[j][i]).hdegree_truncated(1).terms),
+                  if (table[i][j] - table[j][i]).hdegree_truncated(1)),
                  None)
     report.add("star-classical-commutativity",
                f"{n ** 2} pairs", first is None,

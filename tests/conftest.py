@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import strategies as st
@@ -11,6 +12,19 @@ PARAM_SETS = [
     (Fraction(1), Fraction(0), Fraction(0)),
     (Fraction(2), Fraction(1, 2), Fraction(-3)),
 ]
+
+
+def assert_stored_once(t):
+    """A term map's one storage: integer numerators over one positive
+    denominator, no zero and no common factor; the terms view holds
+    reduced nonzero Fractions, directly or as series coefficients."""
+    assert t.den > 0 and all(t.nums.values())
+    assert gcd(t.den, *t.nums.values()) == 1
+    coeffs = [c for v in t.terms.values()
+              for c in (v.terms.values() if isinstance(v, SeriesScalar)
+                        else [v])]
+    assert all(isinstance(c, Fraction) and c
+               and gcd(c.numerator, c.denominator) == 1 for c in coeffs)
 
 
 def params(alpha=1, beta=1, gamma=1, trunc=2) -> DeformParams:

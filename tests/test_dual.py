@@ -16,7 +16,7 @@ from ncdeform.dual import star_oracle_restricted
 from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
                                  submultiindices)
 
-from conftest import h_exponents, params, small_fractions
+from conftest import assert_stored_once, h_exponents, params, small_fractions
 
 W0 = (0, 0, 0)
 Y0 = (0, 0, 0, 0)
@@ -169,6 +169,7 @@ def test_star_closed_matches_series_reference(operands):
     for a, b in ((u, v), (u + v, u - v)):
         got = star_closed(a, b)
         assert got == reference_star_closed(a, b)
+        assert_stored_once(got)
         for s in got.terms.values():
             assert s.terms
             assert all(type(c) is Fraction and c for c in s.terms.values())

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,11 +11,12 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       normal_order_mul, tensor_commutator, tensor_mul,
                       tensor_of, verify_hopf_axioms)
 from ncdeform.algebra import (EMPTY_MONO, DeformParams, InvalidParamsError,
-                              Truncation, _central_mul, engine)
+                              Truncation, _central_mul)
 from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf
 from ncdeform.multiindex import multiindices_graded
 
-from conftest import h_exponents, params, small_fractions
+from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
+                      random_element, small_fractions)
 
 EMPTY_KEY = (EMPTY_MONO, EMPTY_MONO, (0, 0, 0))
 
@@ -192,19 +192,22 @@ def test_verify_hopf_axioms_rejects_negative_degree():
 
 
 def reference_tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Plain product: every term pair, Fraction arithmetic, the engine's
-    mono_mul on each leg, and truncation on the summed h exponents."""
-    eng = engine(a.params)
+    """Plain product: every term pair, Fraction arithmetic, normal_order_mul
+    of the two monomials on each leg, and truncation on the summed h
+    exponents."""
+    p = a.params
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
             h0 = tuple(x + y for x, y in zip(ka[-1], kb[-1]))
             parts = [((), h0, ca * cb)]
             for leg in range(a.arity):
+                prod = normal_order_mul(AlgebraElement.monomial(p, ka[leg]),
+                                        AlgebraElement.monomial(p, kb[leg]))
                 parts = [(legs + (m,), tuple(x + y for x, y in zip(h, hs)),
                           c * cs)
                          for legs, h, c in parts
-                         for m, s in eng.mono_mul(ka[leg], kb[leg]).items()
+                         for m, s in prod.terms.items()
                          for hs, cs in s.terms.items()]
             for legs, h, c in parts:
                 if sum(h) <= a.params.trunc:
@@ -242,14 +245,15 @@ def test_tensor_mul_matches_reference(pair):
     assert got == rebuilt and rebuilt == got
 
 
-def assert_stored_once(t: TensorElement):
-    """Integer numerators over one positive denominator, no zero and no
-    common factor; the Fraction view holds reduced nonzero Fractions."""
-    assert t.den > 0 and all(t.nums.values())
-    assert gcd(t.den, *t.nums.values()) == 1
-    assert all(isinstance(c, Fraction) and c
-               and gcd(c.numerator, c.denominator) == 1
-               for c in t.terms.values())
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(PARAM_SETS),
+       st.integers(0, 3))
+def test_kernel_outputs_are_stored_once(rng, abc, trunc):
+    p = params(*abc, trunc)
+    x, y = random_element(rng, p), random_element(rng, p)
+    for got in (normal_order_mul(x, y), coproduct(x), antipode(x),
+                antipode(normal_order_mul(x, y))):
+        assert_stored_once(got)
 
 
 def test_three_leg_products_match_leg_substitution():
@@ -297,12 +301,12 @@ def test_tensor_storage_is_canonical():
     key = ((0, 0, 0, 1, 0, 0, 0), EMPTY_MONO, (1, 0, 0))
     t = TensorElement(p, 2, {key: Fraction(4, 6), EMPTY_KEY: Fraction(-2)})
     assert (t.den, t.nums) == (3, {key: 2, EMPTY_KEY: -6})
-    assert TensorElement.over_denominator(p, 2, {key: 8, EMPTY_KEY: -24},
-                                          12) == t
+    assert TensorElement.zero(p).over_denominator({key: 8, EMPTY_KEY: -24},
+                                                  12) == t
     assert_stored_once(t.over(q))
     assert t.over(q).over(p) == t and t.over(q) != t
     # A sum whose numerators all cancel is the zero tensor, over 1.
-    zero = TensorElement.over_denominator(p, 2, {key: 0, EMPTY_KEY: 0}, 12)
+    zero = TensorElement.zero(p).over_denominator({key: 0, EMPTY_KEY: 0}, 12)
     assert zero == TensorElement.zero(p) and (zero.den, zero.nums) == (1, {})
 
 

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdeform import (AlgebraElement, DualElement, NonInvertibleSeriesError,
                       ParamsMismatchError, SeriesScalar, TensorElement,
                       TruncationMismatchError, WedgeElement, parse_rational)
 
-from conftest import (h_exponents, invertible_series, params, series,
-                      small_fractions)
+from conftest import (assert_stored_once, h_exponents, invertible_series,
+                      params, series, small_fractions)
 
 
 def s(trunc, **terms):
@@ -172,3 +173,103 @@ def test_term_maps_add_only_term_maps(x):
         1 + x
     assert repr(x) == f"{type(x).__name__}({x.to_text()!r})"
     assert str(x) == x.to_text()
+
+
+# -- the shared integer storage against a Fraction reference ---------------------
+
+H0 = (0, 0, 0)
+MONOS = st.tuples(*[st.integers(0, 2)] * 7)
+BASIS_KEYS = {
+    "algebra": MONOS,
+    "tensor": st.tuples(MONOS, MONOS),
+    "dual": st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                      st.tuples(*[st.integers(0, 2)] * 4)),
+    "wedge": st.tuples(st.integers(0, 6), st.integers(0, 6)),
+}
+
+
+def nonzero(ref):
+    return {k: c for k, c in ref.items() if c}
+
+
+def ref_sum(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return nonzero(out)
+
+
+def ref_scale(a, factor, trunc):
+    """A reference term map times a series given as {h: Fraction}."""
+    out = {}
+    for k, c in a.items():
+        for hf, cf in factor.items():
+            h = tuple(x + y for x, y in zip(k[-1], hf))
+            if sum(h) <= trunc:
+                key = k[:-1] + (h,)
+                out[key] = out.get(key, 0) + c * cf
+    return nonzero(out)
+
+
+def flat_view(x):
+    """A term map's public terms view as {key + (h,): Fraction}."""
+    out = {}
+    for key, v in x.terms.items():
+        if isinstance(v, SeriesScalar):
+            out.update({tuple(key) + (h,): c for h, c in v.terms.items()})
+        else:
+            out[key if isinstance(x, TensorElement) else key + (H0,)] = v
+    return out
+
+
+@st.composite
+def term_map(draw, kind, trunc):
+    """(term map, reference): a term map of the given kind built through its
+    public constructor, and its coefficients as {key + (h,): Fraction}."""
+    p = params(2, Fraction(1, 2), -3, trunc)
+    if kind == "wedge":
+        raw = draw(st.dictionaries(BASIS_KEYS[kind], small_fractions(),
+                                   max_size=6))
+        ref = {}
+        for (i, j), c in raw.items():
+            if i != j:
+                key = (min(i, j), max(i, j), H0)
+                ref[key] = ref.get(key, 0) + (c if i < j else -c)
+        return WedgeElement(raw), nonzero(ref)
+    raw = draw(st.dictionaries(st.tuples(BASIS_KEYS[kind], h_exponents(trunc)),
+                               small_fractions(), max_size=6))
+    ref = nonzero({key + (h,): c for (key, h), c in raw.items()})
+    if kind == "tensor":
+        return TensorElement(p, 2, ref), ref
+    grouped = {}
+    for (key, h), c in raw.items():
+        grouped.setdefault(key, {})[h] = c
+    terms = {key: SeriesScalar(hmap, trunc) for key, hmap in grouped.items()}
+    if kind == "algebra":
+        return AlgebraElement(p, terms), ref
+    return DualElement(trunc, terms), ref
+
+
+@st.composite
+def term_map_pairs(draw):
+    kind = draw(st.sampled_from(sorted(BASIS_KEYS)))
+    trunc = 0 if kind == "wedge" else draw(st.integers(0, 3))
+    return (trunc, draw(term_map(kind, trunc)), draw(term_map(kind, trunc)),
+            draw(series(trunc)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_map_pairs(), small_fractions())
+def test_term_map_operations_match_fraction_reference(pair, f):
+    trunc, (x, rx), (y, ry), s = pair
+    assert flat_view(x) == rx and flat_view(y) == ry
+    for got, want in ((x + y, ref_sum(rx, ry)), (x - y, ref_sum(rx, ry, -1)),
+                      (-x, ref_sum({}, rx, -1)),
+                      (x.scale(f), ref_scale(rx, {H0: f}, trunc)),
+                      (x.scale(s), ref_scale(rx, s.terms, trunc))):
+        assert flat_view(got) == want
+        assert_stored_once(got)
+    assert (x == y) == (rx == ry)
+    # Equal values reached by different sums compare equal.
+    assert (x + y) - y == x and x - x == x.scale(0) and not x - x
+    assert (x == x + y) == (not ry)

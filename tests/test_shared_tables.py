@@ -32,8 +32,7 @@ SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
                    dual._mono_z, dual._delta_z)
 #: The normal-ordering memos, shared by the per-parameter engines too.
 ENGINE_MEMOS = (algebra.engine, algebra._Engine.mono_mul,
-                algebra._Engine.mono_mul_flat, algebra._Engine._straighten,
-                algebra._Engine.comm_pow)
+                algebra._Engine._straighten, algebra._Engine.comm_pow)
 
 
 def misses(memos):

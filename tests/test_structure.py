@@ -1,8 +1,8 @@
 """Module boundaries of the package: no module imports a private name
 (one starting with an underscore) from a sibling module, or reads one as an
 attribute of a sibling module it imported.  No function takes a parameter
-that it never reads.  And the vector-space operations of a term map are
-written once, in series.TermMap."""
+that it never reads.  And the coefficient storage of a term map and its
+vector-space operations are written once, in series.TermMap."""
 
 import ast
 from pathlib import Path
@@ -112,9 +112,13 @@ def test_unread_parameters_catches_each_form():
         "<source>:11 <lambda>(v)", "<source>:4 m(x)"]
 
 
-#: The operations that series.TermMap holds the only copy of.
+#: The operations that series.TermMap holds the only copy of, the
+#: coefficient storage and its conversions among them.
 TERM_MAP_METHODS = {"__add__", "__neg__", "__sub__", "__bool__", "__eq__",
-                    "__hash__", "__repr__", "check"}
+                    "__hash__", "__repr__", "check", "scale", "limit",
+                    "hdegree_truncated", "coefficient", "coefficients",
+                    "rows", "over_denominator", "_store", "_store_series",
+                    "canonical"}
 #: Classes that are not term maps and define one of them for a reason of
 #: their own: DeformParams caches its hash, LieData compares structure
 #: constants whatever its basis names.
@@ -123,8 +127,8 @@ OWN_METHODS = {("DeformParams", "__hash__"), ("LieData", "__eq__")}
 
 def term_map_overrides(source: str, filename: str = "<source>") -> list[str]:
     """Classes other than TermMap and SeriesScalar that define one of
-    TERM_MAP_METHODS, and classes with a terms slot that do not subclass
-    TermMap."""
+    TERM_MAP_METHODS, and classes with a terms or nums slot (coefficient
+    storage) that do not subclass TermMap."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         if (not isinstance(node, ast.ClassDef)
@@ -145,7 +149,7 @@ def term_map_overrides(source: str, filename: str = "<source>") -> list[str]:
                   for name in sorted(names & TERM_MAP_METHODS)
                   if (node.name, name) not in OWN_METHODS]
         bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-        if "terms" in slots and "TermMap" not in bases:
+        if {"terms", "nums"} & set(slots) and "TermMap" not in bases:
             found.append(f"{filename}:{node.lineno} {node.name} is no TermMap")
     return found
 
@@ -163,9 +167,15 @@ def test_term_map_overrides_catches_each_form():
         "    __slots__ = ('terms',)\n"
         "    def __add__(self, other):\n"
         "        return self\n"
+        "    def scale(self, factor):\n"
+        "        return self\n"
         "class B:\n"
         "    __slots__ = ('params', 'terms')\n"
         "    __repr__ = str\n"
+        "class C:\n"
+        "    __slots__ = ('nums', 'den')\n"
+        "    def over_denominator(self, nums, den):\n"
+        "        return nums, den\n"
         "class TermMap:\n"
         "    def check(self, other):\n"
         "        return other\n"
@@ -173,5 +183,6 @@ def test_term_map_overrides_catches_each_form():
         "    def __eq__(self, other):\n"
         "        return True\n")
     assert term_map_overrides(source) == [
-        "<source>:1 A.__add__", "<source>:5 B.__repr__",
-        "<source>:5 B is no TermMap"]
+        "<source>:1 A.__add__", "<source>:1 A.scale", "<source>:7 B.__repr__",
+        "<source>:7 B is no TermMap", "<source>:10 C.over_denominator",
+        "<source>:10 C is no TermMap"]
