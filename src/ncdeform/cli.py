@@ -14,7 +14,8 @@ from functools import cache
 from .algebra import (DeformParams, InvalidParamsError, commutator,
                       normal_order_mul, phi_automorphism, to_z_basis)
 from .bialgebra import GroupElement, group_compose, group_inverse
-from .dual import poisson_bracket_dir, star_closed, star_oracle_element
+from .dual import (oracle_targets, poisson_bracket_dir, star_closed,
+                   star_oracle_element)
 from .hopf import antipode, coproduct, counit, heisenberg_limit_report, \
     verify_hopf_axioms
 from .parser import (ExpressionError, check_degree, check_pairs, classify,
@@ -34,6 +35,12 @@ DEFAULTS = {"alpha": "1", "beta": "1", "gamma": "1",
 #: acceptance suite proves.  The grids grow as C(N + 7, 7) monomials (and
 #: the star cube as their cube), so the bound is checked before any work.
 MAX_VERIFY_DEGREE = 3
+
+#: Most targets Z^S X^T one `staroracle` may enumerate, C(cap + 7, 7) for
+#: each term pair (dual.oracle_targets), checked before any is built.  It
+#: admits every x_i x_j product at truncation 1 (120 targets), and the cost
+#: of one target grows with the truncation.
+MAX_ORACLE_TARGETS = 512
 
 
 @cache
@@ -159,10 +166,19 @@ def _commands(args) -> dict:
         "zbasis": ("primal", 1, to_z_basis, (zmap_to_text, zmap_to_json)),
         "star": ("dual", 2, star_closed, dual),
         "staroracle": ("dual", 2,
-                       lambda u, v: star_oracle_element(u, v, args.cap), dual),
+                       lambda u, v: _star_oracle(u, v, args.cap), dual),
         "poisson": ("dual", 2,
                     lambda u, v: poisson_bracket_dir(u, v, args.dir), dual),
     }
+
+
+def _star_oracle(u, v, cap: int | None):
+    targets = oracle_targets(u, v, cap)
+    if targets > MAX_ORACLE_TARGETS:
+        raise ExpressionError(
+            f"the pairing oracle would enumerate {targets} targets, more "
+            f"than the bound of {MAX_ORACLE_TARGETS}")
+    return star_oracle_element(u, v, cap)
 
 
 def _dispatch(args) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, lcm
 from typing import Mapping
 
 from .algebra import (AlgebraElement, InvalidParamsError,
@@ -278,17 +278,33 @@ def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,
     would silently truncate the product, so it raises InvalidParamsError.
     """
     Truncation(trunc)  # rejects a negative order, which enumerates nothing
-    bound = (mi_norm(a[0]) + mi_norm(a[1])
-             + mi_norm(b[0]) + mi_norm(b[1]) + trunc)
-    if degree_cap is None:
-        degree_cap = bound
-    elif degree_cap < bound:
-        raise InvalidParamsError(
-            f"degree cap {degree_cap} is below the sufficient bound {bound} "
-            f"(|a| + |b| + trunc) and would truncate the product")
+    degree_cap = _oracle_cap(a, b, trunc, degree_cap)
     return _pair_oracle(a, b, ((S, T) for S in multiindices(3, degree_cap)
                                for T in multiindices(4, degree_cap - sum(S))),
                         trunc)
+
+
+def _oracle_cap(a: DualMonomial, b: DualMonomial, trunc: int,
+                degree_cap: int | None) -> int:
+    """The enumeration cap of star_oracle(a, b, trunc, degree_cap)."""
+    bound = (mi_norm(a[0]) + mi_norm(a[1])
+             + mi_norm(b[0]) + mi_norm(b[1]) + trunc)
+    if degree_cap is None:
+        return bound
+    if degree_cap < bound:
+        raise InvalidParamsError(
+            f"degree cap {degree_cap} is below the sufficient bound {bound} "
+            f"(|a| + |b| + trunc) and would truncate the product")
+    return degree_cap
+
+
+def oracle_targets(u: DualElement, v: DualElement,
+                   degree_cap: int | None = None) -> int:
+    """How many targets Z^S X^T star_oracle_element(u, v, degree_cap)
+    enumerates, C(cap + 7, 7) for each pair of basis keys, counted without
+    building any of them.  Raises InvalidParamsError as star_oracle does."""
+    return sum(comb(_oracle_cap(ka, kb, u.trunc, degree_cap) + 7, 7)
+               for ka in u.rows() for kb in v.rows())
 
 
 def star_oracle_element(u: DualElement, v: DualElement,

@@ -20,21 +20,26 @@ parameters.  The antipode reverses products, so its tables are built per
 parameter set, with that set's commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
-the storage).  For multiplication a tensor also keeps, built once, its leg
-monomials interned to small ints and its terms grouped by h exponent in
-order of h-degree (buckets()), so that pairs over the truncation budget are
-never touched.  tensor_mul takes the leg products it can reach over one
-denominator per call and adds integer products only; the antipode check
-(mu_antipode_leg) reads the same buckets, antipode_mono and the engine's
-mono_mul cells.  This keeps the exhaustive degree-3 verification grids fast
-enough for interactive use.
+the storage).  tensor_mul and the antipode check (mu_antipode_leg) work on
+packed integer keys instead (_Layout), built per call and never kept: the
+exponents of a key (m_1, ..., m_arity, h) are fixed-width fields of one
+int, h in the lowest bits, then each leg monomial in turn, and the width
+holds the largest exponent the call can form, so no field carries into
+the next.  Packing is linear, so a term pair whose leg products are plain
+exponent sums (every pair of the per-truncation tables, whose legs are
+ordered) adds the integer ka + kb, and the few leg products that reorder
+add their correction to that as packed offsets.  Each distinct output key
+is unpacked once, at the end.  Leg products are read over one denominator
+per call and only integers are added.  This keeps the exhaustive degree-3
+verification grids fast enough for interactive use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import add, itemgetter, mul
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
@@ -48,6 +53,7 @@ from .report import VerificationReport, clip_note
 from .series import SeriesScalar, TermMap, substitute
 
 _H0 = (0, 0, 0)
+_QP = (Q1, Q2, P1, P2)
 
 #: Flattened tensor key: leg monomials followed by the h exponent triple.
 TensorKey = tuple
@@ -60,13 +66,12 @@ class TensorElement(TermMap):
     Multiplication is componentwise on the legs, and there is no sign rule.
     """
 
-    __slots__ = ("params", "arity", "_buckets")
+    __slots__ = ("params", "arity")
 
     def __init__(self, params: DeformParams, arity: int,
                  terms: Mapping[TensorKey, Fraction]):
         self.params = params
         self.arity = arity
-        self._buckets = None
         self._store(terms.items())
 
     @property
@@ -100,40 +105,6 @@ class TensorElement(TermMap):
                 "tensors live over different truncations")
         return TensorElement.zero(params, self.arity).over_denominator(
             self.nums, self.den)
-
-    def buckets(self) -> tuple:
-        """Integer view for tensor_mul and mu_antipode_leg, built lazily
-        once: (den, legs, groups).
-
-        legs[i] is (monomials, min_deg): the distinct monomials on leg i
-        and, for each, the least h-degree of a term carrying it.  groups
-        lists (h, h-degree, terms) in order of h-degree; a term is the
-        indices of its leg monomials in legs followed by its numerator.
-        """
-        if self._buckets is None:
-            index: list[dict] = [{} for _ in range(self.arity)]
-            min_deg: list[list[int]] = [[] for _ in range(self.arity)]
-            groups: dict[tuple, list] = {}
-            for key, n in self.nums.items():
-                h = key[-1]
-                d = h[0] + h[1] + h[2]
-                term = []
-                for leg in range(self.arity):
-                    degs = min_deg[leg]
-                    pos = index[leg].setdefault(key[leg], len(degs))
-                    if pos == len(degs):
-                        degs.append(d)
-                    elif d < degs[pos]:
-                        degs[pos] = d
-                    term.append(pos)
-                term.append(n)
-                groups.setdefault(h, []).append(tuple(term))
-            self._buckets = (
-                self.den,
-                [(list(idx), degs) for idx, degs in zip(index, min_deg)],
-                sorted(((h, sum(h), terms) for h, terms in groups.items()),
-                       key=lambda group: group[1]))
-        return self._buckets
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
@@ -185,125 +156,224 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
     return TensorElement.zero(params, len(factors)).over_denominator(out, den)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _Layout:
+    """Packed integer keys for the terms of tensors of one arity.
+
+    A key (m_1, ..., m_arity, h) becomes one int of fixed-width fields:
+    the three exponents of h in the lowest bits, then the seven of each leg
+    monomial, leg by leg.  Packing is linear, so the key of a term pair
+    whose leg products are plain exponent sums is the sum of the two keys,
+    and a product that reorders adds a packed difference.  top is the
+    largest field value any key formed with the layout may reach; the
+    field width holds it, so no exponent carries into its neighbour.  The
+    bits above hbits are a key's leg part.
+    """
+
+    def __init__(self, arity: int, top: int):
+        w = self.width = max(top, 1).bit_length()
+        self.weights = tuple(1 << w * i for i in range(7))
+        self.hbits, self.mono_bits = 3 * w, 7 * w
+        self.offsets = tuple(3 * w + 7 * w * i for i in range(arity))
+        self.mono_mask = (1 << 7 * w) - 1
+        # Decoding memos: each distinct monomial and h exponent once.
+        self.monos = _Memo(lambda code: self.fields(code, 7))
+        self.hs = _Memo(lambda code: self.fields(code, 3))
+
+    def code(self, fields: tuple) -> int:
+        return sum(map(mul, fields, self.weights))
+
+    def fields(self, code: int, count: int) -> tuple:
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple(code >> w * i & mask for i in range(count))
+
+    def terms(self, t: TensorElement, columns: list[set],
+              scale: int = 1) -> list[tuple]:
+        """t's terms as (h-degree, key, numerator * scale); columns is
+        _columns(t).  The view is built per call and never kept."""
+        cols = list(zip(*t.nums))
+        codes = {h: self.code(h) for h in columns[-1]}
+        keys = map(codes.__getitem__, cols[-1])
+        for col, values, off in zip(cols, columns, self.offsets):
+            codes = {}
+            for m in values:
+                c = self.code(m)
+                self.monos[c] = m   # decoding returns the operand's tuples
+                codes[m] = c << off
+            keys = map(add, keys, map(codes.__getitem__, col))
+        nums = t.nums.values()
+        if scale != 1:
+            nums = [n * scale for n in nums]
+        return list(zip(map(sum, cols[-1]), keys, nums))
+
+    def decode(self, acc: dict[int, int], g: int) -> dict[TensorKey, int]:
+        """The nonzero entries of acc divided by g, each key unpacked to
+        (m_1, ..., m_arity, h); built column by column."""
+        keys = [k for k, n in acc.items() if n]
+        monos, hs = self.monos, self.hs
+        mask, hmask = self.mono_mask, (1 << self.hbits) - 1
+        cols = [[monos[k >> off & mask] for k in keys] for off in self.offsets]
+        cols.append([hs[k & hmask] for k in keys])
+        return dict(zip(zip(*cols), [acc[k] // g for k in keys]))
+
+
+def _columns(t: TensorElement) -> list[set]:
+    """The distinct values at each position of t's keys: the monomials of
+    each leg, then the h exponents."""
+    return [set(col) for col in zip(*t.nums)]
+
+
+def _top(columns: list[set]) -> int:
+    """The largest exponent in the keys whose _columns these are."""
+    return max(max(map(max, values)) for values in columns)
+
+
+@cache
+def _qp_span(mono: PBWMonomial) -> tuple[int, int]:
+    """The first and the last Q/P generator of a monomial, (P2 + 1, Q1)
+    when it has none."""
+    present = [g for g in _QP if mono[g]]
+    return (present[0], present[-1]) if present else (P2 + 1, Q1)
+
+
+def _min_degrees(t: TensorElement, leg: int) -> dict[PBWMonomial, int]:
+    """The least h-degree of a term of t for each monomial on one leg."""
+    out: dict[PBWMonomial, int] = {}
+    for key in t.nums:
+        d = sum(key[-1])
+        if d < out.get(key[leg], d + 1):
+            out[key[leg]] = d
+    return out
+
+
+def _reorderings(eng, a: TensorElement, b: TensorElement,
+                 acols: list[set], bcols: list[set], D: int) -> list[dict]:
+    """Per leg, the products of a's and b's leg monomials that are no plain
+    exponent sum and that a term pair within the truncation budget reaches:
+    {(ma, mb): (den, ((monomial, h, numerator), ...))}, read from
+    eng.mono_mul, which raises on the engine of a Truncation.  acols and
+    bcols are the operands' _columns.
+
+    Only a word whose Q/P generators come out of order can reorder
+    (central generators commute with everything), so the other products
+    are never fetched.
+    """
+    out = []
+    for leg in range(a.arity):
+        firsts: dict[int, list] = {}
+        for mb in bcols[leg]:
+            firsts.setdefault(_qp_span(mb)[0], []).append(mb)
+        found = [(ma, mb) for ma in acols[leg]
+                 for g in range(Q1, _qp_span(ma)[1])
+                 for mb in firsts.get(g, ())]
+        cells = {}
+        if found:
+            amin, bmin = _min_degrees(a, leg), _min_degrees(b, leg)
+            for ma, mb in found:
+                if amin[ma] + bmin[mb] > D:
+                    continue
+                cell = eng.mono_mul(ma, mb)
+                den, entries = cell
+                plain = tuple(x + y for x, y in zip(ma, mb)), _H0, den
+                if entries != (plain,):
+                    cells[(ma, mb)] = cell
+        out.append(cells)
+    return out
+
+
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Componentwise product of two tensors of the same arity.
 
-    With a's numerators over La, b's over Lb and every leg product over this
-    call's Lm, a term pair adds the integer na * nb * c_1 * ... * c_arity to
-    its output key, and the sums are the result's numerators over
-    La * Lb * Lm**arity, reduced by one common factor.
+    Runs on packed integer keys (_Layout).  With a's numerators over La,
+    b's over Lb and every reordered leg product over this call's Lm, each
+    term pair within the truncation budget first adds na * nb * Lm**arity
+    under the key ka + kb, the product if every leg product is a plain
+    exponent sum.  Then each reordered leg product (ma, mb) on leg j adds,
+    for every term pair through it, its difference from the plain product
+    as packed (key offset, h-degree, numerator) entries, times the plain
+    products of the legs before j and the true products of the legs after
+    it; summed over the legs, these telescope to the exact product.  The
+    sums are the result's numerators over La * Lb * Lm**arity, reduced by
+    one common factor, and each distinct output key is unpacked once.
     """
     a.check(b)
+    if not (a.nums and b.nums):
+        return a.over_denominator({}, 1)
     D = a.params.trunc
     arity = a.arity
-    La, alegs, agroups = a.buckets()
-    Lb, blegs, bgroups = b.buckets()
-    tables, Lm = _leg_tables(engine(a.params), alegs, blegs, D)
-    pairs = _pairs2 if arity == 2 else _pairs3
-    out: dict[TensorKey, int] = {}
-    for ha, da, aterms in agroups:
-        for hb, db, bterms in bgroups:
-            if da + db > D:
-                break
-            h = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
-            pairs(out, h, aterms, bterms, tables, D)
-    return a.over_denominator(out, La * Lb * Lm ** arity)
+    acols, bcols = _columns(a), _columns(b)
+    cells = _reorderings(engine(a.params), a, b, acols, bcols, D)
+    Lm = lcm(*(den for legcells in cells for den, _ in legcells.values()))
+    top = max([_top(acols) + _top(bcols), D]
+              + [max(m) for legcells in cells
+                 for _, entries in legcells.values() for m, _, _ in entries])
+    layout = _Layout(arity, top)
+    code = layout.code
+    aterms = layout.terms(a, acols, Lm ** arity)
+    bterms = layout.terms(b, bcols)
 
+    # Every pair as if each leg product were a plain exponent sum.
+    reach = {d: [(k, n) for db, k, n in bterms if d + db <= D]
+             for d in {d for d, _, _ in aterms}}
+    acc: dict[int, int] = {}
+    get = acc.get
+    for da, ka, na in aterms:
+        for kb, nb in reach[da]:
+            k = ka + kb
+            acc[k] = get(k, 0) + na * nb
 
-def _leg_tables(eng, alegs, blegs, D: int) -> tuple[list, int]:
-    """Per-leg products of a's and b's leg monomials over one denominator.
-
-    tables[i][ia][ib] is the cell for a's monomial ia times b's monomial ib
-    on leg i: (monomial, numerator) when the product is one h-free
-    monomial, else (None, ((monomial, h, numerator), ...)).  A cell that no
-    term pair within the truncation budget reaches is None.  Every
-    numerator is over the returned Lm, the lcm of the fetched denominators.
-    """
-    mono_mul = eng.mono_mul
-    raw = []
-    dens = set()
-    for (amonos, amin), (bmonos, bmin) in zip(alegs, blegs):
-        table = []
-        for ma, da in zip(amonos, amin):
-            row = []
-            for mb, db in zip(bmonos, bmin):
-                if da + db > D:
-                    row.append(None)
-                    continue
-                cell = mono_mul(ma, mb)
-                dens.add(cell[0])
-                row.append(cell)
-            table.append(row)
-        raw.append(table)
-    Lm = lcm(*dens)
-
-    def rescale(cell):
-        if cell is None:
-            return None
-        den, entries = cell
-        f = Lm // den
-        (m, h, c), *rest = entries
-        if not rest and h == _H0:
-            return (m, c * f)
-        return (None, tuple((m, h, c * f) for m, h, c in entries))
-
-    return [[[rescale(cell) for cell in row] for row in table]
-            for table in raw], Lm
-
-
-def _pairs2(out: dict, h: tuple, aterms, bterms, tables, D: int) -> None:
-    """Accumulate the two-leg term pairs of one (h_a, h_b) group pair."""
-    t0, t1 = tables
-    get = out.get
-    for a0, a1, na in aterms:
-        r0 = t0[a0]
-        r1 = t1[a1]
-        for b0, b1, nb in bterms:
-            m0, c0 = r0[b0]
-            m1, c1 = r1[b1]
-            if m0 is None or m1 is None:
-                _spread(out, (r0[b0], r1[b1]), h, na * nb, D)
-                continue
-            key = (m0, m1, h)
-            out[key] = get(key, 0) + na * nb * c0 * c1
-
-
-def _pairs3(out: dict, h: tuple, aterms, bterms, tables, D: int) -> None:
-    """Accumulate the three-leg term pairs of one (h_a, h_b) group pair."""
-    t0, t1, t2 = tables
-    get = out.get
-    for a0, a1, a2, na in aterms:
-        r0 = t0[a0]
-        r1 = t1[a1]
-        r2 = t2[a2]
-        for b0, b1, b2, nb in bterms:
-            m0, c0 = r0[b0]
-            m1, c1 = r1[b1]
-            m2, c2 = r2[b2]
-            if m0 is None or m1 is None or m2 is None:
-                _spread(out, (r0[b0], r1[b1], r2[b2]), h, na * nb, D)
-                continue
-            key = (m0, m1, m2, h)
-            out[key] = get(key, 0) + na * nb * c0 * c1 * c2
-
-
-def _spread(out: dict, cells: tuple, h: tuple, c: int, D: int) -> None:
-    """Generic pair path, for pairs where some leg product has several
-    terms or carries h: expand leg by leg within the truncation budget."""
-    stack = [((), h, c)]
-    for mono, x in cells:
-        entries = x if mono is None else ((mono, _H0, x),)
-        new = []
-        for legs, h, c in stack:
-            for m, hm, cm in entries:
-                hh = (h[0] + hm[0], h[1] + hm[1], h[2] + hm[2])
-                if hh[0] + hh[1] + hh[2] > D:
-                    continue
-                new.append((legs + (m,), hh, c * cm))
-        stack = new
-    for legs, h, c in stack:
-        key = legs + (h,)
-        out[key] = out.get(key, 0) + c
+    # The per-cell corrections, as packed offsets from the plain key.
+    reordered = []
+    for leg, legcells in enumerate(cells):
+        off = layout.offsets[leg]
+        reordered.append({
+            (code(ma), code(mb)): tuple(
+                (((code(m) - code(ma) - code(mb)) << off) + code(h), sum(h),
+                 n * (Lm // den)) for m, h, n in entries)
+            for (ma, mb), (den, entries) in legcells.items()})
+    plain = ((0, 0, Lm),)
+    mask, offsets = layout.mono_mask, layout.offsets
+    for j, legcells in enumerate(reordered):
+        if not legcells:
+            continue
+        off, div = offsets[j], Lm ** (arity - j)
+        a_at: dict[int, list] = {}
+        b_at: dict[int, list] = {}
+        for terms, at in ((aterms, a_at), (bterms, b_at)):
+            for term in terms:
+                at.setdefault(term[1] >> off & mask, []).append(term)
+        for (ca, cb), entries in legcells.items():
+            correction = entries + ((0, 0, -Lm),)
+            for da, ka, na in a_at.get(ca, ()):
+                for db, kb, nb in b_at.get(cb, ()):
+                    if da + db > D:
+                        continue
+                    part = [(ka + kb, da + db, na * nb // div)]
+                    for i in range(j, arity):
+                        factor = correction if i == j else reordered[i].get(
+                            (ka >> offsets[i] & mask, kb >> offsets[i] & mask),
+                            plain)
+                        part = [(k + dk, d + dd, c * dc)
+                                for k, d, c in part for dk, dd, dc in factor
+                                if d + dd <= D]
+                    for k, _, c in part:
+                        acc[k] = get(k, 0) + c
+    den = a.den * b.den * Lm ** arity
+    g = gcd(den, *acc.values())
+    return a.over_denominator(layout.decode(acc, g), den // g)
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -416,27 +486,34 @@ def apply_counit_leg(t: TensorElement, leg: int):
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg tensor.
 
-    Runs on integers.  Each distinct leg pair (m1, m2) of t is expanded
-    once per call, within the h-degree budget of its lowest term: S(m1)
-    from antipode_mono times m2 (or m1 times S(m2)) through the engine's
-    mono_mul cells, every entry over this call's Lp.  A term of t then adds
-    its numerator times each entry that fits its own budget, and the sums
-    are the result's numerators over den * Lp.
+    Runs on integers, over t's packed keys (_Layout).  Each distinct leg
+    pair (m1, m2) of t, a key with its h field shifted out, is decoded and
+    expanded once per call, within the h-degree budget of its lowest term:
+    S(m1) from antipode_mono times m2 (or m1 times S(m2)) through the
+    engine's mono_mul cells, every entry over this call's Lp.  A term of t
+    then adds its numerator times each entry that fits its own budget, and
+    the sums are the result's numerators over den * Lp.
     """
     params = t.params
+    if not t.nums:
+        return AlgebraElement.zero(params)
     D = params.trunc
     mono_mul = engine(params).mono_mul
-    den, legs, groups = t.buckets()
-    monos0, monos1 = legs[0][0], legs[1][0]
-    budget: dict[tuple[int, int], int] = {}
-    for _, d, terms in groups:      # in order of h-degree: least d first
-        for i0, i1, _ in terms:
-            budget.setdefault((i0, i1), D - d)
+    columns = _columns(t)
+    layout = _Layout(2, _top(columns))
+    terms = layout.terms(t, columns)
+    hb = layout.hbits
+    budget: dict[int, int] = {}
+    for d, k, _ in terms:
+        pair = k >> hb
+        if D - d > budget.get(pair, -1):
+            budget[pair] = D - d
 
     raw = {}
     dens = set()
-    for (i0, i1), b in budget.items():
-        m1, m2 = monos0[i0], monos1[i1]
+    for pair, b in budget.items():
+        m1 = layout.monos[pair & layout.mono_mask]
+        m2 = layout.monos[pair >> layout.mono_bits]
         S = antipode_mono(params, m1 if leg == 0 else m2)
         entries = []
         for ks, ns in S.nums.items():
@@ -451,24 +528,25 @@ def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
                 dg = g[0] + g[1] + g[2]
                 if dg <= b:
                     entries.append((dg, m, g, ns * nc, pden))
-        raw[(i0, i1)] = entries
+        raw[pair] = entries
     Lp = lcm(*dens)
     table = {pair: sorted(((dg, m, g, n * (Lp // pden))
                            for dg, m, g, n, pden in entries),
-                          key=lambda entry: entry[0])
+                          key=itemgetter(0))
              for pair, entries in raw.items()}
 
     acc: dict[tuple, int] = {}
     get = acc.get
-    for h, d, terms in groups:
+    hs, hmask = layout.hs, (1 << hb) - 1
+    for d, k, n in terms:
+        h = hs[k & hmask]
         b = D - d
-        for i0, i1, n in terms:
-            for dg, m, g, k in table[(i0, i1)]:
-                if dg > b:
-                    break
-                key = m + ((h[0] + g[0], h[1] + g[1], h[2] + g[2]),)
-                acc[key] = get(key, 0) + n * k
-    return AlgebraElement.zero(params).over_denominator(acc, den * Lp)
+        for dg, m, g, c in table[k >> hb]:
+            if dg > b:
+                break
+            key = m + ((h[0] + g[0], h[1] + g[1], h[2] + g[2]),)
+            acc[key] = get(key, 0) + n * c
+    return AlgebraElement.zero(params).over_denominator(acc, t.den * Lp)
 
 
 @cache

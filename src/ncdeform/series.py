@@ -241,7 +241,9 @@ class TermMap:
 
     A subclass adds trunc, to_text(), space(), what two operands must share
     to be combined or equal, and like(terms), the term map over the same
-    space converted from a public coefficient map by _store().
+    space converted from a public coefficient map by _store().  Its own
+    __slots__ hold that space and nothing else: over_denominator() copies
+    them to make each result, without building an empty map first.
     """
 
     __slots__ = ("nums", "den")
@@ -276,8 +278,13 @@ class TermMap:
         den > 0: zero numerators are dropped and the common factor is
         divided out."""
         g = gcd(den, *nums.values())
-        out = self.like({})
-        out.nums = {k: n // g for k, n in nums.items() if n}
+        out = object.__new__(type(self))
+        for name in type(self).__slots__:
+            setattr(out, name, getattr(self, name))
+        # A dict copy reuses the stored key hashes; a comprehension rehashes
+        # every key.
+        out.nums = (dict(nums) if g == 1 and 0 not in nums.values()
+                    else {k: n // g for k, n in nums.items() if n})
         out.den = den // g
         return out
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdeform.cli import MAX_VERIFY_DEGREE, build_parser, main
+from ncdeform.cli import (MAX_ORACLE_TARGETS, MAX_VERIFY_DEGREE, build_parser,
+                          main)
 from ncdeform.parser import MAX_EXPONENT, MAX_PAIRS, MAX_TERMS
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -227,6 +228,22 @@ def test_staroracle_rejects_cap_below_sufficient_bound(capsys, argv):
     assert code == 3
     assert out == ""
     assert "cap" in err
+
+
+def test_staroracle_target_bound_exits_in_time(capsys):
+    # 784 term pairs of C(5 + 7, 7) = 792 targets each enumerated for
+    # seconds; the count is known before any target is built.
+    square = "(x1+x2+x3+x4+x5+x6+x7)^2"
+    for argv in ((square, square, "--trunc", "1"),
+                 ("x1*x2", "x3*x4", "--trunc", "1")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "staroracle", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert "targets" in err and str(MAX_ORACLE_TARGETS) in err
+    # Four pairs of 120 targets each stay within the bound.
+    code, out, _ = run(capsys, "staroracle", "x1+x2", "x3-x4", "--trunc", "1")
+    assert code == 0 and out
 
 
 def test_huge_exponent_exits_at_once(capsys):

@@ -10,8 +10,8 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       make_lambda, make_rho, mu_antipode_leg,
                       normal_order_mul, tensor_commutator, tensor_mul,
                       tensor_of, verify_hopf_axioms)
-from ncdeform.algebra import (EMPTY_MONO, DeformParams, InvalidParamsError,
-                              Truncation, _central_mul)
+from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
+                              InvalidParamsError, Truncation, _central_mul)
 from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf
 from ncdeform.multiindex import multiindices_graded
 
@@ -243,6 +243,95 @@ def test_tensor_mul_matches_reference(pair):
     assert_stored_once(got)
     rebuilt = TensorElement(got.params, got.arity, got.terms)
     assert got == rebuilt and rebuilt == got
+
+
+def ordered_leg_monomials(lowest_qp: int, highest_qp: int):
+    """Monomials whose Q/P generators lie in [lowest_qp, highest_qp], with
+    exponents up to 9; central generators are free."""
+    return st.tuples(*[
+        st.integers(0, 9) if g < Q1 or lowest_qp <= g <= highest_qp
+        else st.just(0) for g in range(7)])
+
+
+@st.composite
+def ordered_truncation_pairs(draw):
+    """Two tensors over Truncation(trunc) whose every leg product is
+    ordered: on each leg, a's Q/P generators come before b's."""
+    p = Truncation(draw(st.integers(0, 3)))
+    arity = draw(st.sampled_from((2, 3)))
+    splits = [draw(st.integers(Q1, P2 + 1)) for _ in range(arity)]
+    hs = h_exponents(p.trunc)
+    a_keys = st.tuples(*[ordered_leg_monomials(Q1, s) for s in splits], hs)
+    b_keys = st.tuples(*[ordered_leg_monomials(s, P2) for s in splits], hs)
+    return (TensorElement(p, arity, draw(st.dictionaries(
+                a_keys, small_fractions(), min_size=1, max_size=6))),
+            TensorElement(p, arity, draw(st.dictionaries(
+                b_keys, small_fractions(), min_size=1, max_size=6))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ordered_truncation_pairs())
+def test_truncation_tensor_mul_matches_reference(pair):
+    # Every leg product is a plain exponent sum, as in the coproduct tables.
+    a, b = pair
+    got = tensor_mul(a, b)
+    assert got == reference_tensor_mul(a, b)
+    assert_stored_once(got)
+
+
+def mono(**exponents) -> tuple:
+    return tuple(exponents.get(name, 0)
+                 for name in ("Th", "Ph", "Ps", "Q1", "Q2", "P1", "P2"))
+
+
+@pytest.mark.parametrize("ea,eb", [(3, 4), (4, 4), (127, 128), (128, 128),
+                                   (0, 1), (1, 1)])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_tensor_mul_fields_at_the_width_boundary(ea, eb, arity):
+    # ea + eb is the largest exponent of the product: 2**k - 1 fills every
+    # bit of a field and 2**k needs one more.  The exponents sit in the
+    # fields next to another leg's or to h's, where a carry would land.
+    p = Truncation(1)
+    a_legs = (mono(Th=ea, P2=ea),) + (mono(Th=ea),) * (arity - 1)
+    b_legs = (mono(Th=eb, P2=eb),) + (mono(Th=eb, P2=eb),) * (arity - 1)
+    a = TensorElement(p, arity, {a_legs + ((0, 0, 1),): Fraction(1, 2),
+                                 (EMPTY_MONO,) * arity + ((0, 0, 0),): 3})
+    b = TensorElement(p, arity, {b_legs + ((0, 0, 0),): 5})
+    got = tensor_mul(a, b)
+    want = TensorElement(p, arity, {
+        tuple(tuple(x + y for x, y in zip(ma, mb))
+              for ma, mb in zip(a_legs, b_legs)) + ((0, 0, 1),):
+        Fraction(5, 2),
+        b_legs + ((0, 0, 0),): 15})
+    assert got == want == reference_tensor_mul(a, b)
+
+
+def test_tensor_mul_width_holds_reordered_products():
+    # P1 Q1 reorders into Q1 P1 - lam*Th: at h^2 the Th exponent of a term
+    # exceeds the sum of the operands' largest exponents.
+    p = params(1, 1, 1, 3)
+    for th in range(3, 9):
+        a = TensorElement(p, 2, {(mono(Th=th, P1=1), mono(Q1=1),
+                                  (0, 0, 0)): 1})
+        b = TensorElement(p, 2, {(mono(Q1=1), mono(P1=1), (0, 0, 0)): 1})
+        assert tensor_mul(a, b) == reference_tensor_mul(a, b), th
+
+
+def test_truncation_tensor_mul_refuses_to_reorder():
+    # The engine of a Truncation has no commutators: a leg product that a
+    # term pair reaches and that needs reordering raises, on any leg.
+    p = Truncation(1)
+    p1, q1 = mono(P1=1), mono(Q1=1)
+    for leg in range(3):
+        def tensor(m, h=(0, 0, 0)):
+            legs = [EMPTY_MONO] * 3
+            legs[leg] = m
+            return TensorElement(p, 3, {tuple(legs) + (h,): 1})
+        with pytest.raises(RuntimeError):
+            tensor_mul(tensor(p1), tensor(q1))
+        assert tensor_mul(tensor(q1), tensor(p1)) == tensor(mono(Q1=1, P1=1))
+        # Over the truncation budget the product is never fetched.
+        assert not tensor_mul(tensor(p1, (1, 0, 0)), tensor(q1, (0, 1, 0)))
 
 
 @settings(max_examples=60, deadline=None)
