@@ -36,11 +36,18 @@ DEFAULTS = {"alpha": "1", "beta": "1", "gamma": "1",
 #: the star cube as their cube), so the bound is checked before any work.
 MAX_VERIFY_DEGREE = 3
 
-#: Most targets Z^S X^T one `staroracle` may enumerate, C(cap + 7, 7) for
-#: each term pair (dual.oracle_targets), checked before any is built.  It
-#: admits every x_i x_j product at truncation 1 (120 targets), and the cost
-#: of one target grows with the truncation.
+#: Most targets Z^S X^T one `staroracle` may enumerate at truncation 1,
+#: C(cap + 7, 7) for each term pair (dual.oracle_targets), checked before
+#: any is built.  It admits every x_i x_j product at truncation 1 (120
+#: targets).  One target costs about four times as much per order of
+#: truncation, so the bound is weighed by it (oracle_target_bound).
 MAX_ORACLE_TARGETS = 512
+
+
+def oracle_target_bound(trunc: int) -> int:
+    """Most targets one `staroracle` may enumerate at a truncation order:
+    MAX_ORACLE_TARGETS * 4**(1 - trunc), 2048 at 0 and 32 at 3."""
+    return MAX_ORACLE_TARGETS * 4 // 4 ** trunc
 
 
 @cache
@@ -173,11 +180,11 @@ def _commands(args) -> dict:
 
 
 def _star_oracle(u, v, cap: int | None):
-    targets = oracle_targets(u, v, cap)
-    if targets > MAX_ORACLE_TARGETS:
+    targets, bound = oracle_targets(u, v, cap), oracle_target_bound(u.trunc)
+    if targets > bound:
         raise ExpressionError(
             f"the pairing oracle would enumerate {targets} targets, more "
-            f"than the bound of {MAX_ORACLE_TARGETS}")
+            f"than the bound of {bound} at truncation {u.trunc}")
     return star_oracle_element(u, v, cap)
 
 

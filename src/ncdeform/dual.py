@@ -136,19 +136,17 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
 def _star_monos(I, J, K, L, trunc: int) -> tuple[tuple[tuple, int], ...]:
     """The closed formula for W^I Y^J * W^K Y^L as ((key, c), ...), one
     entry per term c * h1^a h2^b h3^c * W^w Y^y, key = (w, y, (a, b, c)),
-    with its integer coefficient c; zero sums and h-degrees above trunc
-    are dropped."""
+    with its integer coefficient c.  Only the M and N within the h budget
+    trunc are enumerated, and zero sums are dropped."""
     out: dict[tuple, int] = {}
     normL = mi_norm(L)
     normJ = mi_norm(J)
     y_key = tuple(a + b for a, b in zip(J, L))
-    for M in submultiindices(I):
+    for M in submultiindices(I, trunc):
         bIM = mi_binom(I, M)
         normM = mi_norm(M)
-        for N in submultiindices(K):
+        for N in submultiindices(K, trunc - normM):
             h = (M[0] + N[0], M[1] + N[1], M[2] + N[2])
-            if h[0] + h[1] + h[2] > trunc:
-                continue
             # 0^0 == 1 keeps the undeformed M = N = 0 term intact.
             base1 = -2 * (mi_norm(K) - mi_norm(N)) - normL
             base2 = 2 * (mi_norm(I) - normM) + normJ

@@ -8,8 +8,9 @@ length 4 for Q/P indices, length 7 for full ordered-monomial exponents.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 MultiIndex = tuple[int, ...]
 
@@ -37,9 +38,23 @@ def mi_binom(i: MultiIndex, j: MultiIndex) -> int:
     return out
 
 
-def submultiindices(i: MultiIndex) -> Iterator[MultiIndex]:
-    """All 0 <= m <= i componentwise, in lexicographic order."""
-    return product(*(range(c + 1) for c in i))
+def submultiindices(i: MultiIndex,
+                    max_norm: int | None = None) -> Iterable[MultiIndex]:
+    """All 0 <= m <= i componentwise, in lexicographic order; only those
+    with norm <= max_norm when it is given, the others never formed, as a
+    tuple built once per index and bound."""
+    if max_norm is None:
+        return product(*(range(c + 1) for c in i))
+    return _bounded_submultiindices(tuple(i), max_norm)
+
+
+@cache
+def _bounded_submultiindices(i: MultiIndex,
+                             max_norm: int) -> tuple[MultiIndex, ...]:
+    if not i:
+        return ((),) if max_norm >= 0 else ()
+    return tuple((head,) + tail for head in range(min(i[0], max_norm) + 1)
+                 for tail in _bounded_submultiindices(i[1:], max_norm - head))
 
 
 def multiindices(length: int, max_norm: int) -> Iterator[MultiIndex]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncdeform.cli import (MAX_ORACLE_TARGETS, MAX_VERIFY_DEGREE, build_parser,
-                          main)
+                          main, oracle_target_bound)
 from ncdeform.parser import MAX_EXPONENT, MAX_PAIRS, MAX_TERMS
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -244,6 +244,35 @@ def test_staroracle_target_bound_exits_in_time(capsys):
     # Four pairs of 120 targets each stay within the bound.
     code, out, _ = run(capsys, "staroracle", "x1+x2", "x3-x4", "--trunc", "1")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv", [("1", "1", "--trunc", "4"),
+                                  ("1", "x1", "--trunc", "3")])
+def test_staroracle_bound_weighs_the_truncation(capsys, argv):
+    # 330 targets each: within the bound of 512 at truncation 1, but one
+    # target costs about four times as much per order, and these ran for
+    # over 30 s and 13.6 s.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "staroracle", *argv)
+    assert time.perf_counter() - start < 1, argv
+    assert (code, out) == (2, ""), argv
+    bound = oracle_target_bound(int(argv[-1]))
+    assert "330 targets" in err and f"bound of {bound} " in err
+
+
+def test_staroracle_bound_per_truncation(capsys):
+    assert [oracle_target_bound(t) for t in range(5)] == [
+        2048, 512, 128, 32, 8]
+    assert oracle_target_bound(1) == MAX_ORACLE_TARGETS
+    # More targets than MAX_ORACLE_TARGETS are admitted at truncation 0:
+    # C(5 + 7, 7) = 792 here, and C(6 + 7, 7) = 1716 at truncation 1.
+    argv = ("x1*x2*x3", "x4*x5")
+    code, out, _ = run(capsys, "staroracle", *argv, "--trunc", "0")
+    assert code == 0 and out
+    code, out, err = run(capsys, "staroracle", *argv, "--trunc", "1")
+    assert (code, out) == (2, "") and "1716 targets" in err
+    code, out, _ = run(capsys, "staroracle", "1", "1", "--trunc", "2")
+    assert (code, out) == (0, "1\n")
 
 
 def test_huge_exponent_exits_at_once(capsys):

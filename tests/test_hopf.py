@@ -12,7 +12,8 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       tensor_of, verify_hopf_axioms)
 from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               InvalidParamsError, Truncation, _central_mul)
-from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf
+from ncdeform import hopf
+from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf, _Table
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -145,8 +146,8 @@ def test_coassociativity_dp_matches_leg_application():
     for mono in [(0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1, 0),
                  (1, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1, 1)]:
         cop = _cop_mono(2, mono)
-        assert _cop3_mono(2, mono, 0) == apply_coproduct_leg(cop, 0)
-        assert _cop3_mono(2, mono, 1) == apply_coproduct_leg(cop, 1)
+        assert _cop3_mono(2, mono, 0).tensor() == apply_coproduct_leg(cop, 0)
+        assert _cop3_mono(2, mono, 1).tensor() == apply_coproduct_leg(cop, 1)
 
 
 @pytest.mark.parametrize("alpha,beta,gamma",
@@ -350,8 +351,71 @@ def test_three_leg_products_match_leg_substitution():
     # the three-leg product path by a different route.
     for mono in multiindices_graded(7, 2):
         cop = _cop_mono(3, mono)
-        assert apply_coproduct_leg(cop, 0) == _cop3_mono(3, mono, 0), mono
-        assert apply_coproduct_leg(cop, 1) == _cop3_mono(3, mono, 1), mono
+        left, right = _cop3_mono(3, mono, 0), _cop3_mono(3, mono, 1)
+        assert apply_coproduct_leg(cop, 0) == left.tensor(), mono
+        assert apply_coproduct_leg(cop, 1) == right.tensor(), mono
+
+
+def reference_cop3(trunc: int, m: tuple, side: int) -> TensorElement:
+    """(cop (x) 1) cop (side 0) or (1 (x) cop) cop (side 1) on a monomial
+    by public tensor_mul calls: the generator coproducts with the
+    coproduct applied to one leg, multiplied in PBW order."""
+    t = TensorElement.unit(Truncation(trunc), 3)
+    for g, e in enumerate(m):
+        gen = apply_coproduct_leg(_hopf(trunc).cop_gen[g], side)
+        for _ in range(e):
+            t = tensor_mul(t, gen)
+    return t
+
+
+@pytest.mark.parametrize("trunc,degree", [(0, 3), (1, 3), (2, 3), (3, 2)])
+def test_packed_tables_match_tensor_chains(trunc, degree):
+    for m in multiindices_graded(7, degree):
+        cop = _cop_mono(trunc, m)
+        for side in (0, 1):
+            table = _cop3_mono(trunc, m, side).tensor()
+            assert_stored_once(table)
+            assert table == apply_coproduct_leg(cop, side), (m, side)
+            assert table == reference_cop3(trunc, m, side), (m, side)
+
+
+@pytest.mark.parametrize("e", [3, 4, 7, 8])
+def test_packed_chain_at_the_width_boundary(e):
+    # At trunc 1 every field of a generator's table is at most 1, and the
+    # chain of g^e reaches g^e (x) 1 (x) 1: e = 2**k - 1 fills every bit of
+    # a field and e = 2**k needs one more, so the table is repacked wider.
+    for g in ("Th", "P2"):
+        m = mono(**{g: e})
+        for side in (0, 1):
+            table = _cop3_mono(1, m, side)
+            assert table.layout.width >= e.bit_length()
+            assert table.tensor() == reference_cop3(1, m, side), (g, side)
+            assert table.tensor() == apply_coproduct_leg(_cop_mono(1, m),
+                                                         side), (g, side)
+
+
+def test_unequal_tables_report_the_decoded_difference(monkeypatch):
+    # One side gains a term whose Th^4 needs wider fields than the other
+    # side's: the two compare in one layout and the note shows the
+    # decoded difference.
+    real = hopf._cop3_mono
+    q1 = mono(Q1=1)
+    extra = TensorElement(Truncation(1), 3, {
+        (q1, mono(Th=4), EMPTY_MONO, (0, 1, 0)): Fraction(2, 3)})
+
+    def skewed(trunc, m, side):
+        table = real(trunc, m, side)
+        if m == q1 and side == 1:
+            return _Table.pack(table.tensor() + extra)
+        return table
+
+    monkeypatch.setattr(hopf, "_cop3_mono", skewed)
+    report = verify_hopf_axioms(1, params(2, Fraction(1, 2), -3, 1))
+    [failure] = report.failures()
+    assert (failure.name, failure.subject) == ("coassociativity", "Q1")
+    assert failure.counterexample == (
+        "(cop(x)1)cop - (1(x)cop)cop differs by "
+        "-(2/3)*h2*Q1 (x) Th^4 (x) 1")
 
 
 def reference_mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:

@@ -42,6 +42,14 @@ def test_binom_factorial_identity(i):
         assert mi_binom(i, j) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(indices, st.just(())), st.integers(-1, 6))
+def test_bounded_submultiindices(i, max_norm):
+    # Only the norm budget is enumerated, in the unbounded order.
+    assert list(submultiindices(i, max_norm)) == [
+        m for m in submultiindices(i) if sum(m) <= max_norm]
+
+
 def test_iteration_order():
     subs = list(submultiindices((1, 2)))
     assert subs == sorted(subs)
