@@ -9,7 +9,10 @@ The closed formula for the product of two dual monomials is
         * C(I,M) C(K,N) (-2|K-N| - |L|)^|M| (2|I-M| + |J|)^|N|
 
 with the convention 0^0 = 1, which makes the M = N = 0 term reproduce the
-commutative divided-power product W^(I+K) Y^(J+L).
+commutative divided-power product W^(I+K) Y^(J+L).  The coefficient reads J
+and L only through their norms, and the Y index of every term is J + L, so
+the formula is tabulated once per (I, |J|, K, |L|, trunc) and each pair of
+terms attaches its own J + L.
 
 The oracle reconstructs the same product from first principles through
 <u * v, Z^S X^T> = <u (x) v, cop(Z^S X^T)> with the coproduct evaluated by
@@ -19,19 +22,23 @@ and the divided-power basis contain no alpha, beta or gamma, so nothing on
 this side reads them: every function here takes a truncation order, or
 reads it off its operands, and never a DeformParams.  The oracle's tables
 (the Z-basis expansion of each monomial and cop(Z^S X^T) in that basis) are
-built once per truncation order.
+built once per truncation order, as integer rows: each Z-basis expansion
+over its own denominator, and each cop(Z^S X^T) as rows of numerators per
+pair of basis keys over one denominator.  delta_on_zbasis is a view of
+one table whose entries become series coefficients when they are read;
+the oracle reads each table through it and builds its products from the
+integer rows over the lcm of their denominators.
 
 Both products run on the integer numerators of series.TermMap: the inner
-loops add integer products per key, and the oracle's tables keep each
-Z-basis expansion over its own denominator.
+loops add integer products per key.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
-from typing import Mapping
 
 from .algebra import (AlgebraElement, InvalidParamsError,
                       PBWMonomial, Truncation, ZMonomial, from_z_basis,
@@ -133,46 +140,50 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
 # ---------------------------------------------------------------------------
 
 @cache
-def _star_monos(I, J, K, L, trunc: int) -> tuple[tuple[tuple, int], ...]:
-    """The closed formula for W^I Y^J * W^K Y^L as ((key, c), ...), one
-    entry per term c * h1^a h2^b h3^c * W^w Y^y, key = (w, y, (a, b, c)),
-    with its integer coefficient c.  Only the M and N within the h budget
-    trunc are enumerated, and zero sums are dropped."""
+def _star_terms(I, nJ: int, K, nL: int,
+                trunc: int) -> tuple[tuple[tuple, tuple, int], ...]:
+    """The closed formula for W^I Y^J * W^K Y^L with |J| = nJ, |L| = nL,
+    as ((w, h, c), ...), one entry per term c * h1^a h2^b h3^c * W^w
+    Y^(J+L), h = (a, b, c), with its integer coefficient c.  The formula
+    reads J and L only through their norms, and every term's Y index is
+    J + L, so one table serves every J and L of these norms.  Only the M
+    and N within the h budget trunc are enumerated, and zero sums are
+    dropped."""
     out: dict[tuple, int] = {}
-    normL = mi_norm(L)
-    normJ = mi_norm(J)
-    y_key = tuple(a + b for a, b in zip(J, L))
+    normK = mi_norm(K)
     for M in submultiindices(I, trunc):
         bIM = mi_binom(I, M)
         normM = mi_norm(M)
+        # 0^0 == 1 keeps the undeformed M = N = 0 term intact.
+        base2 = 2 * (mi_norm(I) - normM) + nJ
         for N in submultiindices(K, trunc - normM):
-            h = (M[0] + N[0], M[1] + N[1], M[2] + N[2])
-            # 0^0 == 1 keeps the undeformed M = N = 0 term intact.
-            base1 = -2 * (mi_norm(K) - mi_norm(N)) - normL
-            base2 = 2 * (mi_norm(I) - normM) + normJ
-            c = bIM * mi_binom(K, N) * base1 ** normM * base2 ** mi_norm(N)
-            w_key = tuple(a + b - m - n for a, b, m, n in zip(I, K, M, N))
-            key = (w_key, y_key, h)
+            normN = mi_norm(N)
+            base1 = -2 * (normK - normN) - nL
+            c = bIM * mi_binom(K, N) * base1 ** normM * base2 ** normN
+            key = (tuple(a + b - m - n for a, b, m, n in zip(I, K, M, N)),
+                   (M[0] + N[0], M[1] + N[1], M[2] + N[2]))
             out[key] = out.get(key, 0) + c
-    return tuple((key, c) for key, c in out.items() if c)
+    return tuple((w, h, c) for (w, h), c in out.items() if c)
 
 
 def star_closed(u: DualElement, v: DualElement) -> DualElement:
     """Bilinear extension of the closed-formula product of dual monomials.
 
-    A pair of terms nu h^ha a, nv h^hb b adds the integer nu * nv * c to
-    the key (w, y, ha + h) for every ((w, y, h), c) of _star_monos(a, b)
-    within the truncation budget; the sums are the result's numerators
-    over u.den * v.den.
+    A pair of terms nu h^ha W^wa Y^ya, nv h^hb W^wb Y^yb adds the integer
+    nu * nv * c to the key (w, ya + yb, ha + h) for every (w, h, c) of
+    _star_terms(wa, |ya|, wb, |yb|) within the truncation budget; the sums
+    are the result's numerators over u.den * v.den.
     """
     u.check(v)
     trunc = u.trunc
     acc: dict = {}
     get = acc.get
-    vrows = v.rows().items()
+    vrows = [(wb, yb, sum(yb), vrow) for (wb, yb), vrow in v.rows().items()]
     for (wa, ya), urow in u.rows().items():
-        for (wb, yb), vrow in vrows:
-            monos = _star_monos(wa, ya, wb, yb, trunc)
+        nya = sum(ya)
+        for wb, yb, nyb, vrow in vrows:
+            monos = _star_terms(wa, nya, wb, nyb, trunc)
+            y = (ya[0] + yb[0], ya[1] + yb[1], ya[2] + yb[2], ya[3] + yb[3])
             for ha, na in urow:
                 for hb, nb in vrow:
                     h0, h1, h2 = ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2]
@@ -180,12 +191,13 @@ def star_closed(u: DualElement, v: DualElement) -> DualElement:
                     n = na * nb
                     if budget == trunc:
                         # h-free pair: monos is already within trunc.
-                        for key, c in monos:
+                        for w, h, c in monos:
+                            key = (w, y, h)
                             acc[key] = get(key, 0) + n * c
                         continue
                     if budget < 0:
                         continue
-                    for (w, y, h), c in monos:
+                    for w, h, c in monos:
                         if h[0] + h[1] + h[2] > budget:
                             continue
                         key = (w, y, (h0 + h[0], h1 + h[1], h2 + h[2]))
@@ -211,17 +223,40 @@ def pairing(u: DualElement, zmap: Mapping[ZMonomial, SeriesScalar]) -> SeriesSca
     return out
 
 
-def delta_on_zbasis(S, T, trunc: int) -> dict[tuple[ZMonomial, ZMonomial], SeriesScalar]:
+def delta_on_zbasis(S, T, trunc: int) -> Mapping[tuple[ZMonomial, ZMonomial],
+                                                 SeriesScalar]:
     """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis.
 
     Computed entirely by the engine: build the element, apply the coproduct,
     convert each leg monomial through the cached Z-basis expansion.  The
-    table is built once per truncation order, on integers: each expansion
-    keeps its own denominator, the coproduct's terms are put over one common
-    denominator, the products of numerators are added per ((k1, k2), h),
-    and each entry becomes a SeriesScalar once.
+    table is built once per truncation order, on integers (_delta_z); this
+    is a read-only view of it (_ZTable), whose entries become SeriesScalars
+    when they are read.  The oracle reads the view's den and rows, never
+    its entries.
     """
-    return _delta_z(tuple(S), tuple(T), trunc)
+    return _ZTable(*_delta_z(tuple(S), tuple(T), trunc), trunc)
+
+
+class _ZTable(Mapping):
+    """One _delta_z table as a mapping (k1, k2) -> SeriesScalar: den and
+    rows are the table itself, and each entry is made a SeriesScalar, row
+    / den, when it is read."""
+
+    __slots__ = ("den", "rows", "trunc")
+
+    def __init__(self, den: int, rows: dict, trunc: int):
+        self.den, self.rows, self.trunc = den, rows, trunc
+
+    def __getitem__(self, pair) -> SeriesScalar:
+        den = self.den
+        return SeriesScalar({h: Fraction(n, den) for h, n in self.rows[pair]},
+                            self.trunc)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 @cache
@@ -233,7 +268,12 @@ def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
 
 
 @cache
-def _delta_z(S, T, trunc: int) -> dict:
+def _delta_z(S, T, trunc: int) -> tuple[int, dict]:
+    """cop(Z^S X^T) in the Z X basis as integer rows over one denominator:
+    (den, {(k1, k2): [(h, numerator), ...]}), nonzero numerators only.
+    Each Z-expansion keeps its own denominator, the coproduct's terms are
+    put over one common denominator, and the products of numerators are
+    added per ((k1, k2), h)."""
     shared = Truncation(trunc)
     ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)}, shared))
     rows = [(_mono_z(m1, trunc), _mono_z(m2, trunc), h, c)
@@ -258,12 +298,11 @@ def _delta_z(S, T, trunc: int) -> dict:
                     continue
                 key = ((k1, k2), (g0 + e[0], g1 + e[1], g2 + e[2]))
                 acc[key] = get(key, 0) + m * n2
-    den = ten.den * L1 * L2
     out: dict = {}
     for (pair, h), n in acc.items():
         if n:
-            out.setdefault(pair, {})[h] = Fraction(n, den)
-    return {pair: SeriesScalar(hmap, trunc) for pair, hmap in out.items()}
+            out.setdefault(pair, []).append((h, n))
+    return ten.den * L1 * L2, out
 
 
 def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,
@@ -324,16 +363,18 @@ def star_oracle_grid(norm_bound: int, trunc: int) -> dict:
     via one pass over the shared coproduct tables."""
     Truncation(trunc)  # rejects a negative order, which may enumerate nothing
     cap = 2 * norm_bound + trunc
-    buckets: dict[tuple[DualMonomial, DualMonomial], dict] = {}
+    buckets: dict[tuple[DualMonomial, DualMonomial], list] = {}
     for S in multiindices(3, cap):
         for T in multiindices(4, cap - sum(S)):
-            for (k1, k2), c in delta_on_zbasis(S, T, trunc).items():
+            table = delta_on_zbasis(S, T, trunc)
+            for (k1, k2), row in table.rows.items():
                 if (mi_norm(k1[0]) + mi_norm(k1[1]) > norm_bound
                         or mi_norm(k2[0]) + mi_norm(k2[1]) > norm_bound):
                     continue
-                buckets.setdefault((k1, k2), {})[(S, T)] = c
-    return {pair: DualElement(trunc, table)
-            for pair, table in buckets.items()}
+                buckets.setdefault((k1, k2), []).append(
+                    (S, T, table.den, row))
+    return {pair: _over_targets(trunc, found)
+            for pair, found in buckets.items()}
 
 
 def star_oracle_restricted(a: DualMonomial, b: DualMonomial,
@@ -356,12 +397,23 @@ def star_oracle_restricted(a: DualMonomial, b: DualMonomial,
 def _pair_oracle(a, b, targets, trunc: int) -> DualElement:
     """sum over the targets (S, T) of <a (x) b, cop(Z^S X^T)> W^S Y^T."""
     key = ((tuple(a[0]), tuple(a[1])), (tuple(b[0]), tuple(b[1])))
-    out: dict[DualMonomial, SeriesScalar] = {}
+    found = []
     for S, T in targets:
-        c = delta_on_zbasis(S, T, trunc).get(key)
-        if c is not None:
-            out[(S, T)] = c
-    return DualElement(trunc, out)
+        table = delta_on_zbasis(S, T, trunc)
+        row = table.rows.get(key)
+        if row is not None:
+            found.append((S, T, table.den, row))
+    return _over_targets(trunc, found)
+
+
+def _over_targets(trunc: int, found: list) -> DualElement:
+    """The dual element with the coefficient row / den at W^S Y^T for each
+    (S, T, den, row) found, row an integer row of _delta_z: every row is
+    brought to the lcm L of the dens, so the sums are integers over L."""
+    L = lcm(*(den for _, _, den, _ in found))
+    return DualElement.zero(trunc).over_denominator(
+        {(S, T, h): n * (L // den) for S, T, den, row in found
+         for h, n in row}, L)
 
 
 # ---------------------------------------------------------------------------

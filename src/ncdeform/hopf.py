@@ -16,8 +16,9 @@ inverse, the generator coproducts and the coproducts of monomials on two
 and three legs are built once per truncation order, over
 algebra.Truncation(trunc), and shared by every parameter set; coproduct()
 and apply_coproduct_leg() return their results over the caller's
-parameters.  The antipode reverses products, so its tables are built per
-parameter set, with that set's commutators.
+parameters, decoding each monomial's two-leg table when they read it.  The
+antipode reverses products, so its tables are built per parameter set,
+with that set's commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
 the storage).  The kernels work on packed integer keys instead (_Layout):
@@ -29,18 +30,21 @@ plain exponent sums adds the integer ka + kb (_pair_sums, the one pair
 loop), and the few leg products that reorder add their correction to that
 as packed offsets.  tensor_mul and the antipode check (mu_antipode_leg)
 pack their operands per call and unpack each distinct output key once.
-The three-leg tables of the coassociativity check (_gen3, _cop3_mono) are
-stored packed (_Table): each is the previous table times a generator's,
-packed to packed, the check compares the two sides' packed numerators,
-and a table is unpacked only to write a failure's note.  Leg products are
-read over one denominator and only integers are added.  This keeps the
-exhaustive degree-3 verification grids fast enough for interactive use.
+The coproduct tables of monomials are stored packed (_Table), on two legs
+and on the three legs of the coassociativity check (_cop_table, one
+recursion for both): each is the previous table times a generator's
+(_gen), packed to packed.  A two-leg table is unpacked each time it is
+read, and no unpacked copy is kept; the coassociativity check compares the
+two sides' packed numerators, and a three-leg table is unpacked only to
+write a failure's note.  Leg products are read over one denominator and only
+integers are added.  This keeps the exhaustive degree-3 verification grids
+fast enough for interactive use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import factorial, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Mapping
@@ -428,7 +432,8 @@ def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
 # the coproduct contains no alpha, beta or gamma, and every leg product in
 # them is already ordered (cop of a monomial is built by multiplying on the
 # right by cop of its largest generator), so no commutator is ever needed.
-# The three-leg tables of the coassociativity check stay packed (_Table).
+# The coproduct tables of monomials, on two and three legs, stay packed
+# (_Table).
 # Antipode tables, one set per parameter set: S reverses products, so they
 # reorder with that parameter set's commutators.  All are functools.cache
 # memos.
@@ -464,20 +469,18 @@ def _hopf(trunc: int) -> _HopfCache:
     return _HopfCache(trunc)
 
 
-@cache
 def _cop_mono(trunc: int, mono: PBWMonomial) -> TensorElement:
-    if mono == EMPTY_MONO:
-        return TensorElement.unit(Truncation(trunc))
-    g = max(i for i in range(7) if mono[i])
-    prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-    return tensor_mul(_cop_mono(trunc, prev), _hopf(trunc).cop_gen[g])
+    """cop of a monomial over Truncation(trunc), decoded from its packed
+    table on every read; no decoded copy is kept.  coproduct() and
+    apply_coproduct_leg() decode each monomial once per call."""
+    return _cop_table(trunc, mono, None).tensor()
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproducts."""
-    trunc = x.params.trunc
+    cops = _Memo(partial(_cop_mono, x.params.trunc))
     return substitute(TensorElement.zero(x.params),
-                      [((), _cop_mono(trunc, k[:7]), (), k[7], n)
+                      [((), cops[k[:7]], (), k[7], n)
                        for k, n in x.nums.items()], x.den)
 
 
@@ -505,10 +508,9 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
 
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
-    trunc = t.params.trunc
+    cops = _Memo(partial(_cop_mono, t.params.trunc))
     return substitute(TensorElement.zero(t.params, t.arity + 1),
-                      [(key[:leg], _cop_mono(trunc, key[leg]),
-                        key[leg + 1:-1], key[-1], n)
+                      [(key[:leg], cops[key[leg]], key[leg + 1:-1], key[-1], n)
                        for key, n in t.nums.items()], t.den)
 
 
@@ -611,8 +613,8 @@ def _mu_sums(params: DeformParams, pairs: dict[int, tuple], terms: list,
 
 
 class _Table:
-    """A per-truncation three-leg table on packed keys, the storage of
-    _gen3 and _cop3_mono: groups[d] = {key: numerator} for each h-degree
+    """A per-truncation coproduct table on packed keys, the storage of
+    _gen and _cop_table: groups[d] = {key: numerator} for each h-degree
     d <= trunc, keys in layout, over one denominator den, with no field
     above top.  Every leg product in these tables is ordered, so two
     tables multiply by _pair_sums alone, and equal tables have equal
@@ -689,18 +691,24 @@ class _Table:
 
 
 @cache
-def _gen3(trunc: int, g: int, side: int) -> _Table:
-    return _Table.pack(apply_coproduct_leg(_hopf(trunc).cop_gen[g], side))
+def _gen(trunc: int, g: int, side: int | None) -> _Table:
+    """Generator g's coproduct table: on two legs (side None), or with the
+    coproduct applied once more to leg side, on three."""
+    cop = _hopf(trunc).cop_gen[g]
+    return _Table.pack(cop if side is None else apply_coproduct_leg(cop, side))
 
 
 @cache
-def _cop3_mono(trunc: int, mono: PBWMonomial, side: int) -> _Table:
-    """(cop (x) 1) cop  (side 0) or (1 (x) cop) cop  (side 1) on a monomial."""
+def _cop_table(trunc: int, mono: PBWMonomial, side: int | None) -> _Table:
+    """cop of a monomial on two legs (side None), or (cop (x) 1) cop
+    (side 0) or (1 (x) cop) cop (side 1) on three: the table of the
+    monomial without its largest generator g times g's."""
     if mono == EMPTY_MONO:
-        return _Table.pack(TensorElement.unit(Truncation(trunc), 3))
+        return _Table.pack(TensorElement.unit(Truncation(trunc),
+                                              2 if side is None else 3))
     g = max(i for i in range(7) if mono[i])
     prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-    return _cop3_mono(trunc, prev, side) * _gen3(trunc, g, side)
+    return _cop_table(trunc, prev, side) * _gen(trunc, g, side)
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +740,8 @@ def verify_hopf_axioms(max_generator_degree: int,
         elt = AlgebraElement.monomial(params, mono)
         cop = _cop_mono(D, mono).over(params)
 
-        left3 = _cop3_mono(D, mono, 0)
-        right3 = _cop3_mono(D, mono, 1)
+        left3 = _cop_table(D, mono, 0)
+        right3 = _cop_table(D, mono, 1)
         ok = left3.equals(right3)
         report.add("coassociativity", name, ok,
                    None if ok else _diff_note(

@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
+
+from .multiindex import multiindices
 
 HExponent = tuple[int, int, int]
 
@@ -226,6 +229,12 @@ class SeriesScalar:
                    trunc)
 
 
+@cache
+def _h_exponents(trunc: int) -> tuple[HExponent, ...]:
+    """Every h exponent triple of total degree <= trunc."""
+    return tuple(multiindices(3, trunc))
+
+
 def _raw(terms: dict, trunc: int) -> SeriesScalar:
     s = SeriesScalar.__new__(SeriesScalar)
     s.terms = terms
@@ -304,8 +313,15 @@ class TermMap:
     terms = property(coefficients)
 
     def coefficient(self, key: tuple) -> SeriesScalar:
-        """The coefficient of one basis key, zero if it has no term."""
-        return self.coefficients().get(tuple(key), _raw({}, self.trunc))
+        """The coefficient of one basis key, zero if it has no term; only
+        that key's numerators are read, one lookup per h exponent."""
+        key, nums, den = tuple(key), self.nums, self.den
+        out = {}
+        for h in _h_exponents(self.trunc):
+            n = nums.get(key + (h,))
+            if n is not None:
+                out[h] = Fraction(n, den)
+        return _raw(out, self.trunc)
 
     def __bool__(self) -> bool:
         return bool(self.nums)

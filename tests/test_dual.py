@@ -10,11 +10,12 @@ from ncdeform import (AlgebraElement, DualElement, SeriesScalar, chi,
                       dual_structure_constants, from_z_basis, pairing,
                       poisson_bracket_dir, star_closed, star_commutator,
                       star_oracle, star_oracle_grid, to_z_basis)
-from ncdeform import (InvalidParamsError, ParamsMismatchError, dual,
-                      star_oracle_element)
+from ncdeform import (InvalidParamsError, ParamsMismatchError, dual, hopf,
+                      star_oracle_element, verify_star_suite)
 from ncdeform.dual import star_oracle_restricted
 from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
                                  submultiindices)
+from ncdeform.suites import _DEEP_PROBES
 
 from conftest import assert_stored_once, h_exponents, params, small_fractions
 
@@ -145,6 +146,36 @@ def reference_star_closed(u, v):
     return DualElement(trunc, out)
 
 
+def star_terms_with_y(I, J, K, L, trunc):
+    """_star_terms(I, |J|, K, |L|) with the Y index J + L attached, in the
+    shape of reference_star_monos."""
+    y = tuple(a + b for a, b in zip(J, L))
+    out = {}
+    for w, h, c in dual._star_terms(I, mi_norm(J), K, mi_norm(L), trunc):
+        assert c and h not in out.setdefault((w, y), {}), (w, h)
+        out[(w, y)][h] = c
+    return {key: SeriesScalar(hmap, trunc) for key, hmap in out.items()}
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 3])
+def test_ynorm_tables_match_series_reference(trunc):
+    monos = [(w, y) for w in multiindices(3, 3)
+             for y in multiindices(4, 3 - sum(w))]
+    for (I, J), (K, L) in product(monos, repeat=2):
+        assert star_terms_with_y(I, J, K, L, trunc) == reference_star_monos(
+            I, J, K, L, trunc), (I, J, K, L)
+
+
+def test_star_suite_builds_one_table_per_ynorm():
+    # The suite's products at truncation 1 (the pair table and the
+    # norm <= 2 associativity cube) read one table per (I, |J|, K, |L|),
+    # 1,875 of them; one per (I, J, K, L) would be 22,464.  The six depth-2
+    # probes at truncation 3 add one each.
+    dual._star_terms.cache_clear()
+    assert verify_star_suite(2).passed
+    assert dual._star_terms.cache_info().currsize == 1875 + len(_DEEP_PROBES)
+
+
 def dual_elements(trunc):
     keys = st.sampled_from([(m.terms.popitem()[0]) for m in grid(2, 0)])
     coeffs = st.one_of(st.sampled_from([1, -1, 2]), small_fractions())
@@ -214,12 +245,15 @@ def test_oracle_never_calls_the_closed_formula(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called the closed formula")
 
+    # star_closed and its tables are the whole closed formula.
     monkeypatch.setattr(dual, "star_closed", forbidden)
-    monkeypatch.setattr(dual, "_star_monos", forbidden)
+    monkeypatch.setattr(dual, "_star_terms", forbidden)
     # The oracle's tables are shared by every parameter set of a
-    # truncation, so they are dropped to make sure every one is built here.
+    # truncation, so they are dropped to make sure every one is built here,
+    # down to the packed coproduct tables they are read from.
     dual._delta_z.cache_clear()
     dual._mono_z.cache_clear()
+    hopf._cop_table.cache_clear()
     a, b = (W0, (1, 0, 0, 0)), ((1, 0, 0), Y0)
     assert star_oracle(a, b, 1) == dm((1, 0, 0), (1, 0, 0, 0), 1) + dm(
         W0, (1, 0, 0, 0), 1, h_series((1, 0, 0), 1, 1))
@@ -309,6 +343,64 @@ def test_oracle_matches_closed_formula_mod_h2(a, b):
     got = star_oracle(a, b, 1)
     want = star_closed(dm(a[0], a[1], 1), dm(b[0], b[1], 1))
     assert got == want
+
+
+def oracle_from_view(pairs, targets, trunc):
+    """{(a, b): DualElement} with the coefficient delta_on_zbasis(S, T)[a, b]
+    at W^S Y^T for each of the targets, for each pair (a, b) it holds."""
+    out = {}
+    for S, T in targets:
+        for pair, c in delta_on_zbasis(S, T, trunc).items():
+            if pair in pairs:
+                out.setdefault(pair, {})[(S, T)] = c
+    return {pair: DualElement(trunc, table) for pair, table in out.items()}
+
+
+def test_oracle_grid_matches_the_public_view():
+    norm, trunc = 2, 1
+    monos = [(w, y) for w in multiindices(3, norm)
+             for y in multiindices(4, norm - sum(w))]
+    cap = 2 * norm + trunc
+    want = oracle_from_view(set(product(monos, repeat=2)),
+                            [(S, T) for S in multiindices(3, cap)
+                             for T in multiindices(4, cap - sum(S))], trunc)
+    got = star_oracle_grid(norm, trunc)
+    assert got.keys() == want.keys() and len(got) == len(monos) ** 2
+    for pair, u in got.items():
+        assert_stored_once(u)
+        assert u == want[pair], pair
+
+
+def test_oracle_reads_its_tables_through_the_public_view(monkeypatch):
+    # Every oracle reads cop(Z^S X^T) through delta_on_zbasis, once per
+    # target, so a tracer wrapping it sees the oracle's table reads.
+    seen = []
+
+    def counted(S, T, trunc):
+        seen.append((S, T))
+        return view(S, T, trunc)
+
+    view = dual.delta_on_zbasis
+    monkeypatch.setattr(dual, "delta_on_zbasis", counted)
+    a, b = (W0, (1, 0, 0, 0)), ((1, 0, 0), Y0)
+    star_oracle(a, b, 1)
+    assert len(seen) == len(set(seen)) > 0
+    seen.clear()
+    star_oracle_grid(1, 1)
+    assert len(seen) == len(set(seen)) == sum(
+        1 for S in multiindices(3, 3) for _ in multiindices(4, 3 - sum(S)))
+
+
+@pytest.mark.parametrize("label,a,b", _DEEP_PROBES,
+                         ids=[label for label, *_ in _DEEP_PROBES])
+def test_deep_probes_match_the_public_view(label, a, b):
+    trunc = 3
+    T = tuple(x + y for x, y in zip(a[1], b[1]))
+    targets = [(S, T) for S in multiindices(3, mi_norm(a[0]) + mi_norm(b[0]))]
+    want = oracle_from_view({(a, b)}, targets, trunc)
+    got = star_oracle_restricted(a, b, trunc)
+    assert_stored_once(got)
+    assert got == want[(a, b)]
 
 
 def test_oracle_grid_consistency():

@@ -13,7 +13,7 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
 from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               InvalidParamsError, Truncation, _central_mul)
 from ncdeform import hopf
-from ncdeform.hopf import _cop3_mono, _cop_mono, _hopf, _Table
+from ncdeform.hopf import _cop_mono, _cop_table, _hopf, _Table
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -146,8 +146,8 @@ def test_coassociativity_dp_matches_leg_application():
     for mono in [(0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1, 0),
                  (1, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1, 1)]:
         cop = _cop_mono(2, mono)
-        assert _cop3_mono(2, mono, 0).tensor() == apply_coproduct_leg(cop, 0)
-        assert _cop3_mono(2, mono, 1).tensor() == apply_coproduct_leg(cop, 1)
+        assert _cop_table(2, mono, 0).tensor() == apply_coproduct_leg(cop, 0)
+        assert _cop_table(2, mono, 1).tensor() == apply_coproduct_leg(cop, 1)
 
 
 @pytest.mark.parametrize("alpha,beta,gamma",
@@ -351,7 +351,7 @@ def test_three_leg_products_match_leg_substitution():
     # the three-leg product path by a different route.
     for mono in multiindices_graded(7, 2):
         cop = _cop_mono(3, mono)
-        left, right = _cop3_mono(3, mono, 0), _cop3_mono(3, mono, 1)
+        left, right = _cop_table(3, mono, 0), _cop_table(3, mono, 1)
         assert apply_coproduct_leg(cop, 0) == left.tensor(), mono
         assert apply_coproduct_leg(cop, 1) == right.tensor(), mono
 
@@ -368,12 +368,33 @@ def reference_cop3(trunc: int, m: tuple, side: int) -> TensorElement:
     return t
 
 
+def reference_cop2(trunc: int, m: tuple) -> TensorElement:
+    """cop of a monomial by public tensor_mul calls: the generator
+    coproducts multiplied in PBW order."""
+    t = TensorElement.unit(Truncation(trunc))
+    for g, e in enumerate(m):
+        for _ in range(e):
+            t = tensor_mul(t, _hopf(trunc).cop_gen[g])
+    return t
+
+
+@pytest.mark.parametrize("trunc,degree", [(0, 3), (1, 3), (2, 3), (3, 2)])
+def test_packed_two_leg_tables_match_tensor_chains(trunc, degree):
+    for m in multiindices_graded(7, degree):
+        cop = _cop_mono(trunc, m)
+        assert_stored_once(cop)
+        assert cop == reference_cop2(trunc, m), m
+        # Every read decodes the packed table again; no decoded copy is kept.
+        again = _cop_mono(trunc, m)
+        assert again is not cop and again == cop
+
+
 @pytest.mark.parametrize("trunc,degree", [(0, 3), (1, 3), (2, 3), (3, 2)])
 def test_packed_tables_match_tensor_chains(trunc, degree):
     for m in multiindices_graded(7, degree):
         cop = _cop_mono(trunc, m)
         for side in (0, 1):
-            table = _cop3_mono(trunc, m, side).tensor()
+            table = _cop_table(trunc, m, side).tensor()
             assert_stored_once(table)
             assert table == apply_coproduct_leg(cop, side), (m, side)
             assert table == reference_cop3(trunc, m, side), (m, side)
@@ -382,12 +403,15 @@ def test_packed_tables_match_tensor_chains(trunc, degree):
 @pytest.mark.parametrize("e", [3, 4, 7, 8])
 def test_packed_chain_at_the_width_boundary(e):
     # At trunc 1 every field of a generator's table is at most 1, and the
-    # chain of g^e reaches g^e (x) 1 (x) 1: e = 2**k - 1 fills every bit of
-    # a field and e = 2**k needs one more, so the table is repacked wider.
+    # chain of g^e reaches g^e (x) 1 (x) 1, or g^e (x) 1 on two legs:
+    # e = 2**k - 1 fills every bit of a field and e = 2**k needs one more,
+    # so the table is repacked wider.
     for g in ("Th", "P2"):
         m = mono(**{g: e})
+        assert _cop_table(1, m, None).layout.width >= e.bit_length()
+        assert _cop_mono(1, m) == reference_cop2(1, m), g
         for side in (0, 1):
-            table = _cop3_mono(1, m, side)
+            table = _cop_table(1, m, side)
             assert table.layout.width >= e.bit_length()
             assert table.tensor() == reference_cop3(1, m, side), (g, side)
             assert table.tensor() == apply_coproduct_leg(_cop_mono(1, m),
@@ -398,7 +422,7 @@ def test_unequal_tables_report_the_decoded_difference(monkeypatch):
     # One side gains a term whose Th^4 needs wider fields than the other
     # side's: the two compare in one layout and the note shows the
     # decoded difference.
-    real = hopf._cop3_mono
+    real = hopf._cop_table
     q1 = mono(Q1=1)
     extra = TensorElement(Truncation(1), 3, {
         (q1, mono(Th=4), EMPTY_MONO, (0, 1, 0)): Fraction(2, 3)})
@@ -409,7 +433,7 @@ def test_unequal_tables_report_the_decoded_difference(monkeypatch):
             return _Table.pack(table.tensor() + extra)
         return table
 
-    monkeypatch.setattr(hopf, "_cop3_mono", skewed)
+    monkeypatch.setattr(hopf, "_cop_table", skewed)
     report = verify_hopf_axioms(1, params(2, Fraction(1, 2), -3, 1))
     [failure] = report.failures()
     assert (failure.name, failure.subject) == ("coassociativity", "Q1")

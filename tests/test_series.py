@@ -273,3 +273,24 @@ def test_term_map_operations_match_fraction_reference(pair, f):
     # Equal values reached by different sums compare equal.
     assert (x + y) - y == x and x - x == x.scale(0) and not x - x
     assert (x == x + y) == (not ry)
+
+
+#: A basis key of each kind that no drawn term map holds.
+ABSENT_KEYS = {AlgebraElement: (3,) * 7, TensorElement: ((3,) * 7, (3,) * 7),
+               DualElement: ((3,) * 3, (3,) * 4), WedgeElement: (0, 7)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_map_pairs())
+def test_coefficient_matches_the_coefficients_view(pair):
+    # coefficient(key) reads one key's numerators; coefficients() builds
+    # every key's series.  y's keys are mostly absent from x.
+    trunc, (x, _), (y, _), _ = pair
+    coeffs = x.coefficients()
+    keys = set(coeffs) | set(y.coefficients()) | {ABSENT_KEYS[type(x)]}
+    for key in keys:
+        got = x.coefficient(key)
+        assert got.trunc == x.trunc == trunc
+        assert got == coeffs.get(key, SeriesScalar.zero(trunc)), key
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert x.coefficient(ABSENT_KEYS[type(x)]).terms == {}

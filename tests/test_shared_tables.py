@@ -28,7 +28,7 @@ from conftest import params
 
 #: Every memo built once per truncation.
 SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
-                   hopf._hopf, hopf._cop_mono, hopf._gen3, hopf._cop3_mono,
+                   hopf._hopf, hopf._gen, hopf._cop_table,
                    dual._mono_z, dual._delta_z)
 #: The normal-ordering memos, shared by the per-parameter engines too.
 ENGINE_MEMOS = (algebra.engine, algebra._Engine.mono_mul,
