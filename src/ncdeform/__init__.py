@@ -24,10 +24,9 @@ from .bialgebra import (GroupElement, LieData, NonPrimitiveResidueError,
                         coboundary_from_r, cocommutator_dir, cocommutator_map,
                         combine_cocommutators, dual_bracket_from_delta,
                         dual_lie_data_from_delta, group_compose,
-                        group_identity, group_inverse, lie_bracket,
-                        nc_lie_data)
-from .render import (dual_from_json, dual_to_json, dual_to_text,
-                     element_from_json, element_to_json, element_to_text)
+                        group_identity, group_inverse, nc_lie_data)
+from .render import (dual_to_json, dual_to_text, element_to_json,
+                     element_to_text)
 from .report import Check, VerificationReport
 from .parser import ExpressionError, evaluate, parse_expression
 from .suites import verify_all, verify_bialgebra_suite, verify_star_suite

@@ -112,17 +112,6 @@ def nc_lie_data(alpha, beta, gamma) -> LieData:
     return LieData(names=GENERATOR_NAMES, constants=constants)
 
 
-def lie_bracket(x, y, L: LieData) -> Vector:
-    """Bracket of two coordinate vectors (sequences or sparse dicts)."""
-    def as_vec(v) -> Vector:
-        if isinstance(v, Mapping):
-            return {int(k): Fraction(c) for k, c in v.items() if c}
-        if len(v) != L.dim:
-            raise ValueError(f"dimension mismatch: expected {L.dim}")
-        return {i: Fraction(c) for i, c in enumerate(v) if c}
-    return L.bracket(as_vec(x), as_vec(y))
-
-
 # ---------------------------------------------------------------------------
 # Wedge elements.
 # ---------------------------------------------------------------------------

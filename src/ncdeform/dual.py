@@ -248,9 +248,8 @@ class _ZTable(Mapping):
         self.den, self.rows, self.trunc = den, rows, trunc
 
     def __getitem__(self, pair) -> SeriesScalar:
-        den = self.den
-        return SeriesScalar({h: Fraction(n, den) for h, n in self.rows[pair]},
-                            self.trunc)
+        return SeriesScalar.zero(self.trunc).over_denominator(
+            {(h,): n for h, n in self.rows[pair]}, self.den)
 
     def __iter__(self):
         return iter(self.rows)

@@ -6,41 +6,41 @@ so identical values always serialize to identical bytes.
 
 from __future__ import annotations
 
+from fractions import Fraction
 
 from .algebra import GENERATOR_NAMES, AlgebraElement, mono_factors
-from .series import SeriesScalar, format_rational, h_factors, render_terms
+from .series import format_rational, h_factors, render_terms
 
 
 def _render_flat(pairs) -> str:
-    """pairs: iterable of (sort key, factor list, series)."""
+    """pairs: iterable of (sort key, factor list, (h, coefficient) pairs)."""
     items = []
-    for key, factors, series in pairs:
-        for h in sorted(series.terms):
-            items.append(((key, h), series.terms[h], h_factors(h) + factors))
+    for key, factors, terms in pairs:
+        for h, c in terms:
+            items.append(((key, h), c, h_factors(h) + factors))
     items.sort(key=lambda t: t[0])
     if not items:
         return "0"
     return render_terms([(coeff, factors) for _, coeff, factors in items])
 
 
+def _term_rows(x):
+    """(basis key, (h, Fraction) pairs) for each basis key of a term map,
+    read from its numerators without building a series per key."""
+    den = x.den
+    return ((key, [(h, Fraction(n, den)) for h, n in row])
+            for key, row in x.rows().items())
+
+
 def element_to_text(x: AlgebraElement) -> str:
-    return _render_flat(
-        (m, mono_factors(m), s) for m, s in x.terms.items())
+    return _render_flat((m, mono_factors(m), terms)
+                        for m, terms in _term_rows(x))
 
 
 def element_to_json(x: AlgebraElement) -> dict:
     terms = x.terms
     return {"terms": [{"exp": list(m), "coeff": terms[m].to_json()}
                       for m in sorted(terms)]}
-
-
-def element_from_json(data: dict, params) -> AlgebraElement:
-    terms = {}
-    for item in data["terms"]:
-        mono = tuple(item["exp"])
-        coeff = SeriesScalar.from_json(item["coeff"], params.trunc)
-        terms[mono] = terms.get(mono, SeriesScalar.zero(params.trunc)) + coeff
-    return AlgebraElement(params, terms)
 
 
 def _bracket(name: str, idx) -> str:
@@ -56,24 +56,13 @@ def dual_to_text(u) -> str:
         if any(y):
             out.append(_bracket("Y", y))
         return out
-    return _render_flat((k, factors(k), s) for k, s in u.terms.items())
+    return _render_flat((k, factors(k), terms) for k, terms in _term_rows(u))
 
 
 def dual_to_json(u) -> dict:
     terms = u.terms
     return {"terms": [{"w": list(k[0]), "y": list(k[1]),
                        "coeff": terms[k].to_json()} for k in sorted(terms)]}
-
-
-def dual_from_json(data: dict, trunc: int):
-    from .dual import DualElement
-    out: dict = {}
-    for item in data["terms"]:
-        key = (tuple(item["w"]), tuple(item["y"]))
-        coeff = SeriesScalar.from_json(item["coeff"], trunc)
-        cur = out.get(key)
-        out[key] = coeff if cur is None else cur + coeff
-    return DualElement(trunc, out)
 
 
 def zmap_to_text(zmap) -> str:
@@ -85,7 +74,8 @@ def zmap_to_text(zmap) -> str:
         if any(qp):
             out.append(_bracket("X", qp))
         return out
-    return _render_flat((k, factors(k), s) for k, s in zmap.items())
+    return _render_flat((k, factors(k), s.terms.items())
+                        for k, s in zmap.items())
 
 
 def zmap_to_json(zmap) -> dict:
@@ -97,8 +87,8 @@ def zmap_to_json(zmap) -> dict:
 def tensor_to_text(t) -> str:
     def factors(legs):
         return [" (x) ".join("*".join(mono_factors(m)) or "1" for m in legs)]
-    return _render_flat((legs, factors(legs), s)
-                        for legs, s in t.coefficients().items())
+    return _render_flat((legs, factors(legs), terms)
+                        for legs, terms in _term_rows(t))
 
 
 def tensor_to_json(t) -> dict:

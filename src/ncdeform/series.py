@@ -7,18 +7,18 @@ exact rational coefficients, together with a truncation order: every monomial
 of total degree > trunc is discarded by every operation.  Zero coefficients
 are never stored, so two series are equal iff their term maps are equal.
 
-Every other carrier (algebra elements, tensors, dual functionals, wedges) is
-a TermMap: a finite sum over a basis whose coefficients are such series.
-All four share one storage, in the layout of FLINT's fmpq_poly (an integer
-polynomial and one denominator, https://flintlib.org/doc/fmpq_poly.html):
-nums maps key + (h,), a basis key (a tuple) followed by an h exponent
-triple, to a nonzero int numerator, and den is one positive int sharing no
-factor with all of them.  That pair is unique per value, so equality
-compares it.  TermMap holds the only copy of the conversion from a public
-coefficient map, of sum, negation, scaling, equality and the h filters,
-all on those integers; every kernel reads and fills nums and den directly,
-and coefficients become Fractions only when they are read (terms,
-coefficient(), rendering).
+Every carrier (series, algebra elements, tensors, dual functionals, wedges)
+is a TermMap: a finite sum over a basis whose coefficients are such series;
+a series is the one whose basis key is empty.  All five share one storage,
+in the layout of FLINT's fmpq_poly (an integer polynomial and one
+denominator, https://flintlib.org/doc/fmpq_poly.html): nums maps key + (h,),
+a basis key (a tuple) followed by an h exponent triple, to a nonzero int
+numerator, and den is one positive int sharing no factor with all of them.
+That pair is unique per value, so equality compares it.  TermMap holds the
+only copy of the conversion from a public coefficient map, of sum,
+negation, scaling, equality and the h filters, all on those integers; every
+kernel reads and fills nums and den directly, and coefficients become
+Fractions only when they are read (terms, constant(), coeff(), rendering).
 
 >>> a = SeriesScalar.one(2) + SeriesScalar.hbar(1, 2)
 >>> print((a * a).to_text())
@@ -41,10 +41,6 @@ _ZERO_H: HExponent = (0, 0, 0)
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-class TruncationMismatchError(ValueError):
-    """Two series with different truncation orders were combined."""
-
-
 class NonInvertibleSeriesError(ValueError):
     """The series has zero constant term and cannot be inverted."""
 
@@ -55,6 +51,10 @@ class InvalidParamsError(ValueError):
 
 class ParamsMismatchError(ValueError):
     """Two elements over different parameters or truncations were combined."""
+
+
+class TruncationMismatchError(ParamsMismatchError):
+    """Two term maps with different truncation orders were combined."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -72,174 +72,10 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-class SeriesScalar:
-    __slots__ = ("terms", "trunc")
-
-    def __init__(self, terms: Mapping[HExponent, Fraction], trunc: int):
-        if trunc < 0:
-            raise InvalidParamsError("truncation order must be >= 0")
-        clean: dict[HExponent, Fraction] = {}
-        for h, c in terms.items():
-            if sum(h) > trunc:
-                continue
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                clean[h] = c
-        self.terms = clean
-        self.trunc = trunc
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc: int) -> "SeriesScalar":
-        return cls({}, trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "SeriesScalar":
-        return cls({_ZERO_H: Fraction(1)}, trunc)
-
-    @classmethod
-    def from_rational(cls, value, trunc: int) -> "SeriesScalar":
-        return cls({_ZERO_H: Fraction(value)}, trunc)
-
-    @classmethod
-    def hbar(cls, i: int, trunc: int) -> "SeriesScalar":
-        """The variable h_i, i in {1, 2, 3}."""
-        if i not in (1, 2, 3):
-            raise ValueError("variable index must be 1, 2 or 3")
-        h = tuple(1 if k == i - 1 else 0 for k in range(3))
-        return cls({h: Fraction(1)}, trunc)
-
-    @classmethod
-    def monomial(cls, h: HExponent, coeff, trunc: int) -> "SeriesScalar":
-        return cls({tuple(h): Fraction(coeff)}, trunc)
-
-    # -- structure ---------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def constant(self) -> Fraction:
-        return self.terms.get(_ZERO_H, Fraction(0))
-
-    def coeff(self, h: HExponent) -> Fraction:
-        h = tuple(h)
-        if sum(h) > self.trunc:
-            raise ValueError(f"degree overflow: |{h}| > truncation {self.trunc}")
-        return self.terms.get(h, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SeriesScalar):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return not self.terms
-            return self.terms == {_ZERO_H: other}
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"SeriesScalar({self.to_text()!r}, trunc={self.trunc})"
-
-    def _check(self, other: "SeriesScalar") -> None:
-        if self.trunc != other.trunc:
-            raise TruncationMismatchError(
-                f"truncation mismatch: {self.trunc} vs {other.trunc}")
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "SeriesScalar") -> "SeriesScalar":
-        if isinstance(other, (int, Fraction)):
-            other = SeriesScalar.from_rational(other, self.trunc)
-        self._check(other)
-        out = dict(self.terms)
-        for h, c in other.terms.items():
-            out[h] = out.get(h, 0) + c
-        return _raw({h: c for h, c in out.items() if c}, self.trunc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SeriesScalar":
-        return _raw({h: -c for h, c in self.terms.items()}, self.trunc)
-
-    def __sub__(self, other: "SeriesScalar") -> "SeriesScalar":
-        return self + (-other)
-
-    def __mul__(self, other) -> "SeriesScalar":
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return SeriesScalar.zero(self.trunc)
-            return _raw({h: c * other for h, c in self.terms.items()}, self.trunc)
-        self._check(other)
-        trunc = self.trunc
-        out: dict[HExponent, Fraction] = {}
-        for h1, c1 in self.terms.items():
-            for h2, c2 in other.terms.items():
-                h = (h1[0] + h2[0], h1[1] + h2[1], h1[2] + h2[2])
-                if h[0] + h[1] + h[2] > trunc:
-                    continue
-                out[h] = out.get(h, 0) + c1 * c2
-        return _raw({h: c for h, c in out.items() if c}, trunc)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "SeriesScalar":
-        """Inverse by geometric series; requires a nonzero constant term."""
-        u = self.constant()
-        if not u:
-            raise NonInvertibleSeriesError("non-invertible series: zero constant term")
-        one = SeriesScalar.one(self.trunc)
-        g = one - self * (1 / u)
-        acc = one
-        for _ in range(self.trunc):
-            acc = one + g * acc
-        return acc * (1 / u)
-
-    def limit(self, zeroed: Iterable[int]) -> "SeriesScalar":
-        """Set the listed variables (1-based) to zero."""
-        zeroed = set(zeroed)
-        out = {h: c for h, c in self.terms.items()
-               if all(h[i - 1] == 0 for i in zeroed)}
-        return _raw(out, self.trunc)
-
-    def truncate(self, trunc: int) -> "SeriesScalar":
-        return SeriesScalar(self.terms, trunc)
-
-    # -- presentation ------------------------------------------------------
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for h in sorted(self.terms):
-            parts.append((self.terms[h], h_factors(h)))
-        return render_terms(parts)
-
-    def to_json(self) -> list:
-        return [{"h": list(h), "c": format_rational(self.terms[h])}
-                for h in sorted(self.terms)]
-
-    @classmethod
-    def from_json(cls, data: list, trunc: int) -> "SeriesScalar":
-        return cls({tuple(item["h"]): parse_rational(item["c"]) for item in data},
-                   trunc)
-
-
 @cache
 def _h_exponents(trunc: int) -> tuple[HExponent, ...]:
     """Every h exponent triple of total degree <= trunc."""
     return tuple(multiindices(3, trunc))
-
-
-def _raw(terms: dict, trunc: int) -> SeriesScalar:
-    s = SeriesScalar.__new__(SeriesScalar)
-    s.terms = terms
-    s.trunc = trunc
-    return s
 
 
 class TermMap:
@@ -262,11 +98,14 @@ class TermMap:
         keys add up, and zeros and h-degrees above trunc are dropped."""
         trunc = self.trunc
         acc: dict = {}
+        get = acc.get
         for key, c in coeffs:
             h = key[-1]
             if h[0] + h[1] + h[2] <= trunc:
-                acc[key] = acc.get(key, 0) + (
-                    c if type(c) in (int, Fraction) else Fraction(c))
+                if type(c) not in (int, Fraction):
+                    c = Fraction(c)
+                prev = get(key)
+                acc[key] = c if prev is None else prev + c
         fracs = [(key, c) for key, c in acc.items() if c]
         # Over the lcm of reduced denominators the numerators share no
         # factor with it: a prime's highest power in the lcm divides some
@@ -277,9 +116,21 @@ class TermMap:
         self.den = den
 
     def _store_series(self, terms: Mapping) -> None:
-        """_store() from a {key: SeriesScalar} map."""
-        self._store((tuple(key) + (h,), c) for key, s in terms.items()
-                    for h, c in s.terms.items())
+        """_store() from a {key: SeriesScalar} map: every series's
+        numerators are brought to the lcm of their denominators."""
+        trunc = self.trunc
+        den = lcm(*(s.den for s in terms.values()))
+        nums = {}
+        for key, s in terms.items():
+            key, f = tuple(key), den // s.den
+            for k, n in s.nums.items():
+                h = k[0]
+                if h[0] + h[1] + h[2] <= trunc:
+                    nums[key + k] = n * f
+        # A common factor is left only where terms above trunc were dropped.
+        g = gcd(den, *nums.values())
+        self.nums = {k: n // g for k, n in nums.items()} if g > 1 else nums
+        self.den = den // g
 
     def over_denominator(self, nums: Mapping[tuple, int],
                          den: int) -> "TermMap":
@@ -306,8 +157,8 @@ class TermMap:
 
     def coefficients(self) -> dict:
         """{key: SeriesScalar}, one coefficient per basis key."""
-        den, trunc = self.den, self.trunc
-        return {key: _raw({h: Fraction(n, den) for h, n in row}, trunc)
+        zero, den = SeriesScalar.zero(self.trunc), self.den
+        return {key: zero.over_denominator({(h,): n for h, n in row}, den)
                 for key, row in self.rows().items()}
 
     terms = property(coefficients)
@@ -315,13 +166,14 @@ class TermMap:
     def coefficient(self, key: tuple) -> SeriesScalar:
         """The coefficient of one basis key, zero if it has no term; only
         that key's numerators are read, one lookup per h exponent."""
-        key, nums, den = tuple(key), self.nums, self.den
-        out = {}
+        key, nums = tuple(key), self.nums
+        row = {}
         for h in _h_exponents(self.trunc):
             n = nums.get(key + (h,))
             if n is not None:
-                out[h] = Fraction(n, den)
-        return _raw(out, self.trunc)
+                row[(h,)] = n
+        zero = SeriesScalar.zero(self.trunc)
+        return zero.over_denominator(row, self.den) if row else zero
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -343,6 +195,9 @@ class TermMap:
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} "
                             f"with {type(other).__name__}")
+        if self.trunc != other.trunc:
+            raise TruncationMismatchError(
+                f"truncation mismatch: {self.trunc} vs {other.trunc}")
         if self.space() != other.space():
             raise ParamsMismatchError(
                 f"{type(self).__name__}s live over different spaces: "
@@ -371,14 +226,15 @@ class TermMap:
     def scale(self, factor) -> "TermMap":
         """Multiply every coefficient by a rational or a SeriesScalar."""
         if not isinstance(factor, SeriesScalar):
-            factor = SeriesScalar.from_rational(factor, self.trunc)
-        elif factor.trunc != self.trunc:
+            f = Fraction(factor)
+            return self.over_denominator(
+                {k: n * f.numerator for k, n in self.nums.items()},
+                self.den * f.denominator)
+        if factor.trunc != self.trunc:
             raise TruncationMismatchError(
                 f"truncation mismatch: {self.trunc} vs {factor.trunc}")
-        den = lcm(*(c.denominator for c in factor.terms.values()))
-        return substitute(self, [((), self, (), h, c.numerator
-                                  * (den // c.denominator))
-                                 for h, c in factor.terms.items()], den)
+        return substitute(self, [((), self, (), k[0], n)
+                                 for k, n in factor.nums.items()], factor.den)
 
     def _filtered(self, keep) -> "TermMap":
         return self.over_denominator(
@@ -392,6 +248,126 @@ class TermMap:
     def hdegree_truncated(self, below: int) -> "TermMap":
         """Keep only the terms of h-degree < below."""
         return self._filtered(lambda h: h[0] + h[1] + h[2] < below)
+
+
+class SeriesScalar(TermMap):
+    """A truncated series: the term map whose basis key is empty, so nums
+    maps (h,) to a numerator and space() is trunc.  terms, the view built
+    when it is read, maps each h exponent to a Fraction."""
+
+    __slots__ = ("trunc",)
+
+    def __init__(self, terms: Mapping[HExponent, Fraction], trunc: int):
+        if trunc < 0:
+            raise InvalidParamsError("truncation order must be >= 0")
+        self.trunc = trunc
+        self._store(((tuple(h),), c) for h, c in terms.items())
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    @cache
+    def zero(cls, trunc: int) -> "SeriesScalar":
+        """The zero series, one per order: no term map is changed in place,
+        and the readers build each coefficient from it by
+        over_denominator()."""
+        return cls({}, trunc)
+
+    @classmethod
+    def one(cls, trunc: int) -> "SeriesScalar":
+        return cls.from_rational(1, trunc)
+
+    @classmethod
+    def from_rational(cls, value, trunc: int) -> "SeriesScalar":
+        if type(value) not in (int, Fraction):
+            value = Fraction(value)
+        return cls.zero(trunc).over_denominator({(_ZERO_H,): value.numerator},
+                                                value.denominator)
+
+    @classmethod
+    def hbar(cls, i: int, trunc: int) -> "SeriesScalar":
+        """The variable h_i, i in {1, 2, 3}."""
+        if i not in (1, 2, 3):
+            raise ValueError("variable index must be 1, 2 or 3")
+        h = tuple(1 if k == i - 1 else 0 for k in range(3))
+        return cls({h: 1}, trunc)
+
+    @classmethod
+    def monomial(cls, h: HExponent, coeff, trunc: int) -> "SeriesScalar":
+        return cls({tuple(h): coeff}, trunc)
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[HExponent, Fraction]:
+        den = self.den
+        return {k[0]: Fraction(n, den) for k, n in self.nums.items()}
+
+    def space(self) -> int:
+        return self.trunc
+
+    def like(self, terms) -> "SeriesScalar":
+        return SeriesScalar(terms, self.trunc)
+
+    def constant(self) -> Fraction:
+        return Fraction(self.nums.get((_ZERO_H,), 0), self.den)
+
+    def coeff(self, h: HExponent) -> Fraction:
+        h = tuple(h)
+        if sum(h) > self.trunc:
+            raise ValueError(f"degree overflow: |{h}| > truncation {self.trunc}")
+        return Fraction(self.nums.get((h,), 0), self.den)
+
+    def __eq__(self, other) -> bool:
+        """A series also equals a rational, as its constant series."""
+        if isinstance(other, (int, Fraction)):
+            other = SeriesScalar.from_rational(other, self.trunc)
+        return TermMap.__eq__(self, other)
+
+    # -- ring operations ---------------------------------------------------
+
+    def __mul__(self, other) -> "SeriesScalar":
+        if isinstance(other, (int, Fraction, SeriesScalar)):
+            return self.scale(other)
+        return NotImplemented
+
+    # The bench tracer wraps __mul__ through this class's namespace, so both
+    # names stay bound here.
+    __rmul__ = __mul__
+
+    def inv(self) -> "SeriesScalar":
+        """Inverse by geometric series; requires a nonzero constant term."""
+        u = self.constant()
+        if not u:
+            raise NonInvertibleSeriesError("non-invertible series: zero constant term")
+        one = SeriesScalar.one(self.trunc)
+        g = one - self * (1 / u)
+        acc = one
+        for _ in range(self.trunc):
+            acc = one + g * acc
+        return acc * (1 / u)
+
+    def truncate(self, trunc: int) -> "SeriesScalar":
+        """The same series to a lower order.  A higher order is refused:
+        the coefficients above this one's order are unknown, not 0."""
+        if trunc > self.trunc:
+            raise InvalidParamsError(
+                f"cannot raise truncation order {self.trunc} to {trunc}")
+        return SeriesScalar.zero(trunc).over_denominator(
+            {k: n for k, n in self.nums.items() if sum(k[0]) <= trunc},
+            self.den)
+
+    # -- presentation ------------------------------------------------------
+
+    def to_text(self) -> str:
+        if not self.nums:
+            return "0"
+        return render_terms([(c, h_factors(h))
+                             for h, c in sorted(self.terms.items())])
+
+    def to_json(self) -> list:
+        return [{"h": list(h), "c": format_rational(c)}
+                for h, c in sorted(self.terms.items())]
 
 
 def substitute(into: TermMap, items: list, den: int) -> TermMap:

@@ -11,7 +11,7 @@ from ncdeform import (AlgebraElement, GroupElement, InvalidParamsError,
                       cocommutator_map, combine_cocommutators, commutator,
                       dual_bracket_from_delta, dual_lie_data_from_delta,
                       dual_structure_constants, group_compose, group_identity,
-                      group_inverse, lie_bracket, make_generator, nc_lie_data,
+                      group_inverse, make_generator, nc_lie_data,
                       verify_bialgebra_suite)
 from ncdeform import bialgebra
 
@@ -78,24 +78,17 @@ def test_lie_data_axioms(alpha, beta, gamma):
 
 def test_lie_bracket_examples():
     L = nc_lie_data(2, 1, 1)
-    e = [tuple(1 if k == i else 0 for k in range(7)) for i in range(7)]
-    assert lie_bracket(e[Q1], e[P1], L) == {TH: Fraction(1, 2)}
-    assert lie_bracket(e[TH], e[P2], L) == {}
+    e = [{i: Fraction(1)} for i in range(7)]
+    assert L.bracket(e[Q1], e[P1]) == {TH: Fraction(1, 2)}
+    assert L.bracket(e[TH], e[P2]) == {}
     # Jacobi on (Q1, Q2, P1) by hand.
     acc = {}
     for x, y, z in ((e[Q1], e[Q2], e[P1]), (e[Q2], e[P1], e[Q1]),
                     (e[P1], e[Q1], e[Q2])):
-        inner = lie_bracket(x, y, L)
-        outer = L.bracket(inner, {i: Fraction(v) for i, v in enumerate(z) if v})
+        outer = L.bracket(L.bracket(x, y), z)
         for k, v in outer.items():
             acc[k] = acc.get(k, Fraction(0)) + v
     assert not {k: v for k, v in acc.items() if v}
-
-
-def test_lie_bracket_dimension_mismatch():
-    L = nc_lie_data(1, 1, 1)
-    with pytest.raises(ValueError, match="dimension"):
-        lie_bracket((1, 0), (0, 1), L)
 
 
 @pytest.mark.parametrize("alpha,beta,gamma", PARAM_SETS)

@@ -182,19 +182,3 @@ def test_dual_roundtrip_random():
         if text == "0":
             continue
         assert evaluate_dual(parse_expression(text), trunc) == u, text
-
-
-def test_element_json_roundtrip():
-    from ncdeform import element_from_json, element_to_json
-    rng = random.Random(17)
-    p = params(1, 1, 1, 2)
-    for _ in range(10):
-        x = random_element(rng, p, max_gen_degree=3)
-        assert element_from_json(element_to_json(x), p) == x
-
-
-def test_dual_json_roundtrip():
-    from ncdeform import dual_from_json, dual_to_json
-    u = chi(1, 2) + chi(5, 2).scale(Fraction(-3, 7)) + DualElement.monomial(
-        (1, 1, 0), (0, 0, 2, 0), 2, SeriesScalar.hbar(2, 2))
-    assert dual_from_json(dual_to_json(u), 2) == u

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdeform import (AlgebraElement, DualElement, NonInvertibleSeriesError,
-                      ParamsMismatchError, SeriesScalar, TensorElement,
-                      TruncationMismatchError, WedgeElement, parse_rational)
+from ncdeform import (AlgebraElement, DualElement, InvalidParamsError,
+                      NonInvertibleSeriesError, ParamsMismatchError,
+                      SeriesScalar, TensorElement, TruncationMismatchError,
+                      WedgeElement, parse_rational)
 
 from conftest import (assert_stored_once, h_exponents, invertible_series,
                       params, series, small_fractions)
@@ -83,6 +84,16 @@ def test_truncation_mismatch():
         SeriesScalar.one(1) * SeriesScalar.one(2)
 
 
+def test_series_times_term_map_scales_it():
+    # A series on the left leaves a term map to the term map's __rmul__
+    # instead of reading its keys as h exponents.
+    p = params(1, 1, 1, 2)
+    h = SeriesScalar.hbar(1, 2)
+    for x in (AlgebraElement.unit(p), TensorElement.unit(p),
+              DualElement.unit(2)):
+        assert h * x == x * h == x.scale(h)
+
+
 def test_no_stored_zeros_and_equality():
     x = SeriesScalar({(0, 0, 0): Fraction(0), (1, 0, 0): Fraction(1)}, 2)
     assert (0, 0, 0) not in x.terms
@@ -123,10 +134,14 @@ def test_truncation_coherence(a, b):
         assert (a + b).truncate(lower) == a.truncate(lower) + b.truncate(lower)
 
 
-@settings(max_examples=40, deadline=None)
-@given(series(2))
-def test_json_roundtrip(a):
-    assert SeriesScalar.from_json(a.to_json(), 2) == a
+def test_truncate_refuses_a_higher_order():
+    # The h1^2 coefficient of a trunc-1 series is unknown, not 0.
+    x = SeriesScalar.one(1) + SeriesScalar.hbar(1, 1)
+    assert x.truncate(1) == x
+    with pytest.raises(InvalidParamsError):
+        x.truncate(3)
+    with pytest.raises(InvalidParamsError):
+        x.truncate(-1)
 
 
 def test_text_format():
@@ -151,7 +166,8 @@ def test_parse_rational():
      TensorElement.unit(params(1, 1, 1, 1), 3)),
     # Equal, and added into one, before DualElement compared truncations.
     (DualElement.unit(1), DualElement.unit(3)),
-], ids=["algebra", "tensor", "dual"])
+    (SeriesScalar.one(1), SeriesScalar.one(2)),
+], ids=["algebra", "tensor", "dual", "series"])
 def test_term_maps_over_different_spaces(x, other):
     assert x == x.like(dict(x.terms)) and x != other
     with pytest.raises(ParamsMismatchError):
@@ -165,7 +181,8 @@ def test_term_maps_over_different_spaces(x, other):
     TensorElement.unit(params(1, 1, 1, 1)),
     DualElement.unit(1),
     WedgeElement.wedge(3, 5),
-], ids=["algebra", "tensor", "dual", "wedge"])
+    SeriesScalar.hbar(1, 1),
+], ids=["algebra", "tensor", "dual", "wedge", "series"])
 def test_term_maps_add_only_term_maps(x):
     with pytest.raises(TypeError):
         x + 1
@@ -185,6 +202,7 @@ BASIS_KEYS = {
     "dual": st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
                       st.tuples(*[st.integers(0, 2)] * 4)),
     "wedge": st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    "series": st.just(()),
 }
 
 
@@ -213,6 +231,8 @@ def ref_scale(a, factor, trunc):
 
 def flat_view(x):
     """A term map's public terms view as {key + (h,): Fraction}."""
+    if isinstance(x, SeriesScalar):
+        return {(h,): c for h, c in x.terms.items()}
     out = {}
     for key, v in x.terms.items():
         if isinstance(v, SeriesScalar):
@@ -244,6 +264,8 @@ def term_map(draw, kind, trunc):
     grouped = {}
     for (key, h), c in raw.items():
         grouped.setdefault(key, {})[h] = c
+    if kind == "series":
+        return SeriesScalar(grouped.get((), {}), trunc), ref
     terms = {key: SeriesScalar(hmap, trunc) for key, hmap in grouped.items()}
     if kind == "algebra":
         return AlgebraElement(p, terms), ref
@@ -277,7 +299,8 @@ def test_term_map_operations_match_fraction_reference(pair, f):
 
 #: A basis key of each kind that no drawn term map holds.
 ABSENT_KEYS = {AlgebraElement: (3,) * 7, TensorElement: ((3,) * 7, (3,) * 7),
-               DualElement: ((3,) * 3, (3,) * 4), WedgeElement: (0, 7)}
+               DualElement: ((3,) * 3, (3,) * 4), WedgeElement: (0, 7),
+               SeriesScalar: ((3, 3, 3),)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,3 +317,24 @@ def test_coefficient_matches_the_coefficients_view(pair):
         assert got == coeffs.get(key, SeriesScalar.zero(trunc)), key
         assert all(type(c) is Fraction and c for c in got.terms.values())
     assert x.coefficient(ABSENT_KEYS[type(x)]).terms == {}
+
+
+@st.composite
+def series_triples(draw):
+    trunc = draw(st.integers(0, 3))
+    return (trunc, draw(series(trunc)), draw(series(trunc)),
+            draw(invertible_series(trunc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_triples())
+def test_series_products_match_fraction_reference(triple):
+    trunc, a, b, c = triple
+    got = a * b
+    assert flat_view(got) == ref_scale(flat_view(a), b.terms, trunc)
+    assert got.trunc == trunc
+    assert_stored_once(got)
+    # The reference product of c and its inverse is exactly 1.
+    inv = c.inv()
+    assert ref_scale(flat_view(c), inv.terms, trunc) == {(H0,): 1}
+    assert_stored_once(inv)

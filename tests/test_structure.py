@@ -119,20 +119,20 @@ TERM_MAP_METHODS = {"__add__", "__neg__", "__sub__", "__bool__", "__eq__",
                     "hdegree_truncated", "coefficient", "coefficients",
                     "rows", "over_denominator", "_store", "_store_series",
                     "canonical"}
-#: Classes that are not term maps and define one of them for a reason of
-#: their own: DeformParams caches its hash, LieData compares structure
-#: constants whatever its basis names.
-OWN_METHODS = {("DeformParams", "__hash__"), ("LieData", "__eq__")}
+#: Classes that define one of them for a reason of their own: DeformParams
+#: caches its hash, LieData compares structure constants whatever its basis
+#: names, and a series also equals a rational, as its constant series.
+OWN_METHODS = {("DeformParams", "__hash__"), ("LieData", "__eq__"),
+               ("SeriesScalar", "__eq__")}
 
 
 def term_map_overrides(source: str, filename: str = "<source>") -> list[str]:
-    """Classes other than TermMap and SeriesScalar that define one of
-    TERM_MAP_METHODS, and classes with a terms or nums slot (coefficient
-    storage) that do not subclass TermMap."""
+    """Classes other than TermMap that define one of TERM_MAP_METHODS not
+    listed for them in OWN_METHODS, and classes with a terms or nums slot
+    (coefficient storage) that do not subclass TermMap."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
-        if (not isinstance(node, ast.ClassDef)
-                or node.name in ("TermMap", "SeriesScalar")):
+        if not isinstance(node, ast.ClassDef) or node.name == "TermMap":
             continue
         names = set()
         slots = ()
@@ -181,8 +181,22 @@ def test_term_map_overrides_catches_each_form():
         "        return other\n"
         "class LieData:\n"
         "    def __eq__(self, other):\n"
-        "        return True\n")
+        "        return True\n"
+        "class SeriesScalar(TermMap):\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def limit(self, zeroed):\n"
+        "        return self\n")
     assert term_map_overrides(source) == [
         "<source>:1 A.__add__", "<source>:1 A.scale", "<source>:7 B.__repr__",
         "<source>:7 B is no TermMap", "<source>:10 C.over_denominator",
-        "<source>:10 C is no TermMap"]
+        "<source>:10 C is no TermMap", "<source>:20 SeriesScalar.limit"]
+
+
+def test_series_mul_stays_in_the_class_body():
+    # The bench tracer (bench/tracer.py) wraps SeriesScalar.__mul__ and
+    # __rmul__ by looking them up in the class namespace; an inherited
+    # __mul__ would not be found there.
+    from ncdeform.series import SeriesScalar
+    assert "__mul__" in vars(SeriesScalar)
+    assert SeriesScalar.__rmul__ is SeriesScalar.__mul__
