@@ -132,9 +132,6 @@ class AlgebraElement(TermMap):
     def space(self) -> DeformParams | Truncation:
         return self.params
 
-    def like(self, terms) -> "AlgebraElement":
-        return AlgebraElement(self.params, terms)
-
     def over(self, params) -> "AlgebraElement":
         """The same terms over other parameters of the same truncation: how
         a per-truncation table reaches one parameter set."""

@@ -78,9 +78,6 @@ class LieData:
                         return (i, j, k, acc)
         return None
 
-    def jacobi_ok(self) -> bool:
-        return self.first_jacobi_failure() is None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieData):
             return NotImplemented
@@ -140,9 +137,6 @@ class WedgeElement(TermMap):
 
     def space(self) -> None:
         """Every wedge lives in the one Lambda^2 of the Lie algebra."""
-
-    def like(self, terms) -> "WedgeElement":
-        return WedgeElement(terms)
 
     def to_text(self) -> str:
         from .render import wedge_to_text

@@ -90,9 +90,6 @@ class DualElement(TermMap):
     def space(self) -> int:
         return self.trunc
 
-    def like(self, terms) -> "DualElement":
-        return DualElement(self.trunc, terms)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
             return self.scale(other)

@@ -21,24 +21,29 @@ antipode reverses products, so its tables are built per parameter set,
 with that set's commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
-the storage).  The kernels work on packed integer keys instead (_Layout):
-the exponents of a key (m_1, ..., m_arity, h) are fixed-width fields of
-one int, h in the lowest bits, then each leg monomial in turn, and the
-width holds the largest exponent a product can form, so no field carries
-into the next.  Packing is linear, so a term pair whose leg products are
-plain exponent sums adds the integer ka + kb (_pair_sums, the one pair
-loop), and the few leg products that reorder add their correction to that
-as packed offsets.  tensor_mul and the antipode check (mu_antipode_leg)
-pack their operands per call and unpack each distinct output key once.
+the storage).  The product kernels work on packed integer keys instead
+(_Layout): the exponents of a key (m_1, ..., m_arity, h) are fixed-width
+fields of one int, h in the lowest bits, then each leg monomial in turn,
+and the width holds the largest exponent a product can form, so no field
+carries into the next.  There is one layout per arity and width (_layout),
+shared with its decoding memos by every caller.  Packing is linear, so a
+term pair whose leg products are plain exponent sums adds the integer
+ka + kb (_pair_sums, the one pair loop), and the few leg products that
+reorder add their correction to that as packed offsets.  tensor_mul packs
+its operands at the width its product needs and unpacks each distinct
+output key once; the antipode check (mu_antipode_leg) reads the tensor's
+rows and packs nothing.
+
 The coproduct tables of monomials are stored packed (_Table), on two legs
 and on the three legs of the coassociativity check (_cop_table, one
 recursion for both): each is the previous table times a generator's
-(_gen), packed to packed.  A two-leg table is unpacked each time it is
-read, and no unpacked copy is kept; the coassociativity check compares the
-two sides' packed numerators, and a three-leg table is unpacked only to
-write a failure's note.  Leg products are read over one denominator and only
-integers are added.  This keeps the exhaustive degree-3 verification grids
-fast enough for interactive use.
+(_gen), packed to packed, at the width read off its own monomial
+(_width), so no table changes once it is cached.  A two-leg table is
+unpacked each time it is read, and no unpacked copy is kept; the
+coassociativity check compares the two sides' packed numerators, and a
+three-leg table is unpacked only to write a failure's note.  Leg products
+are read over one denominator and only integers are added.  This keeps the
+exhaustive degree-3 verification grids fast enough for interactive use.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from math import factorial, gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
@@ -100,9 +105,6 @@ class TensorElement(TermMap):
 
     def space(self) -> tuple:
         return self.params, self.arity
-
-    def like(self, terms) -> "TensorElement":
-        return TensorElement(self.params, self.arity, terms)
 
     def over(self, params) -> "TensorElement":
         """The same terms over other parameters of the same truncation: how
@@ -184,18 +186,19 @@ class _Layout:
     the three exponents of h in the lowest bits, then the seven of each leg
     monomial, leg by leg.  Packing is linear, so the key of a term pair
     whose leg products are plain exponent sums is the sum of the two keys,
-    and a product that reorders adds a packed difference.  The field width
-    holds top, the largest field value any key formed with the layout may
-    reach, so no exponent carries into its neighbour.  The bits above hbits
-    are a key's leg part.  tensor_mul and mu_antipode_leg build a layout
-    per call; a _Table keeps its layout for as long as it lives.
+    and a product that reorders adds a packed difference.  Every field is
+    width bits, which the caller chooses to hold the largest exponent any
+    key it forms may reach, so no exponent carries into its neighbour.  The
+    bits above hbits are a key's leg part.  A layout is a shared value:
+    it is built once per (arity, width) by _layout, and its decoding memos
+    fill across every caller.
     """
 
-    def __init__(self, arity: int, top: int):
-        w = self.width = max(top, 1).bit_length()
+    def __init__(self, arity: int, width: int):
+        w = self.width = width
         self.arity = arity
         self.weights = tuple(1 << w * i for i in range(7))
-        self.hbits, self.mono_bits = 3 * w, 7 * w
+        self.hbits = 3 * w
         self.offsets = tuple(3 * w + 7 * w * i for i in range(arity))
         self.mono_mask = (1 << 7 * w) - 1
         # Decoding memos: each distinct monomial and h exponent once.
@@ -254,6 +257,12 @@ class _Layout:
         hmask = (1 << hb) - 1
         return [{legs[k >> hb] + hs[k & hmask]: n for k, n in group.items()}
                 for group in groups]
+
+
+@cache
+def _layout(arity: int, width: int) -> _Layout:
+    """The one layout of tensors of arity with fields of width bits."""
+    return _Layout(arity, width)
 
 
 def _columns(t: TensorElement) -> list[set]:
@@ -350,7 +359,9 @@ def _reorderings(eng, a: TensorElement, b: TensorElement,
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Componentwise product of two tensors of the same arity.
 
-    Runs on packed integer keys (_Layout).  With a's numerators over La,
+    Runs on packed integer keys, in the shared layout (_layout) whose
+    fields hold the largest exponent the product forms.  With a's
+    numerators over La,
     b's over Lb and every reordered leg product over this call's Lm, each
     term pair within the truncation budget first adds na * nb * Lm**arity
     under the key ka + kb (_pair_sums), the product if every leg product
@@ -374,7 +385,7 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     top = max([_top(acols) + _top(bcols), D]
               + [max(m) for legcells in cells
                  for _, entries in legcells.values() for m, _, _ in entries])
-    layout = _Layout(arity, top)
+    layout = _layout(arity, top.bit_length() or 1)
     code = layout.code
     agroups = layout.pack(a, acols, Lm ** arity)
     bgroups = layout.pack(b, bcols)
@@ -506,8 +517,14 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
                           for k, n in x.nums.items()], x.den)
 
 
+def _check_leg(t: TensorElement, leg: int) -> None:
+    if leg not in range(t.arity):
+        raise ValueError(f"leg {leg} is outside 0..{t.arity - 1}")
+
+
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
+    _check_leg(t, leg)
     cops = _Memo(partial(_cop_mono, t.params.trunc))
     return substitute(TensorElement.zero(t.params, t.arity + 1),
                       [(key[:leg], cops[key[leg]], key[leg + 1:-1], key[-1], n)
@@ -516,6 +533,7 @@ def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
 
 def apply_counit_leg(t: TensorElement, leg: int):
     """Contract one tensor leg with the counit (arity drops by one)."""
+    _check_leg(t, leg)
     out: dict = {}
     for key, n in t.nums.items():
         if key[leg] != EMPTY_MONO:
@@ -532,54 +550,41 @@ def apply_counit_leg(t: TensorElement, leg: int):
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg
     tensor."""
+    if t.arity != 2:
+        raise ValueError("mu_antipode_leg is defined for two legs")
+    _check_leg(t, leg)
     return _mu_antipode_legs(t, (leg,))[0]
 
 
 def _mu_antipode_legs(t: TensorElement, legs) -> list[AlgebraElement]:
-    """mu_antipode_leg(t, leg) for each of legs, from one packed view of t.
+    """mu_antipode_leg(t, leg) for each of legs, from one read of t's rows.
 
-    Runs on integers, over t's packed keys (_Layout), built once for every
-    leg.  Each distinct leg pair (m1, m2) of t, a key with its h field
-    shifted out, is decoded once, with the h-degree budget of its lowest
-    term.  Per leg, each pair is expanded once within that budget: S(m1)
-    from antipode_mono times m2 (or m1 times S(m2)) through the engine's
-    mono_mul cells, every entry over that leg's Lp.  A term of t then adds
-    its numerator times each entry that fits its own budget, and the sums
-    are the result's numerators over den * Lp.
+    Runs on integers.  A row of t is a leg pair (m1, m2) with its terms;
+    a term's h-degree budget is the truncation order less its h-degree,
+    and a row's is that of its lowest term.  Per leg, each row is expanded
+    once within its budget: S(m1) from antipode_mono times m2 (or m1 times
+    S(m2)) through the engine's mono_mul cells, every entry over that
+    leg's Lp.  A term then adds its numerator times each entry that fits
+    its own budget, and the sums are the result's numerators over den * Lp.
     """
-    params = t.params
-    if not t.nums:
-        return [AlgebraElement.zero(params) for _ in legs]
-    D = params.trunc
-    columns = _columns(t)
-    layout = _Layout(2, _top(columns))
-    groups = layout.pack(t, columns)
-    hb = layout.hbits
-    # By increasing h-degree: a pair's first term has its largest budget.
-    pairs: dict[int, tuple] = {}
-    for d, group in enumerate(groups):
-        for k in group:
-            pair = k >> hb
-            if pair not in pairs:
-                pairs[pair] = (layout.monos[pair & layout.mono_mask],
-                               layout.monos[pair >> layout.mono_bits], D - d)
-    hs, hmask = layout.hs, (1 << hb) - 1
-    terms = [(D - d, hs[k & hmask], k >> hb, n)
-             for d, group in enumerate(groups) for k, n in group.items()]
-    return [AlgebraElement.zero(params).over_denominator(
-                *_mu_sums(params, pairs, terms, leg, t.den))
+    D = t.params.trunc
+    rows = [(pair, [(D - sum(h), h, n) for h, n in row])
+            for pair, row in t.rows().items()]
+    return [AlgebraElement.zero(t.params).over_denominator(
+                *_mu_sums(t.params, rows, leg, t.den))
             for leg in legs]
 
 
-def _mu_sums(params: DeformParams, pairs: dict[int, tuple], terms: list,
-             leg: int, den: int) -> tuple[dict, int]:
+def _mu_sums(params: DeformParams, rows: list, leg: int,
+             den: int) -> tuple[dict, int]:
     """The numerators and the denominator of mu_antipode_leg on one leg:
-    pairs maps each leg pair to (m1, m2, budget), and terms holds t's terms
-    as (budget, h, pair, numerator) over den."""
+    rows holds each leg pair (m1, m2) of t with its terms as
+    (budget, h, numerator) over den."""
     mono_mul = engine(params).mono_mul
-    raw = {}
+    raw = []
     dens = set()
-    for pair, (m1, m2, b) in pairs.items():
+    for (m1, m2), terms in rows:
+        b = max(tb for tb, _, _ in terms)
         S = antipode_mono(params, m1 if leg == 0 else m2)
         entries = []
         for ks, ns in S.nums.items():
@@ -594,93 +599,80 @@ def _mu_sums(params: DeformParams, pairs: dict[int, tuple], terms: list,
                 dg = g[0] + g[1] + g[2]
                 if dg <= b:
                     entries.append((dg, m, g, ns * nc, pden))
-        raw[pair] = entries
+        raw.append(entries)
     Lp = lcm(*dens)
-    table = {pair: sorted(((dg, m, g, n * (Lp // pden))
-                           for dg, m, g, n, pden in entries),
-                          key=itemgetter(0))
-             for pair, entries in raw.items()}
 
     acc: dict[tuple, int] = {}
     get = acc.get
-    for b, h, pair, n in terms:
-        for dg, m, g, c in table[pair]:
-            if dg > b:
-                break
-            key = m + ((h[0] + g[0], h[1] + g[1], h[2] + g[2]),)
-            acc[key] = get(key, 0) + n * c
+    for (_, terms), entries in zip(rows, raw):
+        table = sorted(((dg, m, g, n * (Lp // pden))
+                        for dg, m, g, n, pden in entries), key=itemgetter(0))
+        for b, h, n in terms:
+            for dg, m, g, c in table:
+                if dg > b:
+                    break
+                key = m + ((h[0] + g[0], h[1] + g[1], h[2] + g[2]),)
+                acc[key] = get(key, 0) + n * c
     return acc, den * Lp
+
+
+def _width(trunc: int, top: int) -> int:
+    """The field width of the coproduct tables of a monomial whose largest
+    exponent is top.  No field of them, on two legs or three, exceeds
+    trunc + top: every Q/P exponent of a leg is at most the monomial's
+    own, each central generator a leg gains over the monomial comes with
+    one h of the same index (through rho, lam, exp(c rho) or cop(rho)),
+    and no h exponent exceeds trunc."""
+    return (trunc + top).bit_length() or 1
 
 
 class _Table:
     """A per-truncation coproduct table on packed keys, the storage of
     _gen and _cop_table: groups[d] = {key: numerator} for each h-degree
-    d <= trunc, keys in layout, over one denominator den, with no field
-    above top.  Every leg product in these tables is ordered, so two
-    tables multiply by _pair_sums alone, and equal tables have equal
-    (den, groups).  Both need the two tables in one layout: the narrower
-    one is repacked wider in place.  Its value stays the same, and widths
-    only grow, so a table is repacked at most once per width.  A product's
-    top is the sum of its operands' tops, a bound; where that bound would
-    force a repack, the operands' exact tops are read first.
+    d <= trunc, keys in layout, over one denominator den.  The width of
+    the layout is fixed when the table is built, read off the monomial it
+    belongs to (_width), and no table changes after that: a product is
+    packed at its own width, and an operand of a narrower one is re-keyed
+    for that product alone.  Every leg product in these tables is ordered,
+    so two tables multiply by _pair_sums alone, and equal tables have
+    equal (den, groups) in one layout.
     """
 
-    __slots__ = ("layout", "top", "den", "groups")
+    __slots__ = ("layout", "den", "groups")
 
-    def __init__(self, layout: _Layout, top: int, den: int,
+    def __init__(self, layout: _Layout, den: int,
                  groups: list[dict[int, int]]):
-        self.layout, self.top, self.den, self.groups = layout, top, den, groups
+        self.layout, self.den, self.groups = layout, den, groups
 
     @classmethod
-    def pack(cls, t: TensorElement) -> "_Table":
-        columns = _columns(t)
-        top = _top(columns)
-        layout = _Layout(t.arity, top)
-        return cls(layout, top, t.den, layout.pack(t, columns))
+    def pack(cls, t: TensorElement, width: int) -> "_Table":
+        layout = _layout(t.arity, width)
+        return cls(layout, t.den, layout.pack(t, _columns(t)))
 
-    def widen(self, width: int) -> None:
-        """Pack the keys again with fields of width bits, if narrower."""
-        if width > self.layout.width:
-            into = _Layout(self.layout.arity, (1 << width) - 1)
-            self.groups = self.layout.rekey(self.groups, into)
-            self.layout = into
+    def keys_in(self, layout: _Layout) -> list[dict[int, int]]:
+        """groups with their keys in layout, which is no narrower than the
+        table's own; the table itself is left as it is."""
+        if layout is self.layout:
+            return self.groups
+        return self.layout.rekey(self.groups, layout)
 
-    def exact_top(self) -> int:
-        """The largest field value of the keys, read off each distinct
-        monomial and h exponent."""
-        layout = self.layout
-        keys = [k for group in self.groups for k in group]
-        hmask = (1 << layout.hbits) - 1
-        fields = [map(layout.hs.__getitem__, {k & hmask for k in keys})]
-        fields += [map(layout.monos.__getitem__,
-                       {k >> off & layout.mono_mask for k in keys})
-                   for off in layout.offsets]
-        return max((max(f) for codes in fields for f in codes), default=0)
-
-    def _align(self, other: "_Table", top: int) -> None:
-        width = max(max(top, 1).bit_length(), self.layout.width,
-                    other.layout.width)
-        self.widen(width)
-        other.widen(width)
-
-    def __mul__(self, other: "_Table") -> "_Table":
-        if ((self.top + other.top).bit_length()
-                > max(self.layout.width, other.layout.width)):
-            # The tops are bounds; the exact ones may spare a repack.
-            self.top, other.top = self.exact_top(), other.exact_top()
-        top = self.top + other.top
-        self._align(other, top)
-        sums = _pair_sums(self.groups, other.groups)
+    def times(self, other: "_Table", width: int) -> "_Table":
+        """The product of two tables, packed with fields of width bits, a
+        width no narrower than either operand's."""
+        layout = _layout(self.layout.arity, width)
+        sums = _pair_sums(self.keys_in(layout), other.keys_in(layout))
         den = self.den * other.den
         g = gcd(den, *(n for group in sums for n in group.values()))
-        return _Table(self.layout, top, den // g,
+        return _Table(layout, den // g,
                       [group if g == 1 and 0 not in group.values()
                        else {k: n // g for k, n in group.items() if n}
                        for group in sums])
 
     def equals(self, other: "_Table") -> bool:
-        self._align(other, 0)
-        return self.den == other.den and self.groups == other.groups
+        """Equal values, compared in the wider of the two layouts."""
+        layout = max(self.layout, other.layout, key=attrgetter("width"))
+        return (self.den == other.den
+                and self.keys_in(layout) == other.keys_in(layout))
 
     def tensor(self) -> TensorElement:
         """The table as a TensorElement over Truncation(trunc)."""
@@ -695,7 +687,8 @@ def _gen(trunc: int, g: int, side: int | None) -> _Table:
     """Generator g's coproduct table: on two legs (side None), or with the
     coproduct applied once more to leg side, on three."""
     cop = _hopf(trunc).cop_gen[g]
-    return _Table.pack(cop if side is None else apply_coproduct_leg(cop, side))
+    return _Table.pack(cop if side is None else apply_coproduct_leg(cop, side),
+                       _width(trunc, 1))
 
 
 @cache
@@ -703,12 +696,13 @@ def _cop_table(trunc: int, mono: PBWMonomial, side: int | None) -> _Table:
     """cop of a monomial on two legs (side None), or (cop (x) 1) cop
     (side 0) or (1 (x) cop) cop (side 1) on three: the table of the
     monomial without its largest generator g times g's."""
+    width = _width(trunc, max(mono))
     if mono == EMPTY_MONO:
         return _Table.pack(TensorElement.unit(Truncation(trunc),
-                                              2 if side is None else 3))
+                                              2 if side is None else 3), width)
     g = max(i for i in range(7) if mono[i])
     prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-    return _cop_table(trunc, prev, side) * _gen(trunc, g, side)
+    return _cop_table(trunc, prev, side).times(_gen(trunc, g, side), width)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GENERATOR_NAMES, AlgebraElement, mono_factors
-from .series import format_rational, h_factors, render_terms
+from .series import format_rational, h_factors, h_terms_json, render_terms
 
 
 def _render_flat(pairs) -> str:
@@ -38,9 +38,8 @@ def element_to_text(x: AlgebraElement) -> str:
 
 
 def element_to_json(x: AlgebraElement) -> dict:
-    terms = x.terms
-    return {"terms": [{"exp": list(m), "coeff": terms[m].to_json()}
-                      for m in sorted(terms)]}
+    return {"terms": [{"exp": list(m), "coeff": h_terms_json(terms)}
+                      for m, terms in sorted(_term_rows(x))]}
 
 
 def _bracket(name: str, idx) -> str:
@@ -60,9 +59,9 @@ def dual_to_text(u) -> str:
 
 
 def dual_to_json(u) -> dict:
-    terms = u.terms
     return {"terms": [{"w": list(k[0]), "y": list(k[1]),
-                       "coeff": terms[k].to_json()} for k in sorted(terms)]}
+                       "coeff": h_terms_json(terms)}
+                      for k, terms in sorted(_term_rows(u))]}
 
 
 def zmap_to_text(zmap) -> str:
@@ -93,11 +92,10 @@ def tensor_to_text(t) -> str:
 
 def tensor_to_json(t) -> dict:
     names = ("left", "right") if t.arity == 2 else ("left", "middle", "right")
-    by_legs = t.coefficients()
     out = []
-    for legs in sorted(by_legs):
+    for legs, terms in sorted(_term_rows(t)):
         item = {name: list(m) for name, m in zip(names, legs)}
-        item["coeff"] = by_legs[legs].to_json()
+        item["coeff"] = h_terms_json(terms)
         out.append(item)
     return {"terms": out}
 

@@ -84,11 +84,11 @@ class TermMap:
     module docstring).  terms is a view built when it is read,
     {key: SeriesScalar} unless a subclass shapes it otherwise.
 
-    A subclass adds trunc, to_text(), space(), what two operands must share
-    to be combined or equal, and like(terms), the term map over the same
-    space converted from a public coefficient map by _store().  Its own
-    __slots__ hold that space and nothing else: over_denominator() copies
-    them to make each result, without building an empty map first.
+    A subclass adds trunc, to_text() and space(), what two operands must
+    share to be combined or equal; its constructor converts a public
+    coefficient map by _store().  Its own __slots__ hold that space and
+    nothing else: over_denominator() copies them to make each result,
+    without building an empty map first.
     """
 
     __slots__ = ("nums", "den")
@@ -306,9 +306,6 @@ class SeriesScalar(TermMap):
     def space(self) -> int:
         return self.trunc
 
-    def like(self, terms) -> "SeriesScalar":
-        return SeriesScalar(terms, self.trunc)
-
     def constant(self) -> Fraction:
         return Fraction(self.nums.get((_ZERO_H,), 0), self.den)
 
@@ -366,8 +363,7 @@ class SeriesScalar(TermMap):
                              for h, c in sorted(self.terms.items())])
 
     def to_json(self) -> list:
-        return [{"h": list(h), "c": format_rational(c)}
-                for h, c in sorted(self.terms.items())]
+        return h_terms_json(self.terms.items())
 
 
 def substitute(into: TermMap, items: list, den: int) -> TermMap:
@@ -401,6 +397,11 @@ def h_factors(h: HExponent) -> list[str]:
         elif e > 1:
             out.append(f"h{i + 1}^{e}")
     return out
+
+
+def h_terms_json(terms) -> list:
+    """(h, coefficient) pairs as the JSON of one series, ordered by h."""
+    return [{"h": list(h), "c": format_rational(c)} for h, c in sorted(terms)]
 
 
 def render_terms(parts: list[tuple[Fraction, list[str]]]) -> str:

@@ -480,14 +480,14 @@ def test_dual_structure_constants_direction1():
         expected[(0, k)] = {k: Fraction(-2)}
     assert data.constants == expected
     assert data.is_antisymmetric()
-    assert data.jacobi_ok()
+    assert data.first_jacobi_failure() is None
 
 
 @pytest.mark.parametrize("direction", [1, 2, 3])
 def test_dual_structure_constants_jacobi(direction):
     data = dual_structure_constants(direction)
     assert data.is_antisymmetric()
-    assert data.jacobi_ok()
+    assert data.first_jacobi_failure() is None
 
 
 def test_poisson_leibniz_small_grid():

@@ -5,15 +5,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
-                      apply_coproduct_leg, commutator, coproduct, counit,
-                      heisenberg_limit_report, make_exp_rho, make_generator,
-                      make_lambda, make_rho, mu_antipode_leg,
-                      normal_order_mul, tensor_commutator, tensor_mul,
-                      tensor_of, verify_hopf_axioms)
+                      apply_coproduct_leg, apply_counit_leg, commutator,
+                      coproduct, counit, heisenberg_limit_report,
+                      make_exp_rho, make_generator, make_lambda, make_rho,
+                      mu_antipode_leg, normal_order_mul, tensor_commutator,
+                      tensor_mul, tensor_of, verify_hopf_axioms)
 from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               InvalidParamsError, Truncation, _central_mul)
 from ncdeform import hopf
-from ncdeform.hopf import _cop_mono, _cop_table, _hopf, _Table
+from ncdeform.hopf import _cop_mono, _cop_table, _gen, _hopf, _layout, _Table
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -402,26 +402,27 @@ def test_packed_tables_match_tensor_chains(trunc, degree):
 
 @pytest.mark.parametrize("e", [3, 4, 7, 8])
 def test_packed_chain_at_the_width_boundary(e):
-    # At trunc 1 every field of a generator's table is at most 1, and the
-    # chain of g^e reaches g^e (x) 1 (x) 1, or g^e (x) 1 on two legs:
-    # e = 2**k - 1 fills every bit of a field and e = 2**k needs one more,
-    # so the table is repacked wider.
+    # At trunc 1 the chain of g^e reaches g^e (x) 1 (x) 1, or g^e (x) 1 on
+    # two legs, and Th^e gains one more Th with h1: its fields reach
+    # 1 + e, the bound the width is read off.  1 + e = 2**k for e = 3 and
+    # 7 needs one bit more than e alone.
+    width = (1 + e).bit_length()
     for g in ("Th", "P2"):
         m = mono(**{g: e})
-        assert _cop_table(1, m, None).layout.width >= e.bit_length()
+        assert _cop_table(1, m, None).layout.width == width
         assert _cop_mono(1, m) == reference_cop2(1, m), g
         for side in (0, 1):
             table = _cop_table(1, m, side)
-            assert table.layout.width >= e.bit_length()
+            assert table.layout is _layout(3, width)
             assert table.tensor() == reference_cop3(1, m, side), (g, side)
             assert table.tensor() == apply_coproduct_leg(_cop_mono(1, m),
                                                          side), (g, side)
 
 
 def test_unequal_tables_report_the_decoded_difference(monkeypatch):
-    # One side gains a term whose Th^4 needs wider fields than the other
-    # side's: the two compare in one layout and the note shows the
-    # decoded difference.
+    # One side gains a term whose Th^4 is packed wider than the other
+    # side's fields: the two compare in the wider layout and the note
+    # shows the decoded difference.
     real = hopf._cop_table
     q1 = mono(Q1=1)
     extra = TensorElement(Truncation(1), 3, {
@@ -430,7 +431,9 @@ def test_unequal_tables_report_the_decoded_difference(monkeypatch):
     def skewed(trunc, m, side):
         table = real(trunc, m, side)
         if m == q1 and side == 1:
-            return _Table.pack(table.tensor() + extra)
+            wide = _Table.pack(table.tensor() + extra, 3)
+            assert wide.layout.width > real(trunc, m, 0).layout.width
+            return wide
         return table
 
     monkeypatch.setattr(hopf, "_cop_table", skewed)
@@ -440,6 +443,28 @@ def test_unequal_tables_report_the_decoded_difference(monkeypatch):
     assert failure.counterexample == (
         "(cop(x)1)cop - (1(x)cop)cop differs by "
         "-(2/3)*h2*Q1 (x) Th^4 (x) 1")
+
+
+def snapshot(table):
+    return table.layout, table.den, [dict(group) for group in table.groups]
+
+
+@pytest.mark.parametrize("side", [None, 0, 1])
+def test_cached_tables_never_change(side):
+    # At trunc 1 the tables of P2 and P2^2 are packed with fields of 2
+    # bits and P2^3's with 3 (trunc + max(m)): building the larger tables
+    # leaves the cached ones as they were, each in the one shared layout
+    # of its width.
+    _cop_table.cache_clear()
+    _gen.cache_clear()
+    arity = 2 if side is None else 3
+    tables = [_cop_table(1, mono(P2=e), side) for e in (1, 2)]
+    before = [snapshot(t) for t in tables]
+    assert [t.layout for t in tables] == [_layout(arity, 2)] * 2
+    wide = _cop_table(1, mono(P2=3), side)
+    assert wide.layout is _layout(arity, 3)
+    assert [snapshot(t) for t in tables] == before
+    assert [_cop_table(1, mono(P2=e), side) for e in (1, 2)] == tables
 
 
 def reference_mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
@@ -471,6 +496,21 @@ def test_mu_antipode_leg_matches_reference(pair, leg):
     # The product repeats leg pairs at several h-degrees.
     for t in (pair[0], tensor_mul(*pair)):
         assert mu_antipode_leg(t, leg) == reference_mu_antipode_leg(t, leg)
+
+
+@pytest.mark.parametrize("apply,arity,leg", [
+    (mu_antipode_leg, 2, 2), (mu_antipode_leg, 2, -1), (mu_antipode_leg, 3, 0),
+    (apply_counit_leg, 2, 2), (apply_counit_leg, 2, -1),
+    (apply_counit_leg, 3, 3), (apply_coproduct_leg, 2, 2),
+    (apply_coproduct_leg, 2, -1), (apply_coproduct_leg, 3, 3),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_legs_outside_the_tensor_are_refused(apply, arity, leg):
+    p = params(2, Fraction(1, 2), -3, 1)
+    q1 = make_generator("Q1", p)
+    t = (coproduct(q1) if arity == 2
+         else tensor_of(AlgebraElement.unit(p), AlgebraElement.unit(p), q1))
+    with pytest.raises(ValueError):
+        apply(t, leg)
 
 
 def test_tensor_storage_is_canonical():

@@ -159,17 +159,22 @@ def test_parse_rational():
 
 # -- the term-map base ----------------------------------------------------------
 
-@pytest.mark.parametrize("x,other", [
+@pytest.mark.parametrize("x,other,build", [
     (AlgebraElement.unit(params(1, 1, 1, 1)),
-     AlgebraElement.unit(params(1, 1, 1, 2))),
+     AlgebraElement.unit(params(1, 1, 1, 2)),
+     lambda x, terms: AlgebraElement(x.params, terms)),
     (TensorElement.unit(params(1, 1, 1, 1)),
-     TensorElement.unit(params(1, 1, 1, 1), 3)),
+     TensorElement.unit(params(1, 1, 1, 1), 3),
+     lambda x, terms: TensorElement(x.params, x.arity, terms)),
     # Equal, and added into one, before DualElement compared truncations.
-    (DualElement.unit(1), DualElement.unit(3)),
-    (SeriesScalar.one(1), SeriesScalar.one(2)),
+    (DualElement.unit(1), DualElement.unit(3),
+     lambda x, terms: DualElement(x.trunc, terms)),
+    (SeriesScalar.one(1), SeriesScalar.one(2),
+     lambda x, terms: SeriesScalar(terms, x.trunc)),
 ], ids=["algebra", "tensor", "dual", "series"])
-def test_term_maps_over_different_spaces(x, other):
-    assert x == x.like(dict(x.terms)) and x != other
+def test_term_maps_over_different_spaces(x, other, build):
+    # The terms view goes back through the class's own constructor.
+    assert x == build(x, dict(x.terms)) and x != other
     with pytest.raises(ParamsMismatchError):
         x + other
     with pytest.raises(ParamsMismatchError):
