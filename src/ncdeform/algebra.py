@@ -11,14 +11,21 @@ commutator among the last four is a central element:
     [P1, P2] = (gamma lam/alpha^2) Ps
 
 where lam = sinh(2*rho)/(2*rho) with rho = h1*Th + h2*Ph + h3*Ps.  Because all
-commutators are central, products normal-order through the closed exchange
-rule for adjacent out-of-order powers (c = [A, B] central):
+commutators are central, the product of two ordered monomials is a closed
+sum (Wick's theorem, G. C. Wick, Phys. Rev. 80, 268, 1950).  Let a and b be
+the Q1 Q2 P1 P2 exponents of the left and the right factor.  A letter of the
+left factor that comes after a letter of the right one contracts with it,
+in k1 pairs Q2.Q1, k2 pairs P1.Q1, k3 pairs P2.Q2 and k4 pairs P2.P1 (Q1
+commutes with P2 and Q2 with P1).  With g = (beta/alpha^2, 1/alpha, 1/alpha,
+gamma/alpha^2) and the falling factorial (n)_k = n!/(n-k)!,
 
-    B^n A^m = sum_k (-1)^k k! C(m,k) C(n,k) c^k A^(m-k) B^(n-k)
+    ma mb = sum_k  prod_t (-g_t)^k_t / k_t!
+                   * (a2)_k1 (a3)_k2 (a4)_(k3+k4) (b1)_(k1+k2) (b2)_k3 (b3)_k4
+                   * lam^(k1+k2+k3+k4) Th^(k2+k3) Ph^k1 Ps^k4
+                   * (ma + mb less the contracted letters)
 
-The central factors c^k are series-valued central elements and multiply
-through commutatively.  Generator exponents are never truncated; only the
-h-degree of coefficients is.
+over k1 + k2 <= b1 and k3 + k4 <= a4.  Generator exponents are never
+truncated; only the h-degree of coefficients is.
 
 alpha, beta and gamma enter only through these commutators.  rho, lam,
 lam^-1, lam^k and exp(c*rho) contain none of them, so they are built once
@@ -26,7 +33,7 @@ per truncation order, as elements over Truncation(trunc), and every
 parameter set of that truncation reads the same tables; make_rho,
 make_lambda and make_exp_rho hand out copies over the caller's parameters.
 power_series sums lam, lam^-1 (lambda_coefficients) and exp(c*rho) in rho,
-and, in hopf, cop(lam) and its inverse in cop(rho).
+and, in hopf, the inverse of cop(lam) in cop(rho).
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import factorial, gcd, lcm, perm
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .multiindex import mi_factorial
@@ -83,8 +91,8 @@ class Truncation:
     Tables that contain no alpha, beta or gamma (the central series here,
     the coproduct tables in hopf, the Z-basis tables in dual) are built
     once as elements over Truncation(trunc) and shared by every parameter
-    set.  Its engine has no commutator table, so a product that would need
-    reordering raises instead of using some parameter set's commutators.
+    set.  Its engine has no commutators, so a product that would need
+    reordering raises instead of using some parameter set's.
     A negative order raises InvalidParamsError.
     """
 
@@ -184,111 +192,108 @@ def mono_factors(mono: PBWMonomial) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # The normal-ordering engine.  engine(params) builds one per DeformParams,
-# holding the commutator table and the memoised products of ordered
-# monomials, and one per Truncation, with no commutator table, for the
+# holding the four contraction weights g and the memoised products of
+# ordered monomials, and one per Truncation, with no weights, for the
 # shared per-truncation tables (the hopf coproduct tables and the dual
 # Z-basis tables multiply only products that are already ordered).  Its
-# tables are functools.cache memos, written on every miss and kept for the
-# life of the process.  Under the interpreter lock two threads that miss
-# the same key may both compute it and one equal result is kept, so the
-# engine may be shared across threads as long as no caller mutates a
+# one table is a functools.cache memo, written on every miss and kept for
+# the life of the process.  Under the interpreter lock two threads that
+# miss the same key may both compute it and one equal result is kept, so
+# the engine may be shared across threads as long as no caller mutates a
 # returned table.
 # ---------------------------------------------------------------------------
 
-_WordBlock = tuple[int, int]            # (generator index, exponent)
+_H0 = (0, 0, 0)
 
 
 class _Engine:
     def __init__(self, params: DeformParams | Truncation):
         self.params = params
         if isinstance(params, Truncation):
-            self._comms = None
+            self._g = None
             return
-
-        # [A, B] for the straightening rule, keyed by generator pair A < B.
-        alpha, beta, gamma = params.alpha, params.beta, params.gamma
-        lam = _lam_pow(1, params.trunc)
-        th = AlgebraElement.monomial(params, _unit_mono(TH))
-        ph = AlgebraElement.monomial(params, _unit_mono(PH))
-        ps = AlgebraElement.monomial(params, _unit_mono(PS))
-        table: dict[tuple[int, int], AlgebraElement | None] = {
-            (Q1, P1): _central_mul(lam, th).scale(1 / alpha),
-            (Q2, P2): _central_mul(lam, th).scale(1 / alpha),
-            (Q1, Q2): _central_mul(lam, ph).scale(beta / alpha ** 2),
-            (P1, P2): _central_mul(lam, ps).scale(gamma / alpha ** 2),
-            (Q1, P2): None,
-            (Q2, P1): None,
-        }
-        self._comms = {k: (v if v else None) for k, v in table.items()}
-
-    @cache
-    def comm_pow(self, a: int, b: int, k: int) -> AlgebraElement:
-        if k == 0:
-            return AlgebraElement.unit(self.params)
-        return _central_mul(self.comm_pow(a, b, k - 1), self._comms[(a, b)])
-
-    # -- normal ordering ---------------------------------------------------
+        # g of the contractions Q2.Q1, P1.Q1, P2.Q2 and P2.P1, each as
+        # (numerator, denominator).
+        alpha = params.alpha
+        self._g = tuple((g.numerator, g.denominator) for g in (
+            params.beta / alpha ** 2, 1 / alpha, 1 / alpha,
+            params.gamma / alpha ** 2))
 
     @cache
     def mono_mul(self, ma: PBWMonomial, mb: PBWMonomial) -> tuple:
         """Product of two ordered monomials over one denominator: (den,
         ((monomial, h exponent, numerator), ...)) in order of h-degree,
-        each numerator over den."""
-        c0, c1, c2 = ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2]
-        x = self._straighten(_canon_word(
-            [(g, ma[g]) for g in (Q1, Q2, P1, P2) if ma[g]]
-            + [(g, mb[g]) for g in (Q1, Q2, P1, P2) if mb[g]]))
-        cells = [((k[0] + c0, k[1] + c1, k[2] + c2) + k[3:7], k[7], n)
-                 for k, n in x.nums.items()]
-        cells.sort(key=lambda cell: sum(cell[1]))
-        return x.den, tuple(cells)
-
-    @cache
-    def _straighten(self, word: tuple[_WordBlock, ...]) -> AlgebraElement:
-        pos = next((t for t in range(len(word) - 1)
-                    if word[t][0] > word[t + 1][0]), None)
-        if pos is None:
-            mono = list(EMPTY_MONO)
-            for g, e in word:
-                mono[g] = e
-            return AlgebraElement.monomial(self.params, tuple(mono))
-        (b, n), (a, m) = word[pos], word[pos + 1]
-        if self._comms is None:
+        each numerator over den.  It is the module docstring's sum over
+        the contraction counts, one term per count k and term of lam^|k|,
+        brought to the lcm of the terms' denominators."""
+        plain = tuple(map(add, ma, mb))
+        last, first = qp_span(ma)[1], qp_span(mb)[0]
+        if last <= first:
+            return 1, ((plain, _H0, 1),)
+        if self._g is None:
             raise RuntimeError(
-                f"{GENERATOR_NAMES[b]} before {GENERATOR_NAMES[a]} needs a "
-                f"commutator, and the engine of {self.params} has none")
-        c = self._comms[(a, b)]
-        if c is None:
-            return self._straighten(_canon_word(
-                list(word[:pos]) + [(a, m), (b, n)] + list(word[pos + 2:])))
-        out = AlgebraElement.zero(self.params)
-        for k in range(min(m, n) + 1):
-            sub = self._straighten(_canon_word(
-                list(word[:pos]) + [(a, m - k), (b, n - k)]
-                + list(word[pos + 2:])))
-            out = out + _central_mul(self.comm_pow(a, b, k), sub).scale(
-                (-1) ** k * factorial(k) * comb(m, k) * comb(n, k))
-        return out
+                f"{GENERATOR_NAMES[last]} before {GENERATOR_NAMES[first]} "
+                f"needs a commutator, and the engine of {self.params} has "
+                "none")
+        th, ph, ps = plain[:3]
+        if th or ph or ps:
+            # Central letters only shift the product of the Q/P letters,
+            # which many pairs share.
+            den, cells = self.mono_mul((0, 0, 0) + ma[3:], (0, 0, 0) + mb[3:])
+            return den, tuple(((m[0] + th, m[1] + ph, m[2] + ps) + m[3:], h, n)
+                              for m, h, n in cells)
+        trunc = self.params.trunc
+        g1, g2, g3, g4 = self._g
+        parts = []
+        for k1, k2, ln, ld in _contractions(ma[Q2], ma[P1], mb[Q1], g1, g2):
+            for k3, k4, rn, rd in _contractions(mb[Q2], mb[P1], ma[P2],
+                                                g3, g4):
+                lam = _lam_pow(k1 + k2 + k3 + k4, trunc)
+                mono = (k2 + k3, k1, k4, plain[Q1] - k1 - k2,
+                        plain[Q2] - k1 - k3, plain[P1] - k2 - k4,
+                        plain[P2] - k3 - k4)
+                parts.append((mono, ln * rn, ld * rd * lam.den, lam.nums))
+        L = lcm(*[den for _, _, den, _ in parts])
+        cells = [((m[0] + k[0], m[1] + k[1], m[2] + k[2]) + m[3:], k[7],
+                  num * (L // den) * n)
+                 for m, num, den, lam in parts for k, n in lam.items()]
+        common = gcd(L, *[n for _, _, n in cells])
+        cells.sort(key=lambda cell: sum(cell[1]))
+        return L // common, tuple((m, h, n // common) for m, h, n in cells)
+
+
+def _contractions(x: int, y: int, n: int, gx: tuple[int, int],
+                  gy: tuple[int, int]) -> list[tuple[int, int, int, int]]:
+    """The nonzero terms (i, j, numerator, denominator) of contracting i of
+    x letters and j of y letters with i + j of n letters, i + j <= n:
+    (x)_i (y)_j (n)_(i+j) (-gx)^i (-gy)^j / (i! j!), with gx and gy as
+    (numerator, denominator)."""
+    (xn, xd), (yn, yd) = gx, gy
+    out = []
+    for i in range(min(x, n) + 1):
+        for j in range(min(y, n - i) + 1):
+            num = (perm(x, i) * perm(y, j) * perm(n, i + j)
+                   * (-xn) ** i * (-yn) ** j)
+            if num:
+                out.append((i, j, num,
+                            xd ** i * yd ** j * factorial(i) * factorial(j)))
+    return out
+
+
+@cache
+def qp_span(mono: PBWMonomial) -> tuple[int, int]:
+    """The first and the last Q/P generator of a monomial, (P2 + 1, Q1)
+    when it has none."""
+    present = [g for g in (Q1, Q2, P1, P2) if mono[g]]
+    return (present[0], present[-1]) if present else (P2 + 1, Q1)
 
 
 def _unit_mono(idx: int) -> PBWMonomial:
     return tuple(1 if k == idx else 0 for k in range(7))
 
 
-def _canon_word(blocks: list[_WordBlock]) -> tuple[_WordBlock, ...]:
-    out: list[_WordBlock] = []
-    for g, e in blocks:
-        if not e:
-            continue
-        if out and out[-1][0] == g:
-            out[-1] = (g, out[-1][1] + e)
-        else:
-            out.append((g, e))
-    return tuple(out)
-
-
 def _central_mul(c: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
-    """Product where the left factor is central (no straightening needed).
+    """Product where the left factor is central (no reordering needed).
 
     The product lives over x's parameters: c may be a per-truncation table.
     """
@@ -312,11 +317,11 @@ def _central_mul(c: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
 def engine(params: DeformParams | Truncation) -> _Engine:
     """The normal-ordering engine of one parameter set, built once.
 
-    It holds the commutator table and one memo of monomial products,
-    mono_mul(ma, mb), the product of two ordered monomials as integer
-    numerators over one denominator; normal_order_mul, tensor_mul and
-    mu_antipode_leg read it.  The engine of a Truncation has no commutator
-    table and raises on any product that is not already ordered.
+    It holds the four contraction weights and one memo of monomial
+    products, mono_mul(ma, mb), the closed sum of the module docstring as
+    integer numerators over one denominator; normal_order_mul, tensor_mul
+    and mu_antipode_leg read it.  The engine of a Truncation has no weights
+    and raises on any product that is not already ordered.
     """
     return _Engine(params)
 

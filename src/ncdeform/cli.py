@@ -229,7 +229,7 @@ def _dispatch(args) -> int:
         if arity == 2:
             check_pairs(*operands)
             if kind == "primal":
-                # One pair straightens a word of both operands' degree.
+                # One pair contracts a word of both operands' degree.
                 check_degree(sum(map(degree, nodes)))
         out = operation(*operands)
     to_text, to_json = render

@@ -59,13 +59,12 @@ from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
                       Truncation, commutator, engine, lambda_coefficients,
                       make_exp_rho, make_generator, make_lambda, make_rho,
-                      mono_factors, normal_order_mul, power_series)
+                      mono_factors, normal_order_mul, power_series, qp_span)
 from .multiindex import multiindices_graded
 from .report import VerificationReport, clip_note
 from .series import SeriesScalar, TermMap, substitute
 
 _H0 = (0, 0, 0)
-_QP = (Q1, Q2, P1, P2)
 
 #: Flattened tensor key: leg monomials followed by the h exponent triple.
 TensorKey = tuple
@@ -303,14 +302,6 @@ def _pair_sums(agroups: list[dict[int, int]],
     return out
 
 
-@cache
-def _qp_span(mono: PBWMonomial) -> tuple[int, int]:
-    """The first and the last Q/P generator of a monomial, (P2 + 1, Q1)
-    when it has none."""
-    present = [g for g in _QP if mono[g]]
-    return (present[0], present[-1]) if present else (P2 + 1, Q1)
-
-
 def _min_degrees(t: TensorElement, leg: int) -> dict[PBWMonomial, int]:
     """The least h-degree of a term of t for each monomial on one leg."""
     out: dict[PBWMonomial, int] = {}
@@ -337,9 +328,9 @@ def _reorderings(eng, a: TensorElement, b: TensorElement,
     for leg in range(a.arity):
         firsts: dict[int, list] = {}
         for mb in bcols[leg]:
-            firsts.setdefault(_qp_span(mb)[0], []).append(mb)
+            firsts.setdefault(qp_span(mb)[0], []).append(mb)
         found = [(ma, mb) for ma in acols[leg]
-                 for g in range(Q1, _qp_span(ma)[1])
+                 for g in range(Q1, qp_span(ma)[1])
                  for mb in firsts.get(g, ())]
         cells = {}
         if found:
@@ -457,10 +448,9 @@ class _HopfCache:
         rho, lam = make_rho(shared), make_lambda(shared)
 
         self.cop_rho = tensor_of(rho, one) + tensor_of(one, rho)
-        self.cop_lam, self.cop_lam_inv = (
-            power_series(lambda_coefficients(k, trunc), self.cop_rho,
-                         TensorElement.unit(shared), tensor_mul)
-            for k in (1, -1))
+        self.cop_lam_inv = power_series(
+            lambda_coefficients(-1, trunc), self.cop_rho,
+            TensorElement.unit(shared), tensor_mul)
 
         e1, em1 = make_exp_rho(1, shared), make_exp_rho(-1, shared)
         e2, em2 = make_exp_rho(2, shared), make_exp_rho(-2, shared)
@@ -783,7 +773,7 @@ def verify_hopf_axioms(max_generator_degree: int,
                                           lhs - cop_rho))
 
     # Multiplicativity through reordered products: cop(x y) = cop(x) cop(y)
-    # for products that exercise the exchange rule.
+    # for products whose reordering contracts a pair.
     sample_pairs = [
         (gens[P1], gens[Q1]),
         (gens[P2], gens[Q2]),

@@ -10,6 +10,8 @@ from ncdeform import (AlgebraElement, DeformParams, InvalidParamsError,
                       make_exp_rho, make_generator, make_lambda, make_rho,
                       normal_order_mul, phi_automorphism, to_z_basis)
 
+from ncdeform.multiindex import multiindices
+
 from conftest import PARAM_SETS, params, random_element
 
 TH, PH, PS, Q1, Q2, P1, P2 = range(7)
@@ -71,6 +73,47 @@ def test_exchange_rule_against_single_transpositions(alpha, beta, gamma, pair):
                                       mono(p, [0] * a + [m] + [0] * (6 - a)))
             brute = brute_product([b] * n + [a] * m, p, table)
             assert engine == brute, (pair, m, n)
+
+
+def letters(m):
+    """The Q/P letters of an ordered monomial, in order."""
+    return [g for g in (Q1, Q2, P1, P2) for _ in range(m[g])]
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", [(2, Fraction(1, 2), -3),
+                                              (Fraction(3, 2), 0, 5)])
+def test_wick_sum_against_single_transpositions(alpha, beta, gamma):
+    # Every pair of monomials of degree <= 3, so a Q1 of the right factor
+    # contracts with a Q2 and with a P1 of the left one, and a P2 of the
+    # left factor with a Q2 and with a P1 of the right one.
+    p = params(alpha, beta, gamma, 2)
+    table = comm_table(p)
+    monos = list(multiindices(7, 3))
+    brute = {}
+    for ma in monos:
+        for mb in monos:
+            word = tuple(letters(ma) + letters(mb))
+            if word not in brute:
+                brute[word] = brute_product(list(word), p, table)
+            central = [x + y for x, y in zip(ma[:3], mb[:3])] + [0] * 4
+            want = normal_order_mul(mono(p, central), brute[word])
+            assert normal_order_mul(mono(p, ma), mono(p, mb)) == want, \
+                (ma, mb)
+
+
+def test_truncation_engine_refuses_exactly_the_unordered_pairs():
+    shared = algebra.engine(algebra.Truncation(2))
+    monos = list(multiindices(7, 2))
+    for ma in monos:
+        for mb in monos:
+            unordered = any(ma[i] and mb[j]
+                            for i in (Q2, P1, P2) for j in range(Q1, i))
+            if unordered:
+                with pytest.raises(RuntimeError):
+                    shared.mono_mul(ma, mb)
+            else:
+                plain = tuple(x + y for x, y in zip(ma, mb))
+                assert shared.mono_mul(ma, mb) == (1, ((plain, (0, 0, 0), 1),))
 
 
 # -- generators, rho, lambda, exp --------------------------------------------

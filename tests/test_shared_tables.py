@@ -31,8 +31,7 @@ SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
                    hopf._hopf, hopf._gen, hopf._cop_table,
                    dual._mono_z, dual._delta_z)
 #: The normal-ordering memos, shared by the per-parameter engines too.
-ENGINE_MEMOS = (algebra.engine, algebra._Engine.mono_mul,
-                algebra._Engine._straighten, algebra._Engine.comm_pow)
+ENGINE_MEMOS = (algebra.engine, algebra._Engine.mono_mul)
 
 
 def misses(memos):
