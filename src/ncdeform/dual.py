@@ -17,17 +17,21 @@ terms attaches its own J + L.
 The oracle reconstructs the same product from first principles through
 <u * v, Z^S X^T> = <u (x) v, cop(Z^S X^T)> with the coproduct evaluated by
 the normal-ordering engine and both tensor legs converted back to the
-divided-power basis.  It never touches the closed formula.  The coproduct
-and the divided-power basis contain no alpha, beta or gamma, so nothing on
-this side reads them: every function here takes a truncation order, or
-reads it off its operands, and never a DeformParams.  The oracle's tables
-(the Z-basis expansion of each monomial and cop(Z^S X^T) in that basis) are
-built once per truncation order, as integer rows: each Z-basis expansion
-over its own denominator, and each cop(Z^S X^T) as rows of numerators per
-pair of basis keys over one denominator.  delta_on_zbasis is a view of
-one table whose entries become series coefficients when they are read;
-the oracle reads each table through it and builds its products from the
-integer rows over the lcm of their denominators.
+divided-power basis.  It never touches the closed formula.  Every oracle
+path walks the support of a pair (a, b) (_support): the targets Z^S X^T
+with T = y_a + y_b and |S| <= |w_a| + |w_b|, the only ones whose coproduct
+can pair with a (x) b; the grid walks the union of the supports of its
+pairs.  The coproduct and the divided-power basis contain no alpha, beta or
+gamma, so nothing on this side reads them: every function here takes a
+truncation order, or reads it off its operands, and never a DeformParams.
+The oracle's tables (the Z-basis expansion of each monomial and
+cop(Z^S X^T) in that basis) are built once per truncation order, as integer
+rows: each Z-basis expansion over its own denominator, and each
+cop(Z^S X^T) as rows of numerators per pair of basis keys over one
+denominator.  delta_on_zbasis is a view of one table whose entries become
+series coefficients when they are read; the oracle reads each table through
+it and builds its products from the integer rows over the lcm of their
+denominators.
 
 Both products run on the integer numerators of series.TermMap: the inner
 loops add integer products per key.
@@ -40,9 +44,8 @@ from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 
-from .algebra import (AlgebraElement, InvalidParamsError,
-                      PBWMonomial, Truncation, ZMonomial, from_z_basis,
-                      z_element)
+from .algebra import (AlgebraElement, PBWMonomial, Truncation, ZMonomial,
+                      from_z_basis, z_element)
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
@@ -301,47 +304,55 @@ def _delta_z(S, T, trunc: int) -> tuple[int, dict]:
     return ten.den * L1 * L2, out
 
 
-def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int,
-                degree_cap: int | None = None) -> DualElement:
-    """Star product of two dual monomials reconstructed through the pairing.
+def _support(s_bound: int, T) -> list[tuple[tuple, tuple]]:
+    """The targets Z^S X^T with |S| <= s_bound and this T: the support of
+    every pair of dual monomials (a, b) with y_a + y_b = T and |w_a| + |w_b|
+    = s_bound, the only targets whose coproduct can pair with a (x) b.
 
-    Enumerates targets Z^S X^T with |S| + |T| <= degree_cap; the default cap
-    |a| + |b| + trunc is sufficient because every extra unit of Z-degree in
-    the coproduct costs at least one h-degree in the pairing.  A smaller cap
-    would silently truncate the product, so it raises InvalidParamsError.
+    The X legs of cop(Z^S X^T) split T exactly (the binomial expansion of
+    the Q/P coproduct powers has no central corrections), and the Z legs
+    carry total Z-degree at least |S|.  Both facts come from the shape of
+    the engine's coproduct, not from the closed formula, so the oracle
+    stays an independent check.
     """
-    Truncation(trunc)  # rejects a negative order, which enumerates nothing
-    degree_cap = _oracle_cap(a, b, trunc, degree_cap)
-    return _pair_oracle(a, b, ((S, T) for S in multiindices(3, degree_cap)
-                               for T in multiindices(4, degree_cap - sum(S))),
-                        trunc)
+    return [(S, T) for S in multiindices(3, s_bound)]
 
 
-def _oracle_cap(a: DualMonomial, b: DualMonomial, trunc: int,
-                degree_cap: int | None) -> int:
-    """The enumeration cap of star_oracle(a, b, trunc, degree_cap)."""
-    bound = (mi_norm(a[0]) + mi_norm(a[1])
-             + mi_norm(b[0]) + mi_norm(b[1]) + trunc)
-    if degree_cap is None:
-        return bound
-    if degree_cap < bound:
-        raise InvalidParamsError(
-            f"degree cap {degree_cap} is below the sufficient bound {bound} "
-            f"(|a| + |b| + trunc) and would truncate the product")
-    return degree_cap
+def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int) -> DualElement:
+    """Star product of two dual monomials reconstructed through the pairing,
+    over the targets of its support."""
+    Truncation(trunc)  # rejects a negative order
+    key = ((tuple(a[0]), tuple(a[1])), (tuple(b[0]), tuple(b[1])))
+    T = tuple(x + y for x, y in zip(a[1], b[1]))
+    found = []
+    for S, T in _support(mi_norm(a[0]) + mi_norm(b[0]), T):
+        table = delta_on_zbasis(S, T, trunc)
+        row = table.rows.get(key)
+        if row is not None:
+            found.append((S, T, table.den, row))
+    return _over_targets(trunc, found)
 
 
-def oracle_targets(u: DualElement, v: DualElement,
-                   degree_cap: int | None = None) -> int:
-    """How many targets Z^S X^T star_oracle_element(u, v, degree_cap)
-    enumerates, C(cap + 7, 7) for each pair of basis keys, counted without
-    building any of them.  Raises InvalidParamsError as star_oracle does."""
-    return sum(comb(_oracle_cap(ka, kb, u.trunc, degree_cap) + 7, 7)
-               for ka in u.rows() for kb in v.rows())
+# bench/tracer.py wraps the oracle by this name, so the name stays bound.
+star_oracle_restricted = star_oracle
 
 
-def star_oracle_element(u: DualElement, v: DualElement,
-                        degree_cap: int | None = None) -> DualElement:
+def oracle_targets(u: DualElement, v: DualElement) -> int:
+    """The work of star_oracle_element(u, v), counted without building
+    anything: for each pair of basis keys, the targets of their support,
+    C(|w_a| + |w_b| + 3, 3), times the classical splits of each target's X
+    part, prod(t + 1 for t in y_a + y_b)."""
+    out = 0
+    for wa, ya in u.rows():
+        for wb, yb in v.rows():
+            splits = 1
+            for x, y in zip(ya, yb):
+                splits *= x + y + 1
+            out += comb(mi_norm(wa) + mi_norm(wb) + 3, 3) * splits
+    return out
+
+
+def star_oracle_element(u: DualElement, v: DualElement) -> DualElement:
     """Bilinear extension of star_oracle to two dual elements of one
     truncation order."""
     Truncation(u.trunc)  # rejects a negative order, also when u or v is 0
@@ -350,56 +361,30 @@ def star_oracle_element(u: DualElement, v: DualElement,
     vterms = v.terms.items()
     for ka, sa in u.terms.items():
         for kb, sb in vterms:
-            out = out + star_oracle(ka, kb, u.trunc, degree_cap).scale(sa * sb)
+            out = out + star_oracle(ka, kb, u.trunc).scale(sa * sb)
     return out
 
 
 def star_oracle_grid(norm_bound: int, trunc: int) -> dict:
     """Oracle products for every pair of dual monomials of norm <= norm_bound,
-    via one pass over the shared coproduct tables."""
-    Truncation(trunc)  # rejects a negative order, which may enumerate nothing
-    cap = 2 * norm_bound + trunc
+    via one pass over the shared coproduct tables.  The union of the
+    supports of those pairs is every target with |S| + |T| <= 2 *
+    norm_bound: for each T, the support of the pairs with y_a + y_b = T and
+    the most W-norm left."""
+    Truncation(trunc)  # rejects a negative order
+    cap = 2 * norm_bound
     buckets: dict[tuple[DualMonomial, DualMonomial], list] = {}
-    for S in multiindices(3, cap):
-        for T in multiindices(4, cap - sum(S)):
-            table = delta_on_zbasis(S, T, trunc)
-            for (k1, k2), row in table.rows.items():
-                if (mi_norm(k1[0]) + mi_norm(k1[1]) > norm_bound
-                        or mi_norm(k2[0]) + mi_norm(k2[1]) > norm_bound):
-                    continue
-                buckets.setdefault((k1, k2), []).append(
-                    (S, T, table.den, row))
-    return {pair: _over_targets(trunc, found)
-            for pair, found in buckets.items()}
-
-
-def star_oracle_restricted(a: DualMonomial, b: DualMonomial,
-                           trunc: int) -> DualElement:
-    """Oracle with the provable support restriction T = y_a + y_b and
-    |S| <= |w_a| + |w_b|.
-
-    The X legs of cop(Z^S X^T) split T exactly (the binomial expansion of the
-    Q/P coproduct powers has no central corrections), and the Z legs carry
-    total Z-degree at least |S|; both facts come from the engine-side
-    expansion, not from the closed formula, so this stays an independent
-    check.  Used by the deep diagnostic where the full enumeration would be
-    too slow.
-    """
-    T = tuple(x + y for x, y in zip(a[1], b[1]))
-    return _pair_oracle(a, b, ((S, T) for S in multiindices(
-        3, mi_norm(a[0]) + mi_norm(b[0]))), trunc)
-
-
-def _pair_oracle(a, b, targets, trunc: int) -> DualElement:
-    """sum over the targets (S, T) of <a (x) b, cop(Z^S X^T)> W^S Y^T."""
-    key = ((tuple(a[0]), tuple(a[1])), (tuple(b[0]), tuple(b[1])))
-    found = []
+    targets = [target for T in multiindices(4, cap)
+               for target in _support(cap - sum(T), T)]
     for S, T in targets:
         table = delta_on_zbasis(S, T, trunc)
-        row = table.rows.get(key)
-        if row is not None:
-            found.append((S, T, table.den, row))
-    return _over_targets(trunc, found)
+        for (k1, k2), row in table.rows.items():
+            if (mi_norm(k1[0]) + mi_norm(k1[1]) > norm_bound
+                    or mi_norm(k2[0]) + mi_norm(k2[1]) > norm_bound):
+                continue
+            buckets.setdefault((k1, k2), []).append((S, T, table.den, row))
+    return {pair: _over_targets(trunc, found)
+            for pair, found in buckets.items()}
 
 
 def _over_targets(trunc: int, found: list) -> DualElement:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdeform.cli import (MAX_ORACLE_TARGETS, MAX_VERIFY_DEGREE, build_parser,
-                          main, oracle_target_bound)
+from ncdeform.cli import (MAX_ORACLE_TARGETS, MAX_TRUNC, MAX_VERIFY_DEGREE,
+                          build_parser, main, oracle_target_bound)
 from ncdeform.parser import MAX_EXPONENT, MAX_PAIRS, MAX_TERMS
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -88,12 +88,22 @@ def test_star_and_poisson(capsys):
 
 
 def test_staroracle_matches_star(capsys):
-    _, star_out, _ = run(capsys, "star", "x4", "x1", "--trunc", "1")
-    _, oracle_out, _ = run(capsys, "staroracle", "x4", "x1", "--trunc", "1")
-    assert star_out == oracle_out
-    _, capped, _ = run(capsys, "staroracle", "x4", "x1", "--trunc", "1",
-                       "--cap", "3")
-    assert capped == star_out
+    for trunc in ("1", "3"):
+        _, star_out, _ = run(capsys, "star", "x4", "x1", "--trunc", trunc)
+        start = time.perf_counter()
+        code, oracle_out, _ = run(capsys, "staroracle", "x4", "x1",
+                                  "--trunc", trunc)
+        assert time.perf_counter() - start < 1, trunc
+        assert (code, oracle_out) == (0, star_out), trunc
+
+
+def test_staroracle_has_no_cap_option(capsys):
+    # The oracle walks each term pair's support, so no enumeration cap is
+    # left to set.
+    code, out, err = run(capsys, "staroracle", "x4", "x1", "--trunc", "1",
+                         "--cap", "3")
+    assert (code, out) == (2, "")
+    assert "--cap" in err
 
 
 def test_group_commands(capsys):
@@ -128,6 +138,18 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "Th\n"
+
+
+@pytest.mark.parametrize("line", ["cap=60", "trunk=1"])
+def test_config_rejects_an_unknown_key(tmp_path, capsys, line):
+    # The truncation bound is MAX_TRUNC, not a config key: an old cap=
+    # line, like a misspelt key, exits 3 instead of being ignored.
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(f"alpha=2\n{line}\n")
+    code, out, err = run(capsys, "coproduct", "Q1", "--trunc", "1",
+                         "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert repr(line.split("=")[0]) in err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -211,68 +233,58 @@ def test_verify_rejects_negative_bounds(capsys, target, flag):
     assert flag in err
 
 
-def test_staroracle_rejects_negative_cap(capsys):
-    code, out, err = run(capsys, "staroracle", "x1", "x1", "--cap", "-2")
-    assert code == 3
-    assert out == ""
-    assert "--cap" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("x4", "x1", "--trunc", "1", "--cap", "0"),
-    ("x4", "x1", "--trunc", "1", "--cap", "2"),
-    ("x4*x5", "x1+x2", "--trunc", "1", "--cap", "3"),
-])
-def test_staroracle_rejects_cap_below_sufficient_bound(capsys, argv):
-    code, out, err = run(capsys, "staroracle", *argv)
-    assert code == 3
-    assert out == ""
-    assert "cap" in err
-
-
 def test_staroracle_target_bound_exits_in_time(capsys):
-    # 784 term pairs of C(5 + 7, 7) = 792 targets each enumerated for
-    # seconds; the count is known before any target is built.
+    # The work is counted before any table is built.  The last two ran for
+    # 1.8 s and over 200 s, the last one on a single target: the count
+    # weighs the classical splits of each target's X part too.
     square = "(x1+x2+x3+x4+x5+x6+x7)^2"
     for argv in ((square, square, "--trunc", "1"),
-                 ("x1*x2", "x3*x4", "--trunc", "1")):
+                 ("Y[16,0,0,0]", "Y[0,16,0,0]", "--trunc", "3"),
+                 ("Y[16,16,0,0]", "Y[0,0,16,16]", "--trunc", "3")):
         start = time.perf_counter()
         code, out, err = run(capsys, "staroracle", *argv)
         assert time.perf_counter() - start < 1, argv
         assert (code, out) == (2, ""), argv
-        assert "targets" in err and str(MAX_ORACLE_TARGETS) in err
-    # Four pairs of 120 targets each stay within the bound.
+        assert "target splits" in err
+        assert f"bound of {oracle_target_bound(int(argv[-1]))} " in err
+    # Four pairs of 8 or 10 splits each stay within the bound.
     code, out, _ = run(capsys, "staroracle", "x1+x2", "x3-x4", "--trunc", "1")
     assert code == 0 and out
 
 
-@pytest.mark.parametrize("argv", [("1", "1", "--trunc", "4"),
-                                  ("1", "x1", "--trunc", "3")])
+@pytest.mark.parametrize("argv", [
+    ("x1", "x4", "--trunc", "5"),
+    ("W[1,1,0]", "W[0,1,1]*Y[1,0,0,0]", "--trunc", "4"),
+])
 def test_staroracle_bound_weighs_the_truncation(capsys, argv):
-    # 330 targets each: within the bound of 512 at truncation 1, but one
-    # target costs about four times as much per order, and these ran for
-    # over 30 s and 13.6 s.
+    # C(1 + 3, 3) * 2 = 8 and C(4 + 3, 3) * 2 = 70 splits: within the bound
+    # of 512 at truncation 1, but one unit of work costs about four times
+    # as much per order, and these ran for 1.3 s and 7.2 s.
+    work = {"x1": 8, "W[1,1,0]": 70}[argv[0]]
     start = time.perf_counter()
     code, out, err = run(capsys, "staroracle", *argv)
     assert time.perf_counter() - start < 1, argv
     assert (code, out) == (2, ""), argv
     bound = oracle_target_bound(int(argv[-1]))
-    assert "330 targets" in err and f"bound of {bound} " in err
+    assert f"{work} target splits" in err and f"bound of {bound} " in err
+    assert work <= MAX_ORACLE_TARGETS
 
 
 def test_staroracle_bound_per_truncation(capsys):
-    assert [oracle_target_bound(t) for t in range(5)] == [
-        2048, 512, 128, 32, 8]
+    assert [oracle_target_bound(t) for t in range(MAX_TRUNC + 1)] == [
+        2048, 512, 128, 32, 8, 2, 0]
     assert oracle_target_bound(1) == MAX_ORACLE_TARGETS
-    # More targets than MAX_ORACLE_TARGETS are admitted at truncation 0:
-    # C(5 + 7, 7) = 792 here, and C(6 + 7, 7) = 1716 at truncation 1.
-    argv = ("x1*x2*x3", "x4*x5")
+    # More work than MAX_ORACLE_TARGETS is admitted at truncation 0:
+    # C(4 + 3, 3) * 3 * 3 * 2 * 2 = 1260 splits here.
+    argv = ("x1*x2*x3*x4*x5", "x4*x5*x6*x7*x1")
     code, out, _ = run(capsys, "staroracle", *argv, "--trunc", "0")
     assert code == 0 and out
     code, out, err = run(capsys, "staroracle", *argv, "--trunc", "1")
-    assert (code, out) == (2, "") and "1716 targets" in err
-    code, out, _ = run(capsys, "staroracle", "1", "1", "--trunc", "2")
-    assert (code, out) == (0, "1\n")
+    assert (code, out) == (2, "") and "1260 target splits" in err
+    code, out, _ = run(capsys, "staroracle", "1", "x4", "--trunc", "5")
+    assert (code, out) == (0, "Y[1,0,0,0]\n")
+    code, out, err = run(capsys, "staroracle", "1", "1", "--trunc", "6")
+    assert (code, out) == (2, "") and "bound of 0 " in err
 
 
 def test_huge_exponent_exits_at_once(capsys):
@@ -438,8 +450,6 @@ def cli_argv(draw):
         # smallest one and the rejected ones keep each draw short.
         argv.append(f"--maxdeg={draw(st.sampled_from((-1, 0, 4, 99)))}")
         argv.append(f"--deg={draw(st.sampled_from((-1, 1, 7)))}")
-    if command == "staroracle":
-        argv.append(f"--cap={draw(st.sampled_from((-1, 0, 2, 3)))}")
     if command == "poisson":
         argv.append(f"--dir={draw(st.integers(0, 4))}")
     rational = st.fractions(min_value=-9, max_value=9, max_denominator=9)

@@ -21,7 +21,6 @@ from ncdeform import (AlgebraElement, DualElement, InvalidParamsError,
 from ncdeform import algebra, dual, hopf
 from ncdeform.algebra import CENTRAL_GENERATORS, EMPTY_MONO, Truncation
 from ncdeform.cli import main
-from ncdeform.dual import star_oracle_restricted
 from ncdeform.multiindex import mi_norm, multiindices
 
 from conftest import params
@@ -139,12 +138,12 @@ def test_parameter_free_functions_take_no_parameters():
     # alpha, beta and gamma enter only through the commutators; none of
     # these reads them, so none takes a DeformParams.
     for fn in (delta_on_zbasis, star_oracle, star_oracle_grid,
-               star_oracle_restricted, star_oracle_element, group_inverse,
+               star_oracle_element, group_inverse,
                cocommutator_dir, cocommutator_map, combine_cocommutators):
         assert "DeformParams" not in str(inspect.signature(fn)), fn.__name__
     assert list(inspect.signature(group_inverse).parameters) == ["g"]
     assert list(inspect.signature(star_oracle_element).parameters) == [
-        "u", "v", "degree_cap"]
+        "u", "v"]
     assert list(inspect.signature(verify_star_suite).parameters) == [
         "norm_bound"]
     assert list(inspect.signature(verify_bialgebra_suite).parameters) == [

@@ -1,9 +1,12 @@
 """Module boundaries of the package: no module imports a private name
 (one starting with an underscore) from a sibling module, or reads one as an
 attribute of a sibling module it imported.  No function takes a parameter
-that it never reads.  And the coefficient storage of a term map and its
-vector-space operations are written once, in series.TermMap."""
+that it never reads.  The coefficient storage of a term map and its
+vector-space operations are written once, in series.TermMap.  And the
+CLI's options and config keys are listed, so that a knob added or left
+behind shows up as a diff here."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -200,3 +203,29 @@ def test_series_mul_stays_in_the_class_body():
     from ncdeform.series import SeriesScalar
     assert "__mul__" in vars(SeriesScalar)
     assert SeriesScalar.__rmul__ is SeriesScalar.__mul__
+
+
+def cli_surface() -> tuple[dict[str, list[str]], list[str]]:
+    """Every subcommand's options, read off the parser, and the keys the
+    config file accepts."""
+    from ncdeform.cli import DEFAULTS, build_parser
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {name: sorted(opt for action in parser._actions
+                            for opt in action.option_strings)
+               for name, parser in sub.choices.items()}
+    return options, sorted(DEFAULTS)
+
+
+def test_cli_option_surface():
+    common = ["--alpha", "--beta", "--config", "--format", "--gamma",
+              "--help", "--out", "--trunc", "-h"]
+    options, config_keys = cli_surface()
+    assert options == {
+        **{name: common for name in (
+            "mul", "comm", "coproduct", "counit", "antipode", "phi",
+            "zbasis", "star", "staroracle", "group")},
+        "poisson": sorted(common + ["--dir"]),
+        "verify": sorted(common + ["--deg", "--maxdeg"]),
+    }
+    assert config_keys == ["alpha", "beta", "format", "gamma", "trunc"]
