@@ -42,6 +42,20 @@ MAX_TRUNC = 6
 #: the star cube as their cube), so the bound is checked before any work.
 MAX_VERIFY_DEGREE = 3
 
+#: The largest `--maxdeg` of `verify hopf` and `verify all` at each
+#: truncation order 0..5; a higher order is refused.  The Hopf grid's cost
+#: grows steeply with both (`--maxdeg 0 --trunc 6` took 27.5 s and 824 MB),
+#: so the bound is checked before any work.  The costliest grid admitted
+#: at each order, `verify hopf` timed cold on a 2-vCPU host with Python
+#: 3.11: `--maxdeg 3` at 0 0.2 s, at 1 0.3 s, at 2 1.2 s, at 3 2.6 s and at
+#: 4 10.3-11.0 s (341 MB); `--maxdeg 2` at 5 7.8 s (230 MB).  `verify all`
+#: adds about 1-4 s to each.
+HOPF_GRID_DEGREES = (3, 3, 3, 3, 3, 2)
+
+#: The largest `verify star --maxdeg`: the norm-3 grid took 60 s and 153 MB
+#: of peak memory.  `verify all` runs the star grid at min(maxdeg, 2).
+MAX_STAR_DEGREE = 2
+
 #: Most work one `staroracle` may do at truncation 1, counted before any
 #: table is built (dual.oracle_targets): the targets Z^S X^T of each term
 #: pair's support times the classical splits of their X part.  One unit
@@ -218,6 +232,20 @@ def _dispatch(args) -> int:
         if args.maxdeg > MAX_VERIFY_DEGREE:
             raise InvalidParamsError(
                 f"--maxdeg {args.maxdeg} exceeds the bound {MAX_VERIFY_DEGREE}")
+        if args.what == "star" and args.maxdeg > MAX_STAR_DEGREE:
+            raise InvalidParamsError(f"--maxdeg {args.maxdeg} exceeds the "
+                                     f"bound {MAX_STAR_DEGREE} of verify star")
+        if args.what in ("hopf", "all"):
+            trunc = params.trunc
+            if trunc >= len(HOPF_GRID_DEGREES):
+                raise InvalidParamsError(
+                    f"truncation {trunc} exceeds the bound "
+                    f"{len(HOPF_GRID_DEGREES) - 1} of verify {args.what}")
+            if args.maxdeg > HOPF_GRID_DEGREES[trunc]:
+                raise InvalidParamsError(
+                    f"--maxdeg {args.maxdeg} exceeds the bound "
+                    f"{HOPF_GRID_DEGREES[trunc]} of verify {args.what} at "
+                    f"truncation {trunc}")
         if args.deg > MAX_TRUNC:
             # --deg is the truncation order of the one-parameter limit report.
             raise InvalidParamsError(

@@ -102,7 +102,7 @@ def test_wick_sum_against_single_transpositions(alpha, beta, gamma):
 
 
 def test_truncation_engine_refuses_exactly_the_unordered_pairs():
-    shared = algebra.engine(algebra.Truncation(2))
+    shared = algebra.Truncation(2)
     monos = list(multiindices(7, 2))
     for ma in monos:
         for mb in monos:
@@ -110,10 +110,31 @@ def test_truncation_engine_refuses_exactly_the_unordered_pairs():
                             for i in (Q2, P1, P2) for j in range(Q1, i))
             if unordered:
                 with pytest.raises(RuntimeError):
-                    shared.mono_mul(ma, mb)
+                    algebra.mono_mul(shared, ma, mb)
             else:
                 plain = tuple(x + y for x, y in zip(ma, mb))
-                assert shared.mono_mul(ma, mb) == (1, ((plain, (0, 0, 0), 1),))
+                assert algebra.mono_mul(shared, ma, mb) == (
+                    1, ((plain, (0, 0, 0), 1),))
+
+
+def test_sum_cells_merges_the_sums_of_each_denominator():
+    # Two cells over dens 2 and 3 read as a stream: each den is summed on
+    # its own and the two are merged over L = 6, where m1 and m3 partly
+    # and fully cancel, and the h budget of trunc 1 drops every entry
+    # past it.
+    h0, h1, h2 = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    m1, m2, m3 = ((0, 0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0),
+                  (0, 0, 0, 0, 1, 0, 0))
+    cells = iter([
+        ([(h0, 1)], [(h0, 1), (h1, 2)],
+         (2, ((m1, h0, 1), (m3, h0, 2), (m2, h1, 3)))),
+        ([(h0, 1)], [(h0, 1)], (3, ((m1, h0, -1), (m3, h0, -3), (m2, h2, 5)))),
+    ])
+    sums, L = algebra.sum_cells(cells, 1)
+    assert L == 6
+    assert {k: n for k, n in sums.items() if n} == {
+        m1 + (h0,): 1, m1 + (h1,): 6, m3 + (h1,): 12, m2 + (h1,): 9,
+        m2 + (h2,): 10}
 
 
 # -- generators, rho, lambda, exp --------------------------------------------

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncdeform import cli
 from ncdeform.cli import (MAX_ORACLE_TARGETS, MAX_TRUNC, MAX_VERIFY_DEGREE,
                           build_parser, main, oracle_target_bound)
 from ncdeform.parser import MAX_EXPONENT, MAX_PAIRS, MAX_TERMS
+from ncdeform.report import VerificationReport
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -305,6 +307,41 @@ def test_verify_rejects_maxdeg_above_bound(capsys, target):
     assert code == 3
     assert out == ""
     assert "--maxdeg" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--maxdeg", "0", "--trunc", "6"],
+    ["all", "--trunc", "6"],
+    ["hopf", "--maxdeg", "3", "--trunc", "5"],
+    ["star", "--maxdeg", "3"],
+], ids=" ".join)
+def test_verify_grids_bounded_by_their_cost(capsys, argv):
+    # Each of these ran for 27-61 s; the bound is checked before any work.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "exceeds the bound" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--maxdeg", "2", "--trunc", "5"],
+    ["hopf", "--maxdeg", "3", "--trunc", "4"],
+    # `verify all` runs the star grid at min(maxdeg, 2).
+    ["all", "--maxdeg", "3"],
+], ids=" ".join)
+def test_verify_grid_bounds_admit_the_largest_grids(capsys, monkeypatch,
+                                                    argv):
+    ran = []
+
+    def stub(*args):
+        ran.append(args)
+        return VerificationReport()
+
+    monkeypatch.setattr(cli, "verify_hopf_axioms", stub)
+    monkeypatch.setattr(cli, "verify_all", stub)
+    code, _, err = run(capsys, "verify", *argv)
+    assert ran and code != 3, err
 
 
 @pytest.mark.parametrize("command,expr", [

@@ -14,7 +14,8 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               InvalidParamsError, Truncation, _central_mul,
                               lambda_coefficients, power_series)
 from ncdeform import hopf
-from ncdeform.hopf import _cop_mono, _cop_table, _gen, _hopf, _layout, _Table
+from ncdeform.hopf import (_cop_mono, _cop_table, _gen, _hopf, _layout,
+                          _Layout, _Table, _width)
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -345,7 +346,9 @@ def test_kernel_outputs_are_stored_once(rng, abc, trunc):
     p = params(*abc, trunc)
     x, y = random_element(rng, p), random_element(rng, p)
     for got in (normal_order_mul(x, y), coproduct(x), antipode(x),
-                antipode(normal_order_mul(x, y))):
+                antipode(normal_order_mul(x, y)),
+                mu_antipode_leg(coproduct(x), 0),
+                mu_antipode_leg(coproduct(x), 1)):
         assert_stored_once(got)
 
 
@@ -468,6 +471,29 @@ def test_cached_tables_never_change(side):
     assert wide.layout is _layout(arity, 3)
     assert [snapshot(t) for t in tables] == before
     assert [_cop_table(1, mono(P2=e), side) for e in (1, 2)] == tables
+
+
+def test_generator_tables_are_never_rekeyed(monkeypatch):
+    # Each generator table is packed at the width of the products it
+    # enters, so only a narrower previous table is re-keyed.
+    _cop_table.cache_clear()
+    _gen.cache_clear()
+    rekeyed = []
+    rekey = _Layout.rekey
+
+    def spy(self, groups, into):
+        rekeyed.append(groups)
+        return rekey(self, groups, into)
+
+    monkeypatch.setattr(_Layout, "rekey", spy)
+    for m in multiindices_graded(7, 2):
+        for side in (None, 0, 1):
+            _cop_table(2, m, side)
+    assert rekeyed
+    generators = [_gen(2, g, side, _width(2, top)).groups
+                  for g in range(7) for side in (None, 0, 1) for top in (1, 2)]
+    assert not [groups for groups in rekeyed
+                if any(groups is gen for gen in generators)]
 
 
 def reference_mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:

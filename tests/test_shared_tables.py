@@ -29,8 +29,8 @@ from conftest import params
 SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
                    hopf._hopf, hopf._gen, hopf._cop_table,
                    dual._mono_z, dual._delta_z)
-#: The normal-ordering memos, shared by the per-parameter engines too.
-ENGINE_MEMOS = (algebra.engine, algebra._Engine.mono_mul)
+#: The normal-ordering memos, keyed by the parameters or the truncation.
+ENGINE_MEMOS = (algebra._weights, algebra.mono_mul)
 
 
 def misses(memos):

@@ -8,6 +8,7 @@ behind shows up as a diff here."""
 
 import argparse
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncdeform"
@@ -203,6 +204,23 @@ def test_series_mul_stays_in_the_class_body():
     from ncdeform.series import SeriesScalar
     assert "__mul__" in vars(SeriesScalar)
     assert SeriesScalar.__rmul__ is SeriesScalar.__mul__
+
+
+def test_bench_tracer_finds_every_layer(monkeypatch):
+    # The benchmark's tracer (bench/tracer.py) raises when a layer it
+    # wraps is gone, so a renamed function fails here, in the tier-1
+    # suite, and not first in a benchmark run.  bench/ is only read.
+    import ncdeform.algebra
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "bench"))
+    from tracer import Tracer
+    tracer = Tracer("t")
+    try:
+        tracer.install()
+        assert tracer._undo, "the tracer wrapped no binding"
+    finally:
+        tracer.uninstall()
+    assert not hasattr(ncdeform.algebra.normal_order_mul, "__wrapped__")
 
 
 def cli_surface() -> tuple[dict[str, list[str]], list[str]]:
