@@ -47,9 +47,9 @@ MAX_VERIFY_DEGREE = 3
 #: grows steeply with both (`--maxdeg 0 --trunc 6` took 27.5 s and 824 MB),
 #: so the bound is checked before any work.  The costliest grid admitted
 #: at each order, `verify hopf` timed cold on a 2-vCPU host with Python
-#: 3.11: `--maxdeg 3` at 0 0.2 s, at 1 0.3 s, at 2 1.2 s, at 3 2.6 s and at
-#: 4 10.3-11.0 s (341 MB); `--maxdeg 2` at 5 7.8 s (230 MB).  `verify all`
-#: adds about 1-4 s to each.
+#: 3.11: `--maxdeg 3` at 0 0.2 s, at 1 0.3 s, at 2 0.6-0.7 s, at 3 1.2 s
+#: and at 4 3.7-3.9 s (128 MB); `--maxdeg 2` at 5 4.4-4.6 s (130 MB).
+#: `verify all` adds about 2 s to each.
 HOPF_GRID_DEGREES = (3, 3, 3, 3, 3, 2)
 
 #: The largest `verify star --maxdeg`: the norm-3 grid took 60 s and 153 MB
@@ -58,14 +58,17 @@ MAX_STAR_DEGREE = 2
 
 #: Most work one `staroracle` may do at truncation 1, counted before any
 #: table is built (dual.oracle_targets): the targets Z^S X^T of each term
-#: pair's support times the classical splits of their X part.  One unit
-#: costs about four times as much per order of truncation, so the bound is
-#: weighed by it (oracle_target_bound).  The costliest products admitted
-#: at each order, timed cold on a 2-vCPU host with Python 3.11:
-#: `W[11,0,0] * W[0,0,10]` at 0 (2024 of 2048) 3.7 s, `W[6,0,0] * W[0,6,0]`
-#: at 1 (455) 1.0 s, `W[4,0,0] * W[0,3,0]` at 2 (120) 1.3 s, `x1 *
-#: Y[1,1,1,0]` at 3 (32) 0.3 s, `x1 * x4` at 4 (8) 0.7 s, `1 * x4` at 5 (2)
-#: 0.05 s; at 6 the bound is 0.
+#: pair's support, each weighed by |S| + 1, times the classical splits of
+#: their X part.  One unit costs about four times as much per order of
+#: truncation, so the bound is weighed by it (oracle_target_bound).  The
+#: costliest products admitted at each order, timed cold (whole process)
+#: on a 2-vCPU host with Python 3.11: `Y[44,0,0,0] * Y[0,44,0,0]` at 0
+#: (2025 of 2048) 0.4 s, `Y[22,0,0,0] * Y[0,21,0,0]` at 1 (506) 0.5 s,
+#: `Y[7,0,0,0] * Y[0,15,0,0]` at 2 (128) 0.4 s, `Y[3,0,0,0] *
+#: Y[0,7,0,0]` at 3 (32) 0.4 s, `x1 * 1` at 4 (7) 0.7 s, `1 * x4` at 5
+#: (2) 0.3 s; at 6 the bound is 0.  `W[11,0,0] * W[0,0,10]` at 0, 33,902
+#: units, is refused at once; counted without the weight it fit the
+#: bound and ran for 3.4 s.
 MAX_ORACLE_TARGETS = 512
 
 

@@ -339,16 +339,20 @@ star_oracle_restricted = star_oracle
 
 def oracle_targets(u: DualElement, v: DualElement) -> int:
     """The work of star_oracle_element(u, v), counted without building
-    anything: for each pair of basis keys, the targets of their support,
-    C(|w_a| + |w_b| + 3, 3), times the classical splits of each target's X
-    part, prod(t + 1 for t in y_a + y_b)."""
+    anything: for each pair of basis keys, the targets Z^S X^T of their
+    support, each weighed by |S| + 1 (the Z letters of cop(Z^S X^T) are
+    what makes a target costly), times the classical splits of their X
+    part, prod(t + 1 for t in y_a + y_b).  With s = |w_a| + |w_b| the
+    weighed targets sum to sum_{n <= s} (n + 1) C(n + 2, 2) = 3 C(s + 4, 4)
+    - 2 C(s + 3, 3)."""
     out = 0
     for wa, ya in u.rows():
         for wb, yb in v.rows():
             splits = 1
             for x, y in zip(ya, yb):
                 splits *= x + y + 1
-            out += comb(mi_norm(wa) + mi_norm(wb) + 3, 3) * splits
+            s = mi_norm(wa) + mi_norm(wb)
+            out += (3 * comb(s + 4, 4) - 2 * comb(s + 3, 3)) * splits
     return out
 
 

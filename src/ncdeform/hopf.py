@@ -40,20 +40,30 @@ the memoised mono_mul cells and packing nothing.
 The coproduct tables of monomials are stored packed (_Table), on two legs
 and on the three legs of the coassociativity check (_cop_table, one
 recursion for both): each is the previous table times a generator's
-(_gen), packed to packed, at the width read off its own monomial
-(_width), at which the generator's table is packed too, so no table
-changes once it is cached.  A two-leg table is unpacked each time it is
-read, and no unpacked copy is kept; the coassociativity check compares
-the two sides' packed numerators, and a three-leg table is unpacked only
-to write a failure's note.  Leg products
-are read over one denominator and only integers are added.  This keeps the
-exhaustive degree-3 verification grids fast enough for interactive use.
+(_gen), at the width read off its own monomial (_width), at which the
+generator's table is packed too, so no table changes once it is cached.
+The Q/P letters of a monomial split across the legs with binomial
+weights, and each split is multiplied by a central series in Th, Ph, Ps
+and h, few of which are distinct.  So a table stores, for each Q/P part
+of its keys, one interned central block (_Block) times an integer factor,
+and a product of two tables adds the Q/P parts and multiplies each
+distinct pair of blocks once per process (_block_product): over the
+degree-3 grid at trunc 3 the two three-leg sides hold 1,632 (Q/P key,
+block) slots but 77 distinct blocks, and their products meet 121 distinct
+block pairs.  A table is decoded block by block each time it is read, and
+no decoded copy is kept; the coassociativity check compares the two sides'
+blocks and factors, and a three-leg table is decoded only to write a
+failure's note.  Only integers are added, over one denominator per table.
+This keeps the exhaustive degree-3 verification grids fast enough for
+interactive use.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from math import factorial, gcd, lcm
 from operator import add, attrgetter, mul
 from typing import Mapping
@@ -205,6 +215,9 @@ class _Layout:
         self.hbits = 3 * w
         self.offsets = tuple(3 * w + 7 * w * i for i in range(arity))
         self.mono_mask = (1 << 7 * w) - 1
+        # The Q/P fields of every leg; the rest of a key is its central part.
+        self.qp_mask = sum(((1 << 4 * w) - 1) << off + 3 * w
+                           for off in self.offsets)
         # Decoding memos: each distinct monomial and h exponent once.
         self.monos = _Memo(lambda code: self.fields(code, 7))
         self.hs = _Memo(lambda code: self.fields(code, 3))
@@ -236,17 +249,14 @@ class _Layout:
             groups[d][k] = n * scale
         return groups
 
-    def decode(self, groups: list[dict[int, int]],
-               g: int) -> dict[TensorKey, int]:
-        """The nonzero entries of groups divided by g, each key unpacked to
-        (m_1, ..., m_arity, h); built column by column."""
-        items = [(k, n) for group in groups for k, n in group.items() if n]
-        keys = [k for k, _ in items]
+    def decode(self, keys: list[int], nums: list[int]) -> dict[TensorKey, int]:
+        """{key unpacked to (m_1, ..., m_arity, h): numerator} for the
+        parallel lists keys and nums; built column by column."""
         monos, hs = self.monos, self.hs
         mask, hmask = self.mono_mask, (1 << self.hbits) - 1
         cols = [[monos[k >> off & mask] for k in keys] for off in self.offsets]
         cols.append([hs[k & hmask] for k in keys])
-        return dict(zip(zip(*cols), [n // g for _, n in items]))
+        return dict(zip(zip(*cols), nums))
 
     def rekey(self, groups: list[dict[int, int]],
               into: "_Layout") -> list[dict[int, int]]:
@@ -280,27 +290,25 @@ def _top(columns: list[set]) -> int:
     return max(max(map(max, values)) for values in columns)
 
 
-def _pair_sums(agroups: list[dict[int, int]],
-               bgroups: list[dict[int, int]]) -> list[dict[int, int]]:
-    """The pair loop of every packed product.  Both operands are grouped by
-    h-degree (_Layout.pack) in one layout; the result is too, with
-    {ka + kb: sum of na * nb} at degree da + db for every term pair within
-    the truncation budget, each leg product taken as its plain exponent
-    sum."""
-    D = len(agroups) - 1
-    out: list[dict[int, int]] = [{} for _ in agroups]
-    bitems = [list(group.items()) for group in bgroups]
-    for da, group in enumerate(agroups):
-        if not group:
+def _pair_sums(aitems: list, bitems: list) -> list[dict[int, int]]:
+    """The pair loop of every packed product.  Each operand is a list of
+    (key, numerator) sequences, one for each h-degree 0..trunc, keys in one
+    layout; the result is {ka + kb: sum of na * nb} at degree da + db for
+    every term pair within the truncation budget, each leg product taken as
+    its plain exponent sum."""
+    D = len(aitems) - 1
+    out: list[dict[int, int]] = [{} for _ in aitems]
+    bitems = [list(items) for items in bitems]
+    for da, items in enumerate(aitems):
+        if not items:
             continue
-        aitems = group.items()
         for db in range(D + 1 - da):
             bitem = bitems[db]
             if not bitem:
                 continue
             acc = out[da + db]
             get = acc.get
-            for ka, na in aitems:
+            for ka, na in items:
                 for kb, nb in bitem:
                     k = ka + kb
                     acc[k] = get(k, 0) + na * nb
@@ -385,7 +393,8 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     agroups = layout.pack(a, acols, Lm ** arity)
     bgroups = layout.pack(b, bcols)
     # Every pair as if each leg product were a plain exponent sum.
-    acc = _pair_sums(agroups, bgroups)
+    acc = _pair_sums([group.items() for group in agroups],
+                     [group.items() for group in bgroups])
 
     # The per-cell corrections, as packed offsets from the plain key.
     reordered = []
@@ -426,7 +435,9 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
                         acc[d][k] = acc[d].get(k, 0) + c
     den = a.den * b.den * Lm ** arity
     g = gcd(den, *(n for group in acc for n in group.values()))
-    return a.over_denominator(layout.decode(acc, g), den // g)
+    keys = [k for group in acc for k, n in group.items() if n]
+    nums = [n // g for group in acc for n in group.values() if n]
+    return a.over_denominator(layout.decode(keys, nums), den // g)
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -439,7 +450,7 @@ def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
 # them is already ordered (cop of a monomial is built by multiplying on the
 # right by cop of its largest generator), so no commutator is ever needed.
 # The coproduct tables of monomials, on two and three legs, stay packed
-# (_Table).
+# as central blocks (_Table).
 # Antipode tables, one set per parameter set: S reverses products, so they
 # reorder with that parameter set's commutators.  All are functools.cache
 # memos.
@@ -581,61 +592,200 @@ def _width(trunc: int, top: int) -> int:
     return (trunc + top).bit_length() or 1
 
 
+class _Block:
+    """The central block of one Q/P key of a coproduct table: parallel
+    tuples keys and values (numerators), the keys the central and h fields
+    of packed keys, grouped by h-degree 0..trunc (degree d ends at
+    ends[d]) and ascending within each degree.  Like _Table it is packed
+    kernel storage, not a term map.  Blocks are made only by _block_of,
+    primitive (the numerators share no factor and the first is positive)
+    and interned (_block, which keeps every block), so blocks equal up to
+    a factor are one object, and a block is compared and hashed by
+    identity, which costs no Python call."""
+
+    __slots__ = ("keys", "values", "ends")
+
+    def __init__(self, keys: tuple, values: tuple, ends: tuple):
+        self.keys, self.values, self.ends = keys, values, ends
+
+    def degrees(self) -> list[tuple]:
+        """The (key, numerator) pairs of each h-degree 0..trunc."""
+        keys, values = self.keys, self.values
+        return [tuple(zip(keys[start:end], values[start:end]))
+                for start, end in zip((0,) + self.ends, self.ends)]
+
+
+@cache
+def _block(keys: tuple, values: tuple, ends: tuple) -> _Block:
+    """The one block with this content."""
+    return _Block(keys, values, ends)
+
+
+def _block_of(groups: list[dict[int, int]]) -> tuple[int, _Block] | None:
+    """groups, one {central key: numerator} for each h-degree, as (c,
+    block) with c times block's numerators equal to groups'; None when
+    every numerator is 0."""
+    keys: list[int] = []
+    nums: list[int] = []
+    ends = []
+    for group in groups:
+        ordered = sorted(k for k, n in group.items() if n)
+        keys += ordered
+        nums += map(group.__getitem__, ordered)
+        ends.append(len(keys))
+    if not nums:
+        return None
+    c = gcd(*nums) if nums[0] > 0 else -gcd(*nums)
+    if c != 1:
+        nums = [n // c for n in nums]
+    return c, _block(tuple(keys), tuple(nums), tuple(ends))
+
+
+@cache
+def _block_product(a: _Block, b: _Block) -> tuple[int, _Block] | None:
+    """The product of two blocks as _block_of gives it, None when it
+    vanishes within the truncation: their central keys add, as no central
+    generator reorders."""
+    return _block_of(_pair_sums(a.degrees(), b.degrees()))
+
+
+#: A table's terms: {block: {Q/P key: c}}, c times block at each Q/P key.
+Blocks = dict[_Block, dict[int, int]]
+
+
+def _blocks(sums: Blocks) -> Blocks:
+    """sums in a table's one form: the blocks at a Q/P key that sits under
+    several are summed into one (_block_of), and zero factors dropped."""
+    counts = Counter(chain.from_iterable(sums.values())) if len(sums) > 1 \
+        else {}
+    for q in [q for q, n in counts.items() if n > 1]:
+        acc: list[dict[int, int]] = [{} for _ in next(iter(sums)).ends]
+        for block, qs in sums.items():
+            c = qs.pop(q, 0)
+            if not c:
+                continue
+            for group, items in zip(acc, block.degrees()):
+                get = group.get
+                for k, n in items:
+                    group[k] = get(k, 0) + c * n
+        entry = _block_of(acc)
+        if entry is not None:
+            sums.setdefault(entry[1], {})[q] = entry[0]
+    return {block: qs if 0 not in qs.values()
+            else {q: c for q, c in qs.items() if c}
+            for block, qs in sums.items() if any(qs.values())}
+
+
 class _Table:
     """A per-truncation coproduct table on packed keys, the storage of
-    _gen and _cop_table: groups[d] = {key: numerator} for each h-degree
-    d <= trunc, keys in layout, over one denominator den.  The width of
-    the layout is fixed when the table is built, read off the monomial it
-    belongs to (_width), and no table changes after that: a product is
-    packed at its own width, as is the generator table it reads (_gen),
-    and a narrower previous table is re-keyed for that product alone.
-    Every leg product in these tables is ordered, so two tables multiply
-    by _pair_sums alone, and equal tables have equal (den, groups) in one
+    _gen and _cop_table.  A key is the sum of its Q/P part (the Q/P fields
+    of every leg, layout.qp_mask) and its central part (the central and h
+    fields); each Q/P key q carries one block times a factor c, so the
+    terms are q + k with numerator c * n for each entry (k, n) of the
+    block, over one denominator den.  They are kept grouped by block
+    (Blocks), since few blocks are distinct: a product of two tables
+    multiplies each distinct block pair once (_block_product) and adds
+    factors at the Q/P keys.  The width of the layout is read off the
+    monomial the table belongs to (_width), and no table changes once
+    built: a product is packed at its own width, as is the generator
+    table it reads (_gen), and a narrower previous table is re-keyed for
+    that product alone.  Equal tables have equal (den, blocks) in one
     layout.
     """
 
-    __slots__ = ("layout", "den", "groups")
+    __slots__ = ("layout", "trunc", "den", "blocks")
 
-    def __init__(self, layout: _Layout, den: int,
-                 groups: list[dict[int, int]]):
-        self.layout, self.den, self.groups = layout, den, groups
+    def __init__(self, layout: _Layout, trunc: int, den: int, blocks: Blocks):
+        self.layout, self.trunc, self.den = layout, trunc, den
+        self.blocks = blocks
 
     @classmethod
     def pack(cls, t: TensorElement, width: int) -> "_Table":
         layout = _layout(t.arity, width)
-        return cls(layout, t.den, layout.pack(t, _columns(t)))
+        return cls(layout, t.trunc, t.den,
+                   _split(layout, layout.pack(t, _columns(t))))
 
-    def keys_in(self, layout: _Layout) -> list[dict[int, int]]:
-        """groups with their keys in layout, which is no narrower than the
+    def groups(self) -> list[dict[int, int]]:
+        """The terms as {key: numerator}, one for each h-degree."""
+        out: list[dict[int, int]] = [{} for _ in range(self.trunc + 1)]
+        for block, qs in self.blocks.items():
+            degrees = block.degrees()
+            for q, c in qs.items():
+                for group, items in zip(out, degrees):
+                    group.update((q + k, c * n) for k, n in items)
+        return out
+
+    def blocks_in(self, layout: _Layout) -> Blocks:
+        """blocks with their keys in layout, which is no narrower than the
         table's own; the table itself is left as it is."""
         if layout is self.layout:
-            return self.groups
-        return self.layout.rekey(self.groups, layout)
+            return self.blocks
+        return _split(layout, self.layout.rekey(self.groups(), layout))
 
     def times(self, other: "_Table", width: int) -> "_Table":
         """The product of two tables, packed with fields of width bits, a
-        width no narrower than either operand's."""
+        width no narrower than either operand's: each Q/P key of the result
+        sums the products of the operand blocks whose Q/P keys add to it."""
         layout = _layout(self.layout.arity, width)
-        sums = _pair_sums(self.keys_in(layout), other.keys_in(layout))
+        sums: Blocks = {}
+        bblocks = other.blocks_in(layout).items()
+        for ba, aqs in self.blocks_in(layout).items():
+            for bb, bqs in bblocks:
+                product = _block_product(ba, bb)
+                if product is None:
+                    continue
+                r, block = product
+                acc = sums.setdefault(block, {})
+                get = acc.get
+                bitems = [(qb, cb * r) for qb, cb in bqs.items()]
+                for qa, ca in aqs.items():
+                    for qb, cb in bitems:
+                        q = qa + qb
+                        acc[q] = get(q, 0) + ca * cb
+        blocks = _blocks(sums)
         den = self.den * other.den
-        g = gcd(den, *(n for group in sums for n in group.values()))
-        return _Table(layout, den // g,
-                      [group if g == 1 and 0 not in group.values()
-                       else {k: n // g for k, n in group.items() if n}
-                       for group in sums])
+        g = gcd(den, *(c for qs in blocks.values() for c in qs.values()))
+        if g > 1:
+            blocks = {block: {q: c // g for q, c in qs.items()}
+                      for block, qs in blocks.items()}
+        return _Table(layout, self.trunc, den // g, blocks)
 
     def equals(self, other: "_Table") -> bool:
         """Equal values, compared in the wider of the two layouts."""
         layout = max(self.layout, other.layout, key=attrgetter("width"))
         return (self.den == other.den
-                and self.keys_in(layout) == other.keys_in(layout))
+                and self.blocks_in(layout) == other.blocks_in(layout))
 
     def tensor(self) -> TensorElement:
-        """The table as a TensorElement over Truncation(trunc)."""
-        into = TensorElement.zero(Truncation(len(self.groups) - 1),
-                                  self.layout.arity)
-        return into.over_denominator(self.layout.decode(self.groups, 1),
-                                     self.den)
+        """The table as a TensorElement over Truncation(trunc), decoded
+        block by block."""
+        keys: list[int] = []
+        nums: list[int] = []
+        for block, qs in self.blocks.items():
+            bkeys, values = block.keys, block.values
+            keys += [q + k for q in qs for k in bkeys]
+            nums += [c * n for c in qs.values() for n in values]
+        into = TensorElement.zero(Truncation(self.trunc), self.layout.arity)
+        return into.over_denominator(self.layout.decode(keys, nums), self.den)
+
+
+def _split(layout: _Layout, groups: list[dict[int, int]]) -> Blocks:
+    """The blocks of the terms groups, one {key: numerator} for each
+    h-degree, keys in layout."""
+    qp_mask = layout.qp_mask
+    parts: dict[int, list[dict[int, int]]] = {}
+    for d, group in enumerate(groups):
+        for k, n in group.items():
+            q = k & qp_mask
+            if q not in parts:
+                parts[q] = [{} for _ in groups]
+            parts[q][d][k ^ q] = n
+    out: Blocks = {}
+    for q, part in parts.items():
+        entry = _block_of(part)
+        if entry is not None:
+            out.setdefault(entry[1], {})[q] = entry[0]
+    return out
 
 
 @cache

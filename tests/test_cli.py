@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdeform import cli
+from ncdeform import DualElement, cli
+from ncdeform.dual import oracle_targets
 from ncdeform.cli import (MAX_ORACLE_TARGETS, MAX_TRUNC, MAX_VERIFY_DEGREE,
                           build_parser, main, oracle_target_bound)
 from ncdeform.parser import MAX_EXPONENT, MAX_PAIRS, MAX_TERMS
@@ -241,6 +242,8 @@ def test_staroracle_target_bound_exits_in_time(capsys):
     # weighs the classical splits of each target's X part too.
     square = "(x1+x2+x3+x4+x5+x6+x7)^2"
     for argv in ((square, square, "--trunc", "1"),
+                 ("W[11,0,0]", "W[0,0,10]", "--trunc", "0"),
+                 ("W[21,0,0]", "1", "--trunc", "0"),
                  ("Y[16,0,0,0]", "Y[0,16,0,0]", "--trunc", "3"),
                  ("Y[16,16,0,0]", "Y[0,0,16,16]", "--trunc", "3")):
         start = time.perf_counter()
@@ -249,7 +252,8 @@ def test_staroracle_target_bound_exits_in_time(capsys):
         assert (code, out) == (2, ""), argv
         assert "target splits" in err
         assert f"bound of {oracle_target_bound(int(argv[-1]))} " in err
-    # Four pairs of 8 or 10 splits each stay within the bound.
+    # Four pairs of 14 or 25 weighed target splits each stay within the
+    # bound.
     code, out, _ = run(capsys, "staroracle", "x1+x2", "x3-x4", "--trunc", "1")
     assert code == 0 and out
 
@@ -259,10 +263,11 @@ def test_staroracle_target_bound_exits_in_time(capsys):
     ("W[1,1,0]", "W[0,1,1]*Y[1,0,0,0]", "--trunc", "4"),
 ])
 def test_staroracle_bound_weighs_the_truncation(capsys, argv):
-    # C(1 + 3, 3) * 2 = 8 and C(4 + 3, 3) * 2 = 70 splits: within the bound
-    # of 512 at truncation 1, but one unit of work costs about four times
-    # as much per order, and these ran for 1.3 s and 7.2 s.
-    work = {"x1": 8, "W[1,1,0]": 70}[argv[0]]
+    # 7 * 2 = 14 and 140 * 2 = 280 weighed target splits (|S| <= 1 and
+    # |S| <= 4): within the bound of 512 at truncation 1, but one unit of
+    # work costs about four times as much per order, and these ran for
+    # 1.3 s and 7.2 s.
+    work = {"x1": 14, "W[1,1,0]": 280}[argv[0]]
     start = time.perf_counter()
     code, out, err = run(capsys, "staroracle", *argv)
     assert time.perf_counter() - start < 1, argv
@@ -272,17 +277,37 @@ def test_staroracle_bound_weighs_the_truncation(capsys, argv):
     assert work <= MAX_ORACLE_TARGETS
 
 
+def test_staroracle_bound_weighs_the_z_letters():
+    # A target Z^S X^T weighs |S| + 1: W[11,0,0] * W[0,0,10] has the
+    # 2,024 targets of |S| <= 21, which ran for 3.4 s; Y[44,0,0,0] *
+    # Y[0,44,0,0] has one target of 2,025 splits, which runs in 0.2 s.
+    def work(a, b):
+        return oracle_targets(DualElement.monomial(*a, 0),
+                              DualElement.monomial(*b, 0))
+
+    assert work(((11, 0, 0), (0,) * 4), ((0, 0, 10), (0,) * 4)) == 33902
+    assert work(((0,) * 3, (44, 0, 0, 0)), ((0,) * 3, (0, 44, 0, 0))) == 2025
+    assert oracle_target_bound(0) == 2048
+    # Every x_i x_j, which query streams send at truncation 1, is admitted.
+    units = [((1, 0, 0), (0,) * 4), ((0, 1, 0), (0,) * 4),
+             ((0, 0, 1), (0,) * 4)] + [((0,) * 3, y) for y in (
+                 (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    assert max(oracle_targets(DualElement.monomial(*a, 1),
+                              DualElement.monomial(*b, 1))
+               for a in units for b in units) == 25 <= oracle_target_bound(1)
+
+
 def test_staroracle_bound_per_truncation(capsys):
     assert [oracle_target_bound(t) for t in range(MAX_TRUNC + 1)] == [
         2048, 512, 128, 32, 8, 2, 0]
     assert oracle_target_bound(1) == MAX_ORACLE_TARGETS
     # More work than MAX_ORACLE_TARGETS is admitted at truncation 0:
-    # C(4 + 3, 3) * 3 * 3 * 2 * 2 = 1260 splits here.
-    argv = ("x1*x2*x3*x4*x5", "x4*x5*x6*x7*x1")
+    # 7 * 3 * 3 * 3 * 3 = 567 weighed target splits here (|S| <= 1).
+    argv = ("x1*x4*x5*x6*x7", "x4*x5*x6*x7")
     code, out, _ = run(capsys, "staroracle", *argv, "--trunc", "0")
     assert code == 0 and out
     code, out, err = run(capsys, "staroracle", *argv, "--trunc", "1")
-    assert (code, out) == (2, "") and "1260 target splits" in err
+    assert (code, out) == (2, "") and "567 target splits" in err
     code, out, _ = run(capsys, "staroracle", "1", "x4", "--trunc", "5")
     assert (code, out) == (0, "Y[1,0,0,0]\n")
     code, out, err = run(capsys, "staroracle", "1", "1", "--trunc", "6")

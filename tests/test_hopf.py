@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +15,8 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               InvalidParamsError, Truncation, _central_mul,
                               lambda_coefficients, power_series)
 from ncdeform import hopf
-from ncdeform.hopf import (_cop_mono, _cop_table, _gen, _hopf, _layout,
-                          _Layout, _Table, _width)
+from ncdeform.hopf import (_block, _cop_mono, _cop_table, _gen, _hopf,
+                          _layout, _Table, _width)
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -452,15 +453,19 @@ def test_unequal_tables_report_the_decoded_difference(monkeypatch):
 
 
 def snapshot(table):
-    return table.layout, table.den, [dict(group) for group in table.groups]
+    """A copy of what a table stores: its layout, its denominator, and each
+    block's content with the factors at its Q/P keys."""
+    return table.layout, table.den, {
+        (block.keys, block.values, block.ends): dict(qs)
+        for block, qs in table.blocks.items()}
 
 
 @pytest.mark.parametrize("side", [None, 0, 1])
 def test_cached_tables_never_change(side):
     # At trunc 1 the tables of P2 and P2^2 are packed with fields of 2
     # bits and P2^3's with 3 (trunc + max(m)): building the larger tables
-    # leaves the cached ones as they were, each in the one shared layout
-    # of its width.
+    # leaves the cached ones and their blocks as they were, each table in
+    # the one shared layout of its width.
     _cop_table.cache_clear()
     _gen.cache_clear()
     arity = 2 if side is None else 3
@@ -479,21 +484,57 @@ def test_generator_tables_are_never_rekeyed(monkeypatch):
     _cop_table.cache_clear()
     _gen.cache_clear()
     rekeyed = []
-    rekey = _Layout.rekey
+    blocks_in = _Table.blocks_in
 
-    def spy(self, groups, into):
-        rekeyed.append(groups)
-        return rekey(self, groups, into)
+    def spy(self, layout):
+        if layout is not self.layout:
+            rekeyed.append(self)
+        return blocks_in(self, layout)
 
-    monkeypatch.setattr(_Layout, "rekey", spy)
+    monkeypatch.setattr(_Table, "blocks_in", spy)
     for m in multiindices_graded(7, 2):
         for side in (None, 0, 1):
             _cop_table(2, m, side)
     assert rekeyed
-    generators = [_gen(2, g, side, _width(2, top)).groups
+    generators = [_gen(2, g, side, _width(2, top))
                   for g in range(7) for side in (None, 0, 1) for top in (1, 2)]
-    assert not [groups for groups in rekeyed
-                if any(groups is gen for gen in generators)]
+    assert not [table for table in rekeyed
+                if any(table is gen for gen in generators)]
+
+
+def test_three_leg_tables_share_their_blocks():
+    # The central series that multiply the splits of the Q/P letters
+    # repeat: over the degree <= 3 grid at trunc 3 the two sides hold
+    # 1,632 (Q/P key, block) slots and at most a fifth as many distinct
+    # blocks.
+    tables = [_cop_table(3, m, side)
+              for m in multiindices_graded(7, 3) for side in (0, 1)]
+    slots = sum(len(qs) for t in tables for qs in t.blocks.values())
+    blocks = {block for t in tables for block in t.blocks}
+    assert slots == 1632
+    assert 5 * len(blocks) <= slots
+
+
+def test_blocks_are_interned_and_primitive():
+    # Blocks equal up to a factor are one object, in the form whose
+    # numerators share no factor and start positive.
+    for m in multiindices_graded(7, 2):
+        for side in (None, 0, 1):
+            for block, qs in _cop_table(2, m, side).blocks.items():
+                assert _block(block.keys, block.values, block.ends) is block
+                assert block.values[0] > 0 and gcd(*block.values) == 1
+                assert all([k for k, _ in items] == sorted(k for k, _ in items)
+                           for items in block.degrees())
+                assert 0 not in qs.values()
+
+
+@pytest.mark.parametrize("m", [mono(Q1=1, Q2=1, P1=1), mono(Th=1, Q1=1, P2=1),
+                               mono(Th=1, Ph=1, Ps=1)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_degree3_three_leg_tables_at_trunc3(m, side):
+    table = _cop_table(3, m, side).tensor()
+    assert table == reference_cop3(3, m, side)
+    assert table == apply_coproduct_leg(_cop_mono(3, m), side)
 
 
 def reference_mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
