@@ -38,10 +38,13 @@ multiplies through algebra.sum_cells, as normal_order_mul does, reading
 the memoised mono_mul cells and packing nothing.
 
 The coproduct tables of monomials are stored packed (_Table), on two legs
-and on the three legs of the coassociativity check (_cop_table, one
-recursion for both): each is the previous table times a generator's
-(_gen), at the width read off its own monomial (_width), at which the
-generator's table is packed too, so no table changes once it is cached.
+and on the three legs of the coassociativity check (_cop_table, one chain
+for both): the table of a monomial is the last link of a chain (_chain),
+each link the one before times a generator's table (_gen), and every link
+and generator table of the chain is packed at the one width read off the
+monomial (_width).  So a product meets two tables of one layout, and no
+table changes once it is cached.  The chain is built bottom up, one link
+per letter, so its length is bounded by memory alone, not by recursion.
 The Q/P letters of a monomial split across the legs with binomial
 weights, and each split is multiplied by a central series in Th, Ph, Ps
 and h, few of which are distinct.  So a table stores, for each Q/P part
@@ -65,7 +68,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
 from math import factorial, gcd, lcm
-from operator import add, attrgetter, mul
+from operator import add, mul
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
@@ -202,10 +205,9 @@ class _Layout:
     whose leg products are plain exponent sums is the sum of the two keys,
     and a product that reorders adds a packed difference.  Every field is
     width bits, which the caller chooses to hold the largest exponent any
-    key it forms may reach, so no exponent carries into its neighbour.  The
-    bits above hbits are a key's leg part.  A layout is a shared value:
-    it is built once per (arity, width) by _layout, and its decoding memos
-    fill across every caller.
+    key it forms may reach, so no exponent carries into its neighbour.  A
+    layout is a shared value: it is built once per (arity, width) by
+    _layout, and its decoding memos fill across every caller.
     """
 
     def __init__(self, arity: int, width: int):
@@ -257,20 +259,6 @@ class _Layout:
         cols = [[monos[k >> off & mask] for k in keys] for off in self.offsets]
         cols.append([hs[k & hmask] for k in keys])
         return dict(zip(zip(*cols), nums))
-
-    def rekey(self, groups: list[dict[int, int]],
-              into: "_Layout") -> list[dict[int, int]]:
-        """groups with every key packed again in the layout into; the leg
-        part of each distinct key is repacked once."""
-        hb, mask = self.hbits, self.mono_mask
-        shifts = tuple(zip((off - hb for off in self.offsets), into.offsets))
-        monos = _Memo(lambda c: into.code(self.fields(c, 7)))
-        legs = _Memo(lambda part: sum(monos[part >> off & mask] << to
-                                      for off, to in shifts))
-        hs = _Memo(lambda c: into.code(self.fields(c, 3)))
-        hmask = (1 << hb) - 1
-        return [{legs[k >> hb] + hs[k & hmask]: n for k, n in group.items()}
-                for group in groups]
 
 
 @cache
@@ -685,12 +673,11 @@ class _Table:
     block, over one denominator den.  They are kept grouped by block
     (Blocks), since few blocks are distinct: a product of two tables
     multiplies each distinct block pair once (_block_product) and adds
-    factors at the Q/P keys.  The width of the layout is read off the
-    monomial the table belongs to (_width), and no table changes once
-    built: a product is packed at its own width, as is the generator
-    table it reads (_gen), and a narrower previous table is re-keyed for
-    that product alone.  Equal tables have equal (den, blocks) in one
-    layout.
+    factors at the Q/P keys.  Every link of a chain (_chain), and every
+    generator table it reads (_gen), is packed at the width read off the
+    chain's monomial (_width), so a product meets two tables of one layout
+    and keeps it, and no table changes once built.  Equal tables have equal
+    (den, blocks) in one layout.
     """
 
     __slots__ = ("layout", "trunc", "den", "blocks")
@@ -701,35 +688,30 @@ class _Table:
 
     @classmethod
     def pack(cls, t: TensorElement, width: int) -> "_Table":
+        """t with fields of width bits, its terms split by Q/P key."""
         layout = _layout(t.arity, width)
-        return cls(layout, t.trunc, t.den,
-                   _split(layout, layout.pack(t, _columns(t))))
+        groups = layout.pack(t, _columns(t))
+        parts: dict[int, list[dict[int, int]]] = {}
+        for d, group in enumerate(groups):
+            for k, n in group.items():
+                q = k & layout.qp_mask
+                if q not in parts:
+                    parts[q] = [{} for _ in groups]
+                parts[q][d][k ^ q] = n
+        blocks: Blocks = {}
+        for q, part in parts.items():
+            entry = _block_of(part)
+            if entry is not None:
+                blocks.setdefault(entry[1], {})[q] = entry[0]
+        return cls(layout, t.trunc, t.den, blocks)
 
-    def groups(self) -> list[dict[int, int]]:
-        """The terms as {key: numerator}, one for each h-degree."""
-        out: list[dict[int, int]] = [{} for _ in range(self.trunc + 1)]
-        for block, qs in self.blocks.items():
-            degrees = block.degrees()
-            for q, c in qs.items():
-                for group, items in zip(out, degrees):
-                    group.update((q + k, c * n) for k, n in items)
-        return out
-
-    def blocks_in(self, layout: _Layout) -> Blocks:
-        """blocks with their keys in layout, which is no narrower than the
-        table's own; the table itself is left as it is."""
-        if layout is self.layout:
-            return self.blocks
-        return _split(layout, self.layout.rekey(self.groups(), layout))
-
-    def times(self, other: "_Table", width: int) -> "_Table":
-        """The product of two tables, packed with fields of width bits, a
-        width no narrower than either operand's: each Q/P key of the result
-        sums the products of the operand blocks whose Q/P keys add to it."""
-        layout = _layout(self.layout.arity, width)
+    def times(self, other: "_Table") -> "_Table":
+        """The product of two tables of one layout, in that layout: each Q/P
+        key of the result sums the products of the operand blocks whose Q/P
+        keys add to it."""
         sums: Blocks = {}
-        bblocks = other.blocks_in(layout).items()
-        for ba, aqs in self.blocks_in(layout).items():
+        bblocks = other.blocks.items()
+        for ba, aqs in self.blocks.items():
             for bb, bqs in bblocks:
                 product = _block_product(ba, bb)
                 if product is None:
@@ -748,13 +730,13 @@ class _Table:
         if g > 1:
             blocks = {block: {q: c // g for q, c in qs.items()}
                       for block, qs in blocks.items()}
-        return _Table(layout, self.trunc, den // g, blocks)
+        return _Table(self.layout, self.trunc, den // g, blocks)
 
     def equals(self, other: "_Table") -> bool:
-        """Equal values, compared in the wider of the two layouts."""
-        layout = max(self.layout, other.layout, key=attrgetter("width"))
-        return (self.den == other.den
-                and self.blocks_in(layout) == other.blocks_in(layout))
+        """Equal values in one layout, as the two three-leg tables of one
+        monomial are."""
+        return (self.layout is other.layout and self.den == other.den
+                and self.blocks == other.blocks)
 
     def tensor(self) -> TensorElement:
         """The table as a TensorElement over Truncation(trunc), decoded
@@ -769,49 +751,44 @@ class _Table:
         return into.over_denominator(self.layout.decode(keys, nums), self.den)
 
 
-def _split(layout: _Layout, groups: list[dict[int, int]]) -> Blocks:
-    """The blocks of the terms groups, one {key: numerator} for each
-    h-degree, keys in layout."""
-    qp_mask = layout.qp_mask
-    parts: dict[int, list[dict[int, int]]] = {}
-    for d, group in enumerate(groups):
-        for k, n in group.items():
-            q = k & qp_mask
-            if q not in parts:
-                parts[q] = [{} for _ in groups]
-            parts[q][d][k ^ q] = n
-    out: Blocks = {}
-    for q, part in parts.items():
-        entry = _block_of(part)
-        if entry is not None:
-            out.setdefault(entry[1], {})[q] = entry[0]
-    return out
-
-
 @cache
 def _gen(trunc: int, g: int, side: int | None, width: int) -> _Table:
     """Generator g's coproduct table: on two legs (side None), or with the
     coproduct applied once more to leg side, on three; packed with fields
-    of width bits, the width of the products it enters, so that it is
-    never re-keyed."""
+    of width bits, the width of the chain whose links it multiplies."""
     cop = _hopf(trunc).cop_gen[g]
     return _Table.pack(cop if side is None else apply_coproduct_leg(cop, side),
                        width)
 
 
 @cache
-def _cop_table(trunc: int, mono: PBWMonomial, side: int | None) -> _Table:
-    """cop of a monomial on two legs (side None), or (cop (x) 1) cop
-    (side 0) or (1 (x) cop) cop (side 1) on three: the table of the
-    monomial without its largest generator g times g's."""
-    width = _width(trunc, max(mono))
+def _chain(trunc: int, mono: PBWMonomial, side: int | None,
+           width: int) -> _Table:
+    """One link of a coproduct chain, packed with fields of width bits: the
+    link of the monomial without its largest generator g times g's table.
+    _cop_table requests the links in order, so the one before is cached."""
     if mono == EMPTY_MONO:
         return _Table.pack(TensorElement.unit(Truncation(trunc),
                                               2 if side is None else 3), width)
     g = max(i for i in range(7) if mono[i])
     prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
-    return _cop_table(trunc, prev, side).times(_gen(trunc, g, side, width),
-                                               width)
+    return _chain(trunc, prev, side, width).times(_gen(trunc, g, side, width))
+
+
+@cache
+def _cop_table(trunc: int, mono: PBWMonomial, side: int | None) -> _Table:
+    """cop of a monomial on two legs (side None), or (cop (x) 1) cop
+    (side 0) or (1 (x) cop) cop (side 1) on three, at the width read off
+    the monomial (_width): the last link of its chain, whose links are
+    built from the empty monomial up, one letter at a time."""
+    width = _width(trunc, max(mono))
+    prefix = list(EMPTY_MONO)
+    table = _chain(trunc, EMPTY_MONO, side, width)
+    for g in range(7):
+        for _ in range(mono[g]):
+            prefix[g] += 1
+            table = _chain(trunc, tuple(prefix), side, width)
+    return table
 
 
 # ---------------------------------------------------------------------------

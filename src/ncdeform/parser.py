@@ -241,7 +241,9 @@ class _Parser:
         want = 3 if kind == "W" else 4
         if len(entries) != want:
             raise ExpressionError(f"{kind}[...] needs {want} indices", pos)
-        return DualSym(kind, tuple(entries))
+        node = DualSym(kind, tuple(entries))
+        check_degree(degree(node), pos)
+        return node
 
     def _exp_rho(self):
         self._expect("(")
@@ -272,14 +274,17 @@ def _rational(tok) -> Fraction:
 
 
 def degree(node) -> int:
-    """Static generator degree of an AST: every token other than a rational
-    or h1..h3 counts 1, a product adds, a sum takes the largest term and a
-    power multiplies."""
+    """Static generator degree of an AST: a dual atom W[K] or Y[L] counts
+    its index norm |K| or |L|, every other token but a rational or h1..h3
+    counts 1, a product adds, a sum takes the largest term and a power
+    multiplies."""
     if isinstance(node, Num):
         return 0
     if isinstance(node, Sym):
         return 0 if node.name in ("h1", "h2", "h3") else 1
-    if isinstance(node, (DualSym, ExpRho)):
+    if isinstance(node, DualSym):
+        return sum(node.index)
+    if isinstance(node, ExpRho):
         return 1
     if isinstance(node, Pow):
         return degree(node.base) * node.exponent

@@ -2,9 +2,11 @@
 
 The star suite gates the closed product against the engine-backed oracle
 modulo h-degree 2 (where agreement is provable); the deeper comparison at
-h-degree >= 2 is emitted as a diagnostic and never gates, since the closed
-formula's divided-power expansion drops inverse-lambda corrections that first
-bite at h-degree 3 on functionals of W-norm >= 3.  The dual side reads no
+h-degree >= 2 is emitted as a diagnostic and never gates: where a term takes
+n of a factor's W letters into h^n, the closed formula has the power c^n of
+a base c and the pairing has P_n(c), with P_0 = 1, P_1 = c and P_{n+2} =
+(c^2 - 4n^2) P_n.  These agree for n <= 2, so the two first differ at
+h-degree 3, on functionals of W-norm >= 3.  The dual side reads no
 alpha, beta or gamma, so the star suite takes only its norm bound: it runs
 at truncation 1, its diagnostic at truncation 3.  The bialgebra suite reads
 the parameters for the Lie data and the group law, and only the truncation
@@ -18,7 +20,8 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import (GENERATOR_NAMES, AlgebraElement, DeformParams,
-                      classical_limit, commutator, make_generator)
+                      InvalidParamsError, classical_limit, commutator,
+                      make_generator)
 from .bialgebra import (GroupElement, LieData, WedgeElement,
                         bialgebra_axiom_check, coboundary_from_r,
                         cocommutator_map, dual_lie_data_from_delta,
@@ -57,6 +60,8 @@ _DEEP_PROBES = (
 def verify_star_suite(norm_bound: int = 2) -> VerificationReport:
     """Unit law, classical commutativity, oracle gate (mod h^2), associativity
     and the Poisson layer on the full monomial grid of the given norm."""
+    if norm_bound < 0:
+        raise InvalidParamsError(f"norm bound must be >= 0, got {norm_bound}")
     report = VerificationReport()
     trunc, deep_trunc = 1, 3
     monos = _dual_monomials(norm_bound, trunc)

@@ -258,6 +258,23 @@ def test_staroracle_target_bound_exits_in_time(capsys):
     assert code == 0 and out
 
 
+def test_staroracle_counts_a_dual_atom_by_its_index_norm(capsys):
+    # Y[n,0,0,0] is x4^n/n!, of degree n.  Counted as one letter, the first
+    # three died with RecursionError and the last ran for 1.3 s.
+    for argv in (("Y[600,0,0,0]", "1", "--trunc", "0"),
+                 ("Y[2047,0,0,0]", "1", "--trunc", "0"),
+                 ("Y[511,0,0,0]", "1", "--trunc", "1"),
+                 ("Y[127,0,0,0]", "1", "--trunc", "2")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "staroracle", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert "generator degree" in err
+    code, out, _ = run(capsys, "staroracle", "Y[32,0,0,0]", "Y[0,32,0,0]",
+                       "--trunc", "0")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("argv", [
     ("x1", "x4", "--trunc", "5"),
     ("W[1,1,0]", "W[0,1,1]*Y[1,0,0,0]", "--trunc", "4"),

@@ -165,6 +165,19 @@ def test_ynorm_tables_match_series_reference(trunc):
             I, J, K, L, trunc), (I, J, K, L)
 
 
+def test_star_suite_rejects_a_negative_norm_bound():
+    # An empty grid would pass its grid checks over no case at all.
+    with pytest.raises(InvalidParamsError, match="norm bound"):
+        verify_star_suite(-1)
+
+
+def test_oracle_builds_a_chain_past_the_recursion_limit():
+    # The coproduct of x4^600 is a chain of 600 links; built one nested
+    # call per letter it died with RecursionError past about 490.
+    a, b = ((0, 0, 0), (600, 0, 0, 0)), (W0, Y0)
+    assert star_oracle(a, b, 0) == star_closed(dm(*a, 0), dm(*b, 0))
+
+
 def test_star_suite_builds_one_table_per_ynorm():
     # The suite's products at truncation 1 (the pair table and the
     # norm <= 2 associativity cube) read one table per (I, |J|, K, |L|),
@@ -259,6 +272,7 @@ def test_oracle_never_calls_the_closed_formula(monkeypatch):
     dual._delta_z.cache_clear()
     dual._mono_z.cache_clear()
     hopf._cop_table.cache_clear()
+    hopf._chain.cache_clear()
     a, b = (W0, (1, 0, 0, 0)), ((1, 0, 0), Y0)
     assert star_oracle(a, b, 1) == dm((1, 0, 0), (1, 0, 0, 0), 1) + dm(
         W0, (1, 0, 0, 0), 1, h_series((1, 0, 0), 1, 1))

@@ -15,8 +15,8 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               InvalidParamsError, Truncation, _central_mul,
                               lambda_coefficients, power_series)
 from ncdeform import hopf
-from ncdeform.hopf import (_block, _cop_mono, _cop_table, _gen, _hopf,
-                          _layout, _Table, _width)
+from ncdeform.hopf import (_block, _chain, _cop_mono, _cop_table, _gen,
+                          _hopf, _layout, _Table)
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -428,7 +428,7 @@ def test_packed_chain_at_the_width_boundary(e):
 
 def test_unequal_tables_report_the_decoded_difference(monkeypatch):
     # One side gains a term whose Th^4 is packed wider than the other
-    # side's fields: the two compare in the wider layout and the note
+    # side's fields: tables of two layouts are never equal, and the note
     # shows the decoded difference.
     real = hopf._cop_table
     q1 = mono(Q1=1)
@@ -463,11 +463,11 @@ def snapshot(table):
 @pytest.mark.parametrize("side", [None, 0, 1])
 def test_cached_tables_never_change(side):
     # At trunc 1 the tables of P2 and P2^2 are packed with fields of 2
-    # bits and P2^3's with 3 (trunc + max(m)): building the larger tables
-    # leaves the cached ones and their blocks as they were, each table in
-    # the one shared layout of its width.
-    _cop_table.cache_clear()
-    _gen.cache_clear()
+    # bits and P2^3's with 3 (trunc + max(m)): P2^3 builds its prefixes
+    # again at 3 bits and leaves the 2-bit tables and their blocks as they
+    # were, each table in the one shared layout of its width.
+    for memo in (_cop_table, _chain, _gen):
+        memo.cache_clear()
     arity = 2 if side is None else 3
     tables = [_cop_table(1, mono(P2=e), side) for e in (1, 2)]
     before = [snapshot(t) for t in tables]
@@ -478,28 +478,30 @@ def test_cached_tables_never_change(side):
     assert [_cop_table(1, mono(P2=e), side) for e in (1, 2)] == tables
 
 
-def test_generator_tables_are_never_rekeyed(monkeypatch):
-    # Each generator table is packed at the width of the products it
-    # enters, so only a narrower previous table is re-keyed.
-    _cop_table.cache_clear()
-    _gen.cache_clear()
-    rekeyed = []
-    blocks_in = _Table.blocks_in
+def test_every_chain_product_meets_one_layout(monkeypatch):
+    # Every link of a chain, and every generator table it reads, is packed
+    # at the width of the chain's monomial, also where the chain crosses a
+    # width boundary: at trunc 1 P2^3 takes 3 bits where P2^2 alone takes
+    # 2, and Th^7 takes 4 where Th^6 alone takes 3.
+    for memo in (_cop_table, _chain, _gen):
+        memo.cache_clear()
+    met = []
+    times = _Table.times
 
-    def spy(self, layout):
-        if layout is not self.layout:
-            rekeyed.append(self)
-        return blocks_in(self, layout)
+    def spy(self, other):
+        met.append((self.layout, other.layout))
+        return times(self, other)
 
-    monkeypatch.setattr(_Table, "blocks_in", spy)
-    for m in multiindices_graded(7, 2):
+    monkeypatch.setattr(_Table, "times", spy)
+    chains = [(2, m) for m in multiindices_graded(7, 2)]
+    chains += [(1, mono(P2=3)), (1, mono(Th=7))]
+    for trunc, m in chains:
         for side in (None, 0, 1):
-            _cop_table(2, m, side)
-    assert rekeyed
-    generators = [_gen(2, g, side, _width(2, top))
-                  for g in range(7) for side in (None, 0, 1) for top in (1, 2)]
-    assert not [table for table in rekeyed
-                if any(table is gen for gen in generators)]
+            _cop_table(trunc, m, side)
+    assert all(a is b for a, b in met)
+    layouts = {a for a, _ in met}
+    assert {_layout(arity, width) for arity in (2, 3)
+            for width in (2, 3, 4)} <= layouts
 
 
 def test_three_leg_tables_share_their_blocks():

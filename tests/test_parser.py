@@ -85,7 +85,7 @@ def test_exponent_bound(base):
 
 @pytest.mark.parametrize("text,want", [
     ("3*h1^5", 0), ("Q1", 1), ("Q1*P1 + Th", 2), ("(Q1 + Th*P1)^3", 6),
-    ("exp(2*rho)*lambda", 2), ("W[3,0,0]*x4^2 - x1", 3),
+    ("exp(2*rho)*lambda", 2), ("W[3,0,0]*x4^2 - x1", 5),
 ])
 def test_degree_examples(text, want):
     from ncdeform.parser import degree
@@ -97,6 +97,8 @@ def test_degree_examples(text, want):
     ("(Q1*Q1)^17", 8),
     ("Q1^16*Q1^16*Q1", 11),
     ("x1*(x2+x3^31)*x4", 13),
+    ("Y[600,0,0,0]", 0),
+    ("x1*W[0,32,0]", 2),
 ])
 def test_generator_degree_bound(text, position):
     with pytest.raises(ExpressionError, match="degree") as err:
@@ -106,7 +108,7 @@ def test_generator_degree_bound(text, position):
 
 @pytest.mark.parametrize("text", [
     "Q1^32", "W[1,0,0]^32", "h1^32*Q1^32", "(Q1+P1+Q2+P2)^8*Th^24",
-    "(x1+x2)^16*(x3+x4)^16",
+    "(x1+x2)^16*(x3+x4)^16", "Y[16,0,16,0]", "W[0,31,0]*x7",
 ])
 def test_generator_degree_at_bound_accepted(text):
     from ncdeform.parser import MAX_EXPONENT, degree

@@ -27,8 +27,9 @@ from conftest import params
 
 #: Every memo built once per truncation.
 SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
-                   hopf._hopf, hopf._gen, hopf._cop_table, hopf._block,
-                   hopf._block_product, dual._mono_z, dual._delta_z)
+                   hopf._hopf, hopf._gen, hopf._chain, hopf._cop_table,
+                   hopf._block, hopf._block_product, dual._mono_z,
+                   dual._delta_z)
 #: The normal-ordering memos, keyed by the parameters or the truncation.
 ENGINE_MEMOS = (algebra._weights, algebra.mono_mul)
 
