@@ -47,9 +47,10 @@ MAX_VERIFY_DEGREE = 3
 #: grows steeply with both (`--maxdeg 0 --trunc 6` took 27.5 s and 824 MB),
 #: so the bound is checked before any work.  The costliest grid admitted
 #: at each order, `verify hopf` timed cold on a 2-vCPU host with Python
-#: 3.11: `--maxdeg 3` at 0 0.2 s, at 1 0.3 s, at 2 0.6-0.7 s, at 3 1.2 s
-#: and at 4 3.7-3.9 s (128 MB); `--maxdeg 2` at 5 4.4-4.6 s (130 MB).
-#: `verify all` adds about 2 s to each.
+#: 3.11: `--maxdeg 3` at 0 0.2 s, at 1 0.3 s, at 2 0.6 s, at 3 1.1 s
+#: and at 4 4.6-4.9 s (130 MB); `--maxdeg 2` at 5 5.3-7.0 s (132 MB).
+#: The shared host's speed drifts by up to a third over a day.  `verify
+#: all` adds about 2 s to each.
 HOPF_GRID_DEGREES = (3, 3, 3, 3, 3, 2)
 
 #: The largest `verify star --maxdeg`: the norm-3 grid took 60 s and 153 MB

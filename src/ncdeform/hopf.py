@@ -21,21 +21,31 @@ antipode reverses products, so its tables are built per parameter set,
 with that set's commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
-the storage).  The product kernels work on packed integer keys instead
+the storage).  The product kernel works on packed integer keys instead
 (_Layout): the exponents of a key (m_1, ..., m_arity, h) are fixed-width
 fields of one int, h in the lowest bits, then each leg monomial in turn,
 and the width holds the largest exponent a product can form, so no field
 carries into the next.  There is one layout per arity and width (_layout),
-shared with its decoding memos by every caller.  Packing is linear, so a
-term pair whose leg products are plain exponent sums adds the integer
-ka + kb (_pair_sums, the one pair loop), and the few leg products that
-reorder add their correction to that as packed offsets.  tensor_mul packs
-its operands at the width its product needs and unpacks each distinct
-output key once.  It stays packed: with its rows sent through
-algebra.sum_cells, the Hopf grid's 47 calls ran 3.4 times slower at trunc
-3 and 5 times slower at trunc 5.  The antipode check (mu_antipode_leg)
-multiplies through algebra.sum_cells, as normal_order_mul does, reading
-the memoised mono_mul cells and packing nothing.
+shared with its decoding memos by every caller.
+
+There is one packed product, _Table.times, and every tensor product runs
+on it: the coproduct tables over a Truncation and tensor_mul over the
+caller's parameters.  The Q/P letters of a monomial split across the legs
+with binomial weights, and each split is multiplied by a central series in
+Th, Ph, Ps and h, few of which are distinct.  So a table stores, for each
+Q/P part of its keys, one interned central block (_Block) times an integer
+factor.  As every commutator is central (Wick's theorem, see algebra), a
+leg product that reorders is again a new Q/P part times a central series:
+a product of two tables takes each pair of Q/P keys, multiplies their Q/P
+parts leg by leg through mono_mul, and multiplies the two blocks and the
+central part of that product as blocks (_block_product), each distinct
+block pair once per process.  Where no leg's Q/P letters can come out of
+order, as in every link of a coproduct chain, the Q/P parts simply add and
+each distinct pair of blocks is multiplied once per product.  tensor_mul
+packs its operands at the width its product needs, multiplies them, and
+decodes the result.  The antipode check (mu_antipode_leg) multiplies
+through algebra.sum_cells, as normal_order_mul does, reading the memoised
+mono_mul cells and packing nothing.
 
 The coproduct tables of monomials are stored packed (_Table), on two legs
 and on the three legs of the coassociativity check (_cop_table, one chain
@@ -45,30 +55,24 @@ and generator table of the chain is packed at the one width read off the
 monomial (_width).  So a product meets two tables of one layout, and no
 table changes once it is cached.  The chain is built bottom up, one link
 per letter, so its length is bounded by memory alone, not by recursion.
-The Q/P letters of a monomial split across the legs with binomial
-weights, and each split is multiplied by a central series in Th, Ph, Ps
-and h, few of which are distinct.  So a table stores, for each Q/P part
-of its keys, one interned central block (_Block) times an integer factor,
-and a product of two tables adds the Q/P parts and multiplies each
-distinct pair of blocks once per process (_block_product): over the
-degree-3 grid at trunc 3 the two three-leg sides hold 1,632 (Q/P key,
-block) slots but 77 distinct blocks, and their products meet 121 distinct
-block pairs.  A table is decoded block by block each time it is read, and
-no decoded copy is kept; the coassociativity check compares the two sides'
-blocks and factors, and a three-leg table is decoded only to write a
-failure's note.  Only integers are added, over one denominator per table.
-This keeps the exhaustive degree-3 verification grids fast enough for
-interactive use.
+Over the degree-3 grid at trunc 3 the two three-leg sides hold 1,632 (Q/P
+key, block) slots but 77 distinct blocks, and their products meet 121
+distinct block pairs.  A table is decoded block by block each time it is
+read, and no decoded copy is kept; the coassociativity check compares the
+two sides' blocks and factors, and a three-leg table is decoded only to
+write a failure's note.  Only integers are added, over one denominator per
+table.  This keeps the exhaustive degree-3 verification grids fast enough
+for interactive use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import chain
 from math import factorial, gcd, lcm
-from operator import add, mul
+from operator import add, mul, or_
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
@@ -202,12 +206,11 @@ class _Layout:
     A key (m_1, ..., m_arity, h) becomes one int of fixed-width fields:
     the three exponents of h in the lowest bits, then the seven of each leg
     monomial, leg by leg.  Packing is linear, so the key of a term pair
-    whose leg products are plain exponent sums is the sum of the two keys,
-    and a product that reorders adds a packed difference.  Every field is
-    width bits, which the caller chooses to hold the largest exponent any
-    key it forms may reach, so no exponent carries into its neighbour.  A
-    layout is a shared value: it is built once per (arity, width) by
-    _layout, and its decoding memos fill across every caller.
+    whose leg products are plain exponent sums is the sum of the two keys.
+    Every field is width bits, which the caller chooses to hold the largest
+    exponent any key it forms may reach, so no exponent carries into its
+    neighbour.  A layout is a shared value: it is built once per (arity,
+    width) by _layout, and its decoding memos fill across every caller.
     """
 
     def __init__(self, arity: int, width: int):
@@ -231,26 +234,6 @@ class _Layout:
         w, mask = self.width, (1 << self.width) - 1
         return tuple(code >> w * i & mask for i in range(count))
 
-    def pack(self, t: TensorElement, columns: list[set],
-             scale: int = 1) -> list[dict[int, int]]:
-        """t's numerators times scale on packed keys, grouped by h-degree:
-        one {key: numerator} for each degree 0..trunc.  columns is
-        _columns(t)."""
-        cols = list(zip(*t.nums))
-        codes = {h: self.code(h) for h in columns[-1]}
-        keys = map(codes.__getitem__, cols[-1])
-        for col, values, off in zip(cols, columns, self.offsets):
-            codes = {}
-            for m in values:
-                c = self.code(m)
-                self.monos[c] = m   # decoding returns the operand's tuples
-                codes[m] = c << off
-            keys = map(add, keys, map(codes.__getitem__, col))
-        groups: list[dict[int, int]] = [{} for _ in range(t.trunc + 1)]
-        for d, k, n in zip(map(sum, cols[-1]), keys, t.nums.values()):
-            groups[d][k] = n * scale
-        return groups
-
     def decode(self, keys: list[int], nums: list[int]) -> dict[TensorKey, int]:
         """{key unpacked to (m_1, ..., m_arity, h): numerator} for the
         parallel lists keys and nums; built column by column."""
@@ -267,23 +250,12 @@ def _layout(arity: int, width: int) -> _Layout:
     return _Layout(arity, width)
 
 
-def _columns(t: TensorElement) -> list[set]:
-    """The distinct values at each position of t's keys: the monomials of
-    each leg, then the h exponents."""
-    return [set(col) for col in zip(*t.nums)]
-
-
-def _top(columns: list[set]) -> int:
-    """The largest exponent in the keys whose _columns these are."""
-    return max(max(map(max, values)) for values in columns)
-
-
 def _pair_sums(aitems: list, bitems: list) -> list[dict[int, int]]:
-    """The pair loop of every packed product.  Each operand is a list of
-    (key, numerator) sequences, one for each h-degree 0..trunc, keys in one
-    layout; the result is {ka + kb: sum of na * nb} at degree da + db for
-    every term pair within the truncation budget, each leg product taken as
-    its plain exponent sum."""
+    """The pair loop of two central blocks (_block_product).  Each operand
+    is a list of (key, numerator) sequences, one for each h-degree
+    0..trunc, keys in one layout; the result is {ka + kb: sum of na * nb}
+    at degree da + db for every term pair within the truncation budget, as
+    central letters commute."""
     D = len(aitems) - 1
     out: list[dict[int, int]] = [{} for _ in aitems]
     bitems = [list(items) for items in bitems]
@@ -303,129 +275,28 @@ def _pair_sums(aitems: list, bitems: list) -> list[dict[int, int]]:
     return out
 
 
-def _min_degrees(t: TensorElement, leg: int) -> dict[PBWMonomial, int]:
-    """The least h-degree of a term of t for each monomial on one leg."""
-    out: dict[PBWMonomial, int] = {}
-    for key in t.nums:
-        d = sum(key[-1])
-        if d < out.get(key[leg], d + 1):
-            out[key[leg]] = d
-    return out
-
-
-def _reorderings(a: TensorElement, b: TensorElement, acols: list[set],
-                 bcols: list[set], D: int) -> list[dict]:
-    """Per leg, the products of a's and b's leg monomials that are no plain
-    exponent sum and that a term pair within the truncation budget reaches:
-    {(ma, mb): (den, ((monomial, h, numerator), ...))}, read from
-    mono_mul over a's space, which raises over a Truncation.  acols and
-    bcols are the operands' _columns.
-
-    Only a word whose Q/P generators come out of order can reorder
-    (central generators commute with everything), so the other products
-    are never fetched.
-    """
-    out = []
-    for leg in range(a.arity):
-        firsts: dict[int, list] = {}
-        for mb in bcols[leg]:
-            firsts.setdefault(qp_span(mb)[0], []).append(mb)
-        found = [(ma, mb) for ma in acols[leg]
-                 for g in range(Q1, qp_span(ma)[1])
-                 for mb in firsts.get(g, ())]
-        cells = {}
-        if found:
-            amin, bmin = _min_degrees(a, leg), _min_degrees(b, leg)
-            for ma, mb in found:
-                if amin[ma] + bmin[mb] > D:
-                    continue
-                den, entries = cell = mono_mul(a.params, ma, mb)
-                plain = tuple(x + y for x, y in zip(ma, mb)), _H0, den
-                if entries != (plain,):
-                    cells[(ma, mb)] = cell
-        out.append(cells)
-    return out
-
-
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Componentwise product of two tensors of the same arity.
+    """Componentwise product of two tensors of the same arity: both packed
+    as tables (_Table.pack), multiplied by _Table.times over a's
+    parameters, and decoded; over a Truncation a leg product that a term
+    pair within the budget reaches and that needs reordering raises.
 
-    Runs on packed integer keys, in the shared layout (_layout) whose
-    fields hold the largest exponent the product forms.  With a's
-    numerators over La,
-    b's over Lb and every reordered leg product over this call's Lm, each
-    term pair within the truncation budget first adds na * nb * Lm**arity
-    under the key ka + kb (_pair_sums), the product if every leg product
-    is a plain exponent sum.  Then each reordered leg product (ma, mb) on
-    leg j adds, for every term pair through it, its difference from the
-    plain product as packed (key offset, h-degree, numerator) entries,
-    times the plain products of the legs before j and the true products of
-    the legs after it; summed over the legs, these telescope to the exact
-    product.  The sums are the result's numerators over La * Lb *
-    Lm**arity, reduced by one common factor, and each distinct output key
-    is unpacked once.
-    """
+    The fields hold 2 * (top_a + top_b) + trunc, top the largest exponent
+    of an operand: a Q/P exponent of the product is at most top_a + top_b,
+    and a central one at most the plain sum top_a + top_b, plus one letter
+    per contracted pair (k1 <= b[Q1], k4 <= a[P2], k2 + k3 <= a[P1] +
+    b[Q2] in algebra's notation), plus the letters of lam, each of which
+    comes with an h."""
     a.check(b)
     if not (a.nums and b.nums):
         return a.over_denominator({}, 1)
-    D = a.params.trunc
-    arity = a.arity
-    acols, bcols = _columns(a), _columns(b)
-    cells = _reorderings(a, b, acols, bcols, D)
-    Lm = lcm(*(den for legcells in cells for den, _ in legcells.values()))
-    top = max([_top(acols) + _top(bcols), D]
-              + [max(m) for legcells in cells
-                 for _, entries in legcells.values() for m, _, _ in entries])
-    layout = _layout(arity, top.bit_length() or 1)
-    code = layout.code
-    agroups = layout.pack(a, acols, Lm ** arity)
-    bgroups = layout.pack(b, bcols)
-    # Every pair as if each leg product were a plain exponent sum.
-    acc = _pair_sums([group.items() for group in agroups],
-                     [group.items() for group in bgroups])
+    width = (2 * (_top(a) + _top(b)) + a.trunc).bit_length() or 1
+    return _Table.pack(a, width).times(_Table.pack(b, width)).tensor()
 
-    # The per-cell corrections, as packed offsets from the plain key.
-    reordered = []
-    for leg, legcells in enumerate(cells):
-        off = layout.offsets[leg]
-        reordered.append({
-            (code(ma), code(mb)): tuple(
-                (((code(m) - code(ma) - code(mb)) << off) + code(h), sum(h),
-                 n * (Lm // den)) for m, h, n in entries)
-            for (ma, mb), (den, entries) in legcells.items()})
-    plain = ((0, 0, Lm),)
-    mask, offsets = layout.mono_mask, layout.offsets
-    for j, legcells in enumerate(reordered):
-        if not legcells:
-            continue
-        off, div = offsets[j], Lm ** (arity - j)
-        a_at: dict[int, list] = {}
-        b_at: dict[int, list] = {}
-        for groups, at in ((agroups, a_at), (bgroups, b_at)):
-            for d, group in enumerate(groups):
-                for k, n in group.items():
-                    at.setdefault(k >> off & mask, []).append((d, k, n))
-        for (ca, cb), entries in legcells.items():
-            correction = entries + ((0, 0, -Lm),)
-            for da, ka, na in a_at.get(ca, ()):
-                for db, kb, nb in b_at.get(cb, ()):
-                    if da + db > D:
-                        continue
-                    part = [(ka + kb, da + db, na * nb // div)]
-                    for i in range(j, arity):
-                        factor = correction if i == j else reordered[i].get(
-                            (ka >> offsets[i] & mask, kb >> offsets[i] & mask),
-                            plain)
-                        part = [(k + dk, d + dd, c * dc)
-                                for k, d, c in part for dk, dd, dc in factor
-                                if d + dd <= D]
-                    for k, d, c in part:
-                        acc[d][k] = acc[d].get(k, 0) + c
-    den = a.den * b.den * Lm ** arity
-    g = gcd(den, *(n for group in acc for n in group.values()))
-    keys = [k for group in acc for k, n in group.items() if n]
-    nums = [n // g for group in acc for n in group.values() if n]
-    return a.over_denominator(layout.decode(keys, nums), den // g)
+
+def _top(t: TensorElement) -> int:
+    """The largest exponent in t's keys."""
+    return max(map(max, chain.from_iterable(t.nums)))
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -540,26 +411,30 @@ def apply_counit_leg(t: TensorElement, leg: int):
     return into.over_denominator(out, t.den)
 
 
+@cache
+def _antipode_rows(params: DeformParams, m: PBWMonomial) -> tuple:
+    """S(m) as (den, ((monomial, row, lowest h-degree of row), ...)), read
+    once per parameter set, as antipode_mono is built."""
+    S = antipode_mono(params, m)
+    return S.den, tuple((s, row, min_degree(row))
+                        for s, row in S.rows().items())
+
+
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg
     tensor, by sum_cells: a leg pair (m1, m2) of t and a row (s, srow) of
     S(m1) give the cell mono_mul(s, m2) over S(m1)'s den (on leg 1, m1 s
-    over S(m2)'s) when their lowest h-degrees fit.  Each S(m) is read once."""
+    over S(m2)'s) when their lowest h-degrees fit.  Each S(m) is read once
+    per parameter set (_antipode_rows)."""
     if t.arity != 2:
         raise ValueError("mu_antipode_leg is defined for two legs")
     _check_leg(t, leg)
     params, D = t.params, t.params.trunc
 
-    @cache
-    def antipode_rows(m):
-        S = antipode_mono(params, m)
-        return S.den, [(s, row, min_degree(row))
-                       for s, row in S.rows().items()]
-
     def cells():
         for (m1, m2), row in t.rows().items():
             low = D - min_degree(row)
-            sden, srows = antipode_rows(m2 if leg else m1)
+            sden, srows = _antipode_rows(params, m2 if leg else m1)
             for s, srow, d in srows:
                 if d <= low:
                     den, entries = (mono_mul(params, m1, s) if leg
@@ -581,7 +456,7 @@ def _width(trunc: int, top: int) -> int:
 
 
 class _Block:
-    """The central block of one Q/P key of a coproduct table: parallel
+    """The central block of one Q/P key of a table (_Table): parallel
     tuples keys and values (numerators), the keys the central and h fields
     of packed keys, grouped by h-degree 0..trunc (degree d ends at
     ends[d]) and ascending within each degree.  Like _Table it is packed
@@ -637,6 +512,24 @@ def _block_product(a: _Block, b: _Block) -> tuple[int, _Block] | None:
     return _block_of(_pair_sums(a.degrees(), b.degrees()))
 
 
+def _split(layout: _Layout, trunc: int,
+           terms) -> dict[int, tuple[int, _Block]]:
+    """Packed terms (key, h-degree, numerator), repeated keys adding up,
+    split by Q/P key: {q: (c, block)}, c times block (_block_of) the
+    central parts of the terms under q; a Q/P key whose numerators all
+    cancel is left out."""
+    parts: dict[int, list[dict[int, int]]] = {}
+    qp_mask = layout.qp_mask
+    for k, d, n in terms:
+        q = k & qp_mask
+        if q not in parts:
+            parts[q] = [{} for _ in range(trunc + 1)]
+        group = parts[q][d]
+        group[k ^ q] = group.get(k ^ q, 0) + n
+    return {q: entry for q, part in parts.items()
+            if (entry := _block_of(part)) is not None}
+
+
 #: A table's terms: {block: {Q/P key: c}}, c times block at each Q/P key.
 Blocks = dict[_Block, dict[int, int]]
 
@@ -665,72 +558,132 @@ def _blocks(sums: Blocks) -> Blocks:
 
 
 class _Table:
-    """A per-truncation coproduct table on packed keys, the storage of
-    _gen and _cop_table.  A key is the sum of its Q/P part (the Q/P fields
-    of every leg, layout.qp_mask) and its central part (the central and h
-    fields); each Q/P key q carries one block times a factor c, so the
-    terms are q + k with numerator c * n for each entry (k, n) of the
-    block, over one denominator den.  They are kept grouped by block
-    (Blocks), since few blocks are distinct: a product of two tables
-    multiplies each distinct block pair once (_block_product) and adds
-    factors at the Q/P keys.  Every link of a chain (_chain), and every
-    generator table it reads (_gen), is packed at the width read off the
-    chain's monomial (_width), so a product meets two tables of one layout
-    and keeps it, and no table changes once built.  Equal tables have equal
-    (den, blocks) in one layout.
+    """A tensor on packed keys, the storage of _gen and _cop_table and the
+    kernel of tensor_mul.  A key is the sum of its Q/P part (the Q/P
+    fields of every leg, layout.qp_mask) and its central part (the central
+    and h fields); each Q/P key q carries one block times a factor c, so
+    the terms are q + k with numerator c * n for each entry (k, n) of the
+    block, over one denominator den, in space: a Truncation for the
+    coproduct tables, the caller's parameters for tensor_mul.  They are
+    kept grouped by block (Blocks), since few blocks are distinct.  Every
+    link of a chain (_chain), and every generator table it reads (_gen), is
+    packed at the width read off the chain's monomial (_width), so a
+    product meets two tables of one layout and keeps it, and no table
+    changes once built.  Equal tables have equal (den, blocks) in one
+    layout.
     """
 
-    __slots__ = ("layout", "trunc", "den", "blocks")
+    __slots__ = ("layout", "space", "den", "blocks")
 
-    def __init__(self, layout: _Layout, trunc: int, den: int, blocks: Blocks):
-        self.layout, self.trunc, self.den = layout, trunc, den
+    def __init__(self, layout: _Layout, space, den: int, blocks: Blocks):
+        self.layout, self.space, self.den = layout, space, den
         self.blocks = blocks
 
     @classmethod
     def pack(cls, t: TensorElement, width: int) -> "_Table":
         """t with fields of width bits, its terms split by Q/P key."""
         layout = _layout(t.arity, width)
-        groups = layout.pack(t, _columns(t))
-        parts: dict[int, list[dict[int, int]]] = {}
-        for d, group in enumerate(groups):
-            for k, n in group.items():
-                q = k & layout.qp_mask
-                if q not in parts:
-                    parts[q] = [{} for _ in groups]
-                parts[q][d][k ^ q] = n
+        cols = list(zip(*t.nums))
+        codes = {h: layout.code(h) for h in set(cols[-1])}
+        keys = map(codes.__getitem__, cols[-1])
+        for col, off in zip(cols, layout.offsets):
+            codes = {}
+            for m in set(col):
+                c = layout.code(m)
+                layout.monos[c] = m   # decoding returns the operand's tuples
+                codes[m] = c << off
+            keys = map(add, keys, map(codes.__getitem__, col))
         blocks: Blocks = {}
-        for q, part in parts.items():
-            entry = _block_of(part)
-            if entry is not None:
-                blocks.setdefault(entry[1], {})[q] = entry[0]
-        return cls(layout, t.trunc, t.den, blocks)
+        for q, (c, block) in _split(layout, t.trunc, zip(
+                keys, map(sum, cols[-1]), t.nums.values())).items():
+            blocks.setdefault(block, {})[q] = c
+        return cls(layout, t.params, t.den, blocks)
+
+    def spans(self) -> list[tuple[int, int]]:
+        """Per leg, the first and the last Q/P generator over all Q/P keys
+        (qp_span of the leg's fields or-ed over the keys)."""
+        layout = self.layout
+        seen = reduce(or_, chain.from_iterable(self.blocks.values()), 0)
+        return [qp_span(layout.fields(seen >> off & layout.mono_mask, 7))
+                for off in layout.offsets]
 
     def times(self, other: "_Table") -> "_Table":
-        """The product of two tables of one layout, in that layout: each Q/P
-        key of the result sums the products of the operand blocks whose Q/P
-        keys add to it."""
-        sums: Blocks = {}
-        bblocks = other.blocks.items()
-        for ba, aqs in self.blocks.items():
-            for bb, bqs in bblocks:
-                product = _block_product(ba, bb)
-                if product is None:
-                    continue
-                r, block = product
-                acc = sums.setdefault(block, {})
-                get = acc.get
-                bitems = [(qb, cb * r) for qb, cb in bqs.items()]
-                for qa, ca in aqs.items():
-                    for qb, cb in bitems:
-                        q = qa + qb
-                        acc[q] = get(q, 0) + ca * cb
+        """The product of two tables of one layout and space, in that
+        layout.  Where on some leg a Q/P letter of self can come after one
+        of other (spans), the Q/P keys are multiplied pair by pair
+        (_reordered); otherwise the Q/P keys add, and each distinct pair of
+        blocks is multiplied once (_block_product) for all the Q/P key
+        pairs under it."""
+        if any(last > first for (_, last), (first, _)
+               in zip(self.spans(), other.spans())):
+            sums, L = self._reordered(other)
+        else:
+            sums, L = {}, 1
+            bblocks = other.blocks.items()
+            for ba, aqs in self.blocks.items():
+                for bb, bqs in bblocks:
+                    product = _block_product(ba, bb)
+                    if product is None:
+                        continue
+                    r, block = product
+                    acc = sums.setdefault(block, {})
+                    get = acc.get
+                    bitems = [(qb, cb * r) for qb, cb in bqs.items()]
+                    for qa, ca in aqs.items():
+                        for qb, cb in bitems:
+                            q = qa + qb
+                            acc[q] = get(q, 0) + ca * cb
         blocks = _blocks(sums)
-        den = self.den * other.den
+        den = self.den * other.den * L
         g = gcd(den, *(c for qs in blocks.values() for c in qs.values()))
         if g > 1:
             blocks = {block: {q: c // g for q, c in qs.items()}
                       for block, qs in blocks.items()}
-        return _Table(self.layout, self.trunc, den // g, blocks)
+        return _Table(self.layout, self.space, den // g, blocks)
+
+    def _reordered(self, other: "_Table") -> tuple[Blocks, int]:
+        """The product's sums over L, for tables whose leg products may
+        reorder.  Each pair of Q/P keys whose blocks' product is not 0
+        within the truncation (_block_product), that is whose blocks'
+        lowest h-degrees fit it, is multiplied leg by leg through mono_mul
+        over the space, which raises over a Truncation; each Q/P part of
+        that product is a Q/P key of the result, and its central letters
+        and h a block, multiplied by the product of the pair's blocks.  L
+        is the lcm of the mono_mul denominators."""
+        layout, space = self.layout, self.space
+        D, code, fields = space.trunc, layout.code, layout.fields
+        mask = layout.mono_mask
+        bitems = [(qb, bb, cb)
+                  for bb, bqs in other.blocks.items() for qb, cb in bqs.items()]
+        parts = []
+        for ba, aqs in self.blocks.items():
+            for qb, bb, cb in bitems:
+                product = _block_product(ba, bb)
+                if product is None:
+                    continue
+                r, block = product
+                for qa, ca in aqs.items():
+                    den, terms = 1, [(0, 0, ca * cb * r)]
+                    for off in layout.offsets:
+                        lden, entries = mono_mul(
+                            space, fields(qa >> off & mask, 7),
+                            fields(qb >> off & mask, 7))
+                        den *= lden
+                        leg = [((code(m) << off) + code(h), sum(h), n)
+                               for m, h, n in entries]
+                        terms = [(k + lk, d + ld, c * ln)
+                                 for k, d, c in terms for lk, ld, ln in leg
+                                 if d + ld <= D]
+                    for q, (c, cell) in _split(layout, D, terms).items():
+                        product = _block_product(block, cell)
+                        if product is not None:
+                            parts.append((product[1], q, c * product[0], den))
+        L = lcm(*(den for *_, den in parts))
+        sums: Blocks = {}
+        for block, q, n, den in parts:
+            acc = sums.setdefault(block, {})
+            acc[q] = acc.get(q, 0) + n * (L // den)
+        return sums, L
 
     def equals(self, other: "_Table") -> bool:
         """Equal values in one layout, as the two three-leg tables of one
@@ -739,15 +692,15 @@ class _Table:
                 and self.blocks == other.blocks)
 
     def tensor(self) -> TensorElement:
-        """The table as a TensorElement over Truncation(trunc), decoded
-        block by block."""
+        """The table as a TensorElement over its space, decoded block by
+        block."""
         keys: list[int] = []
         nums: list[int] = []
         for block, qs in self.blocks.items():
             bkeys, values = block.keys, block.values
             keys += [q + k for q in qs for k in bkeys]
             nums += [c * n for c in qs.values() for n in values]
-        into = TensorElement.zero(Truncation(self.trunc), self.layout.arity)
+        into = TensorElement.zero(self.space, self.layout.arity)
         return into.over_denominator(self.layout.decode(keys, nums), self.den)
 
 

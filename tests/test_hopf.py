@@ -321,6 +321,21 @@ def test_tensor_mul_width_holds_reordered_products():
                                   (0, 0, 0)): 1})
         b = TensorElement(p, 2, {(mono(Q1=1), mono(P1=1), (0, 0, 0)): 1})
         assert tensor_mul(a, b) == reference_tensor_mul(a, b), th
+    # Q2 Q1 gains Ph and P2 P1 gains Ps the same way, and lam at h^2 two
+    # more, so the largest exponent is e + 3.  In the arity-3 pair, which
+    # reorders on two legs at once, Th^e P1 P2 times Th^e Q1 Q2 contracts
+    # two pairs into Th, whose exponent 2e + 4 then exceeds the sum of the
+    # operands' largest exponents and the truncation.  Over e these
+    # exponents fill a field to its last bit and pass it, at 8 and 16.
+    for e in range(2, 14):
+        for a_legs, b_legs in [
+                ((mono(Ph=e, Q2=1), mono(Q1=1)), (mono(Q1=1), mono(P1=1))),
+                ((mono(Ps=e, P2=1), mono(P1=1)), (mono(P1=1), mono(Q2=1))),
+                ((mono(Th=e, P1=1, P2=1), mono(Ph=e, Q2=1), mono(Ps=e)),
+                 (mono(Th=e, Q1=1, Q2=1), mono(Q1=1), mono(P2=1)))]:
+            a = TensorElement(p, len(a_legs), {a_legs + ((0, 0, 0),): 1})
+            b = TensorElement(p, len(b_legs), {b_legs + ((0, 0, 0),): 1})
+            assert tensor_mul(a, b) == reference_tensor_mul(a, b), (e, a_legs)
 
 
 def test_truncation_tensor_mul_refuses_to_reorder():
@@ -338,6 +353,14 @@ def test_truncation_tensor_mul_refuses_to_reorder():
         assert tensor_mul(tensor(q1), tensor(p1)) == tensor(mono(Q1=1, P1=1))
         # Over the truncation budget the product is never fetched.
         assert not tensor_mul(tensor(p1, (1, 0, 0)), tensor(q1, (0, 1, 0)))
+        # The budget is read per Q/P key, off the lowest h-degree of all
+        # its terms: P1*h1 + Th*P1 reaches Q1*h2 through Th*P1, while
+        # P1*h1 + Th*P1*h3 does not.
+        q1h2 = tensor(q1, (0, 1, 0))
+        with pytest.raises(RuntimeError):
+            tensor_mul(tensor(p1, (1, 0, 0)) + tensor(mono(Th=1, P1=1)), q1h2)
+        assert not tensor_mul(tensor(p1, (1, 0, 0))
+                              + tensor(mono(Th=1, P1=1), (0, 0, 1)), q1h2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,7 +25,10 @@ from ncdeform.multiindex import mi_norm, multiindices
 
 from conftest import params
 
-#: Every memo built once per truncation.
+#: Every memo built once per truncation.  hopf._block and
+#: hopf._block_product also hold the blocks of tensor_mul's operands and of
+#: its reordered leg products, which depend on the parameters; the work
+#: whose misses the tests below count multiplies no two tensors.
 SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
                    hopf._hopf, hopf._gen, hopf._chain, hopf._cop_table,
                    hopf._block, hopf._block_product, dual._mono_z,
