@@ -253,49 +253,6 @@ def mono_mul(space: DeformParams | Truncation, ma: PBWMonomial,
     return L // common, tuple((m, h, n // common) for m, h, n in cells)
 
 
-def min_degree(row: list) -> int:
-    """The least h-degree of a row [(h, numerator)] of TermMap.rows()."""
-    return min(sum(h) for h, _ in row)
-
-
-def sum_cells(cells, trunc: int) -> tuple[dict, int]:
-    """The one loop of products through mono_mul cells: cells yields
-    (xrow, yrow, (den, entries)), two rows [(h, numerator)] and a cell
-    whose entries (monomial, h, c) over den are in order of h-degree.  Each
-    pair of row terms adds na * nb * c under monomial + (h sum,) for every
-    entry within the truncation.  Each den is summed apart, so no cell is
-    held, and the sums are merged over the lcm L of the dens: (sums, L).
-    _central_mul keeps its own loop (phi and zbasis ran 1.5-2x slower
-    through this one), as does dual.star_closed (`verify all` 25% slower).
-    """
-    by_den: dict[int, dict] = {}
-    for xrow, yrow, (den, entries) in cells:
-        out = by_den.setdefault(den, {})
-        get = out.get
-        for ha, na in xrow:
-            for hb, nb in yrow:
-                h0, h1, h2 = ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2]
-                budget = trunc - h0 - h1 - h2
-                if budget < 0:
-                    continue
-                n = na * nb
-                for m, hc, c in entries:
-                    if hc[0] + hc[1] + hc[2] > budget:
-                        break
-                    key = m + ((h0 + hc[0], h1 + hc[1], h2 + hc[2]),)
-                    out[key] = get(key, 0) + n * c
-    L = lcm(*by_den)
-    if len(by_den) == 1:
-        return by_den[L], L
-    sums: dict = {}
-    get = sums.get
-    for den, out in by_den.items():
-        f = L // den
-        for key, n in out.items():
-            sums[key] = get(key, 0) + n * f
-    return sums, L
-
-
 def _contractions(x: int, y: int, n: int, gx: tuple[int, int],
                   gy: tuple[int, int]) -> list[tuple[int, int, int, int]]:
     """The nonzero terms (i, j, numerator, denominator) of contracting i of
@@ -441,17 +398,51 @@ def make_exp_rho(c, params: DeformParams) -> AlgebraElement:
 
 
 def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product of two elements, re-expressed in the ordered-monomial basis:
-    sum_cells over every pair of rows whose lowest h-degrees fit the
-    truncation, each with its mono_mul cell."""
+    """Product of two elements, re-expressed in the ordered-monomial basis.
+    Each pair of rows, [(h, numerator)] of TermMap.rows(), whose lowest
+    h-degrees fit the truncation is read with its mono_mul cell (den,
+    entries): each pair of row terms adds na * nb * c under monomial +
+    (h sum,) for every entry (monomial, h, c) within the truncation, the
+    entries being in order of h-degree.  Each den is summed apart, so no
+    cell is held, and the sums are merged over the lcm L of the dens.
+    _central_mul keeps its own loop (phi and zbasis ran 1.5-2x slower
+    through this one), as does dual.star_closed (`verify all` 25% slower).
+    """
     x.check(y)
     space, trunc = x.params, x.params.trunc
-    xrows = [(ma, row, trunc - min_degree(row))
-             for ma, row in x.rows().items()]
-    yrows = [(mb, row, min_degree(row)) for mb, row in y.rows().items()]
-    sums, L = sum_cells(((xrow, yrow, mono_mul(space, ma, mb))
-                         for ma, xrow, low in xrows
-                         for mb, yrow, d in yrows if d <= low), trunc)
+    yrows = [(mb, row, min(h[0] + h[1] + h[2] for h, _ in row))
+             for mb, row in y.rows().items()]
+    by_den: dict[int, dict] = {}
+    for ma, xrow in x.rows().items():
+        low = trunc - min(h[0] + h[1] + h[2] for h, _ in xrow)
+        for mb, yrow, d in yrows:
+            if d > low:
+                continue
+            den, entries = mono_mul(space, ma, mb)
+            out = by_den.setdefault(den, {})
+            get = out.get
+            for ha, na in xrow:
+                for hb, nb in yrow:
+                    h0, h1, h2 = ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2]
+                    budget = trunc - h0 - h1 - h2
+                    if budget < 0:
+                        continue
+                    n = na * nb
+                    for m, hc, c in entries:
+                        if hc[0] + hc[1] + hc[2] > budget:
+                            break
+                        key = m + ((h0 + hc[0], h1 + hc[1], h2 + hc[2]),)
+                        out[key] = get(key, 0) + n * c
+    L = lcm(*by_den)
+    if len(by_den) == 1:
+        sums = by_den[L]
+    else:
+        sums = {}
+        get = sums.get
+        for den, out in by_den.items():
+            f = L // den
+            for key, n in out.items():
+                sums[key] = get(key, 0) + n * f
     return x.over_denominator(sums, x.den * y.den * L)
 
 

@@ -47,10 +47,11 @@ MAX_VERIFY_DEGREE = 3
 #: grows steeply with both (`--maxdeg 0 --trunc 6` took 27.5 s and 824 MB),
 #: so the bound is checked before any work.  The costliest grid admitted
 #: at each order, `verify hopf` timed cold on a 2-vCPU host with Python
-#: 3.11: `--maxdeg 3` at 0 0.2 s, at 1 0.3 s, at 2 0.6 s, at 3 1.1 s
-#: and at 4 4.6-4.9 s (130 MB); `--maxdeg 2` at 5 5.3-7.0 s (132 MB).
-#: The shared host's speed drifts by up to a third over a day.  `verify
-#: all` adds about 2 s to each.
+#: 3.11: `--maxdeg 3` at 0 0.3 s, at 1 0.4 s, at 2 0.6 s, at 3 0.9 s
+#: and at 4 3.3-3.5 s (83 MB); `--maxdeg 2` at 5 5.8-5.9 s (120 MB).
+#: `--maxdeg 3` at 5 took 10.4 s and 156 MB, so it stays refused.  The
+#: shared host's speed drifts by up to a third over a day.  `verify all`
+#: adds about 2-3 s to each.
 HOPF_GRID_DEGREES = (3, 3, 3, 3, 3, 2)
 
 #: The largest `verify star --maxdeg`: the norm-3 grid took 60 s and 153 MB
@@ -155,7 +156,7 @@ def _settings(args) -> tuple[DeformParams, str]:
     trunc = int(values["trunc"])
     if trunc > MAX_TRUNC:
         raise InvalidParamsError(
-            f"truncation {trunc} exceeds the cap {MAX_TRUNC}")
+            f"truncation {trunc} exceeds the bound {MAX_TRUNC}")
     params = DeformParams(parse_rational(values["alpha"]),
                           parse_rational(values["beta"]),
                           parse_rational(values["gamma"]), trunc)
@@ -255,7 +256,7 @@ def _dispatch(args) -> int:
         if args.deg > MAX_TRUNC:
             # --deg is the truncation order of the one-parameter limit report.
             raise InvalidParamsError(
-                f"--deg {args.deg} exceeds the cap {MAX_TRUNC}")
+                f"--deg {args.deg} exceeds the bound {MAX_TRUNC}")
         out = {"hopf": lambda: verify_hopf_axioms(args.maxdeg, params),
                "star": lambda: verify_star_suite(args.maxdeg),
                "bialgebra": lambda: verify_bialgebra_suite(params),

@@ -43,9 +43,10 @@ block pair once per process.  Where no leg's Q/P letters can come out of
 order, as in every link of a coproduct chain, the Q/P parts simply add and
 each distinct pair of blocks is multiplied once per product.  tensor_mul
 packs its operands at the width its product needs, multiplies them, and
-decodes the result.  The antipode check (mu_antipode_leg) multiplies
-through algebra.sum_cells, as normal_order_mul does, reading the memoised
-mono_mul cells and packing nothing.
+decodes the result.  The antipode check (mu_antipode_leg) packs nothing:
+Th, Ph and Ps are central, so S(c) = (-1)^|c| c on a central monomial c,
+and it sums the terms of a tensor into one signed central series per pair
+of Q/P parts, multiplying each pair once through normal_order_mul.
 
 The coproduct tables of monomials are stored packed (_Table), on two legs
 and on the three legs of the coassociativity check (_cop_table, one chain
@@ -80,8 +81,8 @@ from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
                       Truncation, commutator, lambda_coefficients,
                       make_exp_rho, make_generator, make_lambda, make_rho,
-                      min_degree, mono_factors, mono_mul, normal_order_mul,
-                      power_series, qp_span, sum_cells)
+                      mono_factors, mono_mul, normal_order_mul,
+                      power_series, qp_span)
 from .multiindex import multiindices_graded
 from .report import VerificationReport, clip_note
 from .series import SeriesScalar, TermMap, substitute
@@ -411,38 +412,36 @@ def apply_counit_leg(t: TensorElement, leg: int):
     return into.over_denominator(out, t.den)
 
 
-@cache
-def _antipode_rows(params: DeformParams, m: PBWMonomial) -> tuple:
-    """S(m) as (den, ((monomial, row, lowest h-degree of row), ...)), read
-    once per parameter set, as antipode_mono is built."""
-    S = antipode_mono(params, m)
-    return S.den, tuple((s, row, min_degree(row))
-                        for s, row in S.rows().items())
-
-
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg
-    tensor, by sum_cells: a leg pair (m1, m2) of t and a row (s, srow) of
-    S(m1) give the cell mono_mul(s, m2) over S(m1)'s den (on leg 1, m1 s
-    over S(m2)'s) when their lowest h-degrees fit.  Each S(m) is read once
-    per parameter set (_antipode_rows)."""
+    tensor.  Split each leg monomial into its central part c and its Q/P
+    part q.  Th, Ph and Ps are central, so S(c) = (-1)^|c| c and
+
+        mu (S (x) 1)(c1 q1 (x) c2 q2) = (-1)^|c1| c1 c2 S(q1) q2
+        mu (1 (x) S)(c1 q1 (x) c2 q2) = (-1)^|c2| c1 c2 q1 S(q2).
+
+    The terms of t are summed into one signed central series per Q/P pair
+    (q1, q2), the pair is multiplied once, with S from antipode_mono, and
+    the product is multiplied by its series."""
     if t.arity != 2:
         raise ValueError("mu_antipode_leg is defined for two legs")
     _check_leg(t, leg)
-    params, D = t.params, t.params.trunc
-
-    def cells():
-        for (m1, m2), row in t.rows().items():
-            low = D - min_degree(row)
-            sden, srows = _antipode_rows(params, m2 if leg else m1)
-            for s, srow, d in srows:
-                if d <= low:
-                    den, entries = (mono_mul(params, m1, s) if leg
-                                    else mono_mul(params, s, m2))
-                    yield row, srow, (sden * den, entries)
-
-    sums, L = sum_cells(cells(), D)
-    return AlgebraElement.zero(params).over_denominator(sums, t.den * L)
+    params = t.params
+    series: dict = {}
+    for (m1, m2, h), n in t.nums.items():
+        c = m2 if leg else m1
+        key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], 0, 0, 0, 0, h)
+        nums = series.setdefault((_H0 + m1[3:], _H0 + m2[3:]), {})
+        nums[key] = nums.get(key, 0) + (-n if (c[0] + c[1] + c[2]) & 1 else n)
+    zero = AlgebraElement.zero(params)
+    out = zero
+    for (q1, q2), nums in series.items():
+        prod = (normal_order_mul(AlgebraElement.monomial(params, q1),
+                                 antipode_mono(params, q2)) if leg
+                else normal_order_mul(antipode_mono(params, q1),
+                                      AlgebraElement.monomial(params, q2)))
+        out = out + normal_order_mul(zero.over_denominator(nums, t.den), prod)
+    return out
 
 
 def _width(trunc: int, top: int) -> int:

@@ -117,24 +117,37 @@ def test_truncation_engine_refuses_exactly_the_unordered_pairs():
                     1, ((plain, (0, 0, 0), 1),))
 
 
-def test_sum_cells_merges_the_sums_of_each_denominator():
-    # Two cells over dens 2 and 3 read as a stream: each den is summed on
-    # its own and the two are merged over L = 6, where m1 and m3 partly
-    # and fully cancel, and the h budget of trunc 1 drops every entry
-    # past it.
-    h0, h1, h2 = (0, 0, 0), (1, 0, 0), (0, 1, 0)
-    m1, m2, m3 = ((0, 0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0),
-                  (0, 0, 0, 0, 1, 0, 0))
-    cells = iter([
-        ([(h0, 1)], [(h0, 1), (h1, 2)],
-         (2, ((m1, h0, 1), (m3, h0, 2), (m2, h1, 3)))),
-        ([(h0, 1)], [(h0, 1)], (3, ((m1, h0, -1), (m3, h0, -3), (m2, h2, 5)))),
-    ])
-    sums, L = algebra.sum_cells(cells, 1)
-    assert L == 6
-    assert {k: n for k, n in sums.items() if n} == {
-        m1 + (h0,): 1, m1 + (h1,): 6, m3 + (h1,): 12, m2 + (h1,): 9,
-        m2 + (h2,): 10}
+def test_products_merge_the_sums_of_each_denominator():
+    # The cells of this product have dens 1, 6 and 24: the ordered pairs,
+    # P1 Q1 = Q1 P1 - (lam/alpha) Th and Q2 Q1 = Q1 Q2 - (beta lam/alpha^2)
+    # Ph, where lam = 1 + (2/3) rho^2.  Each den is summed on its own and
+    # the sums are merged over their lcm, where Q1 P1 cancels between the
+    # cells over 1 and 6.  At trunc 2 the h budget drops h1 * h2^2 and,
+    # past h1 and h2^2, the h^2 terms of lam.
+    p = params(2, Fraction(1, 2), -3, 2)
+    table = comm_table(p)
+    h1 = SeriesScalar.hbar(1, 2)
+    h2sq = SeriesScalar.monomial((0, 2, 0), 1, 2)
+    xs = [(1, [P1]), (-1, [Q1]), (1, [Q2]), (h1, [Q2])]
+    ys = [(1, [P1]), (1, [Q1]), (h2sq, [Q1])]
+
+    def element(terms):
+        out = AlgebraElement.zero(p)
+        for c, word in terms:
+            out = out + brute_product(word, p, table).scale(c)
+        return out
+
+    want = AlgebraElement.zero(p)
+    for cx, wx in xs:
+        for cy, wy in ys:
+            want = want + brute_product(wx + wy, p, table).scale(cx).scale(cy)
+    got = normal_order_mul(element(xs), element(ys))
+    assert got == want
+    p1, q2, q1 = (0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0, 0), \
+        (0, 0, 0, 1, 0, 0, 0)
+    assert algebra.mono_mul(p, p1, q1)[0] == 6
+    assert algebra.mono_mul(p, q2, q1)[0] == 24
+    assert (0, 0, 0, 1, 0, 1, 0, (0, 0, 0)) not in got.nums
 
 
 # -- generators, rho, lambda, exp --------------------------------------------

@@ -16,7 +16,7 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               lambda_coefficients, power_series)
 from ncdeform import hopf
 from ncdeform.hopf import (_block, _chain, _cop_mono, _cop_table, _gen,
-                          _hopf, _layout, _Table)
+                          _hopf, _layout, _Table, antipode_mono)
 from ncdeform.multiindex import multiindices_graded
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -583,14 +583,36 @@ P1_Q1 = TensorElement(params(2, Fraction(1, 2), -3, 2), 2, {
     for h in ((0, 0, 0), (1, 0, 0))})
 
 
+# Leg monomials with odd and even central degrees on both legs, at
+# h-degrees 0 and 1: Th P1 (x) Ph^2 Q1 and its flip.
+TH_P1_PH2_Q1 = TensorElement(params(2, Fraction(1, 2), -3, 2), 2, {
+    ((1, 0, 0, 0, 0, 1, 0), (0, 2, 0, 1, 0, 0, 0), h): c
+    for h, c in (((0, 0, 0), 1), ((0, 1, 0), Fraction(-2, 3)))})
+
+
 @settings(max_examples=150, deadline=None)
 @given(tensor_pairs(arities=(2,)), st.sampled_from((0, 1)))
 @example((P1_Q1, P1_Q1.flip()), 0)
 @example((P1_Q1, P1_Q1.flip()), 1)
+@example((TH_P1_PH2_Q1, TH_P1_PH2_Q1.flip()), 0)
+@example((TH_P1_PH2_Q1, TH_P1_PH2_Q1.flip()), 1)
+@example((TH_P1_PH2_Q1.flip(), TH_P1_PH2_Q1), 0)
+@example((TH_P1_PH2_Q1.flip(), TH_P1_PH2_Q1), 1)
 def test_mu_antipode_leg_matches_reference(pair, leg):
     # The product repeats leg pairs at several h-degrees.
     for t in (pair[0], tensor_mul(*pair)):
         assert mu_antipode_leg(t, leg) == reference_mu_antipode_leg(t, leg)
+
+
+@pytest.mark.parametrize("space", [params(2, Fraction(1, 2), -3, 3),
+                                   Truncation(2)], ids=["params", "trunc"])
+def test_antipode_of_a_central_monomial_is_its_signed_self(space):
+    # mu_antipode_leg factors the central letters out of S by this fact;
+    # antipode_mono builds S(c) by reversing the letters of c.
+    for c in multiindices_graded(3, 3):
+        m = c + (0, 0, 0, 0)
+        assert antipode_mono(space, m) == AlgebraElement.monomial(
+            space, m, (-1) ** sum(c)), m
 
 
 @pytest.mark.parametrize("apply,arity,leg", [
