@@ -3,6 +3,10 @@ constants, the group law of its Lie group, cocommutators extracted from the
 deformed coproduct, Lie bialgebra axiom checks, a per-candidate coboundary
 verifier and the duality bridge to the dual Poisson structure.
 
+The bridge reads the dual bracket off delta in one pass: each term
+(a, b) c of delta(e_k) gives c at [chi_a, chi_b]*_k and -c at
+[chi_b, chi_a]*_k.
+
 alpha, beta and gamma enter only the structure constants and the group
 law.  The cocommutators, read off the coproduct, take a truncation order
 and build their generators over algebra.Truncation.
@@ -116,15 +120,20 @@ def nc_lie_data(alpha, beta, gamma) -> LieData:
 class WedgeElement(TermMap):
     """Element of Lambda^2 of the Lie algebra, with the convention
     x wedge y = x (x) y - y (x) x; a basis key is (i, j) with i < j, its
-    coefficient is h-free, and terms maps each key to a Fraction."""
+    coefficient is h-free, and terms maps each key to a Fraction.
+
+    The constructor raises ValueError for a basis index outside 0..6."""
 
     __slots__ = ()
 
     trunc = 0
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
+        terms = terms or {}
+        if not all(0 <= i < DIM and 0 <= j < DIM for i, j in terms):
+            raise ValueError("wedge index must be in 0..6")
         self._store(((j, i, _H0), -c) if i > j else ((i, j, _H0), c)
-                    for (i, j), c in (terms or {}).items() if i != j)
+                    for (i, j), c in terms.items() if i != j)
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -148,7 +157,10 @@ class WedgeElement(TermMap):
 
 
 def ad_wedge(x: int, w: WedgeElement, L: LieData) -> WedgeElement:
-    """(ad_x (x) 1 + 1 (x) ad_x) acting on a wedge element."""
+    """(ad_x (x) 1 + 1 (x) ad_x) acting on a wedge element; raises
+    ValueError unless 0 <= x < L.dim."""
+    if not 0 <= x < L.dim:
+        raise ValueError(f"ad index must be in 0..{L.dim - 1}")
     out: dict[tuple[int, int], Fraction] = {}
     for (a, b), c in w.terms.items():
         for k, v in L.bracket_basis(x, a).items():
@@ -273,7 +285,11 @@ def cocommutator_map(direction: int, trunc: int) -> dict[str, WedgeElement]:
 
 
 def combine_cocommutators(weights, trunc: int) -> dict[str, WedgeElement]:
-    """Rational-weighted combination sum_i w_i * delta_i."""
+    """Rational-weighted combination sum_i w_i * delta_i, one weight per
+    direction; raises ValueError unless there are exactly 3 weights."""
+    if len(weights) != 3:
+        raise ValueError("combine_cocommutators needs one weight per "
+                         "direction (3 weights)")
     Truncation(trunc)  # rejects a negative order, also when every w_i is 0
     return sum_cocommutators(weights, [
         cocommutator_map(i, trunc) if w else {}
@@ -353,24 +369,22 @@ def dual_bracket_from_delta(delta: Mapping[str, WedgeElement],
                             xi: int, eta: int) -> Vector:
     """[chi_xi, chi_eta]* with <chi_a (x) chi_b, delta(e_k)> coefficients.
 
-    xi, eta are 1-based functional indices aligned with the generator order.
+    xi, eta are 1-based functional indices aligned with the generator order;
+    an index outside 1..7 raises ValueError.
     """
-    a, b = xi - 1, eta - 1
-    key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-    out: Vector = {}
-    for k, name in enumerate(GENERATOR_NAMES):
-        coeff = delta[name].coefficient(key).constant()
-        if coeff:
-            out[k] = sign * coeff
-    return out
+    if not (1 <= xi <= DIM and 1 <= eta <= DIM):
+        raise ValueError("chi index must be in 1..7")
+    return dual_lie_data_from_delta(delta).bracket_basis(xi - 1, eta - 1)
 
 
 def dual_lie_data_from_delta(delta: Mapping[str, WedgeElement]) -> LieData:
+    """The dual Lie algebra of delta, read in one pass over its wedge maps:
+    each term (a, b) c of delta(e_k) gives c at [chi_a, chi_b]*_k and -c at
+    [chi_b, chi_a]*_k."""
     from .dual import CHI_NAMES
     constants: dict[tuple[int, int], Vector] = {}
-    for a in range(DIM):
-        for b in range(DIM):
-            vec = dual_bracket_from_delta(delta, a + 1, b + 1)
-            if vec:
-                constants[(a, b)] = vec
+    for k, name in enumerate(GENERATOR_NAMES):
+        for (a, b), c in delta[name].terms.items():
+            constants.setdefault((a, b), {})[k] = c
+            constants.setdefault((b, a), {})[k] = -c
     return LieData(names=CHI_NAMES, constants=constants)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncdeform import (AlgebraElement, GroupElement, InvalidParamsError,
-                      LieData, WedgeElement, bialgebra_axiom_check,
+                      LieData, WedgeElement, ad_wedge, bialgebra_axiom_check,
                       classical_limit, coboundary_from_r, cocommutator_dir,
                       cocommutator_map, combine_cocommutators, commutator,
                       dual_bracket_from_delta, dual_lie_data_from_delta,
@@ -230,6 +230,52 @@ def test_dual_bracket_examples():
     assert dual_bracket_from_delta(delta2, 4, 5) == {}
     for xi in range(1, 8):
         assert dual_bracket_from_delta(delta2, xi, xi) == {}
+    for xi, eta in ((0, 1), (8, 1), (-6, 2), (2, 0), (1, 8)):
+        with pytest.raises(ValueError, match="chi index must be in 1..7"):
+            dual_bracket_from_delta(delta2, xi, eta)
+
+
+def _scanned_bracket(delta, a, b):
+    """Reference: [chi_a, chi_b]* read entry by entry, the (a, b) wedge
+    coefficient of every delta(e_k) taken as a series constant."""
+    key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+    out = {}
+    for k, name in enumerate(NAMES):
+        coeff = delta[name].coefficient(key).constant()
+        if coeff:
+            out[k] = sign * coeff
+    return out
+
+
+def _coboundaries(L, seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        r = WedgeElement({(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for i in range(7) for j in range(i + 1, 7)})
+        yield {name: ad_wedge(i, r, L) for i, name in enumerate(NAMES)}
+
+
+@pytest.mark.parametrize("deltas", [
+    lambda: [cocommutator_map(1, 2)],
+    lambda: [cocommutator_map(2, 2)],
+    lambda: [cocommutator_map(3, 2)],
+    lambda: [combine_cocommutators((1, 2, -3), 2)],
+    lambda: _coboundaries(nc_lie_data(1, 1, 1), 5),
+    lambda: _coboundaries(nc_lie_data(2, Fraction(1, 2), -3), 6),
+], ids=["delta1", "delta2", "delta3", "combined", "coboundary-111",
+        "coboundary-2-half-neg3"])
+def test_dual_lie_data_matches_entry_scan(deltas):
+    for delta in deltas():
+        table = dual_lie_data_from_delta(delta)
+        for a in range(7):
+            for b in range(7):
+                want = _scanned_bracket(delta, a, b)
+                got = table.bracket_basis(a, b)
+                # Same entries, generators in the same ascending order.
+                assert list(got.items()) == list(want.items())
+                assert dual_bracket_from_delta(delta, a + 1, b + 1) == got
+                assert dual_bracket_from_delta(delta, b + 1, a + 1) == \
+                    {k: -v for k, v in got.items()}
 
 
 @pytest.mark.parametrize("direction", [1, 2, 3])
@@ -255,3 +301,19 @@ def test_cocommutators_reject_negative_truncation(call):
     # Before the check, zero weights gave zero cocommutators for any order.
     with pytest.raises(InvalidParamsError, match="truncation"):
         call()
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 2, -3, 7)])
+def test_combine_cocommutators_needs_one_weight_per_direction(weights):
+    with pytest.raises(ValueError, match="one weight per direction"):
+        combine_cocommutators(weights, 2)
+
+
+def test_wedge_and_ad_refuse_indices_outside_the_algebra():
+    L = nc_lie_data(1, 1, 1)
+    for i, j in ((9, 0), (0, 7), (-1, 3), (7, 7)):
+        with pytest.raises(ValueError, match="wedge index must be in 0..6"):
+            WedgeElement.wedge(i, j)
+    for x in (12, 7, -1):
+        with pytest.raises(ValueError, match="ad index must be in 0..6"):
+            ad_wedge(x, WedgeElement.wedge(Q1, P1), L)
