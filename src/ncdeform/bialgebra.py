@@ -158,9 +158,12 @@ class WedgeElement(TermMap):
 
 def ad_wedge(x: int, w: WedgeElement, L: LieData) -> WedgeElement:
     """(ad_x (x) 1 + 1 (x) ad_x) acting on a wedge element; raises
-    ValueError unless 0 <= x < L.dim."""
+    ValueError unless 0 <= x < L.dim.  An x that brackets nothing, as a
+    central generator, gives 0 without reading w."""
     if not 0 <= x < L.dim:
         raise ValueError(f"ad index must be in 0..{L.dim - 1}")
+    if not any(L.bracket_basis(x, a) for a in range(L.dim)):
+        return WedgeElement()
     out: dict[tuple[int, int], Fraction] = {}
     for (a, b), c in w.terms.items():
         for k, v in L.bracket_basis(x, a).items():

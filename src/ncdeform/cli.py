@@ -65,10 +65,10 @@ MAX_STAR_DEGREE = 2
 #: truncation, so the bound is weighed by it (oracle_target_bound).  The
 #: costliest products admitted at each order, timed cold (whole process)
 #: on a 2-vCPU host with Python 3.11: `Y[32,0,0,0] * Y[22,5,5,0]` at 0
-#: (1980 of 2048) 0.3 s, `W[1,0,0]*Y[31,0,0,0] * Y[32,0,0,0]` at 1 (448)
-#: 0.5 s, `W[1,0,0] * Y[17,0,0,0]` at 2 (126) 0.7-0.9 s, `Y[31,0,0,0] *
-#: 1` at 3 (32) 0.3-0.5 s, `x1 * 1` at 4 (7) 0.3-0.5 s, `1 * x4` at 5 (2)
-#: 0.2 s; at 6 the bound is 0.  An operand's index norm counts toward the
+#: (1980 of 2048) 0.2-0.3 s, `W[1,0,0]*Y[31,0,0,0] * Y[32,0,0,0]` at 1
+#: (448) 0.5-0.7 s, `W[1,0,0] * Y[17,0,0,0]` at 2 (126) 0.6-0.9 s,
+#: `Y[31,0,0,0] * 1` at 3 (32) 0.3-0.4 s, `x1 * 1` at 4 (7) 0.3 s,
+#: `1 * x4` at 5 (2) 0.2 s; at 6 the bound is 0.  An operand's index norm counts toward the
 #: degree bound (parser.degree), so `Y[44,0,0,0] * Y[0,44,0,0]` at 0 is
 #: refused before it is counted.  `W[11,0,0] * W[0,0,10]` at 0, 33,902
 #: units, is refused at once; counted without the weight it fit the

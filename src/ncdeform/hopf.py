@@ -14,11 +14,13 @@ algebra.lambda_coefficients) in cop(rho) instead of rho.
 None of this contains alpha, beta or gamma, so cop(rho), cop(lam) and its
 inverse, the generator coproducts and the coproducts of monomials on two
 and three legs are built once per truncation order, over
-algebra.Truncation(trunc), and shared by every parameter set; coproduct()
-and apply_coproduct_leg() return their results over the caller's
-parameters, decoding each monomial's two-leg table when they read it.  The
-antipode reverses products, so its tables are built per parameter set,
-with that set's commutators.
+algebra.Truncation(trunc), and shared by every parameter set.
+coproduct() adds the two-leg tables of its operand's monomials on their
+packed keys and decodes the sum once per layout; apply_coproduct_leg()
+decodes each monomial's two-leg table and substitutes it into the leg.
+Both return their results over the caller's parameters.  The antipode
+reverses products, so its tables are built per parameter set, with that
+set's commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
 the storage).  The product kernel works on packed integer keys instead
@@ -58,10 +60,10 @@ table changes once it is cached.  The chain is built bottom up, one link
 per letter, so its length is bounded by memory alone, not by recursion.
 Over the degree-3 grid at trunc 3 the two three-leg sides hold 1,632 (Q/P
 key, block) slots but 77 distinct blocks, and their products meet 121
-distinct block pairs.  A table is decoded block by block each time it is
-read, and no decoded copy is kept; the coassociativity check compares the
-two sides' blocks and factors, and a three-leg table is decoded only to
-write a failure's note.  Only integers are added, over one denominator per
+distinct block pairs.  No decoded copy of a table is kept: coproduct()
+decodes only its packed sum, the coassociativity check compares the two
+sides' blocks and factors, and a three-leg table is decoded only to write
+a failure's note.  Only integers are added, over one denominator per
 table.  This keeps the exhaustive degree-3 verification grids fast enough
 for interactive use.
 """
@@ -347,17 +349,46 @@ def _hopf(trunc: int) -> _HopfCache:
 
 def _cop_mono(trunc: int, mono: PBWMonomial) -> TensorElement:
     """cop of a monomial over Truncation(trunc), decoded from its packed
-    table on every read; no decoded copy is kept.  coproduct() and
-    apply_coproduct_leg() decode each monomial once per call."""
+    table on every read; no decoded copy is kept.  apply_coproduct_leg()
+    decodes each monomial once per call; coproduct() adds the packed
+    tables without decoding them."""
     return _cop_table(trunc, mono, None).tensor()
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
-    """Algebra-homomorphism extension of the generator coproducts."""
-    cops = _Memo(partial(_cop_mono, x.params.trunc))
-    return substitute(TensorElement.zero(x.params),
-                      [((), cops[k[:7]], (), k[7], n)
-                       for k, n in x.nums.items()], x.den)
+    """Algebra-homomorphism extension of the generator coproducts, summed on
+    packed keys.  The terms n h^e m of x are grouped by the layout of m's
+    two-leg table (_cop_table); within a group every table's blocks add
+    into one {packed key: numerator} map, key q + code(e) + k and
+    numerator n * c * v brought to the lcm L of the tables' denominators.
+    A block is read only up to the end of h-degree trunc - |e|, as its keys
+    are sorted by h-degree.  Each group is decoded once, over x.den * L,
+    and the groups are summed."""
+    trunc = x.params.trunc
+    groups: dict[_Layout, list] = {}
+    for key, n in x.nums.items():
+        table = _cop_table(trunc, key[:7], None)
+        groups.setdefault(table.layout, []).append((key[7], n, table))
+    parts = []
+    for layout, items in groups.items():
+        L = lcm(*{table.den for *_, table in items})
+        acc: dict[int, int] = {}
+        get = acc.get
+        for e, n, table in items:
+            shift, budget = layout.code(e), trunc - sum(e)
+            n *= L // table.den
+            for block, qs in table.blocks.items():
+                end = block.ends[budget]
+                entries = list(zip(block.keys[:end], block.values[:end]))
+                for q, c in qs.items():
+                    q += shift
+                    c *= n
+                    for k, v in entries:
+                        k += q
+                        acc[k] = get(k, 0) + c * v
+        parts.append(TensorElement.zero(x.params).over_denominator(
+            layout.decode(list(acc), list(acc.values())), x.den * L))
+    return reduce(add, parts) if parts else TensorElement.zero(x.params)
 
 
 def counit(x: AlgebraElement) -> SeriesScalar:

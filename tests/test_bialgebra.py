@@ -192,6 +192,32 @@ def test_coboundary_central_always_vanishes():
         assert delta_r["Ps"] == WedgeElement()
 
 
+def _looped_ad_wedge(x, w, L):
+    """Reference: ad_x on each leg of every term of w, central x too."""
+    out = {}
+    for (a, b), c in w.terms.items():
+        for k, v in L.bracket_basis(x, a).items():
+            out[(k, b)] = out.get((k, b), 0) + c * v
+        for k, v in L.bracket_basis(x, b).items():
+            out[(a, k)] = out.get((a, k), 0) + c * v
+    return WedgeElement(out)
+
+
+@pytest.mark.parametrize("L", [nc_lie_data(1, 1, 1),
+                               nc_lie_data(2, Fraction(1, 2), -3)],
+                         ids=["111", "2-half-neg3"])
+def test_ad_wedge_matches_the_double_loop(L):
+    # Th, Ph and Ps bracket nothing, so ad_wedge returns 0 for them
+    # without walking the wedge.
+    rng = random.Random(17)
+    for _ in range(10):
+        r = WedgeElement({(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for i in range(7) for j in range(i + 1, 7)})
+        for x in range(7):
+            assert ad_wedge(x, r, L) == _looped_ad_wedge(x, r, L), x
+    assert all(ad_wedge(x, r, L) == WedgeElement() for x in (TH, PH, PS))
+
+
 def test_coboundary_example():
     L = nc_lie_data(1, 1, 1)
     r = WedgeElement.wedge(Q1, P1)

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from ncdeform.report import VerificationReport
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run(capsys, *argv):
@@ -213,6 +216,28 @@ def test_readme_commands(capsys):
                               f"{out}[exit {code}]\n")
     assert len(transcript) == 30
     assert "".join(transcript) == (DATA / "readme_commands.txt").read_text()
+
+
+def test_query_mix_digest_of_seed_0(monkeypatch):
+    # The benchmark's query_mix stream of seed 0, run in this process and
+    # digested as bench/workload.py does, must give its recorded digest:
+    # a wrong output of any query fails here, in the tier-1 suite, and not
+    # first in a benchmark run.  bench/ is only read.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import queries
+    recorded = json.loads((BENCH / "expected.json").read_text())["query_mix"]
+    digest = hashlib.sha256()
+    codes = []
+    for argv in queries.generate(0):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        codes.append(rc)
+        digest.update("\x1f".join(argv).encode())
+        digest.update(f"\x1e{rc}\x1e{out.getvalue()}\x1d".encode())
+    assert codes == [0] * recorded["queries"]
+    assert digest.hexdigest() == recorded["digests"]["0"]
 
 
 def test_verify_star_json_report(capsys):

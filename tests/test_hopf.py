@@ -13,11 +13,13 @@ from ncdeform import (AlgebraElement, SeriesScalar, TensorElement, antipode,
                       tensor_mul, tensor_of, verify_hopf_axioms)
 from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               InvalidParamsError, Truncation, _central_mul,
-                              lambda_coefficients, power_series)
+                              from_z_basis, lambda_coefficients,
+                              power_series)
 from ncdeform import hopf
 from ncdeform.hopf import (_block, _chain, _cop_mono, _cop_table, _gen,
-                          _hopf, _layout, _Table, antipode_mono)
+                          _hopf, _layout, _Layout, _Table, antipode_mono)
 from ncdeform.multiindex import multiindices_graded
+from ncdeform.series import substitute
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
                       random_element, small_fractions)
@@ -661,3 +663,75 @@ def test_hopf_axioms_degree3_trunc4():
     report = verify_hopf_axioms(3, DeformParams(2, Fraction(1, 2), -3, 4))
     assert report.passed, report.to_text()
     assert len([c for c in report.checks if not c.diagnostic]) == 408
+
+
+def reference_coproduct(x: AlgebraElement) -> TensorElement:
+    """The substitution route: each monomial's two-leg table decoded, and
+    the decoded tables substituted with x's coefficients."""
+    cops = {m: _cop_mono(x.trunc, m) for m in {k[:7] for k in x.nums}}
+    return substitute(TensorElement.zero(x.params),
+                      [((), cops[k[:7]], (), k[7], n)
+                       for k, n in x.nums.items()], x.den)
+
+
+def packed_sum_inputs(abc):
+    """Elements whose coproduct the packed sum must get right, over the
+    parameters abc at trunc 0-3."""
+    for trunc in range(4):
+        p = params(*abc, trunc)
+        coeff = SeriesScalar({(0, 0, 0): Fraction(3, 2),
+                              (0, 1, 0): Fraction(-5, 7)}, trunc)
+        for m in multiindices_graded(7, 3):
+            yield AlgebraElement(p, {m: coeff})
+        # A term whose h-degree is the truncation keeps only its tables'
+        # h-free terms.
+        top = SeriesScalar.monomial((trunc, 0, 0), Fraction(2, 5), trunc)
+        yield AlgebraElement(p, {mono(Q1=1, Q2=1, P2=1): top,
+                                 mono(Th=1, P1=2): coeff})
+        x = AlgebraElement.monomial(p, mono(Ph=1, Q2=2), coeff)
+        yield x - x
+        yield AlgebraElement.zero(p)
+    # Tables of two widths at trunc 1: Q1's fields take 2 bits, Q1^3's 3.
+    p = params(*abc, 1)
+    yield AlgebraElement(p, {
+        mono(Q1=1): SeriesScalar.one(1),
+        mono(Q1=3): SeriesScalar.monomial((1, 0, 0), Fraction(3, 4), 1)})
+    for trunc in (1, 2):
+        p = params(*abc, trunc)
+        for s in multiindices_graded(3, 2):
+            for t in multiindices_graded(4, 1):
+                yield from_z_basis({(s, t): 1}, p)
+
+
+@pytest.mark.parametrize("abc", [(2, Fraction(1, 2), -3),
+                                 (Fraction(-3, 2), 0, 5)],
+                         ids=["2,1/2,-3", "-3/2,0,5"])
+def test_packed_coproduct_matches_substitution(abc, monkeypatch):
+    # coproduct() adds the packed tables of x's monomials and decodes the
+    # sum once per layout; it never decodes a table on its own.
+    calls = []
+    tensor, decode = _Table.tensor, _Layout.decode
+
+    def spy_tensor(self):
+        calls.append("tensor")
+        return tensor(self)
+
+    def spy_decode(self, keys, nums):
+        calls.append(self.width)
+        return decode(self, keys, nums)
+
+    monkeypatch.setattr(_Table, "tensor", spy_tensor)
+    monkeypatch.setattr(_Layout, "decode", spy_decode)
+    width_counts = set()
+    for x in packed_sum_inputs(abc):
+        want = reference_coproduct(x)
+        widths = {_cop_table(x.trunc, k[:7], None).layout.width
+                  for k in x.nums}
+        width_counts.add(len(widths))
+        calls.clear()
+        got = coproduct(x)
+        assert sorted(calls) == sorted(widths), x
+        assert got == want, x
+        assert got.params is x.params
+        assert_stored_once(got)
+    assert width_counts == {0, 1, 2}
