@@ -180,14 +180,10 @@ class AlgebraElement(TermMap):
         return element_to_json(self)
 
 
-def mono_factors(mono: PBWMonomial) -> list[str]:
-    out = []
-    for idx, e in enumerate(mono):
-        if e == 1:
-            out.append(GENERATOR_NAMES[idx])
-        elif e > 1:
-            out.append(f"{GENERATOR_NAMES[idx]}^{e}")
-    return out
+def mono_text(mono: PBWMonomial) -> str:
+    """The monomial's factors as text, e.g. "Th*Q1^2"; "" for the unit."""
+    return "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(GENERATOR_NAMES, mono) if e])
 
 
 # ---------------------------------------------------------------------------

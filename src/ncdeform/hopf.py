@@ -83,7 +83,7 @@ from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
                       Truncation, commutator, lambda_coefficients,
                       make_exp_rho, make_generator, make_lambda, make_rho,
-                      mono_factors, mono_mul, normal_order_mul,
+                      mono_mul, mono_text, normal_order_mul,
                       power_series, qp_span)
 from .multiindex import multiindices_graded
 from .report import VerificationReport, clip_note
@@ -779,7 +779,7 @@ def _cop_table(trunc: int, mono: PBWMonomial, side: int | None) -> _Table:
 # ---------------------------------------------------------------------------
 
 def _mono_name(mono: PBWMonomial) -> str:
-    return "*".join(mono_factors(mono)) or "1"
+    return mono_text(mono) or "1"
 
 
 def _diff_note(kind: str, diff) -> str:

@@ -1,80 +1,60 @@
 """Deterministic text and JSON rendering for every carrier type.
 
-Terms are ordered lexicographically by exponent tuples, then by h-monomials,
-so identical values always serialize to identical bytes.
+A term map is printed straight from its integer storage: rows() groups the
+numerators by basis key, and each coefficient n/den is reduced by
+gcd(n, den) as it is written; no Fraction is built.  Terms are ordered by
+basis key (sorted(rows)), then by h exponent (sorted(row)), so identical
+values always serialize to identical bytes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import GENERATOR_NAMES, AlgebraElement, mono_factors
-from .series import format_rational, h_factors, h_terms_json, render_terms
+from .algebra import GENERATOR_NAMES, AlgebraElement, mono_text
+from .series import format_rational, h_terms_json, ratio_text, render_terms
 
 
-def _render_flat(pairs) -> str:
-    """pairs: iterable of (sort key, factor list, (h, coefficient) pairs)."""
-    items = []
-    for key, factors, terms in pairs:
-        for h, c in terms:
-            items.append(((key, h), c, h_factors(h) + factors))
-    items.sort(key=lambda t: t[0])
-    if not items:
-        return "0"
-    return render_terms([(coeff, factors) for _, coeff, factors in items])
-
-
-def _term_rows(x):
-    """(basis key, (h, Fraction) pairs) for each basis key of a term map,
-    read from its numerators without building a series per key."""
+def _text(x, key_text) -> str:
     den = x.den
-    return ((key, [(h, Fraction(n, den)) for h, n in row])
-            for key, row in x.rows().items())
+    return render_terms((den, key_text(k), row)
+                        for k, row in sorted(x.rows().items()))
+
+
+def _json(x, key_json) -> dict:
+    den, out = x.den, []
+    for k, row in sorted(x.rows().items()):
+        item = key_json(k)
+        item["coeff"] = h_terms_json(row, den)
+        out.append(item)
+    return {"terms": out}
 
 
 def element_to_text(x: AlgebraElement) -> str:
-    return _render_flat((m, mono_factors(m), terms)
-                        for m, terms in _term_rows(x))
+    return _text(x, mono_text)
 
 
 def element_to_json(x: AlgebraElement) -> dict:
-    return {"terms": [{"exp": list(m), "coeff": h_terms_json(terms)}
-                      for m, terms in sorted(_term_rows(x))]}
+    return _json(x, lambda m: {"exp": list(m)})
 
 
-def _bracket(name: str, idx) -> str:
-    return f"{name}[{','.join(str(i) for i in idx)}]"
+def _brackets(name_a: str, a, name_b: str, b) -> str:
+    """The text A[a]*B[b], each factor left out when its index is 0."""
+    return "*".join(f"{name}[{','.join(map(str, idx))}]"
+                    for name, idx in ((name_a, a), (name_b, b)) if any(idx))
 
 
 def dual_to_text(u) -> str:
-    def factors(key):
-        w, y = key
-        out = []
-        if any(w):
-            out.append(_bracket("W", w))
-        if any(y):
-            out.append(_bracket("Y", y))
-        return out
-    return _render_flat((k, factors(k), terms) for k, terms in _term_rows(u))
+    return _text(u, lambda k: _brackets("W", k[0], "Y", k[1]))
 
 
 def dual_to_json(u) -> dict:
-    return {"terms": [{"w": list(k[0]), "y": list(k[1]),
-                       "coeff": h_terms_json(terms)}
-                      for k, terms in sorted(_term_rows(u))]}
+    return _json(u, lambda k: {"w": list(k[0]), "y": list(k[1])})
 
 
 def zmap_to_text(zmap) -> str:
-    def factors(key):
-        ci, qp = key
-        out = []
-        if any(ci):
-            out.append(_bracket("Z", ci))
-        if any(qp):
-            out.append(_bracket("X", qp))
-        return out
-    return _render_flat((k, factors(k), s.terms.items())
-                        for k, s in zmap.items())
+    """Each series of the map is written over its own denominator."""
+    return render_terms((s.den, _brackets("Z", k[0], "X", k[1]), row)
+                        for k, s in sorted(zmap.items())
+                        for row in s.rows().values())
 
 
 def zmap_to_json(zmap) -> dict:
@@ -84,32 +64,22 @@ def zmap_to_json(zmap) -> dict:
 
 
 def tensor_to_text(t) -> str:
-    def factors(legs):
-        return [" (x) ".join("*".join(mono_factors(m)) or "1" for m in legs)]
-    return _render_flat((legs, factors(legs), terms)
-                        for legs, terms in _term_rows(t))
+    return _text(t, lambda legs: " (x) ".join(mono_text(m) or "1"
+                                              for m in legs))
 
 
 def tensor_to_json(t) -> dict:
     names = ("left", "right") if t.arity == 2 else ("left", "middle", "right")
-    out = []
-    for legs, terms in sorted(_term_rows(t)):
-        item = {name: list(m) for name, m in zip(names, legs)}
-        item["coeff"] = h_terms_json(terms)
-        out.append(item)
-    return {"terms": out}
+    return _json(t, lambda legs: dict(zip(names, map(list, legs))))
 
 
 def wedge_to_json(w) -> list:
-    return [{"i": i, "j": j, "c": format_rational(c)}
-            for (i, j), c in sorted(w.terms.items())]
+    return [{"i": i, "j": j, "c": ratio_text(n, w.den)}
+            for (i, j, _), n in sorted(w.nums.items())]
 
 
 def wedge_to_text(w) -> str:
-    if not w:
-        return "0"
-    return render_terms([(c, [f"{GENERATOR_NAMES[i]}/\\{GENERATOR_NAMES[j]}"])
-                         for (i, j), c in sorted(w.terms.items())])
+    return _text(w, lambda k: "/\\".join(GENERATOR_NAMES[i] for i in k))
 
 
 def group_to_text(g) -> str:

@@ -18,7 +18,8 @@ That pair is unique per value, so equality compares it.  TermMap holds the
 only copy of the conversion from a public coefficient map, of sum,
 negation, scaling, equality and the h filters, all on those integers; every
 kernel reads and fills nums and den directly, and coefficients become
-Fractions only when they are read (terms, constant(), coeff(), rendering).
+Fractions only when they are read (terms, constant(), coeff()); text and
+JSON are rendered from the integers.
 
 >>> a = SeriesScalar.one(2) + SeriesScalar.hbar(1, 2)
 >>> print((a * a).to_text())
@@ -357,13 +358,11 @@ class SeriesScalar(TermMap):
     # -- presentation ------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.nums:
-            return "0"
-        return render_terms([(c, h_factors(h))
-                             for h, c in sorted(self.terms.items())])
+        return render_terms((self.den, "", row)
+                            for row in self.rows().values())
 
     def to_json(self) -> list:
-        return h_terms_json(self.terms.items())
+        return h_terms_json(self.rows().get((), ()), self.den)
 
 
 def substitute(into: TermMap, items: list, den: int) -> TermMap:
@@ -388,39 +387,45 @@ def substitute(into: TermMap, items: list, den: int) -> TermMap:
     return into.over_denominator(out, den * Lt)
 
 
-def h_factors(h: HExponent) -> list[str]:
-    """The factors of h1^a h2^b h3^c as text, e.g. ["h1", "h3^2"]."""
-    out = []
-    for i, e in enumerate(h):
-        if e == 1:
-            out.append(f"h{i + 1}")
-        elif e > 1:
-            out.append(f"h{i + 1}^{e}")
-    return out
+@cache
+def _h_text(h: HExponent) -> str:
+    """h1^a h2^b h3^c as factor text, e.g. "h1*h3^2"; "" for h^0."""
+    return "*".join([f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}"
+                     for i, e in enumerate(h) if e])
 
 
-def h_terms_json(terms) -> list:
-    """(h, coefficient) pairs as the JSON of one series, ordered by h."""
-    return [{"h": list(h), "c": format_rational(c)} for h, c in sorted(terms)]
+def ratio_text(n: int, den: int) -> str:
+    """n/den, den > 0, in lowest terms as text: "-3/2", or "4"."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def render_terms(parts: list[tuple[Fraction, list[str]]]) -> str:
-    """Join (coefficient, factor list) terms into canonical "a + b - c" text."""
-    chunks: list[str] = []
-    for coeff, factors in parts:
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
-        if not factors:
-            body = format_rational(mag) if mag.denominator == 1 else f"({format_rational(mag)})"
-        elif mag == 1:
-            body = "*".join(factors)
-        elif mag.denominator == 1:
-            body = "*".join([format_rational(mag)] + factors)
-        else:
-            body = "*".join([f"({format_rational(mag)})"] + factors)
-        if not chunks:
-            chunks.append(body if sign == "+" else "-" + body)
-        else:
-            chunks.append(f" {sign} {body}")
+def h_terms_json(row, den: int) -> list:
+    """The JSON of one series from its (h, numerator) pairs over den,
+    ordered by h."""
+    return [{"h": list(h), "c": ratio_text(n, den)} for h, n in sorted(row)]
+
+
+def render_terms(rows) -> str:
+    """Canonical "a + b - c" text of (den, basis text, [(h, numerator)])
+    rows: the rows in the order given, each row's terms ordered by h, each
+    term the coefficient n/den, then the h factors, then the basis text.
+    A coefficient 1 is dropped before factors, a fraction is parenthesised,
+    and no term at all is "0"."""
+    chunks = []
+    for den, text, row in rows:
+        for h, n in sorted(row):
+            g = gcd(n, den)
+            a, b = abs(n) // g, den // g
+            hx = _h_text(h)
+            factors = f"{hx}*{text}" if hx and text else hx or text
+            if a != 1 or b != 1 or not factors:
+                coeff = str(a) if b == 1 else f"({a}/{b})"
+                factors = f"{coeff}*{factors}" if factors else coeff
+            chunks.append(f" - {factors}" if n < 0 else f" + {factors}")
+    if not chunks:
+        return "0"
+    first = chunks[0]
+    chunks[0] = "-" + first[3:] if first[1] == "-" else first[3:]
     return "".join(chunks)
 
