@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import GENERATOR_NAMES, DeformParams, Truncation, make_generator
+from .algebra import (GENERATOR_NAMES, DeformParams, InvalidParamsError,
+                      Truncation, make_generator)
 from .hopf import coproduct
 from .report import VerificationReport
 from .series import TermMap
@@ -257,7 +258,8 @@ def cocommutator_dir(name, direction: int, trunc: int) -> WedgeElement:
     if direction not in (1, 2, 3):
         raise ValueError("direction must be 1, 2 or 3")
     if trunc < 1:
-        raise ValueError("cocommutator extraction needs truncation >= 1")
+        raise InvalidParamsError(
+            "cocommutator extraction needs truncation >= 1")
     t = coproduct(make_generator(name, shared))
     d = (t - t.flip()).limit(set((1, 2, 3)) - {direction})
     h_linear = tuple(1 if k == direction - 1 else 0 for k in range(3))

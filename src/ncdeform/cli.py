@@ -47,11 +47,12 @@ MAX_VERIFY_DEGREE = 3
 #: grows steeply with both (`--maxdeg 0 --trunc 6` took 27.5 s and 824 MB),
 #: so the bound is checked before any work.  The costliest grid admitted
 #: at each order, `verify hopf` timed cold on a 2-vCPU host with Python
-#: 3.11: `--maxdeg 3` at 0 0.3 s, at 1 0.4 s, at 2 0.6 s, at 3 0.9 s
-#: and at 4 3.3-3.5 s (83 MB); `--maxdeg 2` at 5 5.8-5.9 s (120 MB).
-#: `--maxdeg 3` at 5 took 10.4 s and 156 MB, so it stays refused.  The
-#: shared host's speed drifts by up to a third over a day.  `verify all`
-#: adds about 2-3 s to each.
+#: 3.11: `--maxdeg 3` at 0 0.3 s, at 1 0.3 s, at 2 0.4 s, at 3 0.7 s
+#: and at 4 1.3-1.9 s (56 MB); `--maxdeg 2` at 5 1.5-2.5 s (68 MB).
+#: `--maxdeg 3` at 5 took 3.2-5.2 s and 103 MB; it stays refused, as
+#: admitting a larger grid is a decision of its own.  The shared host's
+#: speed drifts by up to a half within an hour.  `verify all` adds about
+#: 2-3 s to each.
 HOPF_GRID_DEGREES = (3, 3, 3, 3, 3, 2)
 
 #: The largest `verify star --maxdeg`: the norm-3 grid took 60 s and 153 MB

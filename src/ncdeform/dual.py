@@ -44,8 +44,8 @@ from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 
-from .algebra import (AlgebraElement, PBWMonomial, Truncation, ZMonomial,
-                      from_z_basis, z_element)
+from .algebra import (AlgebraElement, InvalidParamsError, PBWMonomial,
+                      Truncation, ZMonomial, from_z_basis, z_element)
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
@@ -406,13 +406,16 @@ def _over_targets(trunc: int, found: list) -> DualElement:
 # ---------------------------------------------------------------------------
 
 def poisson_bracket_dir(u: DualElement, v: DualElement, i: int) -> DualElement:
-    """Coefficient of h_i in the star commutator, as an h-free dual element.
+    """Coefficient of h_i in the star commutator, as an h-free dual element;
+    truncation 0 discards it, so the operands need truncation >= 1.
 
     Under this normalization the proportionality constants of the linear
     Poisson structure equal 2 per unit direction.
     """
     if i not in (1, 2, 3):
         raise ValueError("direction must be 1, 2 or 3")
+    if u.trunc < 1:
+        raise InvalidParamsError("the Poisson bracket needs truncation >= 1")
     h = tuple(1 if k == i - 1 else 0 for k in range(3))
     comm = star_commutator(u, v)
     return comm.over_denominator({k[:-1] + (_H0,): n

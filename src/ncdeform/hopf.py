@@ -15,12 +15,12 @@ None of this contains alpha, beta or gamma, so cop(rho), cop(lam) and its
 inverse, the generator coproducts and the coproducts of monomials on two
 and three legs are built once per truncation order, over
 algebra.Truncation(trunc), and shared by every parameter set.
-coproduct() adds the two-leg tables of its operand's monomials on their
-packed keys and decodes the sum once per layout; apply_coproduct_leg()
-decodes each monomial's two-leg table and substitutes it into the leg.
-Both return their results over the caller's parameters.  The antipode
-reverses products, so its tables are built per parameter set, with that
-set's commutators.
+coproduct() is the one reader of the two-leg tables: it adds the tables
+of its operand's monomials on their packed keys and decodes the sum once
+per layout, over the caller's parameters.  apply_coproduct_leg() groups a
+tensor's terms by their other legs and puts the coproduct() of each group
+in the leg.  The antipode reverses products, so its tables are built per
+parameter set, with that set's commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
 the storage).  The product kernel works on packed integer keys instead
@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import chain
 from math import factorial, gcd, lcm
 from operator import add, mul, or_
@@ -106,6 +106,8 @@ class TensorElement(TermMap):
 
     def __init__(self, params: DeformParams, arity: int,
                  terms: Mapping[TensorKey, Fraction]):
+        if arity not in (2, 3):
+            raise ValueError(f"a tensor has 2 or 3 legs, not {arity}")
         self.params = params
         self.arity = arity
         self._store(terms.items())
@@ -167,6 +169,7 @@ class TensorElement(TermMap):
 def tensor_of(*factors: AlgebraElement) -> TensorElement:
     """Independent legs: (sum_a) (x) (sum_b) ... with coefficient products."""
     params = factors[0].params
+    into = TensorElement.zero(params, len(factors))
     D = params.trunc
     parts = [((), _H0, 1)]
     den = 1
@@ -186,7 +189,7 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
     for legs, h, c in parts:
         key = legs + (h,)
         out[key] = out.get(key, 0) + c
-    return TensorElement.zero(params, len(factors)).over_denominator(out, den)
+    return into.over_denominator(out, den)
 
 
 class _Memo(dict):
@@ -347,14 +350,6 @@ def _hopf(trunc: int) -> _HopfCache:
     return _HopfCache(trunc)
 
 
-def _cop_mono(trunc: int, mono: PBWMonomial) -> TensorElement:
-    """cop of a monomial over Truncation(trunc), decoded from its packed
-    table on every read; no decoded copy is kept.  apply_coproduct_leg()
-    decodes each monomial once per call; coproduct() adds the packed
-    tables without decoding them."""
-    return _cop_table(trunc, mono, None).tensor()
-
-
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Algebra-homomorphism extension of the generator coproducts, summed on
     packed keys.  The terms n h^e m of x are grouped by the layout of m's
@@ -409,7 +404,7 @@ def antipode_mono(params: DeformParams, mono: PBWMonomial) -> AlgebraElement:
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
     """Anti-homomorphism with S(g) = -g on every generator."""
-    return substitute(x, [((), antipode_mono(x.params, k[:7]), (), k[7], n)
+    return substitute(x, [(antipode_mono(x.params, k[:7]), k[7], n)
                           for k, n in x.nums.items()], x.den)
 
 
@@ -419,12 +414,23 @@ def _check_leg(t: TensorElement, leg: int) -> None:
 
 
 def apply_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
-    """Apply the coproduct to one tensor leg, raising the arity by one."""
+    """Apply the coproduct to one tensor leg, raising the arity by one: the
+    coproduct() of each group of t's terms with equal other legs takes the
+    leg's place."""
     _check_leg(t, leg)
-    cops = _Memo(partial(_cop_mono, t.params.trunc))
-    return substitute(TensorElement.zero(t.params, t.arity + 1),
-                      [(key[:leg], cops[key[leg]], key[leg + 1:-1], key[-1], n)
-                       for key, n in t.nums.items()], t.den)
+    into = TensorElement.zero(t.params, t.arity + 1)
+    groups: dict[tuple, dict] = {}
+    for key, n in t.nums.items():
+        groups.setdefault((key[:leg], key[leg + 1:-1]), {})[
+            key[leg] + key[-1:]] = n
+    zero = AlgebraElement.zero(t.params)
+    cops = {legs: coproduct(zero.over_denominator(nums, t.den))
+            for legs, nums in groups.items()}
+    L = lcm(*(cop.den for cop in cops.values()))
+    nums = {before + k[:2] + after + k[2:]: n * (L // cop.den)
+            for (before, after), cop in cops.items()
+            for k, n in cop.nums.items()}
+    return into.over_denominator(nums, L)
 
 
 def apply_counit_leg(t: TensorElement, leg: int):
@@ -595,12 +601,11 @@ class _Table:
     the terms are q + k with numerator c * n for each entry (k, n) of the
     block, over one denominator den, in space: a Truncation for the
     coproduct tables, the caller's parameters for tensor_mul.  They are
-    kept grouped by block (Blocks), since few blocks are distinct.  Every
-    link of a chain (_chain), and every generator table it reads (_gen), is
-    packed at the width read off the chain's monomial (_width), so a
-    product meets two tables of one layout and keeps it, and no table
-    changes once built.  Equal tables have equal (den, blocks) in one
-    layout.
+    kept grouped by block (Blocks), since few blocks are distinct.  No
+    table changes once built, and equal tables have equal (den, blocks) in
+    one layout.  coproduct() reads the two-leg tables on their packed keys;
+    tensor() decodes tensor_mul's products, and three-leg tables only for
+    a failing coassociativity check's note.
     """
 
     __slots__ = ("layout", "space", "den", "blocks")
@@ -801,7 +806,7 @@ def verify_hopf_axioms(max_generator_degree: int,
     for mono in multiindices_graded(7, max_generator_degree):
         name = _mono_name(mono)
         elt = AlgebraElement.monomial(params, mono)
-        cop = _cop_mono(D, mono).over(params)
+        cop = coproduct(elt)
 
         left3 = _cop_table(D, mono, 0)
         right3 = _cop_table(D, mono, 1)

@@ -234,7 +234,7 @@ class TermMap:
         if factor.trunc != self.trunc:
             raise TruncationMismatchError(
                 f"truncation mismatch: {self.trunc} vs {factor.trunc}")
-        return substitute(self, [((), self, (), k[0], n)
+        return substitute(self, [(self, k[0], n)
                                  for k, n in factor.nums.items()], factor.den)
 
     def _filtered(self, keep) -> "TermMap":
@@ -366,23 +366,21 @@ class SeriesScalar(TermMap):
 
 
 def substitute(into: TermMap, items: list, den: int) -> TermMap:
-    """The term map over into's space summing n/den * h^g * t, with each
-    key k + (h,) of t placed as before + k + after, over the items
-    (before, t, after, g, n), t a term map and before, after tuples of
-    basis-key parts; h-degrees above into's truncation are dropped.  Every
-    t is brought to the lcm Lt of their denominators, so the sums are
-    integers over den * Lt."""
+    """The term map over into's space summing n/den * h^g * t over the
+    items (t, g, n), t a term map over into's basis keys; h-degrees above
+    into's truncation are dropped.  Every t is brought to the lcm Lt of
+    their denominators, so the sums are integers over den * Lt."""
     trunc = into.trunc
-    Lt = lcm(*{t.den for _, t, *_ in items})
+    Lt = lcm(*{t.den for t, _, _ in items})
     out: dict = {}
     get = out.get
-    for before, t, after, g, n in items:
+    for t, g, n in items:
         n *= Lt // t.den
         for k, c in t.nums.items():
             h = k[-1]
             hh = (g[0] + h[0], g[1] + h[1], g[2] + h[2])
             if hh[0] + hh[1] + hh[2] <= trunc:
-                key = before + k[:-1] + after + (hh,)
+                key = k[:-1] + (hh,)
                 out[key] = get(key, 0) + n * c
     return into.over_denominator(out, den * Lt)
 

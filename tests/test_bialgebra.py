@@ -312,7 +312,7 @@ def test_duality_closure(direction):
 
 
 def test_cocommutator_requires_positive_truncation():
-    with pytest.raises(ValueError, match="truncation"):
+    with pytest.raises(InvalidParamsError, match="truncation >= 1"):
         cocommutator_dir("Th", 2, 0)
 
 

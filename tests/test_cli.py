@@ -93,6 +93,15 @@ def test_star_and_poisson(capsys):
     assert out == "4*W[1,0,0]\n"
 
 
+def test_poisson_refuses_truncation_0(capsys):
+    # Truncation 0 discards the h_i coefficient that is the bracket, so
+    # x1 x4 read a wrong 0 where --trunc 1 gives -2*Y[1,0,0,0].
+    code, out, err = run(capsys, "poisson", "x1", "x4", "--dir", "1",
+                         "--trunc", "0")
+    assert (code, out) == (3, "")
+    assert "truncation >= 1" in err
+
+
 def test_staroracle_matches_star(capsys):
     for trunc in ("1", "3"):
         _, star_out, _ = run(capsys, "star", "x4", "x1", "--trunc", trunc)

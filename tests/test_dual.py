@@ -520,6 +520,17 @@ def test_poisson_examples():
                 DualElement.zero(t)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: poisson_bracket_dir(chi(1, 0), chi(4, 0), 1),
+    lambda: dual_structure_constants(1, 0),
+], ids=["poisson_bracket_dir", "dual_structure_constants"])
+def test_poisson_bracket_requires_positive_truncation(call):
+    # The bracket is the h_i coefficient, which truncation 0 discards: the
+    # bracket read 0 and the structure constants were empty.
+    with pytest.raises(InvalidParamsError, match="truncation >= 1"):
+        call()
+
+
 def test_dual_structure_constants_direction1():
     data = dual_structure_constants(1)
     expected = {}

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,15 +17,21 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               from_z_basis, lambda_coefficients,
                               power_series)
 from ncdeform import hopf
-from ncdeform.hopf import (_block, _chain, _cop_mono, _cop_table, _gen,
+from ncdeform.hopf import (_block, _chain, _cop_table, _gen,
                           _hopf, _layout, _Layout, _Table, antipode_mono)
 from ncdeform.multiindex import multiindices_graded
-from ncdeform.series import substitute
+from ncdeform import series
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
                       random_element, small_fractions)
 
 EMPTY_KEY = (EMPTY_MONO, EMPTY_MONO, (0, 0, 0))
+
+
+def cop_table(trunc: int, m: tuple) -> TensorElement:
+    """cop of a monomial over Truncation(trunc), decoded from its packed
+    two-leg table."""
+    return _cop_table(trunc, m, None).tensor()
 
 
 def gens(p):
@@ -152,7 +159,7 @@ def test_tensor_inverse_of_cop_lambda():
 def test_coassociativity_dp_matches_leg_application():
     for mono in [(0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1, 0),
                  (1, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1, 1)]:
-        cop = _cop_mono(2, mono)
+        cop = cop_table(2, mono)
         assert _cop_table(2, mono, 0).tensor() == apply_coproduct_leg(cop, 0)
         assert _cop_table(2, mono, 1).tensor() == apply_coproduct_leg(cop, 1)
 
@@ -382,7 +389,7 @@ def test_three_leg_products_match_leg_substitution():
     # Leg substitution never multiplies two three-leg tensors, so it checks
     # the three-leg product path by a different route.
     for mono in multiindices_graded(7, 2):
-        cop = _cop_mono(3, mono)
+        cop = cop_table(3, mono)
         left, right = _cop_table(3, mono, 0), _cop_table(3, mono, 1)
         assert apply_coproduct_leg(cop, 0) == left.tensor(), mono
         assert apply_coproduct_leg(cop, 1) == right.tensor(), mono
@@ -413,18 +420,18 @@ def reference_cop2(trunc: int, m: tuple) -> TensorElement:
 @pytest.mark.parametrize("trunc,degree", [(0, 3), (1, 3), (2, 3), (3, 2)])
 def test_packed_two_leg_tables_match_tensor_chains(trunc, degree):
     for m in multiindices_graded(7, degree):
-        cop = _cop_mono(trunc, m)
+        cop = cop_table(trunc, m)
         assert_stored_once(cop)
         assert cop == reference_cop2(trunc, m), m
         # Every read decodes the packed table again; no decoded copy is kept.
-        again = _cop_mono(trunc, m)
+        again = cop_table(trunc, m)
         assert again is not cop and again == cop
 
 
 @pytest.mark.parametrize("trunc,degree", [(0, 3), (1, 3), (2, 3), (3, 2)])
 def test_packed_tables_match_tensor_chains(trunc, degree):
     for m in multiindices_graded(7, degree):
-        cop = _cop_mono(trunc, m)
+        cop = cop_table(trunc, m)
         for side in (0, 1):
             table = _cop_table(trunc, m, side).tensor()
             assert_stored_once(table)
@@ -442,12 +449,12 @@ def test_packed_chain_at_the_width_boundary(e):
     for g in ("Th", "P2"):
         m = mono(**{g: e})
         assert _cop_table(1, m, None).layout.width == width
-        assert _cop_mono(1, m) == reference_cop2(1, m), g
+        assert cop_table(1, m) == reference_cop2(1, m), g
         for side in (0, 1):
             table = _cop_table(1, m, side)
             assert table.layout is _layout(3, width)
             assert table.tensor() == reference_cop3(1, m, side), (g, side)
-            assert table.tensor() == apply_coproduct_leg(_cop_mono(1, m),
+            assert table.tensor() == apply_coproduct_leg(cop_table(1, m),
                                                          side), (g, side)
 
 
@@ -561,7 +568,7 @@ def test_blocks_are_interned_and_primitive():
 def test_degree3_three_leg_tables_at_trunc3(m, side):
     table = _cop_table(3, m, side).tensor()
     assert table == reference_cop3(3, m, side)
-    assert table == apply_coproduct_leg(_cop_mono(3, m), side)
+    assert table == apply_coproduct_leg(cop_table(3, m), side)
 
 
 def reference_mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
@@ -632,6 +639,22 @@ def test_legs_outside_the_tensor_are_refused(apply, arity, leg):
         apply(t, leg)
 
 
+@pytest.mark.parametrize("make", [
+    lambda q1: apply_coproduct_leg(tensor_of(q1, q1, q1), 1),
+    lambda q1: tensor_of(q1),
+    lambda q1: tensor_of(q1, q1, q1, q1),
+    lambda q1: TensorElement.zero(q1.params, 4),
+    lambda q1: TensorElement.unit(q1.params, 1),
+], ids=["coproduct-leg-of-three", "one-factor", "four-factors", "zero",
+        "unit"])
+def test_tensors_of_other_than_two_or_three_legs_are_refused(make):
+    # Text and JSON name two or three legs: a fourth leg was printed
+    # without its monomial.
+    q1 = make_generator("Q1", params(2, Fraction(1, 2), -3, 1))
+    with pytest.raises(ValueError, match="2 or 3 legs"):
+        make(q1)
+
+
 def test_tensor_storage_is_canonical():
     p, q = params(1, 1, 1, 2), params(2, Fraction(1, 2), -3, 2)
     key = ((0, 0, 0, 1, 0, 0, 0), EMPTY_MONO, (1, 0, 0))
@@ -665,13 +688,45 @@ def test_hopf_axioms_degree3_trunc4():
     assert len([c for c in report.checks if not c.diagnostic]) == 408
 
 
+@cache
+def decoded_cop(trunc: int, m: tuple) -> TensorElement:
+    """cop_table, decoded once per test run for the references."""
+    return cop_table(trunc, m)
+
+
+def decode_and_substitute(space, arity: int, items) -> TensorElement:
+    """The reference of coproduct() and apply_coproduct_leg(): the sum of
+    c * h^g * before (x) cop(m) (x) after over the items (before, m, after,
+    g, c), each cop(m) decoded from its two-leg table and its terms placed
+    one by one, over the lcm of all denominators."""
+    cops = {m: decoded_cop(space.trunc, m) for _, m, *_ in items}
+    den = lcm(*(c.denominator * cops[m].den for _, m, _, _, c in items))
+    out: dict = {}
+    for before, m, after, g, c in items:
+        cop = cops[m]
+        f = c.numerator * (den // (c.denominator * cop.den))
+        for (m1, m2, h), n in cop.nums.items():
+            hh = (g[0] + h[0], g[1] + h[1], g[2] + h[2])
+            if sum(hh) <= space.trunc:
+                key = before + (m1, m2) + after + (hh,)
+                out[key] = out.get(key, 0) + f * n
+    return TensorElement(space, arity,
+                         {k: Fraction(n, den) for k, n in out.items()})
+
+
 def reference_coproduct(x: AlgebraElement) -> TensorElement:
     """The substitution route: each monomial's two-leg table decoded, and
     the decoded tables substituted with x's coefficients."""
-    cops = {m: _cop_mono(x.trunc, m) for m in {k[:7] for k in x.nums}}
-    return substitute(TensorElement.zero(x.params),
-                      [((), cops[k[:7]], (), k[7], n)
-                       for k, n in x.nums.items()], x.den)
+    return decode_and_substitute(x.params, 2, [
+        ((), k[:7], (), k[7], Fraction(n, x.den)) for k, n in x.nums.items()])
+
+
+def reference_coproduct_leg(t: TensorElement, leg: int) -> TensorElement:
+    """The substitution route: each leg monomial's two-leg table decoded
+    and substituted into the leg."""
+    return decode_and_substitute(t.params, t.arity + 1, [
+        (k[:leg], k[leg], k[leg + 1:-1], k[-1], Fraction(n, t.den))
+        for k, n in t.nums.items()])
 
 
 def packed_sum_inputs(abc):
@@ -735,3 +790,54 @@ def test_packed_coproduct_matches_substitution(abc, monkeypatch):
         assert got.params is x.params
         assert_stored_once(got)
     assert width_counts == {0, 1, 2}
+
+
+def coproduct_leg_inputs(abc):
+    """Two-leg tensors whose leg coproducts must match the substitution
+    route: cop of every monomial of degree <= 3 over Truncation(trunc) at
+    trunc 0-2 and of degree <= 2 at trunc 3 (the reference spends 21 s on
+    the degree-3 monomials there), and tensors over the parameters abc
+    whose other leg carries several monomials, with h terms and
+    denominators in their coefficients, at trunc 0-3."""
+    for trunc, degree in ((0, 3), (1, 3), (2, 3), (3, 2)):
+        for m in multiindices_graded(7, degree):
+            yield cop_table(trunc, m)
+        p = params(*abc, trunc)
+        coeff = SeriesScalar({(0, 0, 0): Fraction(3, 2),
+                              (0, 1, 0): Fraction(-5, 7)}, trunc)
+        top = SeriesScalar.monomial((trunc, 0, 0), Fraction(2, 5), trunc)
+        x = AlgebraElement(p, {EMPTY_MONO: SeriesScalar.one(trunc),
+                               mono(Q1=1): coeff, mono(Th=1, P2=1): top})
+        y = AlgebraElement(p, {mono(Ph=1, Q2=2): coeff, mono(P1=1): top,
+                               mono(Ps=1, Q1=1): coeff})
+        yield tensor_of(x, y)
+        yield tensor_of(y, x) - tensor_of(x, x)
+
+
+def test_coproduct_leg_reads_tables_only_through_coproduct(monkeypatch):
+    # apply_coproduct_leg hands each group of terms with equal other legs
+    # to coproduct(), which sums the packed tables: no table is decoded on
+    # its own, and nothing is substituted term by term.
+    calls = []
+    tensor, substitute = _Table.tensor, series.substitute
+
+    def spy_tensor(self):
+        calls.append("tensor")
+        return tensor(self)
+
+    def spy_substitute(*args):
+        calls.append("substitute")
+        return substitute(*args)
+
+    monkeypatch.setattr(_Table, "tensor", spy_tensor)
+    monkeypatch.setattr(series, "substitute", spy_substitute)
+    monkeypatch.setattr(hopf, "substitute", spy_substitute)
+    for t in coproduct_leg_inputs((2, Fraction(1, 2), -3)):
+        want = [reference_coproduct_leg(t, leg) for leg in (0, 1)]
+        calls.clear()
+        got = [apply_coproduct_leg(t, leg) for leg in (0, 1)]
+        assert calls == [], t
+        assert got == want, t
+        for out in got:
+            assert out.params is t.params and out.arity == 3
+            assert_stored_once(out)
