@@ -103,6 +103,13 @@ class Truncation:
             raise InvalidParamsError("truncation order must be >= 0")
 
 
+def require_first_order(trunc: int, what: str) -> None:
+    """Refuse a truncation order below 1 for what reads an h_i coefficient,
+    which order 0 discards."""
+    if trunc < 1:
+        raise InvalidParamsError(f"{what} needs truncation >= 1")
+
+
 class AlgebraElement(TermMap):
     """Finite sum of ordered monomials with series coefficients; a basis
     key is the monomial's exponent tuple."""
@@ -402,7 +409,9 @@ def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     entries being in order of h-degree.  Each den is summed apart, so no
     cell is held, and the sums are merged over the lcm L of the dens.
     _central_mul keeps its own loop (phi and zbasis ran 1.5-2x slower
-    through this one), as does dual.star_closed (`verify all` 25% slower).
+    through this one), as does dual.star_sums, the loop under star_closed
+    and the star associativity cube: its tables are shared by every Y
+    index of the same norms, and each pair of rows attaches its own.
     """
     x.check(y)
     space, trunc = x.params, x.params.trunc

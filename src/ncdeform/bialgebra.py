@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import (GENERATOR_NAMES, DeformParams, InvalidParamsError,
-                      Truncation, make_generator)
+from .algebra import (GENERATOR_NAMES, DeformParams, Truncation,
+                      make_generator, require_first_order)
 from .hopf import coproduct
 from .report import VerificationReport
 from .series import TermMap
@@ -252,15 +252,14 @@ def cocommutator_dir(name, direction: int, trunc: int) -> WedgeElement:
 
     Computes cop(g) - flip(cop(g)) with the other two deformation parameters
     set to zero, extracts the linear coefficient of h_direction and folds the
-    surviving generator (x) generator terms into Lambda^2.
+    surviving generator (x) generator terms into Lambda^2.  The linear
+    coefficient needs truncation >= 1; a lower order raises
+    InvalidParamsError.
     """
-    shared = Truncation(trunc)
+    require_first_order(trunc, "cocommutator extraction")
     if direction not in (1, 2, 3):
         raise ValueError("direction must be 1, 2 or 3")
-    if trunc < 1:
-        raise InvalidParamsError(
-            "cocommutator extraction needs truncation >= 1")
-    t = coproduct(make_generator(name, shared))
+    t = coproduct(make_generator(name, Truncation(trunc)))
     d = (t - t.flip()).limit(set((1, 2, 3)) - {direction})
     h_linear = tuple(1 if k == direction - 1 else 0 for k in range(3))
 
@@ -285,17 +284,20 @@ def cocommutator_dir(name, direction: int, trunc: int) -> WedgeElement:
 
 
 def cocommutator_map(direction: int, trunc: int) -> dict[str, WedgeElement]:
+    """cocommutator_dir of every generator; truncation >= 1."""
     return {name: cocommutator_dir(name, direction, trunc)
             for name in GENERATOR_NAMES}
 
 
 def combine_cocommutators(weights, trunc: int) -> dict[str, WedgeElement]:
     """Rational-weighted combination sum_i w_i * delta_i, one weight per
-    direction; raises ValueError unless there are exactly 3 weights."""
+    direction; raises ValueError unless there are exactly 3 weights, and
+    InvalidParamsError for a truncation order below 1, also when every
+    weight is 0."""
     if len(weights) != 3:
         raise ValueError("combine_cocommutators needs one weight per "
                          "direction (3 weights)")
-    Truncation(trunc)  # rejects a negative order, also when every w_i is 0
+    require_first_order(trunc, "cocommutator extraction")
     return sum_cocommutators(weights, [
         cocommutator_map(i, trunc) if w else {}
         for i, w in zip((1, 2, 3), weights)])

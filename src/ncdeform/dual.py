@@ -44,8 +44,8 @@ from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 
-from .algebra import (AlgebraElement, InvalidParamsError, PBWMonomial,
-                      Truncation, ZMonomial, from_z_basis, z_element)
+from .algebra import (AlgebraElement, PBWMonomial, Truncation, ZMonomial,
+                      from_z_basis, require_first_order, z_element)
 from .bialgebra import LieData
 from .hopf import coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
@@ -166,22 +166,32 @@ def _star_terms(I, nJ: int, K, nL: int,
     return tuple((w, h, c) for (w, h), c in out.items() if c)
 
 
-def star_closed(u: DualElement, v: DualElement) -> DualElement:
-    """Bilinear extension of the closed-formula product of dual monomials.
+def star_rows(x: DualElement, tag=None, scale: int = 1) -> list:
+    """x's numerators times scale as the rows star_sums reads,
+    [(tag, w, y, |y|, [(h, numerator)])], one per basis key (w, y)."""
+    return [(tag, w, y, sum(y),
+             row if scale == 1 else [(h, n * scale) for h, n in row])
+            for (w, y), row in x.rows().items()]
 
-    A pair of terms nu h^ha W^wa Y^ya, nv h^hb W^wb Y^yb adds the integer
-    nu * nv * c to the key (w, ya + yb, ha + h) for every (w, h, c) of
-    _star_terms(wa, |ya|, wb, |yb|) within the truncation budget; the sums
-    are the result's numerators over u.den * v.den.
+
+def star_sums(urows: list, vrows: list, trunc: int, out: dict) -> dict:
+    """The closed-formula products of prepared rows (see star_rows), summed
+    into out[(tag_u, tag_v)], a dict keyed (w, y, h), and returned.
+
+    A pair of rows (tu, wa, ya, |ya|, urow), (tv, wb, yb, |yb|, vrow) reads
+    the table _star_terms(wa, |ya|, wb, |yb|, trunc) once; each pair of
+    their terms (ha, na), (hb, nb) adds na * nb * c under (w, ya + yb,
+    ha + hb + h) for every entry (w, h, c) within the truncation budget.
+    The sums are integers, zeros kept: the caller puts them over the
+    product of its operands' denominators.  Pairs of rows with the same
+    tags add up, so one call can sum a whole block of products.
     """
-    u.check(v)
-    trunc = u.trunc
-    acc: dict = {}
-    get = acc.get
-    vrows = [(wb, yb, sum(yb), vrow) for (wb, yb), vrow in v.rows().items()]
-    for (wa, ya), urow in u.rows().items():
-        nya = sum(ya)
-        for wb, yb, nyb, vrow in vrows:
+    for tu, wa, ya, nya, urow in urows:
+        for tv, wb, yb, nyb, vrow in vrows:
+            acc = out.get((tu, tv))
+            if acc is None:
+                acc = out[(tu, tv)] = {}
+            get = acc.get
             monos = _star_terms(wa, nya, wb, nyb, trunc)
             y = (ya[0] + yb[0], ya[1] + yb[1], ya[2] + yb[2], ya[3] + yb[3])
             for ha, na in urow:
@@ -202,7 +212,15 @@ def star_closed(u: DualElement, v: DualElement) -> DualElement:
                             continue
                         key = (w, y, (h0 + h[0], h1 + h[1], h2 + h[2]))
                         acc[key] = get(key, 0) + n * c
-    return u.over_denominator(acc, u.den * v.den)
+    return out
+
+
+def star_closed(u: DualElement, v: DualElement) -> DualElement:
+    """Bilinear extension of the closed-formula product of dual monomials:
+    star_sums of the untagged rows of u and v, over u.den * v.den."""
+    u.check(v)
+    sums = star_sums(star_rows(u), star_rows(v), u.trunc, {})
+    return u.over_denominator(sums.get((None, None), {}), u.den * v.den)
 
 
 def star_commutator(u: DualElement, v: DualElement) -> DualElement:
@@ -414,8 +432,7 @@ def poisson_bracket_dir(u: DualElement, v: DualElement, i: int) -> DualElement:
     """
     if i not in (1, 2, 3):
         raise ValueError("direction must be 1, 2 or 3")
-    if u.trunc < 1:
-        raise InvalidParamsError("the Poisson bracket needs truncation >= 1")
+    require_first_order(u.trunc, "the Poisson bracket")
     h = tuple(1 if k == i - 1 else 0 for k in range(3))
     comm = star_commutator(u, v)
     return comm.over_denominator({k[:-1] + (_H0,): n
@@ -431,8 +448,10 @@ def dual_structure_constants(i: int, trunc: int = 1) -> LieData:
     """Structure constants of the direction-i Poisson bracket on chi_1..chi_7.
 
     Raises NonLinearBracketError if any basis bracket fails to be a linear
-    combination of the chi functionals.
+    combination of the chi functionals, and InvalidParamsError for a
+    truncation order below 1, as poisson_bracket_dir does.
     """
+    require_first_order(trunc, "the Poisson bracket")
     chis = [chi(k, trunc) for k in range(1, 8)]
     constants: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(7):

@@ -316,6 +316,23 @@ def test_cocommutator_requires_positive_truncation():
         cocommutator_dir("Th", 2, 0)
 
 
+@pytest.mark.parametrize("trunc", [-1, 0])
+@pytest.mark.parametrize("call", [
+    lambda t: dual_structure_constants(1, t),
+    lambda t: cocommutator_dir("Q1", 1, t),
+    lambda t: cocommutator_map(1, t),
+    lambda t: combine_cocommutators((1, 0, 0), t),
+    lambda t: combine_cocommutators((0, 0, 0), t),
+], ids=["dual_structure_constants", "cocommutator_dir", "cocommutator_map",
+        "combine_cocommutators", "combine_cocommutators-zero"])
+def test_first_order_functions_refuse_truncation_below_1(call, trunc):
+    # Each reads an h_i coefficient, which truncation 0 discards.  At -1
+    # they named the bound >= 0, and combine_cocommutators((0, 0, 0), 0)
+    # returned seven zero wedges.
+    with pytest.raises(InvalidParamsError, match="truncation >= 1"):
+        call(trunc)
+
+
 @pytest.mark.parametrize("call", [
     lambda: cocommutator_dir("Th", 2, -1),
     lambda: cocommutator_map(1, -1),

@@ -14,7 +14,8 @@ from ncdeform import (InvalidParamsError, ParamsMismatchError, dual, hopf,
                       star_oracle_element, verify_star_suite)
 from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
                                  submultiindices)
-from ncdeform.suites import _DEEP_PROBES
+from ncdeform import suites
+from ncdeform.suites import _DEEP_PROBES, first_associativity_failure
 
 from conftest import assert_stored_once, h_exponents, params, small_fractions
 
@@ -188,6 +189,100 @@ def test_star_suite_builds_one_table_per_ynorm():
     assert dual._star_terms.cache_info().currsize == 1875 + len(_DEEP_PROBES)
 
 
+def pair_table(monos):
+    return [[star_closed(u, v) for v in monos] for u in monos]
+
+
+def reference_first_failure(monos, table):
+    """The first (i, j, k) with table[i][j] * monos[k] != monos[i] *
+    table[j][k], one star_closed product per side and triple: the scan the
+    block cube replaced."""
+    n = len(monos)
+    return next(((i, j, k) for i, j, k in product(range(n), repeat=3)
+                 if star_closed(table[i][j], monos[k])
+                 != star_closed(monos[i], table[j][k])), None)
+
+
+def test_block_cube_finds_the_reference_first_failure_at_truncation_3():
+    # The closed formula is associative only mod h^3; on the norm <= 2
+    # grid at truncation 3, 11,934 triples fail.
+    monos = grid(2, 3)
+    table = pair_table(monos)
+    want = reference_first_failure(monos, table)
+    assert [monos[x].to_text() for x in want] == [
+        "Y[0,0,0,1]", "W[0,0,1]", "W[0,0,2]"]
+    assert first_associativity_failure(monos, table, 3) == want
+
+
+def test_block_cube_reports_the_lexicographically_first_triple():
+    # A wrong entry table[2][1] fails the triples (2, 1, k), found in the
+    # block of j = 1, and (i, 2, 1), found in the later block of j = 2.  The
+    # first in lexicographic order is (0, 2, 1), not the first block's
+    # (2, 1, 0).
+    monos = grid(1, 1)
+    table = pair_table(monos)
+    table[2][1] = table[2][1] + dm((1, 0, 0), Y0, 1, Fraction(1, 3))
+    assert reference_first_failure(monos, table) == (0, 2, 1)
+    assert first_associativity_failure(monos, table, 1) == (0, 2, 1)
+
+
+def rational_operands(trunc):
+    """Sums of dual monomials with coefficients of several denominators."""
+    return [dm(W0, (0, 0, 0, 1), trunc, Fraction(1, 2)),
+            dm((0, 0, 1), Y0, trunc, Fraction(2, 3))
+            + dm(W0, (1, 0, 0, 0), trunc, Fraction(-1, 5)),
+            dm((0, 0, 2), Y0, trunc, Fraction(3, 7)),
+            dm((1, 0, 0), Y0, trunc, Fraction(5, 4))
+            - dm((0, 1, 0), (0, 1, 0, 0), trunc, h_series((1, 0, 0),
+                                                          Fraction(1, 3),
+                                                          trunc)),
+            dm((2, 0, 0), Y0, trunc, 3)]
+
+
+@pytest.mark.parametrize("trunc,verdict", [(1, None), (3, (0, 1, 2))])
+def test_block_cube_reads_operands_over_their_denominators(
+        monkeypatch, trunc, verdict):
+    # Mod h^2 the product is associative whatever the denominators, so a
+    # cube that compared numerators over different denominators would
+    # fail at truncation 1; at truncation 3 it must fail where the
+    # reference does.  The cube makes no star_closed product.
+    monos = rational_operands(trunc)
+    table = pair_table(monos)
+    assert {x.den for line in table for x in line} - {1}
+    assert reference_first_failure(monos, table) == verdict
+
+    def forbidden(*args):
+        raise AssertionError("the cube built a product per triple")
+
+    monkeypatch.setattr(suites, "star_closed", forbidden)
+    monkeypatch.setattr(dual, "star_closed", forbidden)
+    assert first_associativity_failure(monos, table, trunc) == verdict
+
+
+def test_star_suite_reports_the_reference_counterexample(monkeypatch):
+    # One wrong h-coefficient in the closed formula's table for
+    # W[1,0,0] * W[0,1,0] breaks associativity mod h^2; the suite names
+    # the triple the per-triple scan finds first.
+    original = dual._star_terms
+    wrong = ((1, 0, 0), 0, (0, 1, 0), 0)
+
+    def perturbed(I, nJ, K, nL, trunc):
+        terms = original(I, nJ, K, nL, trunc)
+        if (I, nJ, K, nL) == wrong:
+            terms = tuple((w, h, c + 1 if h == (1, 0, 0) else c)
+                          for w, h, c in terms)
+        return terms
+
+    monkeypatch.setattr(dual, "_star_terms", perturbed)
+    check = next(c for c in verify_star_suite(2).checks
+                 if c.name == "star-associativity")
+    monos = grid(2, 1)
+    want = reference_first_failure(monos, pair_table(monos))
+    assert not check.passed
+    assert check.subject == "46656 triples (mod h^2)"
+    assert check.counterexample == ", ".join(monos[x].to_text() for x in want)
+
+
 def dual_elements(trunc):
     keys = st.sampled_from([(m.terms.popitem()[0]) for m in grid(2, 0)])
     coeffs = st.one_of(st.sampled_from([1, -1, 2]), small_fractions())
@@ -263,8 +358,10 @@ def test_oracle_never_calls_the_closed_formula(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called the closed formula")
 
-    # star_closed and its tables are the whole closed formula.
+    # star_closed, its kernel and its tables are the whole closed formula.
     monkeypatch.setattr(dual, "star_closed", forbidden)
+    monkeypatch.setattr(dual, "star_sums", forbidden)
+    monkeypatch.setattr(dual, "star_rows", forbidden)
     monkeypatch.setattr(dual, "_star_terms", forbidden)
     # The oracle's tables are shared by every parameter set of a
     # truncation, so they are dropped to make sure every one is built here,
