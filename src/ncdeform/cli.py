@@ -46,13 +46,13 @@ MAX_VERIFY_DEGREE = 3
 #: truncation order 0..5; a higher order is refused.  The Hopf grid's cost
 #: grows steeply with both (`--maxdeg 0 --trunc 6` took 27.5 s and 824 MB),
 #: so the bound is checked before any work.  The costliest grid admitted
-#: at each order, `verify hopf` timed cold on a 2-vCPU host with Python
-#: 3.11: `--maxdeg 3` at 0 0.3 s, at 1 0.3 s, at 2 0.4 s, at 3 0.7 s
-#: and at 4 1.3-1.9 s (56 MB); `--maxdeg 2` at 5 1.5-2.5 s (68 MB).
-#: `--maxdeg 3` at 5 took 3.2-5.2 s and 103 MB; it stays refused, as
-#: admitting a larger grid is a decision of its own.  The shared host's
-#: speed drifts by up to a half within an hour.  `verify all` adds about
-#: 2-3 s to each.
+#: at each order, `verify hopf` timed cold (whole process, three runs) on
+#: a 2-vCPU host with Python 3.11: `--maxdeg 3` at 0 0.1-0.2 s, at 1
+#: 0.2 s, at 2 0.2-0.3 s, at 3 0.4 s and at 4 1.1-1.3 s (55 MB);
+#: `--maxdeg 2` at 5 1.4-1.5 s (68 MB).  `--maxdeg 3` at 5 took 2.8-2.9 s
+#: and 103 MB; it stays refused, as admitting a larger grid is a decision
+#: of its own.  The shared host's speed drifts by up to a half within an
+#: hour.  `verify all` adds about 1 s to each (`--trunc` 3 and 4).
 HOPF_GRID_DEGREES = (3, 3, 3, 3, 3, 2)
 
 #: The largest `verify star --maxdeg`: the norm-3 grid took 60 s and 153 MB

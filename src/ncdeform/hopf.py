@@ -14,13 +14,14 @@ algebra.lambda_coefficients) in cop(rho) instead of rho.
 None of this contains alpha, beta or gamma, so cop(rho), cop(lam) and its
 inverse, the generator coproducts and the coproducts of monomials on two
 and three legs are built once per truncation order, over
-algebra.Truncation(trunc), and shared by every parameter set.
-coproduct() is the one reader of the two-leg tables: it adds the tables
-of its operand's monomials on their packed keys and decodes the sum once
-per layout, over the caller's parameters.  apply_coproduct_leg() groups a
-tensor's terms by their other legs and puts the coproduct() of each group
-in the leg.  The antipode reverses products, so its tables are built per
-parameter set, with that set's commutators.
+algebra.Truncation(trunc), and shared by every parameter set.  Two
+functions read the two-leg tables: coproduct() adds the tables of its
+operand's monomials on their packed keys and decodes the sum once per
+layout, over the caller's parameters, and the Hopf grid's antipode check
+runs _Table.mu_antipode on each monomial's table.  apply_coproduct_leg()
+groups a tensor's terms by their other legs and puts the coproduct() of
+each group in the leg.  The antipode reverses products, so its tables are
+built per parameter set, with that set's commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
 the storage).  The product kernel works on packed integer keys instead
@@ -45,10 +46,14 @@ block pair once per process.  Where no leg's Q/P letters can come out of
 order, as in every link of a coproduct chain, the Q/P parts simply add and
 each distinct pair of blocks is multiplied once per product.  tensor_mul
 packs its operands at the width its product needs, multiplies them, and
-decodes the result.  The antipode check (mu_antipode_leg) packs nothing:
+decodes the result.  There is one antipode kernel, _Table.mu_antipode:
 Th, Ph and Ps are central, so S(c) = (-1)^|c| c on a central monomial c,
-and it sums the terms of a tensor into one signed central series per pair
-of Q/P parts, multiplying each pair once through normal_order_mul.
+and mu (S (x) 1) of a table is, block by block, one signed central series
+times the sum of S(q1) q2 over the block's Q/P keys.  That series holds
+no alpha, beta or gamma, so it is kept per (layout, block, leg) (_signed),
+and it is multiplied once per block, by one normal_order_mul, into the sum
+of the block's Q/P products.  mu_antipode_leg packs its tensor and runs the
+same kernel.
 
 The coproduct tables of monomials are stored packed (_Table), on two legs
 and on the three legs of the coassociativity check (_cop_table, one chain
@@ -61,7 +66,8 @@ per letter, so its length is bounded by memory alone, not by recursion.
 Over the degree-3 grid at trunc 3 the two three-leg sides hold 1,632 (Q/P
 key, block) slots but 77 distinct blocks, and their products meet 121
 distinct block pairs.  No decoded copy of a table is kept: coproduct()
-decodes only its packed sum, the coassociativity check compares the two
+decodes only its packed sum, the antipode check only each block's signed
+series and Q/P keys, the coassociativity check compares the two
 sides' blocks and factors, and a three-leg table is decoded only to write
 a failure's note.  Only integers are added, over one denominator per
 table.  This keeps the exhaustive degree-3 verification grids fast enough
@@ -451,34 +457,15 @@ def apply_counit_leg(t: TensorElement, leg: int):
 
 def mu_antipode_leg(t: TensorElement, leg: int) -> AlgebraElement:
     """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) on a two-leg
-    tensor.  Split each leg monomial into its central part c and its Q/P
-    part q.  Th, Ph and Ps are central, so S(c) = (-1)^|c| c and
-
-        mu (S (x) 1)(c1 q1 (x) c2 q2) = (-1)^|c1| c1 c2 S(q1) q2
-        mu (1 (x) S)(c1 q1 (x) c2 q2) = (-1)^|c2| c1 c2 q1 S(q2).
-
-    The terms of t are summed into one signed central series per Q/P pair
-    (q1, q2), the pair is multiplied once, with S from antipode_mono, and
-    the product is multiplied by its series."""
+    tensor: t packed as a table (_Table.pack) at the width of its largest
+    exponent, and the table's _Table.mu_antipode over t's parameters."""
     if t.arity != 2:
         raise ValueError("mu_antipode_leg is defined for two legs")
     _check_leg(t, leg)
-    params = t.params
-    series: dict = {}
-    for (m1, m2, h), n in t.nums.items():
-        c = m2 if leg else m1
-        key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], 0, 0, 0, 0, h)
-        nums = series.setdefault((_H0 + m1[3:], _H0 + m2[3:]), {})
-        nums[key] = nums.get(key, 0) + (-n if (c[0] + c[1] + c[2]) & 1 else n)
-    zero = AlgebraElement.zero(params)
-    out = zero
-    for (q1, q2), nums in series.items():
-        prod = (normal_order_mul(AlgebraElement.monomial(params, q1),
-                                 antipode_mono(params, q2)) if leg
-                else normal_order_mul(antipode_mono(params, q1),
-                                      AlgebraElement.monomial(params, q2)))
-        out = out + normal_order_mul(zero.over_denominator(nums, t.den), prod)
-    return out
+    if not t.nums:
+        return AlgebraElement.zero(t.params)
+    return _Table.pack(t, _top(t).bit_length() or 1).mu_antipode(t.params,
+                                                                  leg)
 
 
 def _width(trunc: int, top: int) -> int:
@@ -603,9 +590,10 @@ class _Table:
     coproduct tables, the caller's parameters for tensor_mul.  They are
     kept grouped by block (Blocks), since few blocks are distinct.  No
     table changes once built, and equal tables have equal (den, blocks) in
-    one layout.  coproduct() reads the two-leg tables on their packed keys;
-    tensor() decodes tensor_mul's products, and three-leg tables only for
-    a failing coassociativity check's note.
+    one layout.  coproduct() reads the two-leg tables on their packed keys
+    and mu_antipode() block by block; tensor() decodes tensor_mul's
+    products, and three-leg tables only for a failing coassociativity
+    check's note.
     """
 
     __slots__ = ("layout", "space", "den", "blocks")
@@ -720,6 +708,39 @@ class _Table:
             acc[q] = acc.get(q, 0) + n * (L // den)
         return sums, L
 
+    def mu_antipode(self, params: DeformParams, leg: int) -> AlgebraElement:
+        """mu (S (x) 1) (leg = 0) or mu (1 (x) S) (leg = 1) of a two-leg
+        table, over params of its truncation.  Split each leg monomial into
+        its central part c and its Q/P part q.  Th, Ph and Ps are central,
+        so S(c) = (-1)^|c| c and
+
+            mu (S (x) 1)(c1 q1 (x) c2 q2) = (-1)^|c1| c1 c2 S(q1) q2
+            mu (1 (x) S)(c1 q1 (x) c2 q2) = (-1)^|c2| c1 c2 q1 S(q2).
+
+        The central parts of a table's terms are its blocks, so each block
+        B is one signed central series (_signed) times the sum of c S(q1)
+        q2 (or c q1 S(q2)) over its Q/P keys q with factor c, S from
+        antipode_mono: one normal_order_mul per Q/P key and one per block."""
+        layout = self.layout
+        monos, mask = layout.monos, layout.mono_mask
+        off1, off2 = layout.offsets
+        mono, zero = AlgebraElement.monomial, AlgebraElement.zero(params)
+        parts = []
+        for block, qs in self.blocks.items():
+            series = _signed(layout, block, leg)
+            if not series:
+                continue
+            items = []
+            for q, c in qs.items():
+                q1, q2 = monos[q >> off1 & mask], monos[q >> off2 & mask]
+                pair = ((mono(params, q1), antipode_mono(params, q2)) if leg
+                        else (antipode_mono(params, q1), mono(params, q2)))
+                items.append((normal_order_mul(*pair), _H0, c))
+            parts.append((normal_order_mul(zero.over_denominator(series, 1),
+                                           substitute(zero, items, 1)),
+                          _H0, 1))
+        return substitute(zero, parts, self.den)
+
     def equals(self, other: "_Table") -> bool:
         """Equal values in one layout, as the two three-leg tables of one
         monomial are."""
@@ -737,6 +758,25 @@ class _Table:
             nums += [c * n for c in qs.values() for n in values]
         into = TensorElement.zero(self.space, self.layout.arity)
         return into.over_denominator(self.layout.decode(keys, nums), self.den)
+
+
+@cache
+def _signed(layout: _Layout, block: _Block, leg: int) -> dict:
+    """The entries c1 (x) c2 h of a two-leg block folded into the central
+    series (-1)^|c_leg| c1 c2 h, as {algebra key: numerator}, zeros left
+    out.  It holds no alpha, beta or gamma, so it is kept per block."""
+    monos, hs = layout.monos, layout.hs
+    mask, hmask = layout.mono_mask, (1 << layout.hbits) - 1
+    off1, off2 = layout.offsets
+    out: dict = {}
+    get = out.get
+    for k, n in zip(block.keys, block.values):
+        c1, c2 = monos[k >> off1 & mask], monos[k >> off2 & mask]
+        c = c2 if leg else c1
+        key = (c1[0] + c2[0], c1[1] + c2[1], c1[2] + c2[2], 0, 0, 0, 0,
+               hs[k & hmask])
+        out[key] = get(key, 0) + (-n if (c[0] + c[1] + c[2]) & 1 else n)
+    return {key: n for key, n in out.items() if n}
 
 
 @cache
@@ -824,7 +864,8 @@ def verify_hopf_axioms(max_generator_degree: int,
                                               (left - elt) + (right - elt)))
 
         target = unit.scale(counit(elt))
-        sleft, sright = mu_antipode_leg(cop, 0), mu_antipode_leg(cop, 1)
+        table = _cop_table(D, mono, None)
+        sleft, sright = (table.mu_antipode(params, leg) for leg in (0, 1))
         ok = sleft == target and sright == target
         report.add("antipode", name, ok,
                    None if ok else _diff_note("mu(S(x)1)cop - eta eps",

@@ -206,6 +206,22 @@ def test_verify_all(capsys):
     assert out == (DATA / "verify_all.txt").read_text()
 
 
+def test_verify_hopf_grid_of_the_benchmark(capsys):
+    # The input of the benchmark's hopf_grid workload, whose report the
+    # benchmark checks only by its count of 408 checks: text and JSON are
+    # pinned byte for byte by their sha256.
+    digests = []
+    for fmt in ([], ["--format", "json"]):
+        code, out, _ = run(capsys, "verify", "hopf", "--maxdeg", "3",
+                           "--trunc", "3", "--alpha", "2", "--beta", "1/2",
+                           "--gamma=-3", *fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == [
+        "7d625e5dedfa5771af80f23f049d664c37cd700b78dfe1f1ccb3bef8c9035517",
+        "80badd7093f8ccf595335391971146adc399848e14697f7c36abd9381a23f4a3"]
+
+
 def readme_commands() -> list[list[str]]:
     """argv of every command in the README's "Command line" block."""
     block = README.read_text().split("## Command line", 1)[1]

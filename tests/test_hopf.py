@@ -613,6 +613,60 @@ def test_mu_antipode_leg_matches_reference(pair, leg):
         assert mu_antipode_leg(t, leg) == reference_mu_antipode_leg(t, leg)
 
 
+@pytest.mark.parametrize("trunc", range(4))
+def test_mu_antipode_kernel_matches_reference_on_every_cop_table(trunc):
+    # The Hopf grid runs the kernel on the cached two-leg tables; the
+    # hypothesis test above runs it through mu_antipode_leg's packing.
+    grid_abc = (Fraction(2), Fraction(1, 2), Fraction(-3))
+    for abc in dict.fromkeys([*PARAM_SETS, grid_abc]):
+        p = params(*abc, trunc)
+        for m in multiindices_graded(7, 3):
+            table, cop = _cop_table(trunc, m, None), decoded_cop(trunc, m)
+            for leg in (0, 1):
+                assert table.mu_antipode(p, leg) == \
+                    reference_mu_antipode_leg(cop.over(p), leg), (abc, m, leg)
+
+
+def test_antipode_check_fails_on_a_wrong_antipode(monkeypatch):
+    # With S(Q1) = +Q1 the grid must fail the antipode check of Q1 alone,
+    # and still pass counit and coassociativity on every monomial.
+    real = hopf.antipode_mono
+    q1 = mono(Q1=1)
+
+    def skewed(space, m):
+        return AlgebraElement.monomial(space, m) if m == q1 else real(space, m)
+
+    real.cache_clear()
+    monkeypatch.setattr(hopf, "antipode_mono", skewed)
+    try:
+        report = verify_hopf_axioms(1, params(2, Fraction(1, 2), -3, 2))
+    finally:
+        real.cache_clear()
+    failed = {(c.name, c.subject): c.counterexample
+              for c in report.failures()}
+    assert [subject for name, subject in failed if name == "antipode"] == \
+        ["Q1"]
+    # The two legs give 2 Q1 exp(rho) and 2 Q1 exp(-rho) instead of 0.
+    assert failed["antipode", "Q1"] == (
+        "mu(S(x)1)cop - eta eps differs by 4*Q1 + 2*h3^2*Ps^2*Q1 + "
+        "4*h2*h3*Ph*Ps*Q1 + 2*h2^2*Ph^2*Q1 + 4*h1*h3*Th*Ps*Q1 + "
+        "4*h1*h2*Th*Ph*Q1 + 2*h1^2*Th^2*Q1")
+    for name in ("counit", "coassociativity"):
+        # One check per monomial of degree <= 1: 1 and the 7 generators.
+        assert [c.passed for c in report.checks if c.name == name] == \
+            [True] * 8
+
+
+def test_signed_series_are_kept_once_for_every_parameter_set():
+    # A block's signed central series holds no alpha, beta or gamma, so a
+    # second parameter set at the same truncation adds no memo entry.
+    verify_hopf_axioms(2, params(1, 1, 1, 2))
+    size = hopf._signed.cache_info().currsize
+    assert size
+    verify_hopf_axioms(2, params(2, Fraction(1, 2), -3, 2))
+    assert hopf._signed.cache_info().currsize == size
+
+
 @pytest.mark.parametrize("space", [params(2, Fraction(1, 2), -3, 3),
                                    Truncation(2)], ids=["params", "trunc"])
 def test_antipode_of_a_central_monomial_is_its_signed_self(space):
