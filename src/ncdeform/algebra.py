@@ -34,6 +34,12 @@ parameter set of that truncation reads the same tables; make_rho,
 make_lambda and make_exp_rho hand out copies over the caller's parameters.
 power_series sums lam, lam^-1 (lambda_coefficients) and exp(c*rho) in rho,
 and, in hopf, the inverse of cop(lam) in cop(rho).
+
+The divided-power basis is Z^I X^J = lam^|I| Th^I X^J / (I! J!), Z_i =
+lam Th_i on the central letters Th_i = Th, Ph, Ps.  Each way the basis
+change is one central multiplication per |I|: from_z_basis by lam^|I|, and
+z_element by lam^-|I| = (asinh(2u)/(2u))^|I|, since u = h1*Z1 + h2*Z2 +
+h3*Z3 = lam*rho = sinh(2*rho)/2 gives rho = asinh(2u)/2.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add
 from typing import Callable, Mapping, Sequence
 
@@ -360,6 +366,21 @@ def _lam_pow(k: int, trunc: int) -> AlgebraElement:
 
 
 @cache
+def _asinh_pow(k: int, trunc: int) -> AlgebraElement:
+    """lam^-k = (asinh(2u)/(2u))^k in the Z_i, k >= 0, Z_i on central letter
+    i (module docstring): (-1)^n C(2n, n)/(2n+1) at u^(2n) for k = 1."""
+    one = AlgebraElement.unit(Truncation(trunc))
+    if k == 0:
+        return one
+    if k == 1:
+        return power_series(
+            [Fraction((-1) ** (n // 2) * comb(n, n // 2), n + 1) if n % 2 == 0
+             else Fraction(0) for n in range(trunc + 1)],
+            _rho(trunc), one, _central_mul)
+    return _central_mul(_asinh_pow(k - 1, trunc), _asinh_pow(1, trunc))
+
+
+@cache
 def _exp_rho(c: Fraction, trunc: int) -> AlgebraElement:
     return power_series([c ** n / factorial(n) for n in range(trunc + 1)],
                         _rho(trunc), AlgebraElement.unit(Truncation(trunc)),
@@ -460,14 +481,15 @@ def classical_limit(x: AlgebraElement) -> AlgebraElement:
     return x.limit((1, 2, 3))
 
 
-def _lam_graded(x: AlgebraElement, power: Callable) -> AlgebraElement:
-    """The sum over the terms of x of lam^power(key) times the term."""
+def _lam_graded(x: AlgebraElement, power: Callable,
+                table: Callable = _lam_pow) -> AlgebraElement:
+    """The sum over the terms of x of table(power(key)) times the term."""
     parts: dict[int, dict] = {}
     for k, n in x.nums.items():
         parts.setdefault(power(k), {})[k] = n
     out = AlgebraElement.zero(x.params)
     for p, nums in parts.items():
-        out = out + _central_mul(_lam_pow(p, x.params.trunc),
+        out = out + _central_mul(table(p, x.params.trunc),
                                  x.over_denominator(nums, x.den))
     return out
 
@@ -486,48 +508,39 @@ def _z_factorial(key: tuple) -> int:
     return mi_factorial(key[:3]) * mi_factorial(key[3:7])
 
 
-def _from_z(z: AlgebraElement) -> AlgebraElement:
-    """The element whose coefficient of Z^I X^J is z's at the monomial
-    I + J, where Z^I X^J = lam^|I| Th^i1 Ph^i2 Ps^i3 Q1^j1 Q2^j2 P1^j3 P2^j4
-    / (I! J!)."""
+def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
+                 params: DeformParams) -> AlgebraElement:
+    """Assemble an element from divided-power coordinates.
+
+    Z^I X^J = lam^|I| Th^i1 Ph^i2 Ps^i3 Q1^j1 Q2^j2 P1^j3 P2^j4 / (I! J!).
+    A key other than (I, J) of 3 and 4 naturals raises ValueError.
+    """
+    for key in zmap:
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(part, tuple) for part in key)
+                and tuple(map(len, key)) == (3, 4)
+                and all(type(e) is int and e >= 0
+                        for part in key for e in part)):
+            raise ValueError(
+                f"not a Z-basis key (I, J) of 3 and 4 naturals: {key!r}")
+    z = AlgebraElement(params, {
+        ci + qp: s if isinstance(s, SeriesScalar)
+        else SeriesScalar.from_rational(s, params.trunc)
+        for (ci, qp), s in zmap.items()})
     L = lcm(*{_z_factorial(k) for k in z.nums})
     scaled = z.over_denominator(
         {k: n * (L // _z_factorial(k)) for k, n in z.nums.items()}, z.den * L)
     return _lam_graded(scaled, lambda k: sum(k[:3]))
 
 
-def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
-                 params: DeformParams) -> AlgebraElement:
-    """Assemble an element from divided-power coordinates.
-
-    Z^I X^J = lam^|I| Th^i1 Ph^i2 Ps^i3 Q1^j1 Q2^j2 P1^j3 P2^j4 / (I! J!).
-    """
-    return _from_z(AlgebraElement(params, {
-        tuple(ci) + tuple(qp): s if isinstance(s, SeriesScalar)
-        else SeriesScalar.from_rational(s, params.trunc)
-        for (ci, qp), s in zmap.items()}))
-
-
 def z_element(x: AlgebraElement) -> AlgebraElement:
     """The divided-power coordinates of x as an element over its
     parameters: the coefficient of Z^I X^J stands at the monomial I + J.
-
-    Successive approximation: reading off Z-coefficients as if lam were 1 is
-    exact up to terms of two more h-degrees, so repeating on the remainder
-    terminates within trunc/2 + 1 rounds.
-    """
-    z = AlgebraElement.zero(x.params)
-    rem = x
-    for _ in range(x.params.trunc // 2 + 2):
-        if not rem.nums:
-            break
-        inc = rem.over_denominator(
-            {k: n * _z_factorial(k) for k, n in rem.nums.items()}, rem.den)
-        z = z + inc
-        rem = rem - _from_z(inc)
-    if rem.nums:
-        raise RuntimeError("z-basis conversion failed to terminate")
-    return z
+    Th^I X^J = lam^-|I| (Z1^i1 Z2^i2 Z3^i3 X^J), lam^-|I| by _asinh_pow,
+    and that product of letters is I! J! Z^I X^J."""
+    z = _lam_graded(x, lambda k: sum(k[:3]), _asinh_pow)
+    return z.over_denominator(
+        {k: n * _z_factorial(k) for k, n in z.nums.items()}, z.den)
 
 
 def to_z_basis(x: AlgebraElement) -> dict[ZMonomial, SeriesScalar]:

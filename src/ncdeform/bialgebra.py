@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import (GENERATOR_NAMES, DeformParams, Truncation,
-                      make_generator, require_first_order)
+from .algebra import (GENERATOR_NAMES, P1, P2, PH, PS, Q1, Q2, TH,
+                      DeformParams, Truncation, make_generator,
+                      require_first_order)
 from .hopf import coproduct
 from .report import VerificationReport
 from .series import TermMap
@@ -99,7 +100,6 @@ def nc_lie_data(alpha, beta, gamma) -> LieData:
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    TH, PH, PS, Q1, Q2, P1, P2 = range(7)
     constants: dict[tuple[int, int], Vector] = {}
 
     def put(i, j, k, c):

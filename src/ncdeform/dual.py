@@ -73,6 +73,7 @@ class DualElement(TermMap):
     __slots__ = ("trunc",)
 
     def __init__(self, trunc: int, terms: Mapping[DualMonomial, SeriesScalar]):
+        Truncation(trunc)  # rejects a negative order
         self.trunc = trunc
         self._store_series(terms)
 
@@ -377,7 +378,6 @@ def oracle_targets(u: DualElement, v: DualElement) -> int:
 def star_oracle_element(u: DualElement, v: DualElement) -> DualElement:
     """Bilinear extension of star_oracle to two dual elements of one
     truncation order."""
-    Truncation(u.trunc)  # rejects a negative order, also when u or v is 0
     u.check(v)
     out = DualElement.zero(u.trunc)
     vterms = v.terms.items()

@@ -3,16 +3,20 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdeform import (AlgebraElement, DeformParams, InvalidParamsError,
                       ParamsMismatchError, SeriesScalar, algebra,
                       classical_limit, commutator, from_z_basis,
                       make_exp_rho, make_generator, make_lambda, make_rho,
                       normal_order_mul, phi_automorphism, to_z_basis)
+from ncdeform.algebra import Truncation, z_element
 
-from ncdeform.multiindex import multiindices
+from ncdeform.multiindex import mi_factorial, multiindices
 
-from conftest import PARAM_SETS, params, random_element
+from conftest import (PARAM_SETS, h_exponents, params, random_element,
+                      small_fractions)
 
 TH, PH, PS, Q1, Q2, P1, P2 = range(7)
 
@@ -352,6 +356,70 @@ def test_z_basis_roundtrip():
                 for _ in range(3)}
         zmap = {k: v for k, v in zmap.items() if v}
         assert to_z_basis(from_z_basis(zmap, p)) == zmap
+
+
+def reference_z_element(x):
+    """z_element by successive approximation: reading off Z-coefficients
+    as if lam were 1 is exact up to terms of two more h-degrees, so
+    repeating on the remainder through from_z_basis ends within
+    trunc // 2 + 1 rounds."""
+    z, rem = AlgebraElement.zero(x.params), x
+    for _ in range(x.trunc // 2 + 1):
+        inc = rem.over_denominator(
+            {k: n * mi_factorial(k[:3]) * mi_factorial(k[3:7])
+             for k, n in rem.nums.items()}, rem.den)
+        z = z + inc
+        rem = rem - from_z_basis(
+            {(m[:3], m[3:]): s for m, s in inc.terms.items()}, x.params)
+    assert not rem
+    return z
+
+
+@st.composite
+def z_operands(draw):
+    """An element at trunc 0-6 over a DeformParams or a Truncation, with
+    central letters and h factors on its terms."""
+    trunc = draw(st.integers(0, 6))
+    space = draw(st.one_of(
+        st.just(Truncation(trunc)),
+        st.sampled_from(PARAM_SETS).map(lambda abc: params(*abc, trunc))))
+    monos = st.tuples(*[st.integers(0, 3)] * 3, *[st.integers(0, 2)] * 4)
+    terms = draw(st.dictionaries(
+        monos, st.dictionaries(h_exponents(trunc), small_fractions(),
+                               min_size=1, max_size=3), max_size=4))
+    return AlgebraElement(space, {m: SeriesScalar(c, trunc)
+                                  for m, c in terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(z_operands())
+def test_z_element_matches_successive_approximation(x):
+    # The closed form, one multiplication by (asinh(2u)/(2u))^|I|, against
+    # the iteration on from_z_basis it replaced.
+    z = z_element(x)
+    assert z == reference_z_element(x)
+    assert z.params == x.params
+
+
+@pytest.mark.parametrize("key", [
+    ((1, 0), (0, 0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0, 0, 1)),
+    ((0, -1, 0), (0, 0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0, -2)),
+    ((0, 0, 0), (0, 0, 0, 0), ()),
+    ((1, 0, 0),),
+    ((Fraction(1), 0, 0), (0, 0, 0, 0)),
+    (1, (0, 0, 0, 0)),
+    "Th",
+], ids=["short-I", "long-J", "negative-I", "negative-J", "three-parts",
+        "one-part", "fraction-index", "int-part", "string"])
+def test_from_z_basis_rejects_malformed_keys(key):
+    # These raised TypeError from inside, or "factorial() not defined for
+    # negative values"; a well-formed key before the bad one is not read.
+    zmap = {((0, 0, 0), (1, 0, 0, 0)): 1, key: 1}
+    with pytest.raises(ValueError, match="Z-basis key") as info:
+        from_z_basis(zmap, params(1, 1, 1, 1))
+    assert repr(key) in str(info.value)
 
 
 # -- flatness automorphism ----------------------------------------------------

@@ -189,6 +189,26 @@ def test_star_suite_builds_one_table_per_ynorm():
     assert dual._star_terms.cache_info().currsize == 1875 + len(_DEEP_PROBES)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_star_unit_law_reads_row_and_column_zero(monkeypatch, side):
+    # The unit law reads the unit's row and column of the pair table, so
+    # the grid must start with the unit at every norm bound.
+    for bound in range(4):
+        assert suites._dual_monomials(bound, 1)[0] == DualElement.unit(1)
+    unit, target = DualElement.unit(1), dm((0, 1, 0), Y0, 1)
+    bad = (unit, target) if side == "left" else (target, unit)
+
+    def wrong(u, v):
+        out = star_closed(u, v)
+        return out + out if (u, v) == bad else out
+
+    monkeypatch.setattr(suites, "star_closed", wrong)
+    check = next(c for c in verify_star_suite(1).checks
+                 if c.name == "star-unit-law")
+    assert not check.passed
+    assert check.counterexample == target.to_text()
+
+
 def pair_table(monos):
     return [[star_closed(u, v) for v in monos] for u in monos]
 
@@ -568,12 +588,14 @@ def test_oracle_grid_consistency():
     lambda: dual.star_oracle_restricted((W0, Y0), (W0, Y0), -1),
     lambda: star_oracle_element(DualElement.zero(-1), DualElement.zero(-1)),
     lambda: star_oracle_element(DualElement(-1, {}), chi(1, 1)),
+    lambda: DualElement(-1, {((1, 0, 0), Y0): SeriesScalar.one(2)}),
 ], ids=["delta_on_zbasis", "star_oracle", "star_oracle_grid-0",
         "star_oracle_grid-1", "star_oracle_restricted",
-        "star_oracle_element-zero", "star_oracle_element"])
+        "star_oracle_element-zero", "star_oracle_element", "DualElement"])
 def test_oracle_rejects_negative_truncation(call):
     # Before the check, star_oracle, star_oracle_grid(0, .) and
-    # star_oracle_element on zero operands returned 0 for a negative order.
+    # star_oracle_element on zero operands returned 0 for a negative order,
+    # and DualElement(-1, terms) was 0 over truncation -1.
     with pytest.raises(InvalidParamsError, match="truncation"):
         call()
 
