@@ -508,6 +508,17 @@ def _z_factorial(key: tuple) -> int:
     return mi_factorial(key[:3]) * mi_factorial(key[3:7])
 
 
+def check_z_key(key) -> None:
+    """Raise ValueError unless key is a Z-basis key (I, J) of 3 and 4
+    naturals."""
+    if not (isinstance(key, tuple) and len(key) == 2
+            and all(isinstance(part, tuple) for part in key)
+            and tuple(map(len, key)) == (3, 4)
+            and all(type(e) is int and e >= 0 for part in key for e in part)):
+        raise ValueError(
+            f"not a Z-basis key (I, J) of 3 and 4 naturals: {key!r}")
+
+
 def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
                  params: DeformParams) -> AlgebraElement:
     """Assemble an element from divided-power coordinates.
@@ -516,13 +527,7 @@ def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],
     A key other than (I, J) of 3 and 4 naturals raises ValueError.
     """
     for key in zmap:
-        if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(part, tuple) for part in key)
-                and tuple(map(len, key)) == (3, 4)
-                and all(type(e) is int and e >= 0
-                        for part in key for e in part)):
-            raise ValueError(
-                f"not a Z-basis key (I, J) of 3 and 4 naturals: {key!r}")
+        check_z_key(key)
     z = AlgebraElement(params, {
         ci + qp: s if isinstance(s, SeriesScalar)
         else SeriesScalar.from_rational(s, params.trunc)

@@ -64,14 +64,18 @@ MAX_STAR_DEGREE = 2
 #: pair's support, each weighed by |S| + 1, times the classical splits of
 #: their X part.  One unit costs about four times as much per order of
 #: truncation, so the bound is weighed by it (oracle_target_bound).  The
-#: costliest products admitted at each order, timed cold (whole process)
-#: on a 2-vCPU host with Python 3.11: `Y[32,0,0,0] * Y[22,5,5,0]` at 0
-#: (1980 of 2048) 0.2-0.3 s, `W[1,0,0]*Y[31,0,0,0] * Y[32,0,0,0]` at 1
-#: (448) 0.5-0.7 s, `W[1,0,0] * Y[17,0,0,0]` at 2 (126) 0.6-0.9 s,
-#: `Y[31,0,0,0] * 1` at 3 (32) 0.3-0.4 s, `x1 * 1` at 4 (7) 0.3 s,
-#: `1 * x4` at 5 (2) 0.2 s; at 6 the bound is 0.  An operand's index norm counts toward the
-#: degree bound (parser.degree), so `Y[44,0,0,0] * Y[0,44,0,0]` at 0 is
-#: refused before it is counted.  `W[11,0,0] * W[0,0,10]` at 0, 33,902
+#: costliest products admitted at each order, timed cold (whole process,
+#: of which starting Python and importing ncdeform is 0.1 s) on a 2-vCPU
+#: host with Python 3.11: `Y[32,0,0,0] * Y[22,5,5,0]` at 0 (1980 of 2048)
+#: 0.16-0.18 s, `W[1,0,0]*Y[31,0,0,0] * Y[32,0,0,0]` at 1 (448) 0.20-0.26
+#: s, `Y[7,0,0,0] * Y[0,15,0,0]` at 2 (128) 0.18-0.29 s and `W[1,0,0] *
+#: Y[17,0,0,0]` (126) 0.17-0.23 s, `Y[31,0,0,0] * 1` at 3 (32) 0.22-0.27 s,
+#: `x1 * 1` at 4 (7) 0.19-0.21 s, `1 * x4` at 5 (2) 0.11-0.13 s; at 6 the
+#: bound is 0.  The weight |S| + 1 now over-prices a W letter: a target's
+#: Z letters add one chain link each to the Q/P links its T shares with
+#: the other targets (hopf.divided_power_coproduct).  An operand's index
+#: norm counts toward the degree bound (parser.degree), so `Y[44,0,0,0] *
+#: Y[0,44,0,0]` at 0 is refused before it is counted.  `W[11,0,0] * W[0,0,10]` at 0, 33,902
 #: units, is refused at once; counted without the weight it fit the
 #: bound and ran for 3.4 s.
 MAX_ORACLE_TARGETS = 512

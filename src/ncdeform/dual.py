@@ -17,7 +17,12 @@ terms attaches its own J + L.
 The oracle reconstructs the same product from first principles through
 <u * v, Z^S X^T> = <u (x) v, cop(Z^S X^T)> with the coproduct evaluated by
 the normal-ordering engine and both tensor legs converted back to the
-divided-power basis.  It never touches the closed formula.  Every oracle
+divided-power basis.  cop is an algebra map and Z1, Z2, Z3 are central, so
+cop(Z^S X^T) = cop(X^T) prod_i cop(Z_i)^(S_i) / (S! T!): the engine builds
+it as one chain of packed tables (hopf.divided_power_coproduct), the Q/P
+letters of X^T first and then one link per Z letter, never as the
+coproduct of the expansion lam^|S| Th^S X^T; the targets of one T share
+the Q/P links.  It never touches the closed formula.  Every oracle
 path walks the support of a pair (a, b) (_support): the targets Z^S X^T
 with T = y_a + y_b and |S| <= |w_a| + |w_b|, the only ones whose coproduct
 can pair with a (x) b; the grid walks the union of the supports of its
@@ -45,9 +50,9 @@ from functools import cache
 from math import comb, lcm
 
 from .algebra import (AlgebraElement, PBWMonomial, Truncation, ZMonomial,
-                      from_z_basis, require_first_order, z_element)
+                      require_first_order, z_element)
 from .bialgebra import LieData
-from .hopf import coproduct
+from .hopf import divided_power_coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
 from .series import SeriesScalar, TermMap
 
@@ -246,12 +251,12 @@ def delta_on_zbasis(S, T, trunc: int) -> Mapping[tuple[ZMonomial, ZMonomial],
                                                  SeriesScalar]:
     """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis.
 
-    Computed entirely by the engine: build the element, apply the coproduct,
-    convert each leg monomial through the cached Z-basis expansion.  The
-    table is built once per truncation order, on integers (_delta_z); this
-    is a read-only view of it (_ZTable), whose entries become SeriesScalars
-    when they are read.  The oracle reads the view's den and rows, never
-    its entries.
+    Computed entirely by the engine: the coproduct as one chain of X and Z
+    letters (hopf.divided_power_coproduct), each leg monomial converted
+    through the cached Z-basis expansion.  The table is built once per
+    truncation order, on integers (_delta_z); this is a read-only view of
+    it (_ZTable), whose entries become SeriesScalars when they are read.
+    The oracle reads the view's den and rows, never its entries.
     """
     return _ZTable(*_delta_z(tuple(S), tuple(T), trunc), trunc)
 
@@ -289,11 +294,12 @@ def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
 def _delta_z(S, T, trunc: int) -> tuple[int, dict]:
     """cop(Z^S X^T) in the Z X basis as integer rows over one denominator:
     (den, {(k1, k2): [(h, numerator), ...]}), nonzero numerators only.
-    Each Z-expansion keeps its own denominator, the coproduct's terms are
-    put over one common denominator, and the products of numerators are
-    added per ((k1, k2), h)."""
-    shared = Truncation(trunc)
-    ten = coproduct(from_z_basis({(S, T): SeriesScalar.one(trunc)}, shared))
+    The coproduct is hopf.divided_power_coproduct, one chain of X and Z
+    letters, so lam^|S| is never expanded into PBW monomials.  Each
+    Z-expansion of a leg monomial keeps its own denominator, the
+    coproduct's terms are put over one common denominator, and the
+    products of numerators are added per ((k1, k2), h)."""
+    ten = divided_power_coproduct(S, T, trunc)
     rows = [(_mono_z(m1, trunc), _mono_z(m2, trunc), h, c)
             for (m1, m2, h), c in ten.nums.items()]
     # Every row over one denominator: the coproduct's denominator times the
@@ -359,11 +365,11 @@ star_oracle_restricted = star_oracle
 def oracle_targets(u: DualElement, v: DualElement) -> int:
     """The work of star_oracle_element(u, v), counted without building
     anything: for each pair of basis keys, the targets Z^S X^T of their
-    support, each weighed by |S| + 1 (the Z letters of cop(Z^S X^T) are
-    what makes a target costly), times the classical splits of their X
-    part, prod(t + 1 for t in y_a + y_b).  With s = |w_a| + |w_b| the
-    weighed targets sum to sum_{n <= s} (n + 1) C(n + 2, 2) = 3 C(s + 4, 4)
-    - 2 C(s + 3, 3)."""
+    support, each weighed by |S| + 1 (generous: each Z letter adds one
+    link to the chain of cop(Z^S X^T), whose Q/P links the targets of one
+    T share), times the classical splits of their X part, prod(t + 1 for
+    t in y_a + y_b).  With s = |w_a| + |w_b| the weighed targets sum to
+    sum_{n <= s} (n + 1) C(n + 2, 2) = 3 C(s + 4, 4) - 2 C(s + 3, 3)."""
     out = 0
     for wa, ya in u.rows():
         for wb, yb in v.rows():
@@ -433,11 +439,16 @@ def poisson_bracket_dir(u: DualElement, v: DualElement, i: int) -> DualElement:
     if i not in (1, 2, 3):
         raise ValueError("direction must be 1, 2 or 3")
     require_first_order(u.trunc, "the Poisson bracket")
+    return h_coefficient(star_commutator(u, v), i)
+
+
+def h_coefficient(x: DualElement, i: int) -> DualElement:
+    """The coefficient of h_i in x, as an h-free dual element of x's order:
+    poisson_bracket_dir's reading of a star commutator."""
     h = tuple(1 if k == i - 1 else 0 for k in range(3))
-    comm = star_commutator(u, v)
-    return comm.over_denominator({k[:-1] + (_H0,): n
-                                  for k, n in comm.nums.items() if k[-1] == h},
-                                 comm.den)
+    return x.over_denominator({k[:-1] + (_H0,): n
+                               for k, n in x.nums.items() if k[-1] == h},
+                              x.den)
 
 
 _CHI_KEYS = tuple((w, _ZERO_Y) for w in _W_UNITS) + tuple(

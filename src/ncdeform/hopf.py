@@ -58,11 +58,19 @@ same kernel.
 The coproduct tables of monomials are stored packed (_Table), on two legs
 and on the three legs of the coassociativity check (_cop_table, one chain
 for both): the table of a monomial is the last link of a chain (_chain),
-each link the one before times a generator's table (_gen), and every link
-and generator table of the chain is packed at the one width read off the
+each link the one before times a letter's table (_gen), and every link
+and letter table of the chain is packed at the one width read off the
 monomial (_width).  So a product meets two tables of one layout, and no
-table changes once it is cached.  The chain is built bottom up, one link
-per letter, so its length is bounded by memory alone, not by recursion.
+table changes once it is cached.  One walker (_walk) builds every chain
+bottom up, one link per letter, so its length is bounded by memory alone,
+not by recursion.  A chain is spelled by a word that counts its letters:
+the seven generators, then Z1, Z2, Z3, walked in that order.  A monomial's
+word has no Z letter, so its central letters come first.  The pairing
+oracle's cop(Z^S X^T) (divided_power_coproduct) is the walk of the word
+X^T Z^S divided by S! T!: cop is an algebra map and Z_i = lam Th_i is
+central, and a Z letter's table is the coproduct() of lam Th_i
+(algebra.from_z_basis).  The targets of one T and width share the links
+of its Q/P letters, and a Z link, having no Q/P letter, never reorders.
 Over the degree-3 grid at trunc 3 the two three-leg sides hold 1,632 (Q/P
 key, block) slots but 77 distinct blocks, and their products meet 121
 distinct block pairs.  No decoded copy of a table is kept: coproduct()
@@ -87,11 +95,11 @@ from typing import Mapping
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       Q1, Q2, TH, AlgebraElement, DeformParams,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
-                      Truncation, commutator, lambda_coefficients,
-                      make_exp_rho, make_generator, make_lambda, make_rho,
-                      mono_mul, mono_text, normal_order_mul,
-                      power_series, qp_span)
-from .multiindex import multiindices_graded
+                      Truncation, check_z_key, commutator, from_z_basis,
+                      lambda_coefficients, make_exp_rho, make_generator,
+                      make_lambda, make_rho, mono_mul, mono_text,
+                      normal_order_mul, power_series, qp_span)
+from .multiindex import mi_factorial, multiindices_graded
 from .report import VerificationReport, clip_note
 from .series import SeriesScalar, TermMap, substitute
 
@@ -779,44 +787,70 @@ def _signed(layout: _Layout, block: _Block, leg: int) -> dict:
     return {key: n for key, n in out.items() if n}
 
 
+#: The letters of a coproduct chain (_gen): the seven generators at their
+#: indices 0..6, then Z1, Z2, Z3 at 7..9.  A word counts each letter.
+_NO_Z = (0, 0, 0)
+
+
 @cache
 def _gen(trunc: int, g: int, side: int | None, width: int) -> _Table:
-    """Generator g's coproduct table: on two legs (side None), or with the
-    coproduct applied once more to leg side, on three; packed with fields
-    of width bits, the width of the chain whose links it multiplies."""
-    cop = _hopf(trunc).cop_gen[g]
+    """Letter g's coproduct table: generator g's for g < 7, and for g = 7 +
+    i the coproduct() of Z_(i+1) = lam Th_(i+1) (from_z_basis), which has
+    central letters only; on two legs (side None), or with the coproduct
+    applied once more to leg side, on three; packed with fields of width
+    bits, the width of the chain whose links it multiplies."""
+    if g < 7:
+        cop = _hopf(trunc).cop_gen[g]
+    else:
+        unit = tuple(int(i == g - 7) for i in range(3))
+        cop = coproduct(from_z_basis({(unit, (0,) * 4): 1},
+                                     Truncation(trunc)))
     return _Table.pack(cop if side is None else apply_coproduct_leg(cop, side),
                        width)
 
 
 @cache
-def _chain(trunc: int, mono: PBWMonomial, side: int | None,
-           width: int) -> _Table:
+def _chain(trunc: int, word: tuple, side: int | None, width: int) -> _Table:
     """One link of a coproduct chain, packed with fields of width bits: the
-    link of the monomial without its largest generator g times g's table.
-    _cop_table requests the links in order, so the one before is cached."""
-    if mono == EMPTY_MONO:
+    link of the word without its last letter g times g's table.  _walk
+    requests the links in order, so the one before is cached."""
+    if not any(word):
         return _Table.pack(TensorElement.unit(Truncation(trunc),
                                               2 if side is None else 3), width)
-    g = max(i for i in range(7) if mono[i])
-    prev = mono[:g] + (mono[g] - 1,) + mono[g + 1:]
+    g = max(i for i in range(len(word)) if word[i])
+    prev = word[:g] + (word[g] - 1,) + word[g + 1:]
     return _chain(trunc, prev, side, width).times(_gen(trunc, g, side, width))
+
+
+def _walk(trunc: int, word: tuple, side: int | None, width: int) -> _Table:
+    """The last link of a word's chain, built from the empty word up, one
+    letter at a time in the order of the letters."""
+    prefix = [0] * len(word)
+    table = _chain(trunc, tuple(prefix), side, width)
+    for g, count in enumerate(word):
+        for _ in range(count):
+            prefix[g] += 1
+            table = _chain(trunc, tuple(prefix), side, width)
+    return table
 
 
 @cache
 def _cop_table(trunc: int, mono: PBWMonomial, side: int | None) -> _Table:
     """cop of a monomial on two legs (side None), or (cop (x) 1) cop
     (side 0) or (1 (x) cop) cop (side 1) on three, at the width read off
-    the monomial (_width): the last link of its chain, whose links are
-    built from the empty monomial up, one letter at a time."""
-    width = _width(trunc, max(mono))
-    prefix = list(EMPTY_MONO)
-    table = _chain(trunc, EMPTY_MONO, side, width)
-    for g in range(7):
-        for _ in range(mono[g]):
-            prefix[g] += 1
-            table = _chain(trunc, tuple(prefix), side, width)
-    return table
+    the monomial (_width): the walk of its letters in PBW order, central
+    letters first."""
+    return _walk(trunc, tuple(mono) + _NO_Z, side, _width(trunc, max(mono)))
+
+
+def divided_power_coproduct(S, T, trunc: int) -> TensorElement:
+    """cop(Z^S X^T) over Truncation(trunc), equal to coproduct(from_z_basis(
+    {(S, T): 1}, Truncation(trunc))): the walk of the word X^T Z^S at the
+    width _width(trunc, max(S + T)), decoded once and divided by S! T!."""
+    S, T = tuple(S), tuple(T)
+    check_z_key((S, T))
+    t = _walk(trunc, _NO_Z + T + S, None, _width(trunc, max(S + T))).tensor()
+    return t.over_denominator(t.nums, t.den * mi_factorial(S + T))
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,17 @@ class TermMap:
 
     def _store_series(self, terms: Mapping) -> None:
         """_store() from a {key: SeriesScalar} map: every series's
-        numerators are brought to the lcm of their denominators."""
+        numerators are brought to the lcm of their denominators.  A series
+        of a lower order than trunc is not known to it, and raises
+        TruncationMismatchError; one of a higher order is cut at trunc."""
         trunc = self.trunc
         den = lcm(*(s.den for s in terms.values()))
         nums = {}
         for key, s in terms.items():
+            if s.trunc < trunc:
+                raise TruncationMismatchError(
+                    f"a coefficient of truncation {s.trunc} is not known "
+                    f"to truncation {trunc}")
             key, f = tuple(key), den // s.den
             for k, n in s.nums.items():
                 h = k[0]

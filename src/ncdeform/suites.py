@@ -33,7 +33,7 @@ from .bialgebra import (GroupElement, LieData, WedgeElement,
                         group_compose, group_identity, group_inverse,
                         nc_lie_data, sum_cocommutators)
 from .dual import (DualElement, classical_product, dual_structure_constants,
-                   poisson_bracket_dir, star_closed, star_oracle,
+                   h_coefficient, star_closed, star_commutator, star_oracle,
                    star_oracle_grid, star_rows, star_sums)
 from .hopf import heisenberg_limit_report, verify_hopf_axioms
 from .multiindex import multiindices
@@ -243,16 +243,24 @@ def _poisson_checks(report: VerificationReport, trunc: int) -> None:
                failure is None,
                None if failure is None else f"triple {failure[:3]}")
 
-    # Leibniz rule against the constant-term product on a small grid.
+    # Leibniz rule against the constant-term product on a small grid: each
+    # star commutator [u, v] and [u, v w] once, read per direction.
     small = _dual_monomials(1, trunc)
+    n = len(small)
+    triples = list(product(range(n), repeat=3))
+    comm = [[star_commutator(u, v) for v in small] for u in small]
+    comm_vw = [star_commutator(small[i], classical_product(small[j], small[k]))
+               for i, j, k in triples]
     first = None
     for direction in (1, 2, 3):
-        for u, v, w in product(small, repeat=3):
-            lhs = poisson_bracket_dir(u, classical_product(v, w), direction)
-            rhs = (classical_product(poisson_bracket_dir(u, v, direction), w)
-                   + classical_product(v, poisson_bracket_dir(u, w, direction)))
+        bracket = [[h_coefficient(c, direction) for c in line]
+                   for line in comm]
+        for (i, j, k), c in zip(triples, comm_vw):
+            lhs = h_coefficient(c, direction)
+            rhs = (classical_product(bracket[i][j], small[k])
+                   + classical_product(small[j], bracket[i][k]))
             if lhs != rhs:
-                first = (direction, u, v, w)
+                first = (direction, small[i], small[j], small[k])
                 break
         if first:
             break

@@ -12,15 +12,18 @@ from ncdeform import (AlgebraElement, DualElement, SeriesScalar, chi,
                       star_oracle, star_oracle_grid, to_z_basis)
 from ncdeform import (InvalidParamsError, ParamsMismatchError, dual, hopf,
                       star_oracle_element, verify_star_suite)
+from ncdeform.algebra import Truncation
 from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
                                  submultiindices)
 from ncdeform import suites
+from ncdeform.report import VerificationReport
 from ncdeform.suites import _DEEP_PROBES, first_associativity_failure
 
 from conftest import assert_stored_once, h_exponents, params, small_fractions
 
 W0 = (0, 0, 0)
 Y0 = (0, 0, 0, 0)
+W_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def dm(w, y, trunc, coeff=1):
@@ -177,6 +180,32 @@ def test_oracle_builds_a_chain_past_the_recursion_limit():
     # call per letter it died with RecursionError past about 490.
     a, b = ((0, 0, 0), (600, 0, 0, 0)), (W0, Y0)
     assert star_oracle(a, b, 0) == star_closed(dm(*a, 0), dm(*b, 0))
+
+
+def test_star_suite_builds_no_coproduct_of_an_expanded_target(monkeypatch):
+    # The oracle builds cop(Z^S X^T) as one chain of Q/P and Z letters
+    # (hopf.divided_power_coproduct), never as the coproduct of the
+    # expansion lam^|S| Th^S X^T.  The only monomial tables it asks
+    # coproduct() for are those of the Z letters themselves, lam Th_i,
+    # which are central; a fall-back to the expansion would ask for
+    # monomials with Q/P letters, or with the central letters of several Z.
+    for memo in (dual._delta_z, dual._mono_z, hopf._cop_table, hopf._chain,
+                 hopf._gen):
+        memo.cache_clear()
+    real = hopf._cop_table
+    asked = set()
+
+    def recorder(trunc, mono, side):
+        asked.add((trunc, mono))
+        return real(trunc, mono, side)
+
+    monkeypatch.setattr(hopf, "_cop_table", recorder)
+    assert verify_star_suite(2).passed
+    z_letters = {(trunc, k[:7]) for trunc in (1, 3) for i in range(3)
+                 for k in from_z_basis({(W_UNITS[i], Y0): 1},
+                                       Truncation(trunc)).nums}
+    assert asked and asked <= z_letters
+    assert {trunc for trunc, _ in asked} == {1, 3}
 
 
 def test_star_suite_builds_one_table_per_ynorm():
@@ -670,6 +699,40 @@ def test_dual_structure_constants_jacobi(direction):
     data = dual_structure_constants(direction)
     assert data.is_antisymmetric()
     assert data.first_jacobi_failure() is None
+
+
+def test_leibniz_check_reports_the_first_failing_triple(monkeypatch):
+    # The suite computes each star commutator [u, v] and [u, v w] once and
+    # reads every direction from it.  With one commutator wrong in h2, it
+    # reports the failure that the per-triple scan (direction, then u, v,
+    # w) meets first, in the same words.
+    small = grid(1, 1)
+    bad = (small[1], small[5])
+    calls = []
+
+    def wrong(u, v):
+        calls.append(None)
+        out = star_commutator(u, v)
+        return out + dm(W0, Y0, 1, h_series((0, 1, 0), 1, 1)) \
+            if (u, v) == bad else out
+
+    def bracket(u, v, direction):
+        return dual.h_coefficient(wrong(u, v), direction)
+
+    want = next(
+        f"dir {d}: {u.to_text()}, {v.to_text()}, {w.to_text()}"
+        for d in (1, 2, 3) for u, v, w in product(small, repeat=3)
+        if bracket(u, classical_product(v, w), d)
+        != classical_product(bracket(u, v, d), w)
+        + classical_product(v, bracket(u, w, d)))
+    monkeypatch.setattr(suites, "star_commutator", wrong)
+    report = VerificationReport()
+    calls.clear()
+    suites._poisson_checks(report, 1)
+    check = next(c for c in report.checks if c.name == "poisson-leibniz")
+    assert not check.passed
+    assert check.counterexample == want
+    assert len(calls) == 8 ** 2 + 8 ** 3
 
 
 def test_poisson_leibniz_small_grid():

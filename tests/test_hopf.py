@@ -18,8 +18,9 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               power_series)
 from ncdeform import hopf
 from ncdeform.hopf import (_block, _chain, _cop_table, _gen,
-                          _hopf, _layout, _Layout, _Table, antipode_mono)
-from ncdeform.multiindex import multiindices_graded
+                          _hopf, _layout, _Layout, _Table, _width,
+                          antipode_mono, divided_power_coproduct)
+from ncdeform.multiindex import multiindices, multiindices_graded
 from ncdeform import series
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -534,6 +535,57 @@ def test_every_chain_product_meets_one_layout(monkeypatch):
     layouts = {a for a, _ in met}
     assert {_layout(arity, width) for arity in (2, 3)
             for width in (2, 3, 4)} <= layouts
+
+
+def divided_targets(trunc):
+    """The (S, T) of the chain tests: |S| + |T| <= 4 at trunc 0-2, and at
+    trunc 3 |S| <= 4 with T zero or a unit vector."""
+    if trunc < 3:
+        return [(S, T) for S in multiindices(3, 4)
+                for T in multiindices(4, 4 - sum(S))]
+    units = [(0, 0, 0, 0)] + [tuple(int(i == k) for i in range(4))
+                              for k in range(4)]
+    return [(S, T) for S in multiindices(3, 4) for T in units]
+
+
+@pytest.mark.parametrize("trunc", range(4))
+def test_divided_power_chain_matches_the_expansion(trunc):
+    # cop(Z^S X^T) as one chain, Q/P letters then Z letters, equals the
+    # coproduct of the expanded element lam^|S| Th^S X^T / (S! T!).
+    for S, T in divided_targets(trunc):
+        got = divided_power_coproduct(S, T, trunc)
+        want = coproduct(from_z_basis({(S, T): 1}, Truncation(trunc)))
+        assert got.params == Truncation(trunc)
+        assert (got.nums, got.den) == (want.nums, want.den), (S, T)
+
+
+@pytest.mark.parametrize("key", [((1, 0), (0, 0, 0, 0)), ((-1, 0, 0), (0,) * 4),
+                                 ((0, 0, 0), (0, 1.0, 0, 0))])
+def test_divided_power_chain_refuses_malformed_keys(key):
+    with pytest.raises(ValueError, match="not a Z-basis key"):
+        divided_power_coproduct(*key, 1)
+
+
+def test_targets_of_one_t_share_the_q_p_links():
+    # At trunc 2 every S below has max(S + T) = 2, so all the chains have
+    # one width.  The Z letters' tables are built first, and the links
+    # their coproducts walk dropped, so that _chain counts the targets'
+    # links alone: the first target's are the empty word, the three Q/P
+    # letters and Z1; each later one builds only the Z links that no
+    # earlier target walked, and none of the Q/P links again.
+    for memo in (_cop_table, _chain, _gen):
+        memo.cache_clear()
+    for g in (7, 8, 9):
+        _gen(2, g, None, _width(2, 2))
+    _chain.cache_clear()
+    T = (2, 1, 0, 0)
+    divided_power_coproduct((1, 0, 0), T, 2)
+    assert _chain.cache_info().misses == sum(T) + 2
+    for S, new_z_links in (((0, 1, 0), 1), ((1, 1, 0), 1), ((0, 0, 2), 2),
+                           ((1, 0, 0), 0), ((0, 0, 0), 0)):
+        before = _chain.cache_info().misses
+        divided_power_coproduct(S, T, 2)
+        assert _chain.cache_info().misses - before == new_z_links, S
 
 
 def test_three_leg_tables_share_their_blocks():

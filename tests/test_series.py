@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ncdeform import (AlgebraElement, DualElement, InvalidParamsError,
                       NonInvertibleSeriesError, ParamsMismatchError,
                       SeriesScalar, TensorElement, TruncationMismatchError,
-                      WedgeElement, parse_rational)
+                      WedgeElement, from_z_basis, parse_rational)
 
 from conftest import (assert_stored_once, h_exponents, invertible_series,
                       params, series, small_fractions)
@@ -82,6 +82,21 @@ def test_truncation_mismatch():
         SeriesScalar.one(1) + SeriesScalar.one(2)
     with pytest.raises(TruncationMismatchError):
         SeriesScalar.one(1) * SeriesScalar.one(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: from_z_basis({((1, 0, 0), (0, 0, 0, 0)): c}, params(1, 1, 1, 3)),
+    lambda c: AlgebraElement.monomial(params(1, 1, 1, 3),
+                                      (1, 0, 0, 0, 0, 0, 0), c),
+    lambda c: DualElement(3, {((1, 0, 0), (0, 0, 0, 0)): c}),
+], ids=["from_z_basis", "AlgebraElement.monomial", "DualElement"])
+def test_constructors_refuse_a_coefficient_of_lower_order(build):
+    # h1 over truncation 1 is known only mod h^2, so it cannot stand as a
+    # coefficient over truncation 3; one of a higher order is cut at 3.
+    with pytest.raises(TruncationMismatchError):
+        build(SeriesScalar.hbar(1, 1))
+    high = SeriesScalar.hbar(1, 5) + s(5, h400=7)
+    assert build(high) == build(SeriesScalar.hbar(1, 3))
 
 
 def test_series_times_term_map_scales_it():
