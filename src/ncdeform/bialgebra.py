@@ -26,6 +26,7 @@ from .report import VerificationReport
 from .series import TermMap
 
 DIM = 7
+CHI_NAMES = ("chi1", "chi2", "chi3", "chi4", "chi5", "chi6", "chi7")
 _H0 = (0, 0, 0)
 Vector = dict[int, Fraction]        # sparse coordinates over the basis
 
@@ -388,7 +389,6 @@ def dual_lie_data_from_delta(delta: Mapping[str, WedgeElement]) -> LieData:
     """The dual Lie algebra of delta, read in one pass over its wedge maps:
     each term (a, b) c of delta(e_k) gives c at [chi_a, chi_b]*_k and -c at
     [chi_b, chi_a]*_k."""
-    from .dual import CHI_NAMES
     constants: dict[tuple[int, int], Vector] = {}
     for k, name in enumerate(GENERATOR_NAMES):
         for (a, b), c in delta[name].terms.items():

@@ -51,14 +51,12 @@ from math import comb, lcm
 
 from .algebra import (AlgebraElement, PBWMonomial, Truncation, ZMonomial,
                       require_first_order, z_element)
-from .bialgebra import LieData
+from .bialgebra import CHI_NAMES, LieData
 from .hopf import divided_power_coproduct
 from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
 from .series import SeriesScalar, TermMap
 
 DualMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
-
-CHI_NAMES = ("chi1", "chi2", "chi3", "chi4", "chi5", "chi6", "chi7")
 
 _W_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _Y_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -11,17 +11,17 @@ algebra map and cop(rho) = rho (x) 1 + 1 (x) rho, so cop(lam) and its
 inverse are the power series of lam and lam^-1 (algebra.power_series with
 algebra.lambda_coefficients) in cop(rho) instead of rho.
 
-None of this contains alpha, beta or gamma, so cop(rho), cop(lam) and its
-inverse, the generator coproducts and the coproducts of monomials on two
-and three legs are built once per truncation order, over
-algebra.Truncation(trunc), and shared by every parameter set.  Two
-functions read the two-leg tables: coproduct() adds the tables of its
-operand's monomials on their packed keys and decodes the sum once per
-layout, over the caller's parameters, and the Hopf grid's antipode check
-runs _Table.mu_antipode on each monomial's table.  apply_coproduct_leg()
-groups a tensor's terms by their other legs and puts the coproduct() of
-each group in the leg.  The antipode reverses products, so its tables are
-built per parameter set, with that set's commutators.
+None of this contains alpha, beta or gamma, so the letters' coproducts
+(_letters) and the coproducts of monomials on two and three legs are built
+once per truncation order, over algebra.Truncation(trunc), and shared by
+every parameter set.  Two functions read the two-leg tables: coproduct()
+adds the tables of its operand's monomials on their packed keys and
+decodes the sum once per layout, over the caller's parameters, and the
+Hopf grid's antipode check runs _Table.mu_antipode on each monomial's
+table.  apply_coproduct_leg() groups a tensor's terms by their other legs
+and puts the coproduct() of each group in the leg.  The antipode reverses
+products, so its tables are built per parameter set, with that set's
+commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
 the storage).  The product kernel works on packed integer keys instead
@@ -63,14 +63,18 @@ and letter table of the chain is packed at the one width read off the
 monomial (_width).  So a product meets two tables of one layout, and no
 table changes once it is cached.  One walker (_walk) builds every chain
 bottom up, one link per letter, so its length is bounded by memory alone,
-not by recursion.  A chain is spelled by a word that counts its letters:
-the seven generators, then Z1, Z2, Z3, walked in that order.  A monomial's
-word has no Z letter, so its central letters come first.  The pairing
-oracle's cop(Z^S X^T) (divided_power_coproduct) is the walk of the word
-X^T Z^S divided by S! T!: cop is an algebra map and Z_i = lam Th_i is
-central, and a Z letter's table is the coproduct() of lam Th_i
-(algebra.from_z_basis).  The targets of one T and width share the links
-of its Q/P letters, and a Z link, having no Q/P letter, never reorders.
+not by recursion.  A chain is spelled by a word that counts its ten
+letters, walked in one order: Q1, Q2, P1, P2, Th, Ph, Ps, Z1, Z2, Z3
+(_letters, their coproducts).  A Z letter's coproduct is Z_i (x) exp(2rho)
++ exp(-2rho) (x) Z_i, the numerator that cop(Th_i) is built from, so no
+chain calls coproduct().  A monomial's chain walks its Q/P letters first
+and its central letters after them: cop of a central monomial is central
+in the tensor algebra, so the order leaves the table as it is, and the
+monomials of one Q/P part share its links.  The pairing oracle's cop(Z^S
+X^T) (divided_power_coproduct) is the walk of the word X^T Z^S divided by
+S! T!: cop is an algebra map and Z_i = lam Th_i is central.  The targets
+of one T and width share the links of its Q/P letters, and a central or Z
+link, having no Q/P letter, never reorders.
 Over the degree-3 grid at trunc 3 the two three-leg sides hold 1,632 (Q/P
 key, block) slots but 77 distinct blocks, and their products meet 121
 distinct block pairs.  No decoded copy of a table is kept: coproduct()
@@ -95,10 +99,10 @@ from typing import Mapping
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       Q1, Q2, TH, AlgebraElement, DeformParams,
                       InvalidParamsError, ParamsMismatchError, PBWMonomial,
-                      Truncation, check_z_key, commutator, from_z_basis,
-                      lambda_coefficients, make_exp_rho, make_generator,
-                      make_lambda, make_rho, mono_mul, mono_text,
-                      normal_order_mul, power_series, qp_span)
+                      Truncation, check_z_key, commutator, lambda_coefficients,
+                      make_exp_rho, make_generator, make_lambda, make_rho,
+                      mono_mul, mono_text, normal_order_mul, power_series,
+                      qp_span)
 from .multiindex import mi_factorial, multiindices_graded
 from .report import VerificationReport, clip_note
 from .series import SeriesScalar, TermMap, substitute
@@ -145,15 +149,6 @@ class TensorElement(TermMap):
 
     def space(self) -> tuple:
         return self.params, self.arity
-
-    def over(self, params) -> "TensorElement":
-        """The same terms over other parameters of the same truncation: how
-        a per-truncation table reaches one parameter set."""
-        if params.trunc != self.params.trunc:
-            raise ParamsMismatchError(
-                "tensors live over different truncations")
-        return TensorElement.zero(params, self.arity).over_denominator(
-            self.nums, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SeriesScalar)):
@@ -326,42 +321,36 @@ def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 # Coproduct tables, one set per truncation order over Truncation(trunc):
 # the coproduct contains no alpha, beta or gamma, and every leg product in
-# them is already ordered (cop of a monomial is built by multiplying on the
-# right by cop of its largest generator), so no commutator is ever needed.
-# The coproduct tables of monomials, on two and three legs, stay packed
-# as central blocks (_Table).
+# them is already ordered (a chain multiplies on the right by the table of
+# its last letter in walk order, _letters), so no commutator is ever
+# needed.  The coproduct tables of monomials, on two and three legs, stay
+# packed as central blocks (_Table).
 # Antipode tables, one set per parameter set: S reverses products, so they
 # reorder with that parameter set's commutators.  All are functools.cache
 # memos.
 # ---------------------------------------------------------------------------
 
-class _HopfCache:
-    def __init__(self, trunc: int):
-        shared = Truncation(trunc)
-        one = AlgebraElement.unit(shared)
-        rho, lam = make_rho(shared), make_lambda(shared)
-
-        self.cop_rho = tensor_of(rho, one) + tensor_of(one, rho)
-        self.cop_lam_inv = power_series(
-            lambda_coefficients(-1, trunc), self.cop_rho,
-            TensorElement.unit(shared), tensor_mul)
-
-        e1, em1 = make_exp_rho(1, shared), make_exp_rho(-1, shared)
-        e2, em2 = make_exp_rho(2, shared), make_exp_rho(-2, shared)
-        self.cop_gen: list[TensorElement] = []
-        for idx in range(7):
-            gen = make_generator(idx, shared)
-            if idx in CENTRAL_GENERATORS:
-                lam_gen = normal_order_mul(lam, gen)
-                num = tensor_of(lam_gen, e2) + tensor_of(em2, lam_gen)
-                self.cop_gen.append(tensor_mul(num, self.cop_lam_inv))
-            else:
-                self.cop_gen.append(tensor_of(gen, e1) + tensor_of(em1, gen))
-
-
 @cache
-def _hopf(trunc: int) -> _HopfCache:
-    return _HopfCache(trunc)
+def _letters(trunc: int) -> tuple[TensorElement, ...]:
+    """The coproducts of the ten letters of a coproduct chain over
+    Truncation(trunc), in walk order: Q1, Q2, P1, P2, Th, Ph, Ps, Z1, Z2,
+    Z3.  Z_i = lam Th_i, so cop(Z_i) = Z_i (x) exp(2rho) + exp(-2rho) (x)
+    Z_i is the numerator of cop(Th_i), and cop(Th_i) is cop(Z_i) times the
+    power series of lam^-1 in cop(rho) = rho (x) 1 + 1 (x) rho."""
+    shared = Truncation(trunc)
+    one = AlgebraElement.unit(shared)
+    rho, lam = make_rho(shared), make_lambda(shared)
+    cop_rho = tensor_of(rho, one) + tensor_of(one, rho)
+    cop_lam_inv = power_series(lambda_coefficients(-1, trunc), cop_rho,
+                               TensorElement.unit(shared), tensor_mul)
+    e1, em1 = make_exp_rho(1, shared), make_exp_rho(-1, shared)
+    e2, em2 = make_exp_rho(2, shared), make_exp_rho(-2, shared)
+    qp = [tensor_of(x, e1) + tensor_of(em1, x)
+          for x in (make_generator(i, shared) for i in (Q1, Q2, P1, P2))]
+    zs = [tensor_of(z, e2) + tensor_of(em2, z)
+          for z in (normal_order_mul(lam, make_generator(i, shared))
+                    for i in CENTRAL_GENERATORS)]
+    return (*qp, *(tensor_mul(z, cop_lam_inv) for z in zs), *zs)
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
@@ -787,24 +776,17 @@ def _signed(layout: _Layout, block: _Block, leg: int) -> dict:
     return {key: n for key, n in out.items() if n}
 
 
-#: The letters of a coproduct chain (_gen): the seven generators at their
-#: indices 0..6, then Z1, Z2, Z3 at 7..9.  A word counts each letter.
-_NO_Z = (0, 0, 0)
+#: Three letters that a word (_walk) does not contain.
+_ABSENT = (0, 0, 0)
 
 
 @cache
 def _gen(trunc: int, g: int, side: int | None, width: int) -> _Table:
-    """Letter g's coproduct table: generator g's for g < 7, and for g = 7 +
-    i the coproduct() of Z_(i+1) = lam Th_(i+1) (from_z_basis), which has
-    central letters only; on two legs (side None), or with the coproduct
-    applied once more to leg side, on three; packed with fields of width
-    bits, the width of the chain whose links it multiplies."""
-    if g < 7:
-        cop = _hopf(trunc).cop_gen[g]
-    else:
-        unit = tuple(int(i == g - 7) for i in range(3))
-        cop = coproduct(from_z_basis({(unit, (0,) * 4): 1},
-                                     Truncation(trunc)))
+    """The table of letter g, the g-th in walk order (_letters), on two
+    legs (side None), or with the coproduct applied once more to leg side,
+    on three; packed with fields of width bits, the width of the chain
+    whose links it multiplies."""
+    cop = _letters(trunc)[g]
     return _Table.pack(cop if side is None else apply_coproduct_leg(cop, side),
                        width)
 
@@ -812,8 +794,9 @@ def _gen(trunc: int, g: int, side: int | None, width: int) -> _Table:
 @cache
 def _chain(trunc: int, word: tuple, side: int | None, width: int) -> _Table:
     """One link of a coproduct chain, packed with fields of width bits: the
-    link of the word without its last letter g times g's table.  _walk
-    requests the links in order, so the one before is cached."""
+    link of the word without its last letter g in walk order times g's
+    table (_gen).  _walk requests the links in order, so the one before is
+    cached."""
     if not any(word):
         return _Table.pack(TensorElement.unit(Truncation(trunc),
                                               2 if side is None else 3), width)
@@ -824,7 +807,8 @@ def _chain(trunc: int, word: tuple, side: int | None, width: int) -> _Table:
 
 def _walk(trunc: int, word: tuple, side: int | None, width: int) -> _Table:
     """The last link of a word's chain, built from the empty word up, one
-    letter at a time in the order of the letters."""
+    letter at a time in walk order.  A word counts the ten letters of
+    _letters, in their order."""
     prefix = [0] * len(word)
     table = _chain(trunc, tuple(prefix), side, width)
     for g, count in enumerate(word):
@@ -838,18 +822,22 @@ def _walk(trunc: int, word: tuple, side: int | None, width: int) -> _Table:
 def _cop_table(trunc: int, mono: PBWMonomial, side: int | None) -> _Table:
     """cop of a monomial on two legs (side None), or (cop (x) 1) cop
     (side 0) or (1 (x) cop) cop (side 1) on three, at the width read off
-    the monomial (_width): the walk of its letters in PBW order, central
-    letters first."""
-    return _walk(trunc, tuple(mono) + _NO_Z, side, _width(trunc, max(mono)))
+    the monomial (_width): the walk of its letters, Q/P letters first and
+    central letters after them, as in divided_power_coproduct.  cop of a
+    central monomial is central in the tensor algebra, so the order leaves
+    the table as it is, and monomials of one Q/P part share its links."""
+    return _walk(trunc, mono[3:] + mono[:3] + _ABSENT, side,
+                 _width(trunc, max(mono)))
 
 
 def divided_power_coproduct(S, T, trunc: int) -> TensorElement:
     """cop(Z^S X^T) over Truncation(trunc), equal to coproduct(from_z_basis(
-    {(S, T): 1}, Truncation(trunc))): the walk of the word X^T Z^S at the
-    width _width(trunc, max(S + T)), decoded once and divided by S! T!."""
+    {(S, T): 1}, Truncation(trunc))): the walk of the word X^T Z^S, Q/P
+    letters first as in _cop_table, at the width _width(trunc, max(S + T)),
+    decoded once and divided by S! T!."""
     S, T = tuple(S), tuple(T)
     check_z_key((S, T))
-    t = _walk(trunc, _NO_Z + T + S, None, _width(trunc, max(S + T))).tensor()
+    t = _walk(trunc, T + _ABSENT + S, None, _width(trunc, max(S + T))).tensor()
     return t.over_denominator(t.nums, t.den * mi_factorial(S + T))
 
 
@@ -906,7 +894,7 @@ def verify_hopf_axioms(max_generator_degree: int,
                                               (sleft - target) + (sright - target)))
 
     gens = [make_generator(i, params) for i in range(7)]
-    cop_gen = [t.over(params) for t in _hopf(D).cop_gen]
+    cop_gen = [coproduct(g) for g in gens]
     for i in range(7):
         for j in range(i + 1, 7):
             pair = f"[{GENERATOR_NAMES[i]},{GENERATOR_NAMES[j]}]"
@@ -924,8 +912,9 @@ def verify_hopf_axioms(max_generator_degree: int,
                        None if ok else _diff_note("S[x,y] - [S y,S x]",
                                                   slhs - srhs))
 
-    lhs = coproduct(make_rho(params))
-    cop_rho = _hopf(D).cop_rho.over(params)
+    rho = make_rho(params)
+    lhs = coproduct(rho)
+    cop_rho = tensor_of(rho, unit) + tensor_of(unit, rho)
     ok = lhs == cop_rho
     report.add("coproduct-consistency", "rho", ok,
                None if ok else _diff_note("cop(rho) - (rho(x)1 + 1(x)rho)",

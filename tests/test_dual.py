@@ -12,7 +12,6 @@ from ncdeform import (AlgebraElement, DualElement, SeriesScalar, chi,
                       star_oracle, star_oracle_grid, to_z_basis)
 from ncdeform import (InvalidParamsError, ParamsMismatchError, dual, hopf,
                       star_oracle_element, verify_star_suite)
-from ncdeform.algebra import Truncation
 from ncdeform.multiindex import (mi_binom, mi_norm, multiindices,
                                  submultiindices)
 from ncdeform import suites
@@ -23,7 +22,6 @@ from conftest import assert_stored_once, h_exponents, params, small_fractions
 
 W0 = (0, 0, 0)
 Y0 = (0, 0, 0, 0)
-W_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def dm(w, y, trunc, coeff=1):
@@ -185,10 +183,9 @@ def test_oracle_builds_a_chain_past_the_recursion_limit():
 def test_star_suite_builds_no_coproduct_of_an_expanded_target(monkeypatch):
     # The oracle builds cop(Z^S X^T) as one chain of Q/P and Z letters
     # (hopf.divided_power_coproduct), never as the coproduct of the
-    # expansion lam^|S| Th^S X^T.  The only monomial tables it asks
-    # coproduct() for are those of the Z letters themselves, lam Th_i,
-    # which are central; a fall-back to the expansion would ask for
-    # monomials with Q/P letters, or with the central letters of several Z.
+    # expansion lam^|S| Th^S X^T, and the Z letters are closed forms: it
+    # asks for no monomial's table, where a fall-back to the expansion
+    # would ask for the monomials of lam^|S| Th^S X^T.
     for memo in (dual._delta_z, dual._mono_z, hopf._cop_table, hopf._chain,
                  hopf._gen):
         memo.cache_clear()
@@ -201,11 +198,7 @@ def test_star_suite_builds_no_coproduct_of_an_expanded_target(monkeypatch):
 
     monkeypatch.setattr(hopf, "_cop_table", recorder)
     assert verify_star_suite(2).passed
-    z_letters = {(trunc, k[:7]) for trunc in (1, 3) for i in range(3)
-                 for k in from_z_basis({(W_UNITS[i], Y0): 1},
-                                       Truncation(trunc)).nums}
-    assert asked and asked <= z_letters
-    assert {trunc for trunc, _ in asked} == {1, 3}
+    assert asked == set()
 
 
 def test_star_suite_builds_one_table_per_ynorm():

@@ -17,9 +17,9 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               from_z_basis, lambda_coefficients,
                               power_series)
 from ncdeform import hopf
-from ncdeform.hopf import (_block, _chain, _cop_table, _gen,
-                          _hopf, _layout, _Layout, _Table, _width,
-                          antipode_mono, divided_power_coproduct)
+from ncdeform.hopf import (_block, _chain, _cop_table, _gen, _layout,
+                          _Layout, _letters, _Table, _width, antipode_mono,
+                          divided_power_coproduct)
 from ncdeform.multiindex import multiindices, multiindices_graded
 from ncdeform import series
 
@@ -149,12 +149,32 @@ def test_antipode_mu_kills_p1():
 
 
 def test_tensor_inverse_of_cop_lambda():
-    for trunc in range(5):
-        cache = _hopf(trunc)
-        one = TensorElement.unit(Truncation(trunc))
-        cop_lam = power_series(lambda_coefficients(1, trunc), cache.cop_rho,
-                               one, tensor_mul)
-        assert tensor_mul(cop_lam, cache.cop_lam_inv) == one
+    # The Th_i letter is the Z_i letter times the tensor inverse of
+    # cop(lam), so it times cop(lam), built here from cop(rho) and the
+    # lam coefficients, gives the Z_i letter back.
+    for trunc in range(6):
+        shared = Truncation(trunc)
+        one, rho = AlgebraElement.unit(shared), make_rho(shared)
+        cop_lam = power_series(lambda_coefficients(1, trunc),
+                               tensor_of(rho, one) + tensor_of(one, rho),
+                               TensorElement.unit(shared), tensor_mul)
+        letters = _letters(trunc)
+        for i in range(3):
+            assert tensor_mul(letters[4 + i], cop_lam) == letters[7 + i], \
+                (trunc, i)
+
+
+@pytest.mark.parametrize("trunc", range(6))
+def test_z_letters_match_the_coproduct_of_lam_th(trunc):
+    # The Z letters are written in closed form, Z_i (x) exp(2rho) +
+    # exp(-2rho) (x) Z_i; the coproduct of the expanded lam Th_i is the
+    # path they replace.
+    for i in range(3):
+        unit = tuple(int(j == i) for j in range(3))
+        want = coproduct(from_z_basis({(unit, (0, 0, 0, 0)): 1},
+                                      Truncation(trunc)))
+        got = _letters(trunc)[7 + i]
+        assert (got.nums, got.den) == (want.nums, want.den), i
 
 
 def test_coassociativity_dp_matches_leg_application():
@@ -396,13 +416,19 @@ def test_three_leg_products_match_leg_substitution():
         assert apply_coproduct_leg(cop, 1) == right.tensor(), mono
 
 
+def letter(trunc: int, g: int) -> TensorElement:
+    """The coproduct of generator g (PBW index) from the letter list, whose
+    walk order puts Q1, Q2, P1, P2 before Th, Ph, Ps."""
+    return _letters(trunc)[(g + 4) % 7]
+
+
 def reference_cop3(trunc: int, m: tuple, side: int) -> TensorElement:
     """(cop (x) 1) cop (side 0) or (1 (x) cop) cop (side 1) on a monomial
     by public tensor_mul calls: the generator coproducts with the
     coproduct applied to one leg, multiplied in PBW order."""
     t = TensorElement.unit(Truncation(trunc), 3)
     for g, e in enumerate(m):
-        gen = apply_coproduct_leg(_hopf(trunc).cop_gen[g], side)
+        gen = apply_coproduct_leg(letter(trunc, g), side)
         for _ in range(e):
             t = tensor_mul(t, gen)
     return t
@@ -414,7 +440,7 @@ def reference_cop2(trunc: int, m: tuple) -> TensorElement:
     t = TensorElement.unit(Truncation(trunc))
     for g, e in enumerate(m):
         for _ in range(e):
-            t = tensor_mul(t, _hopf(trunc).cop_gen[g])
+            t = tensor_mul(t, letter(trunc, g))
     return t
 
 
@@ -551,7 +577,9 @@ def divided_targets(trunc):
 @pytest.mark.parametrize("trunc", range(4))
 def test_divided_power_chain_matches_the_expansion(trunc):
     # cop(Z^S X^T) as one chain, Q/P letters then Z letters, equals the
-    # coproduct of the expanded element lam^|S| Th^S X^T / (S! T!).
+    # coproduct of the expanded element lam^|S| Th^S X^T / (S! T!).  The
+    # Z links come from the closed-form letters, not from coproduct(), so
+    # the two sides are built independently.
     for S, T in divided_targets(trunc):
         got = divided_power_coproduct(S, T, trunc)
         want = coproduct(from_z_basis({(S, T): 1}, Truncation(trunc)))
@@ -568,16 +596,11 @@ def test_divided_power_chain_refuses_malformed_keys(key):
 
 def test_targets_of_one_t_share_the_q_p_links():
     # At trunc 2 every S below has max(S + T) = 2, so all the chains have
-    # one width.  The Z letters' tables are built first, and the links
-    # their coproducts walk dropped, so that _chain counts the targets'
-    # links alone: the first target's are the empty word, the three Q/P
-    # letters and Z1; each later one builds only the Z links that no
+    # one width.  The first target's links are the empty word, the three
+    # Q/P letters and Z1; each later one builds only the Z links that no
     # earlier target walked, and none of the Q/P links again.
     for memo in (_cop_table, _chain, _gen):
         memo.cache_clear()
-    for g in (7, 8, 9):
-        _gen(2, g, None, _width(2, 2))
-    _chain.cache_clear()
     T = (2, 1, 0, 0)
     divided_power_coproduct((1, 0, 0), T, 2)
     assert _chain.cache_info().misses == sum(T) + 2
@@ -586,6 +609,72 @@ def test_targets_of_one_t_share_the_q_p_links():
         before = _chain.cache_info().misses
         divided_power_coproduct(S, T, 2)
         assert _chain.cache_info().misses - before == new_z_links, S
+
+
+def test_monomials_of_one_q_p_part_share_its_links():
+    # A monomial's chain walks its Q/P letters first, so Th Ph Q1^2 P2
+    # reuses the links of Q1^2 P2 (one width, 3 bits at trunc 2) and builds
+    # one link per central letter, on two legs and on each three-leg side.
+    qp, mixed = mono(Q1=2, P2=1), mono(Th=1, Ph=1, Q1=2, P2=1)
+    for side in (None, 0, 1):
+        for memo in (_cop_table, _chain, _gen):
+            memo.cache_clear()
+        _cop_table(2, qp, side)
+        before = _chain.cache_info().misses
+        _cop_table(2, mixed, side)
+        assert _chain.cache_info().misses - before == 2, side
+
+
+def test_chains_call_no_coproduct(monkeypatch):
+    # The two-leg chains of monomials and of divided-power targets read
+    # every letter from the closed forms of _letters: none of them calls
+    # coproduct(), not even for a Z letter.
+    calls = []
+    real = hopf.coproduct
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    for memo in (_cop_table, _chain, _gen, _letters):
+        memo.cache_clear()
+    monkeypatch.setattr(hopf, "coproduct", counted)
+    for trunc in range(4):
+        for S, T in divided_targets(trunc):
+            divided_power_coproduct(S, T, trunc)
+        for m in multiindices_graded(7, 3):
+            _cop_table(trunc, m, None)
+    assert calls == []
+
+
+def test_a_wrong_letter_table_fails_the_grid(monkeypatch):
+    # With cop(Q1) = Q1 (x) exp(rho) + exp(rho) (x) Q1 the grid, which
+    # reads the generator coproducts through coproduct(), still fails: the
+    # antipode of Q1, the homomorphism law on the two pairs whose
+    # commutator with Q1 is not 0, and the three products that reorder Q1
+    # past P1.  Counit and coassociativity hold for this table.
+    real = hopf._letters
+
+    def skewed(trunc):
+        shared = Truncation(trunc)
+        q1, e1 = make_generator("Q1", shared), make_exp_rho(1, shared)
+        return (tensor_of(q1, e1) + tensor_of(e1, q1),) + real(trunc)[1:]
+
+    for memo in (_cop_table, _chain, _gen):
+        memo.cache_clear()
+    monkeypatch.setattr(hopf, "_letters", skewed)
+    try:
+        report = verify_hopf_axioms(1, params(2, Fraction(1, 2), -3, 1))
+    finally:
+        for memo in (_cop_table, _chain, _gen):
+            memo.cache_clear()
+    assert sorted((c.name, c.subject) for c in report.failures()) == [
+        ("antipode", "Q1"),
+        ("coproduct-homomorphism", "[Q1,P1]"),
+        ("coproduct-homomorphism", "[Q1,Q2]"),
+        ("coproduct-multiplicativity", "pair 0"),
+        ("coproduct-multiplicativity", "pair 2"),
+        ("coproduct-multiplicativity", "pair 4")]
 
 
 def test_three_leg_tables_share_their_blocks():
@@ -674,9 +763,10 @@ def test_mu_antipode_kernel_matches_reference_on_every_cop_table(trunc):
         p = params(*abc, trunc)
         for m in multiindices_graded(7, 3):
             table, cop = _cop_table(trunc, m, None), decoded_cop(trunc, m)
+            cop = TensorElement.zero(p).over_denominator(cop.nums, cop.den)
             for leg in (0, 1):
                 assert table.mu_antipode(p, leg) == \
-                    reference_mu_antipode_leg(cop.over(p), leg), (abc, m, leg)
+                    reference_mu_antipode_leg(cop, leg), (abc, m, leg)
 
 
 def test_antipode_check_fails_on_a_wrong_antipode(monkeypatch):
@@ -768,8 +858,11 @@ def test_tensor_storage_is_canonical():
     assert (t.den, t.nums) == (3, {key: 2, EMPTY_KEY: -6})
     assert TensorElement.zero(p).over_denominator({key: 8, EMPTY_KEY: -24},
                                                   12) == t
-    assert_stored_once(t.over(q))
-    assert t.over(q).over(p) == t and t.over(q) != t
+    # The same numerators over other parameters are another tensor.
+    moved = TensorElement.zero(q).over_denominator(t.nums, t.den)
+    assert_stored_once(moved)
+    assert moved != t and TensorElement.zero(p).over_denominator(
+        moved.nums, moved.den) == t
     # A sum whose numerators all cancel is the zero tensor, over 1.
     zero = TensorElement.zero(p).over_denominator({key: 0, EMPTY_KEY: 0}, 12)
     assert zero == TensorElement.zero(p) and (zero.den, zero.nums) == (1, {})

@@ -30,7 +30,7 @@ from conftest import params
 #: its reordered leg products, which depend on the parameters; the work
 #: whose misses the tests below count multiplies no two tensors.
 SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
-                   hopf._hopf, hopf._gen, hopf._chain, hopf._cop_table,
+                   hopf._letters, hopf._gen, hopf._chain, hopf._cop_table,
                    hopf._block, hopf._block_product, dual._mono_z,
                    dual._delta_z)
 #: The normal-ordering memos, keyed by the parameters or the truncation.
