@@ -508,15 +508,16 @@ def _z_factorial(key: tuple) -> int:
     return mi_factorial(key[:3]) * mi_factorial(key[3:7])
 
 
-def check_z_key(key) -> None:
+def check_z_key(key, name: str = "Z-basis key (I, J)") -> None:
     """Raise ValueError unless key is a Z-basis key (I, J) of 3 and 4
-    naturals."""
+    naturals; name is the kind of key the message names, as a dual key
+    (K, L) has the same shape."""
     if not (isinstance(key, tuple) and len(key) == 2
-            and all(isinstance(part, tuple) for part in key)
-            and tuple(map(len, key)) == (3, 4)
-            and all(type(e) is int and e >= 0 for part in key for e in part)):
-        raise ValueError(
-            f"not a Z-basis key (I, J) of 3 and 4 naturals: {key!r}")
+            and isinstance(key[0], tuple) and isinstance(key[1], tuple)
+            and len(key[0]) == 3 and len(key[1]) == 4
+            and set(map(type, key[0] + key[1])) == {int}
+            and min(key[0] + key[1]) >= 0):
+        raise ValueError(f"not a {name} of 3 and 4 naturals: {key!r}")
 
 
 def from_z_basis(zmap: Mapping[ZMonomial, SeriesScalar],

@@ -39,7 +39,18 @@ it and builds its products from the integer rows over the lcm of their
 denominators.
 
 Both products run on the integer numerators of series.TermMap: the inner
-loops add integer products per key.
+loops add integer products per key.  Inside the closed product a key is
+one int (star_layout): a dual key (W^w, Y^y, h) is packed as the one-leg
+tensor key (w + y, h) of multiindex.Layout, the layout hopf's tensor
+kernels use, with fields as wide as the operands' largest exponents and
+the truncation order demand.  The closed formula is tabulated packed
+(_packed_terms), so each pair of terms adds its table's entries as ints,
+acc[ka + kb + m] += n * c, and the sum is decoded once per product;
+keys stay tuples at the edges: DualElement storage, rows(), rendering and
+every public function.  The classical product stays on tuple keys, as its
+pairs of terms mostly form keys of their own.  DualElement and star_oracle
+refuse a key other than (K, L) of 3 and 4 naturals, as a negative field
+would borrow from its neighbour in a packed key.
 """
 
 from __future__ import annotations
@@ -50,10 +61,11 @@ from functools import cache
 from math import comb, lcm
 
 from .algebra import (AlgebraElement, PBWMonomial, Truncation, ZMonomial,
-                      require_first_order, z_element)
+                      check_z_key, require_first_order, z_element)
 from .bialgebra import CHI_NAMES, LieData
 from .hopf import divided_power_coproduct
-from .multiindex import mi_binom, mi_norm, multiindices, submultiindices
+from .multiindex import (Layout, Memo, key_layout, mi_binom, mi_norm,
+                         multiindices, submultiindices)
 from .series import SeriesScalar, TermMap
 
 DualMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
@@ -63,6 +75,8 @@ _Y_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _ZERO_W = (0, 0, 0)
 _ZERO_Y = (0, 0, 0, 0)
 _H0 = (0, 0, 0)
+_UNIT_KEY = (_ZERO_W, _ZERO_Y, _H0)
+_KEY_NAME = "dual key (K, L)"
 
 
 class NonLinearBracketError(ValueError):
@@ -71,12 +85,15 @@ class NonLinearBracketError(ValueError):
 
 class DualElement(TermMap):
     """Finite sum of dual monomials W^K Y^L with series coefficients; a
-    basis key is the pair (K, L)."""
+    basis key is the pair (K, L) of 3 and 4 naturals, and any other key
+    raises ValueError."""
 
     __slots__ = ("trunc",)
 
     def __init__(self, trunc: int, terms: Mapping[DualMonomial, SeriesScalar]):
         Truncation(trunc)  # rejects a negative order
+        for key in terms:
+            check_z_key(key, _KEY_NAME)
         self.trunc = trunc
         self._store_series(terms)
 
@@ -86,7 +103,8 @@ class DualElement(TermMap):
 
     @classmethod
     def unit(cls, trunc: int) -> "DualElement":
-        return cls.monomial(_ZERO_W, _ZERO_Y, trunc)
+        # Its one key is known good, so it is stored as zero's numerators.
+        return cls.zero(trunc).over_denominator({_UNIT_KEY: 1}, 1)
 
     @classmethod
     def monomial(cls, w, y, trunc: int, coeff=1) -> "DualElement":
@@ -123,18 +141,23 @@ def chi(i: int, trunc: int) -> DualElement:
 
 
 def classical_product(u: DualElement, v: DualElement) -> DualElement:
-    """The commutative constant-term product: indices simply add."""
+    """The commutative constant-term product: indices simply add.  It
+    stays on tuple keys: its pairs of terms mostly form keys of their own,
+    so decoding a packed sum would cost what building the tuples does, on
+    top of the packing (star_layout)."""
     u.check(v)
     trunc = u.trunc
     out: dict = {}
     get = out.get
+    bitems = v.nums.items()
     for (wa, ya, ha), na in u.nums.items():
-        for (wb, yb, hb), nb in v.nums.items():
+        for (wb, yb, hb), nb in bitems:
             h = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
             if h[0] + h[1] + h[2] > trunc:
                 continue
-            key = (tuple(a + b for a, b in zip(wa, wb)),
-                   tuple(a + b for a, b in zip(ya, yb)), h)
+            key = ((wa[0] + wb[0], wa[1] + wb[1], wa[2] + wb[2]),
+                   (ya[0] + yb[0], ya[1] + yb[1], ya[2] + yb[2],
+                    ya[3] + yb[3]), h)
             out[key] = get(key, 0) + na * nb
     return u.over_denominator(out, u.den * v.den)
 
@@ -143,7 +166,66 @@ def classical_product(u: DualElement, v: DualElement) -> DualElement:
 # The closed star product.
 # ---------------------------------------------------------------------------
 
+def star_layout(trunc: int, top: int) -> Layout:
+    """The packed keys of the closed products at order trunc of operands
+    whose W or Y exponents sum pairwise to at most top (top_exponent of a
+    left operand plus that of a right one).
+
+    A dual key (W^w, Y^y, h) is the one-leg tensor key (w + y, h) of
+    multiindex.Layout, with fields wide enough for max(trunc, top).
+    Packing is linear over the integers, so a sum of packed keys, some
+    parts of it negative, is the packed key of the sum of their fields
+    whenever each field of that sum lies in 0..2^width - 1.  Every key a
+    product forms has its fields in that range: it keeps h only within
+    trunc, its Y index is J + L, and its W index I + K - M - N lies in
+    0..I + K.  The bound is read off the operands, as a library caller
+    has no degree bound, and a field too narrow would carry into its
+    neighbour and silently give a wrong key."""
+    return key_layout(1, max(trunc, top).bit_length() or 1)
+
+
+def top_exponent(x: DualElement) -> int:
+    """The largest W or Y exponent in x's keys, 0 for none."""
+    top = 0
+    for w, y, _ in x.nums:
+        m = max(w + y)
+        if m > top:
+            top = m
+    return top
+
+
 @cache
+def _codes(layout: Layout) -> tuple[Memo, Memo, Memo]:
+    """layout's memos of dual keys, filled as they are met: {(w, y, h):
+    (packed key, |h|)}, {packed key: (w, y, h)}, so that packing a term
+    and decoding a sum are one lookup each and decoded keys are shared,
+    and {h: packed key of (W^-h, h)}, the shift a term of the closed
+    formula adds (_packed_terms)."""
+    code, bits = layout.code, layout.hbits
+    f1, f2, f3, f4, f5, f6, f7, f8, f9 = (layout.width * i
+                                          for i in range(1, 10))
+    mask = (1 << layout.width) - 1
+
+    def pack(key: tuple) -> tuple[int, int]:
+        w, y, h = key
+        return code(h) + (code(w + y) << bits), h[0] + h[1] + h[2]
+
+    def unpack(k: int) -> tuple:
+        return ((k >> f3 & mask, k >> f4 & mask, k >> f5 & mask),
+                (k >> f6 & mask, k >> f7 & mask, k >> f8 & mask,
+                 k >> f9 & mask),
+                (k & mask, k >> f1 & mask, k >> f2 & mask))
+
+    return (Memo(pack), Memo(unpack),
+            Memo(lambda h: code(h) - (code(h) << bits)))
+
+
+def _decoded(layout: Layout, sums: dict[int, int]) -> dict:
+    """sums on packed keys as {(w, y, h): numerator}."""
+    keys = _codes(layout)[1]
+    return {keys[k]: n for k, n in sums.items()}
+
+
 def _star_terms(I, nJ: int, K, nL: int,
                 trunc: int) -> tuple[tuple[tuple, tuple, int], ...]:
     """The closed formula for W^I Y^J * W^K Y^L with |J| = nJ, |L| = nL,
@@ -152,7 +234,8 @@ def _star_terms(I, nJ: int, K, nL: int,
     reads J and L only through their norms, and every term's Y index is
     J + L, so one table serves every J and L of these norms.  Only the M
     and N within the h budget trunc are enumerated, and zero sums are
-    dropped."""
+    dropped.  It is read only to be packed, so only its packed form is
+    kept (_packed_terms)."""
     out: dict[tuple, int] = {}
     normK = mi_norm(K)
     for M in submultiindices(I, trunc):
@@ -170,61 +253,91 @@ def _star_terms(I, nJ: int, K, nL: int,
     return tuple((w, h, c) for (w, h), c in out.items() if c)
 
 
-def star_rows(x: DualElement, tag=None, scale: int = 1) -> list:
-    """x's numerators times scale as the rows star_sums reads,
-    [(tag, w, y, |y|, [(h, numerator)])], one per basis key (w, y)."""
-    return [(tag, w, y, sum(y),
-             row if scale == 1 else [(h, n * scale) for h, n in row])
-            for (w, y), row in x.rows().items()]
+@cache
+def _packed_terms(I, nJ: int, K, nL: int, trunc: int,
+                  layout: Layout) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """_star_terms(I, nJ, K, nL, trunc) packed in layout, by budget: entry
+    b holds (m, c) for every term c h^e W^w with |e| <= b, b = 0..trunc,
+    so a pair of terms whose own h-degree leaves budget b reads entry b
+    whole.  m is the packed key of (W^-e, e), what the term adds to the
+    packed keys of its operands' terms, which carry I and K: its W index
+    I + K - M - N is I + K - e, as e = M + N."""
+    shift = _codes(layout)[2]
+    by_degree: list[list] = [[] for _ in range(trunc + 1)]
+    for _, h, c in _star_terms(I, nJ, K, nL, trunc):
+        by_degree[h[0] + h[1] + h[2]].append((shift[h], c))
+    out, upto = [], ()
+    for items in by_degree:
+        upto += tuple(items)
+        out.append(upto)
+    return tuple(out)
 
 
-def star_sums(urows: list, vrows: list, trunc: int, out: dict) -> dict:
+def star_rows(x: DualElement, layout: Layout, tag=None,
+              scale: int = 1) -> list:
+    """x's numerators times scale as the rows star_sums reads, packed in
+    layout (star_layout): [(tag, w, |y|, [(packed key, |h|, numerator)])],
+    one row for the terms of each W index w and Y-norm |y|, as the closed
+    formula reads y only through |y|."""
+    codes = _codes(layout)[0]
+    rows: dict = {}
+    for key, n in x.nums.items():
+        w, y, _ = key
+        rkey = w, y[0] + y[1] + y[2] + y[3]
+        row = rows.get(rkey)
+        if row is None:
+            row = rows[rkey] = []
+        row.append((*codes[key], n * scale))
+    return [(tag, w, ny, row) for (w, ny), row in rows.items()]
+
+
+def star_sums(urows: list, vrows: list, trunc: int, layout: Layout,
+              out: dict) -> dict:
     """The closed-formula products of prepared rows (see star_rows), summed
-    into out[(tag_u, tag_v)], a dict keyed (w, y, h), and returned.
+    into out[(tag_u, tag_v)], a dict keyed by packed key, and returned.
 
-    A pair of rows (tu, wa, ya, |ya|, urow), (tv, wb, yb, |yb|, vrow) reads
-    the table _star_terms(wa, |ya|, wb, |yb|, trunc) once; each pair of
-    their terms (ha, na), (hb, nb) adds na * nb * c under (w, ya + yb,
-    ha + hb + h) for every entry (w, h, c) within the truncation budget.
-    The sums are integers, zeros kept: the caller puts them over the
-    product of its operands' denominators.  Pairs of rows with the same
-    tags add up, so one call can sum a whole block of products.
+    A pair of rows (tu, wa, |ya|, urow), (tv, wb, |yb|, vrow) reads the
+    table _packed_terms(wa, |ya|, wb, |yb|, trunc, layout) once; each pair
+    of their terms (ka, da, na), (kb, db, nb) with da + db <= trunc adds
+    na * nb * c under ka + kb + m for every entry (m, c) of the table's
+    budget trunc - da - db.  ka + kb + m is the packed key of (W^w, Y^(ya
+    + yb), ha + hb + h): ka and kb carry wa and wb, m carries h and the
+    W part w - wa - wb = -(M + N), and the fields add as integers, which
+    star_layout's width holds, as rows and tables are packed in one
+    layout.  The sums are integers, zeros kept: the caller puts them over
+    the product of its operands' denominators, and decodes them.  Pairs
+    of rows with the same tags add up, so one call can sum a whole block
+    of products.
     """
-    for tu, wa, ya, nya, urow in urows:
-        for tv, wb, yb, nyb, vrow in vrows:
+    for tu, wa, nya, urow in urows:
+        for tv, wb, nyb, vrow in vrows:
             acc = out.get((tu, tv))
             if acc is None:
                 acc = out[(tu, tv)] = {}
             get = acc.get
-            monos = _star_terms(wa, nya, wb, nyb, trunc)
-            y = (ya[0] + yb[0], ya[1] + yb[1], ya[2] + yb[2], ya[3] + yb[3])
-            for ha, na in urow:
-                for hb, nb in vrow:
-                    h0, h1, h2 = ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2]
-                    budget = trunc - h0 - h1 - h2
-                    n = na * nb
-                    if budget == trunc:
-                        # h-free pair: monos is already within trunc.
-                        for w, h, c in monos:
-                            key = (w, y, h)
-                            acc[key] = get(key, 0) + n * c
-                        continue
+            terms = _packed_terms(wa, nya, wb, nyb, trunc, layout)
+            for ka, da, na in urow:
+                for kb, db, nb in vrow:
+                    budget = trunc - da - db
                     if budget < 0:
                         continue
-                    for w, h, c in monos:
-                        if h[0] + h[1] + h[2] > budget:
-                            continue
-                        key = (w, y, (h0 + h[0], h1 + h[1], h2 + h[2]))
+                    k, n = ka + kb, na * nb
+                    for m, c in terms[budget]:
+                        key = k + m
                         acc[key] = get(key, 0) + n * c
     return out
 
 
 def star_closed(u: DualElement, v: DualElement) -> DualElement:
     """Bilinear extension of the closed-formula product of dual monomials:
-    star_sums of the untagged rows of u and v, over u.den * v.den."""
+    star_sums of the untagged rows of u and v, decoded once, over u.den *
+    v.den."""
     u.check(v)
-    sums = star_sums(star_rows(u), star_rows(v), u.trunc, {})
-    return u.over_denominator(sums.get((None, None), {}), u.den * v.den)
+    layout = star_layout(u.trunc, top_exponent(u) + top_exponent(v))
+    sums = star_sums(star_rows(u, layout), star_rows(v, layout), u.trunc,
+                     layout, {})
+    return u.over_denominator(_decoded(layout, sums.get((None, None), {})),
+                              u.den * v.den)
 
 
 def star_commutator(u: DualElement, v: DualElement) -> DualElement:
@@ -343,9 +456,10 @@ def _support(s_bound: int, T) -> list[tuple[tuple, tuple]]:
 
 def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int) -> DualElement:
     """Star product of two dual monomials reconstructed through the pairing,
-    over the targets of its support."""
+    over the targets of its support.  a and b are keys (K, L) of 3 and 4
+    naturals; any other raises ValueError."""
     Truncation(trunc)  # rejects a negative order
-    key = ((tuple(a[0]), tuple(a[1])), (tuple(b[0]), tuple(b[1])))
+    key = a, b = _dual_key(a), _dual_key(b)
     T = tuple(x + y for x, y in zip(a[1], b[1]))
     found = []
     for S, T in _support(mi_norm(a[0]) + mi_norm(b[0]), T):
@@ -354,6 +468,14 @@ def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int) -> DualElement:
         if row is not None:
             found.append((S, T, table.den, row))
     return _over_targets(trunc, found)
+
+
+def _dual_key(x) -> DualMonomial:
+    """x, its parts made tuples, checked to be a dual key (K, L)."""
+    key = tuple(tuple(part) if isinstance(part, list) else part
+                for part in x)
+    check_z_key(key, _KEY_NAME)
+    return key
 
 
 # bench/tracer.py wraps the oracle by this name, so the name stays bound.

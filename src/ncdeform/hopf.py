@@ -25,11 +25,12 @@ commutators.
 
 A tensor's basis key is its tuple of leg monomials (series.TermMap holds
 the storage).  The product kernel works on packed integer keys instead
-(_Layout): the exponents of a key (m_1, ..., m_arity, h) are fixed-width
-fields of one int, h in the lowest bits, then each leg monomial in turn,
-and the width holds the largest exponent a product can form, so no field
-carries into the next.  There is one layout per arity and width (_layout),
-shared with its decoding memos by every caller.
+(multiindex.Layout): the exponents of a key (m_1, ..., m_arity, h) are
+fixed-width fields of one int, h in the lowest bits, then each leg monomial
+in turn, and the width holds the largest exponent a product can form, so no
+field carries into the next.  There is one layout per arity and width
+(multiindex.key_layout), shared with its decoding memos by every caller,
+the dual side's closed star product among them.
 
 There is one packed product, _Table.times, and every tensor product runs
 on it: the coproduct tables over a Truncation and tensor_mul over the
@@ -93,7 +94,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain
 from math import factorial, gcd, lcm
-from operator import add, mul, or_
+from operator import add, or_
 from typing import Mapping
 
 from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
@@ -103,7 +104,8 @@ from .algebra import (CENTRAL_GENERATORS, EMPTY_MONO, GENERATOR_NAMES, P1, P2,
                       make_exp_rho, make_generator, make_lambda, make_rho,
                       mono_mul, mono_text, normal_order_mul, power_series,
                       qp_span)
-from .multiindex import mi_factorial, multiindices_graded
+from .multiindex import (Layout, key_layout, mi_factorial,
+                         multiindices_graded)
 from .report import VerificationReport, clip_note
 from .series import SeriesScalar, TermMap, substitute
 
@@ -199,70 +201,6 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
         key = legs + (h,)
         out[key] = out.get(key, 0) + c
     return into.over_denominator(out, den)
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with fill(key)."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-class _Layout:
-    """Packed integer keys for the terms of tensors of one arity.
-
-    A key (m_1, ..., m_arity, h) becomes one int of fixed-width fields:
-    the three exponents of h in the lowest bits, then the seven of each leg
-    monomial, leg by leg.  Packing is linear, so the key of a term pair
-    whose leg products are plain exponent sums is the sum of the two keys.
-    Every field is width bits, which the caller chooses to hold the largest
-    exponent any key it forms may reach, so no exponent carries into its
-    neighbour.  A layout is a shared value: it is built once per (arity,
-    width) by _layout, and its decoding memos fill across every caller.
-    """
-
-    def __init__(self, arity: int, width: int):
-        w = self.width = width
-        self.arity = arity
-        self.weights = tuple(1 << w * i for i in range(7))
-        self.hbits = 3 * w
-        self.offsets = tuple(3 * w + 7 * w * i for i in range(arity))
-        self.mono_mask = (1 << 7 * w) - 1
-        # The Q/P fields of every leg; the rest of a key is its central part.
-        self.qp_mask = sum(((1 << 4 * w) - 1) << off + 3 * w
-                           for off in self.offsets)
-        # Decoding memos: each distinct monomial and h exponent once.
-        self.monos = _Memo(lambda code: self.fields(code, 7))
-        self.hs = _Memo(lambda code: self.fields(code, 3))
-
-    def code(self, fields: tuple) -> int:
-        return sum(map(mul, fields, self.weights))
-
-    def fields(self, code: int, count: int) -> tuple:
-        w, mask = self.width, (1 << self.width) - 1
-        return tuple(code >> w * i & mask for i in range(count))
-
-    def decode(self, keys: list[int], nums: list[int]) -> dict[TensorKey, int]:
-        """{key unpacked to (m_1, ..., m_arity, h): numerator} for the
-        parallel lists keys and nums; built column by column."""
-        monos, hs = self.monos, self.hs
-        mask, hmask = self.mono_mask, (1 << self.hbits) - 1
-        cols = [[monos[k >> off & mask] for k in keys] for off in self.offsets]
-        cols.append([hs[k & hmask] for k in keys])
-        return dict(zip(zip(*cols), nums))
-
-
-@cache
-def _layout(arity: int, width: int) -> _Layout:
-    """The one layout of tensors of arity with fields of width bits."""
-    return _Layout(arity, width)
 
 
 def _pair_sums(aitems: list, bitems: list) -> list[dict[int, int]]:
@@ -363,7 +301,7 @@ def coproduct(x: AlgebraElement) -> TensorElement:
     are sorted by h-degree.  Each group is decoded once, over x.den * L,
     and the groups are summed."""
     trunc = x.params.trunc
-    groups: dict[_Layout, list] = {}
+    groups: dict[Layout, list] = {}
     for key, n in x.nums.items():
         table = _cop_table(trunc, key[:7], None)
         groups.setdefault(table.layout, []).append((key[7], n, table))
@@ -532,7 +470,7 @@ def _block_product(a: _Block, b: _Block) -> tuple[int, _Block] | None:
     return _block_of(_pair_sums(a.degrees(), b.degrees()))
 
 
-def _split(layout: _Layout, trunc: int,
+def _split(layout: Layout, trunc: int,
            terms) -> dict[int, tuple[int, _Block]]:
     """Packed terms (key, h-degree, numerator), repeated keys adding up,
     split by Q/P key: {q: (c, block)}, c times block (_block_of) the
@@ -595,14 +533,14 @@ class _Table:
 
     __slots__ = ("layout", "space", "den", "blocks")
 
-    def __init__(self, layout: _Layout, space, den: int, blocks: Blocks):
+    def __init__(self, layout: Layout, space, den: int, blocks: Blocks):
         self.layout, self.space, self.den = layout, space, den
         self.blocks = blocks
 
     @classmethod
     def pack(cls, t: TensorElement, width: int) -> "_Table":
         """t with fields of width bits, its terms split by Q/P key."""
-        layout = _layout(t.arity, width)
+        layout = key_layout(t.arity, width)
         cols = list(zip(*t.nums))
         codes = {h: layout.code(h) for h in set(cols[-1])}
         keys = map(codes.__getitem__, cols[-1])
@@ -758,7 +696,7 @@ class _Table:
 
 
 @cache
-def _signed(layout: _Layout, block: _Block, leg: int) -> dict:
+def _signed(layout: Layout, block: _Block, leg: int) -> dict:
     """The entries c1 (x) c2 h of a two-leg block folded into the central
     series (-1)^|c_leg| c1 c2 h, as {algebra key: numerator}, zeros left
     out.  It holds no alpha, beta or gamma, so it is kept per block."""

@@ -3,6 +3,13 @@ and the bounded iterations behind every summation range.
 
 Indices are plain tuples of nonnegative ints; length 3 for central indices,
 length 4 for Q/P indices, length 7 for full ordered-monomial exponents.
+
+Inner loops that add exponents pack a whole key into one int instead
+(Layout): each exponent a fixed-width field, so the key of a product whose
+exponents simply add is the sum of the two keys.  The tensor kernels of
+hopf pack a key of leg monomials and h this way, and the closed star
+product of dual packs a dual key (W^K, Y^L, h) as the one-leg tensor key
+(K + L, h).
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import product
+from operator import mul
 from typing import Iterable, Iterator
 
 MultiIndex = tuple[int, ...]
@@ -82,3 +90,69 @@ def multiindices_graded(length: int, max_norm: int) -> Iterator[MultiIndex]:
     """All indices with norm <= max_norm, by increasing norm then lex."""
     for d in range(max_norm + 1):
         yield from multiindices_of_norm(length, d)
+
+
+class Memo(dict):
+    """A dict that fills a missing key with fill(key)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class Layout:
+    """Packed integer keys for the terms of tensors of one arity.
+
+    A key (m_1, ..., m_arity, h) becomes one int of fixed-width fields:
+    the three exponents of h in the lowest bits, then the seven of each leg
+    monomial, leg by leg.  Packing is linear, so the key of a term pair
+    whose leg products are plain exponent sums is the sum of the two keys.
+    Every field is width bits, which the caller chooses to hold the largest
+    exponent any key it forms may reach, so no exponent carries into its
+    neighbour: an exponent that outgrew its field would silently change
+    another, not raise.  A layout is a shared value: it is built once per
+    (arity, width) by key_layout, and its decoding memos fill across every
+    caller.
+    """
+
+    def __init__(self, arity: int, width: int):
+        w = self.width = width
+        self.arity = arity
+        self.weights = tuple(1 << w * i for i in range(7))
+        self.hbits = 3 * w
+        self.offsets = tuple(3 * w + 7 * w * i for i in range(arity))
+        self.mono_mask = (1 << 7 * w) - 1
+        # The Q/P fields of every leg; the rest of a key is its central part.
+        self.qp_mask = sum(((1 << 4 * w) - 1) << off + 3 * w
+                           for off in self.offsets)
+        # Decoding memos: each distinct monomial and h exponent once.
+        self.monos = Memo(lambda code: self.fields(code, 7))
+        self.hs = Memo(lambda code: self.fields(code, 3))
+
+    def code(self, fields: tuple) -> int:
+        return sum(map(mul, fields, self.weights))
+
+    def fields(self, code: int, count: int) -> tuple:
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple(code >> w * i & mask for i in range(count))
+
+    def decode(self, keys: list[int], nums: list[int]) -> dict[tuple, int]:
+        """{key unpacked to (m_1, ..., m_arity, h): numerator} for the
+        parallel lists keys and nums; built column by column."""
+        monos, hs = self.monos, self.hs
+        mask, hmask = self.mono_mask, (1 << self.hbits) - 1
+        cols = [[monos[k >> off & mask] for k in keys] for off in self.offsets]
+        cols.append([hs[k & hmask] for k in keys])
+        return dict(zip(zip(*cols), nums))
+
+
+@cache
+def key_layout(arity: int, width: int) -> Layout:
+    """The one layout of tensors of arity with fields of width bits."""
+    return Layout(arity, width)

@@ -12,7 +12,8 @@ at truncation 1, its diagnostic at truncation 3.  Its associativity cube
 checks every triple of the grid without building a product per triple: for
 each middle monomial it sums both sides' integer numerators in one block
 per side with dual.star_sums, the kernel under star_closed, and compares
-the blocks (first_associativity_failure).  The bialgebra suite reads
+the blocks on their packed one-int keys, never decoded
+(first_associativity_failure).  The bialgebra suite reads
 the parameters for the Lie data and the group law, and only the truncation
 order for the cocommutators.
 """
@@ -34,7 +35,8 @@ from .bialgebra import (GroupElement, LieData, WedgeElement,
                         nc_lie_data, sum_cocommutators)
 from .dual import (DualElement, classical_product, dual_structure_constants,
                    h_coefficient, star_closed, star_commutator, star_oracle,
-                   star_oracle_grid, star_rows, star_sums)
+                   star_layout, star_oracle_grid, star_rows, star_sums,
+                   top_exponent)
 from .hopf import heisenberg_limit_report, verify_hopf_axioms
 from .multiindex import multiindices
 from .report import VerificationReport, clip_note
@@ -156,15 +158,25 @@ def first_associativity_failure(monos: list, table: list,
     against every monomial tagged by k, the right with one call per k,
     every monomial tagged by i against table[j][k].  Every operand is
     brought to one common denominator D, so both blocks hold numerators
-    over D^2, and they are equal when their nonzero sums are.
+    over D^2, and they are equal when their nonzero sums are.  Both
+    blocks are kept on packed keys and compared as they are, never
+    decoded, so every row is packed in one layout: dual.star_layout for
+    the largest exponent of a monomial plus the largest of a table entry.
+    Its fields hold every key either side forms, as each side multiplies
+    a monomial by an entry, in one order or the other, and equal keys are
+    equal ints in one layout.
     The monomials' rows are read once; a table entry's rows are read for
     each of its two blocks, so that one j-block is held at a time.  Once a
     block differs, a later j can come first only with a smaller i, so the
     later blocks are built over those i alone.
     """
     n = len(monos)
-    D = lcm(*(u.den for u in monos), *(x.den for line in table for x in line))
-    mono_rows = [star_rows(u, i, D // u.den) for i, u in enumerate(monos)]
+    entries = [x for line in table for x in line]
+    D = lcm(*(u.den for u in monos), *(x.den for x in entries))
+    layout = star_layout(trunc, max(map(top_exponent, monos), default=0)
+                         + max(map(top_exponent, entries), default=0))
+    mono_rows = [star_rows(u, layout, i, D // u.den)
+                 for i, u in enumerate(monos)]
     every_mono = [row for rows in mono_rows for row in rows]
     first = None
     for j in range(n):
@@ -173,11 +185,13 @@ def first_associativity_failure(monos: list, table: list,
         right: dict = {}
         for i in range(upto):
             x = table[i][j]
-            star_sums(star_rows(x, i, D // x.den), every_mono, trunc, left)
+            star_sums(star_rows(x, layout, i, D // x.den), every_mono, trunc,
+                      layout, left)
         umonos = [row for rows in mono_rows[:upto] for row in rows]
         for k in range(n):
             x = table[j][k]
-            star_sums(umonos, star_rows(x, k, D // x.den), trunc, right)
+            star_sums(umonos, star_rows(x, layout, k, D // x.den), trunc,
+                      layout, right)
         if left != right:
             # Equal dicts are equal blocks; unequal ones may differ only
             # in zero sums.

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -201,14 +203,22 @@ def test_star_suite_builds_no_coproduct_of_an_expanded_target(monkeypatch):
     assert asked == set()
 
 
-def test_star_suite_builds_one_table_per_ynorm():
+def test_star_suite_builds_one_table_per_ynorm(monkeypatch):
     # The suite's products at truncation 1 (the pair table and the
     # norm <= 2 associativity cube) read one table per (I, |J|, K, |L|),
     # 1,875 of them; one per (I, J, K, L) would be 22,464.  The six depth-2
-    # probes at truncation 3 add one each.
-    dual._star_terms.cache_clear()
+    # probes at truncation 3 add one each.  A table is kept packed, once
+    # per layout it is read in (_packed_terms), and the formula is summed
+    # once for each: the pair table's products are packed at 1 to 3 bits
+    # a field, the cube's at 3, so 2,099 packed tables in all.
+    dual._packed_terms.cache_clear()
+    summed = []
+    formula = dual._star_terms
+    monkeypatch.setattr(dual, "_star_terms",
+                        lambda *key: summed.append(key) or formula(*key))
     assert verify_star_suite(2).passed
-    assert dual._star_terms.cache_info().currsize == 1875 + len(_DEEP_PROBES)
+    assert len(set(summed)) == 1875 + len(_DEEP_PROBES)
+    assert len(summed) == dual._packed_terms.cache_info().currsize == 2099
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -316,6 +326,11 @@ def test_star_suite_reports_the_reference_counterexample(monkeypatch):
         return terms
 
     monkeypatch.setattr(dual, "_star_terms", perturbed)
+    # The kernel reads the formula packed (_packed_terms); a memo of its
+    # own for this test packs the perturbed table, and leaves the shared
+    # memo as it was.
+    monkeypatch.setattr(dual, "_packed_terms",
+                        cache(dual._packed_terms.__wrapped__))
     check = next(c for c in verify_star_suite(2).checks
                  if c.name == "star-associativity")
     monos = grid(2, 1)
@@ -353,6 +368,175 @@ def test_star_closed_matches_series_reference(operands):
         for s in got.terms.values():
             assert s.terms
             assert all(type(c) is Fraction and c for c in s.terms.values())
+
+
+# -- the packed kernels against their tuple-keyed forms ------------------------
+
+def reference_star_rows(x, tag=None, scale=1):
+    """The rows of the tuple-keyed kernel: [(tag, w, y, |y|, [(h, n)])]."""
+    return [(tag, w, y, sum(y), [(h, n * scale) for h, n in row])
+            for (w, y), row in x.rows().items()]
+
+
+def reference_star_sums(urows, vrows, trunc, out):
+    """The closed-formula kernel on tuple keys (w, y, h), as it was before
+    keys were packed: each pair of terms builds its key as tuples."""
+    for tu, wa, ya, nya, urow in urows:
+        for tv, wb, yb, nyb, vrow in vrows:
+            acc = out.setdefault((tu, tv), {})
+            monos = dual._star_terms(wa, nya, wb, nyb, trunc)
+            y = tuple(a + b for a, b in zip(ya, yb))
+            for ha, na in urow:
+                for hb, nb in vrow:
+                    for w, h, c in monos:
+                        hh = tuple(a + b + e for a, b, e in zip(ha, hb, h))
+                        if sum(hh) <= trunc:
+                            key = (w, y, hh)
+                            acc[key] = acc.get(key, 0) + na * nb * c
+    return out
+
+
+def reference_closed(u, v):
+    sums = reference_star_sums(reference_star_rows(u),
+                               reference_star_rows(v), u.trunc, {})
+    return u.over_denominator(sums.get((None, None), {}), u.den * v.den)
+
+
+def reference_classical_product(u, v):
+    """The constant-term product as it was written before its index sums
+    were spelled out: indices simply add, through zip."""
+    out = {}
+    for (wa, ya, ha), na in u.nums.items():
+        for (wb, yb, hb), nb in v.nums.items():
+            h = tuple(a + b for a, b in zip(ha, hb))
+            if sum(h) <= u.trunc:
+                key = (tuple(a + b for a, b in zip(wa, wb)),
+                       tuple(a + b for a, b in zip(ya, yb)), h)
+                out[key] = out.get(key, 0) + na * nb
+    return u.over_denominator(out, u.den * v.den)
+
+
+def unpacked(layout, sums):
+    """A block of packed sums as {(w, y, h): n}, read through the layout's
+    own decoding rather than the kernel's."""
+    keys = list(sums)
+    decoded = layout.decode(keys, [sums[k] for k in keys])
+    return {(m[:3], m[3:], h): n for (m, h), n in decoded.items()}
+
+
+def layout_for(lefts, rights):
+    return dual.star_layout(lefts[0].trunc,
+                            max(map(dual.top_exponent, lefts))
+                            + max(map(dual.top_exponent, rights)))
+
+
+@st.composite
+def packed_operands(draw):
+    """Two lists of dual elements of one order 0..4 on keys of norm <= 3,
+    with h-series coefficients of several denominators."""
+    trunc = draw(st.integers(0, 4))
+    keys = st.sampled_from([(w, y) for w in multiindices(3, 3)
+                            for y in multiindices(4, 3 - sum(w))])
+    coeff = st.dictionaries(h_exponents(trunc), small_fractions(),
+                            min_size=1, max_size=3).map(
+        lambda d: SeriesScalar(d, trunc))
+    element = st.dictionaries(keys, coeff, max_size=4).map(
+        lambda terms: DualElement(trunc, terms))
+    return (draw(st.lists(element, min_size=1, max_size=3)),
+            draw(st.lists(element, min_size=1, max_size=3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(packed_operands())
+def test_packed_kernel_matches_the_tuple_kernel(operands):
+    # star_closed and classical_product on every pair, and star_sums on
+    # every row at once, untagged rows of the first operand of each list
+    # mixed with rows tagged by position, over one common denominator.
+    us, vs = operands
+    trunc = us[0].trunc
+    for u, v in product(us, vs):
+        assert star_closed(u, v) == reference_closed(u, v)
+        assert classical_product(u, v) == reference_classical_product(u, v)
+    layout = layout_for(us, vs)
+    D = lcm(*(x.den for x in us + vs))
+    tags = [None] + list(range(1, 4))
+    got = dual.star_sums(
+        [row for tag, u in zip(tags, us)
+         for row in dual.star_rows(u, layout, tag, D // u.den)],
+        [row for tag, v in zip(tags, vs)
+         for row in dual.star_rows(v, layout, tag, D // v.den)],
+        trunc, layout, {})
+    want = reference_star_sums(
+        [row for tag, u in zip(tags, us)
+         for row in reference_star_rows(u, tag, D // u.den)],
+        [row for tag, v in zip(tags, vs)
+         for row in reference_star_rows(v, tag, D // v.den)],
+        trunc, {})
+    assert {pair: unpacked(layout, sums) for pair, sums in got.items()} \
+        == want
+
+
+#: The widest operands: the degree-32 ones the CLI admits at its largest
+#: order, and one of a library caller beyond any fixed field width, each
+#: with whether its product forms a field of the bound top_u + top_v
+#: itself (W[0,0,16]*Y[0,0,16,0] times W[16,0,0]*Y[0,0,0,16] forms none
+#: above 16).
+WIDE_PRODUCTS = [((32, 0, 0), Y0, (32, 0, 0), Y0, 6, True),
+                 (W0, (0, 0, 0, 32), W0, (0, 0, 0, 32), 6, True),
+                 ((0, 0, 16), (0, 0, 16, 0), (16, 0, 0), (0, 0, 0, 16), 6,
+                  False),
+                 ((300, 0, 0), Y0, (300, 0, 0), Y0, 2, True)]
+
+
+def wide_products(tight_only=False):
+    for wa, ya, wb, yb, trunc, tight in WIDE_PRODUCTS:
+        if tight or not tight_only:
+            u = dm(wa, ya, trunc, Fraction(3, 2)) + dm(W0, Y0, trunc)
+            v = dm(wb, yb, trunc, h_series((0, 1, 0), Fraction(-1, 5), trunc))
+            yield u, v
+
+
+def test_the_width_holds_the_widest_operands():
+    for u, v in wide_products():
+        assert star_closed(u, v) == reference_closed(u, v)
+        assert classical_product(u, v) == reference_classical_product(u, v)
+
+
+def test_a_narrower_width_shows_as_a_wrong_product(monkeypatch):
+    # One bit less than star_layout's bound lets a field that reaches the
+    # bound carry into its neighbour (or out of the key), which the
+    # references see; so the test above can see an overflow.
+    narrower = dual.key_layout
+    monkeypatch.setattr(dual, "key_layout",
+                        lambda arity, width: narrower(arity, width - 1))
+    for u, v in wide_products(tight_only=True):
+        assert star_closed(u, v) != reference_closed(u, v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DualElement.monomial((-1, 0, 0), Y0, 1),
+    lambda: DualElement.monomial(W0, (0, 0, -2, 0), 1),
+    lambda: DualElement.monomial((1, 0), Y0, 1),
+    lambda: DualElement.monomial(W0, (1, 0, 0), 1),
+    lambda: DualElement(1, {((1, 0, 0), (0, 0, 0, 0), (0, 0, 0)):
+                            SeriesScalar.one(1)}),
+    lambda: star_oracle(((-1, 0, 0), Y0), ((1, 0, 0), Y0), 1),
+    lambda: star_oracle((W0, Y0), ((1, 0), Y0), 1),
+    lambda: star_oracle((W0, (0, 0, 0, 0, 0)), (W0, Y0), 1),
+], ids=["negative-w", "negative-y", "short-w", "short-y", "three-parts",
+        "oracle-negative", "oracle-short", "oracle-long"])
+def test_malformed_dual_indices_raise(call):
+    # A negative field would borrow from its neighbour in a packed key:
+    # star_closed of W[-1,0,0] with itself returned 0, and a two-field W
+    # index died in star_closed with an IndexError.
+    with pytest.raises(ValueError, match="dual key"):
+        call()
+
+
+def test_star_oracle_takes_lists_as_indices():
+    a, b = ([1, 0, 0], [0, 0, 0, 0]), ([0, 0, 0], [1, 0, 0, 0])
+    assert star_oracle(a, b, 1) == star_oracle(
+        ((1, 0, 0), Y0), (W0, (1, 0, 0, 0)), 1)
 
 
 def reference_delta_on_zbasis(S, T, p):
@@ -405,6 +589,7 @@ def test_oracle_never_calls_the_closed_formula(monkeypatch):
     monkeypatch.setattr(dual, "star_sums", forbidden)
     monkeypatch.setattr(dual, "star_rows", forbidden)
     monkeypatch.setattr(dual, "_star_terms", forbidden)
+    monkeypatch.setattr(dual, "_packed_terms", forbidden)
     # The oracle's tables are shared by every parameter set of a
     # truncation, so they are dropped to make sure every one is built here,
     # down to the packed coproduct tables they are read from.

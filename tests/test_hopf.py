@@ -17,10 +17,11 @@ from ncdeform.algebra import (EMPTY_MONO, P2, Q1, DeformParams,
                               from_z_basis, lambda_coefficients,
                               power_series)
 from ncdeform import hopf
-from ncdeform.hopf import (_block, _chain, _cop_table, _gen, _layout,
-                          _Layout, _letters, _Table, _width, antipode_mono,
+from ncdeform.hopf import (_block, _chain, _cop_table, _gen, _letters,
+                          _Table, _width, antipode_mono,
                           divided_power_coproduct)
-from ncdeform.multiindex import multiindices, multiindices_graded
+from ncdeform.multiindex import (Layout, key_layout, multiindices,
+                                 multiindices_graded)
 from ncdeform import series
 
 from conftest import (PARAM_SETS, assert_stored_once, h_exponents, params,
@@ -479,7 +480,7 @@ def test_packed_chain_at_the_width_boundary(e):
         assert cop_table(1, m) == reference_cop2(1, m), g
         for side in (0, 1):
             table = _cop_table(1, m, side)
-            assert table.layout is _layout(3, width)
+            assert table.layout is key_layout(3, width)
             assert table.tensor() == reference_cop3(1, m, side), (g, side)
             assert table.tensor() == apply_coproduct_leg(cop_table(1, m),
                                                          side), (g, side)
@@ -530,9 +531,9 @@ def test_cached_tables_never_change(side):
     arity = 2 if side is None else 3
     tables = [_cop_table(1, mono(P2=e), side) for e in (1, 2)]
     before = [snapshot(t) for t in tables]
-    assert [t.layout for t in tables] == [_layout(arity, 2)] * 2
+    assert [t.layout for t in tables] == [key_layout(arity, 2)] * 2
     wide = _cop_table(1, mono(P2=3), side)
-    assert wide.layout is _layout(arity, 3)
+    assert wide.layout is key_layout(arity, 3)
     assert [snapshot(t) for t in tables] == before
     assert [_cop_table(1, mono(P2=e), side) for e in (1, 2)] == tables
 
@@ -559,7 +560,7 @@ def test_every_chain_product_meets_one_layout(monkeypatch):
             _cop_table(trunc, m, side)
     assert all(a is b for a, b in met)
     layouts = {a for a, _ in met}
-    assert {_layout(arity, width) for arity in (2, 3)
+    assert {key_layout(arity, width) for arity in (2, 3)
             for width in (2, 3, 4)} <= layouts
 
 
@@ -964,7 +965,7 @@ def test_packed_coproduct_matches_substitution(abc, monkeypatch):
     # coproduct() adds the packed tables of x's monomials and decodes the
     # sum once per layout; it never decodes a table on its own.
     calls = []
-    tensor, decode = _Table.tensor, _Layout.decode
+    tensor, decode = _Table.tensor, Layout.decode
 
     def spy_tensor(self):
         calls.append("tensor")
@@ -975,7 +976,7 @@ def test_packed_coproduct_matches_substitution(abc, monkeypatch):
         return decode(self, keys, nums)
 
     monkeypatch.setattr(_Table, "tensor", spy_tensor)
-    monkeypatch.setattr(_Layout, "decode", spy_decode)
+    monkeypatch.setattr(Layout, "decode", spy_decode)
     width_counts = set()
     for x in packed_sum_inputs(abc):
         want = reference_coproduct(x)
