@@ -68,19 +68,20 @@ MAX_STAR_DEGREE = 2
 #: their X part.  One unit costs about four times as much per order of
 #: truncation, so the bound is weighed by it (oracle_target_bound).  The
 #: costliest products admitted at each order, timed cold (whole process,
-#: of which starting Python and importing ncdeform is 0.1 s) on a 2-vCPU
-#: host with Python 3.11: `Y[32,0,0,0] * Y[22,5,5,0]` at 0 (1980 of 2048)
-#: 0.16-0.18 s, `W[1,0,0]*Y[31,0,0,0] * Y[32,0,0,0]` at 1 (448) 0.20-0.26
-#: s, `Y[7,0,0,0] * Y[0,15,0,0]` at 2 (128) 0.18-0.29 s and `W[1,0,0] *
-#: Y[17,0,0,0]` (126) 0.17-0.23 s, `Y[31,0,0,0] * 1` at 3 (32) 0.22-0.27 s,
-#: `x1 * 1` at 4 (7) 0.19-0.21 s, `1 * x4` at 5 (2) 0.11-0.13 s; at 6 the
-#: bound is 0.  An operand's index norm counts toward the degree bound
-#: (parser.degree), so `Y[44,0,0,0] * Y[0,44,0,0]` at 0 is refused before
-#: it is counted.  The weight |S| + 1 stays, though a Z letter adds only
-#: one link to a chain whose Q/P links the targets of one T share: weighed
-#: 1 per target, `W[11,0,0] * W[0,0,10]` at 0 (2024 units, 33,902 weighed)
-#: and `W[6,0,0] * W[0,0,6]` at 1 (455, 4550 weighed) would be admitted,
-#: and they take 1.7-1.9 s and 0.44-0.64 s in process.
+#: of which starting Python and importing ncdeform is 0.15-0.17 s) on a
+#: 2-vCPU host with Python 3.11: `Y[32,0,0,0] * Y[22,5,5,0]` at 0 (1980 of
+#: 2048) 0.13-0.20 s, `W[1,0,0]*Y[31,0,0,0] * Y[32,0,0,0]` at 1 (448)
+#: 0.19-0.30 s, `Y[7,0,0,0] * Y[0,15,0,0]` at 2 (128) 0.14-0.24 s and
+#: `W[1,0,0] * Y[17,0,0,0]` (126) 0.14-0.21 s, `Y[31,0,0,0] * 1` at 3 (32)
+#: 0.22-0.34 s, `x1 * 1` at 4 (7) 0.13-0.19 s, `1 * x4` at 5 (2) 0.13-0.20
+#: s; at 6 the bound is 0.  An operand's index norm counts toward the
+#: degree bound (parser.degree), so `Y[44,0,0,0] * Y[0,44,0,0]` at 0 is
+#: refused before it is counted.  The weight |S| + 1 stays, though a Z
+#: letter adds only one link to a chain whose Q/P links the targets of one
+#: T share: weighed 1 per target, `W[11,0,0] * W[0,0,10]` at 0 (2024
+#: units, 33,902 weighed) and `W[6,0,0] * W[0,0,6]` at 1 (455, 4550
+#: weighed) would be admitted, and they take 1.3-1.8 s and 0.41-0.48 s in
+#: process.
 MAX_ORACLE_TARGETS = 512
 
 

@@ -36,7 +36,14 @@ cop(Z^S X^T) as rows of numerators per pair of basis keys over one
 denominator.  delta_on_zbasis is a view of one table whose entries become
 series coefficients when they are read; the oracle reads each table through
 it and builds its products from the integer rows over the lcm of their
-denominators.
+denominators.  A table holds only the rows its reader can read, the keys
+(k1, k2) within one norm bound per leg: (|a|, |b|) for star_oracle(a, b)
+and (nb, nb) for star_oracle_grid(nb, .), |k| = |I| + |J| for k = (I, J).
+A key's norm is at least its leg monomial's degree, as the basis change
+multiplies Th^I X^J by lam^-|I|, a series in u = h.Z that only adds Z
+letters, so the legs above a bound are never expanded (_delta_z).  Like
+_support's facts, this one comes from the engine, here the basis change,
+not from the closed formula.
 
 Both products run on the integer numerators of series.TermMap: the inner
 loops add integer products per key.  Inside the closed product a key is
@@ -358,18 +365,35 @@ def pairing(u: DualElement, zmap: Mapping[ZMonomial, SeriesScalar]) -> SeriesSca
     return out
 
 
-def delta_on_zbasis(S, T, trunc: int) -> Mapping[tuple[ZMonomial, ZMonomial],
-                                                 SeriesScalar]:
-    """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis.
+def delta_on_zbasis(S, T, trunc: int, bounds: tuple[int, int] | None = None
+                    ) -> Mapping[tuple[ZMonomial, ZMonomial], SeriesScalar]:
+    """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis,
+    restricted to the keys (k1, k2) with |k1| <= n1 and |k2| <= n2 for
+    bounds = (n1, n2), |k| = |I| + |J| being the norm of k = (I, J).
 
     Computed entirely by the engine: the coproduct as one chain of X and Z
     letters (hopf.divided_power_coproduct), each leg monomial converted
     through the cached Z-basis expansion.  The table is built once per
-    truncation order, on integers (_delta_z); this is a read-only view of
-    it (_ZTable), whose entries become SeriesScalars when they are read.
-    The oracle reads the view's den and rows, never its entries.
+    truncation order and bounds, on integers (_delta_z); this is a
+    read-only view of it (_ZTable), whose entries become SeriesScalars when
+    they are read.  The oracle reads the view's den and rows, never its
+    entries.
+
+    A key's norm is at least its leg monomial's degree, as the basis
+    change only adds Z letters (_delta_z), so the legs above a bound are
+    never expanded.  Without bounds the whole table is returned, at the
+    bound |S| + |T| + trunc on each leg, which covers every key: counting
+    a letter as 1 and a power of h as -1, no term of cop(Z^S X^T) weighs
+    more than |S| + |T| (each letter's coproduct weighs 1, lam and
+    exp(c rho) are series in h.Th of weight 0, and a contraction trades two
+    letters for lam Th), and the basis change keeps a monomial's weight,
+    each u = h.Z adding one letter and one h.  So a leg key's norm is at
+    most |S| + |T| + |h| for the entry's h.
     """
-    return _ZTable(*_delta_z(tuple(S), tuple(T), trunc), trunc)
+    S, T = tuple(S), tuple(T)
+    if bounds is None:
+        bounds = (mi_norm(S) + mi_norm(T) + trunc,) * 2
+    return _ZTable(*_delta_z(S, T, trunc, *bounds), trunc)
 
 
 class _ZTable(Mapping):
@@ -396,23 +420,36 @@ class _ZTable(Mapping):
 @cache
 def _mono_z(mono: PBWMonomial, trunc: int) -> tuple[int, tuple]:
     """Z-basis expansion of a single ordered monomial as integer numerators
-    over one denominator: (den, ((zkey, h, numerator), ...))."""
+    over one denominator: (den, ((zkey, |zkey|, h, numerator), ...)), with
+    |zkey| = |I| + |J| the norm of zkey = (I, J)."""
     z = z_element(AlgebraElement.monomial(Truncation(trunc), mono))
-    return z.den, tuple(((k[:3], k[3:7]), k[7], n) for k, n in z.nums.items())
+    return z.den, tuple(((k[:3], k[3:7]), sum(k[:7]), k[7], n)
+                        for k, n in z.nums.items())
 
 
 @cache
-def _delta_z(S, T, trunc: int) -> tuple[int, dict]:
-    """cop(Z^S X^T) in the Z X basis as integer rows over one denominator:
+def _delta_z(S, T, trunc: int, n1: int, n2: int) -> tuple[int, dict]:
+    """cop(Z^S X^T) in the Z X basis, restricted to the keys (k1, k2) with
+    |k1| <= n1 and |k2| <= n2, as integer rows over one denominator:
     (den, {(k1, k2): [(h, numerator), ...]}), nonzero numerators only.
     The coproduct is hopf.divided_power_coproduct, one chain of X and Z
     letters, so lam^|S| is never expanded into PBW monomials.  Each
     Z-expansion of a leg monomial keeps its own denominator, the
     coproduct's terms are put over one common denominator, and the
-    products of numerators are added per ((k1, k2), h)."""
+    products of numerators are added per ((k1, k2), h).
+
+    The bounds are applied before any product is formed.  z_element
+    multiplies Th^I X^J by lam^-|I|, a series in u = h.Z, which only adds
+    Z letters, so every key of a leg monomial's expansion has norm at
+    least that monomial's degree: a leg monomial of degree above its
+    leg's bound is skipped before it is expanded, and each expanded key
+    above it is dropped.  The fact comes from the basis change, not from
+    the closed formula.  The denominator is the lcm over the rows kept,
+    so it may be smaller than the unrestricted table's."""
     ten = divided_power_coproduct(S, T, trunc)
     rows = [(_mono_z(m1, trunc), _mono_z(m2, trunc), h, c)
-            for (m1, m2, h), c in ten.nums.items()]
+            for (m1, m2, h), c in ten.nums.items()
+            if sum(m1) <= n1 and sum(m2) <= n2]
     # Every row over one denominator: the coproduct's denominator times the
     # lcms L1, L2 of the Z-expansions met on each leg.
     L1 = lcm(*(z1[0] for z1, *_ in rows))
@@ -422,17 +459,18 @@ def _delta_z(S, T, trunc: int) -> tuple[int, dict]:
     for (d1, z1), (d2, z2), h, c in rows:
         n = c * (L1 // d1) * (L2 // d2)
         budget = trunc - h[0] - h[1] - h[2]
-        for k1, g, n1 in z1:
+        z2 = [(k2, e, c2) for k2, s2, e, c2 in z2 if s2 <= n2]
+        for k1, s1, g, c1 in z1:
             b1 = budget - g[0] - g[1] - g[2]
-            if b1 < 0:
+            if b1 < 0 or s1 > n1:
                 continue
             g0, g1, g2 = h[0] + g[0], h[1] + g[1], h[2] + g[2]
-            m = n * n1
-            for k2, e, n2 in z2:
+            m = n * c1
+            for k2, e, c2 in z2:
                 if e[0] + e[1] + e[2] > b1:
                     continue
                 key = ((k1, k2), (g0 + e[0], g1 + e[1], g2 + e[2]))
-                acc[key] = get(key, 0) + m * n2
+                acc[key] = get(key, 0) + m * c2
     out: dict = {}
     for (pair, h), n in acc.items():
         if n:
@@ -449,7 +487,9 @@ def _support(s_bound: int, T) -> list[tuple[tuple, tuple]]:
     the Q/P coproduct powers has no central corrections), and the Z legs
     carry total Z-degree at least |S|.  Both facts come from the shape of
     the engine's coproduct, not from the closed formula, so the oracle
-    stays an independent check.
+    stays an independent check.  So does the third fact the oracle reads,
+    which bounds the rows of a table rather than its targets: a key's norm
+    is at least its leg monomial's degree (delta_on_zbasis).
     """
     return [(S, T) for S in multiindices(3, s_bound)]
 
@@ -457,13 +497,15 @@ def _support(s_bound: int, T) -> list[tuple[tuple, tuple]]:
 def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int) -> DualElement:
     """Star product of two dual monomials reconstructed through the pairing,
     over the targets of its support.  a and b are keys (K, L) of 3 and 4
-    naturals; any other raises ValueError."""
+    naturals; any other raises ValueError.  It reads only the row (a, b)
+    of each table, so each table is built on the bounds (|a|, |b|)."""
     Truncation(trunc)  # rejects a negative order
     key = a, b = _dual_key(a), _dual_key(b)
+    bounds = mi_norm(a[0]) + mi_norm(a[1]), mi_norm(b[0]) + mi_norm(b[1])
     T = tuple(x + y for x, y in zip(a[1], b[1]))
     found = []
     for S, T in _support(mi_norm(a[0]) + mi_norm(b[0]), T):
-        table = delta_on_zbasis(S, T, trunc)
+        table = delta_on_zbasis(S, T, trunc, bounds=bounds)
         row = table.rows.get(key)
         if row is not None:
             found.append((S, T, table.den, row))
@@ -518,19 +560,19 @@ def star_oracle_grid(norm_bound: int, trunc: int) -> dict:
     via one pass over the shared coproduct tables.  The union of the
     supports of those pairs is every target with |S| + |T| <= 2 *
     norm_bound: for each T, the support of the pairs with y_a + y_b = T and
-    the most W-norm left."""
+    the most W-norm left.  Each table is built on the bounds (norm_bound,
+    norm_bound), so every row it holds is a pair of the grid: a key's norm
+    is at least its leg monomial's degree, so no leg above the bound is
+    expanded (delta_on_zbasis)."""
     Truncation(trunc)  # rejects a negative order
     cap = 2 * norm_bound
     buckets: dict[tuple[DualMonomial, DualMonomial], list] = {}
     targets = [target for T in multiindices(4, cap)
                for target in _support(cap - sum(T), T)]
     for S, T in targets:
-        table = delta_on_zbasis(S, T, trunc)
-        for (k1, k2), row in table.rows.items():
-            if (mi_norm(k1[0]) + mi_norm(k1[1]) > norm_bound
-                    or mi_norm(k2[0]) + mi_norm(k2[1]) > norm_bound):
-                continue
-            buckets.setdefault((k1, k2), []).append((S, T, table.den, row))
+        table = delta_on_zbasis(S, T, trunc, bounds=(norm_bound, norm_bound))
+        for pair, row in table.rows.items():
+            buckets.setdefault(pair, []).append((S, T, table.den, row))
     return {pair: _over_targets(trunc, found)
             for pair, found in buckets.items()}
 

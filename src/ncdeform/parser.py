@@ -401,10 +401,13 @@ def _evaluate(node, space, kind: tuple):
         return one.scale(SeriesScalar.hbar(int(node.name[1]), one.trunc))
     if isinstance(node, (Pow, Mul)):
         if isinstance(node, Pow):
-            factors = [_evaluate(node.base, space, kind)] * node.exponent
+            factors = iter([_evaluate(node.base, space, kind)] * node.exponent)
         else:
             factors = (_evaluate(f, space, kind) for f in node.factors)
-        out = unit(space)
+        # A product starts from its first factor; only x^0 is the unit.
+        out = next(factors, None)
+        if out is None:
+            return unit(space)
         for f in factors:
             check_pairs(out, f)
             out = _bounded(mul(out, f))

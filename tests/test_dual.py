@@ -721,22 +721,78 @@ def test_oracle_grid_matches_the_public_view():
 
 def test_oracle_reads_its_tables_through_the_public_view(monkeypatch):
     # Every oracle reads cop(Z^S X^T) through delta_on_zbasis, once per
-    # target, so a tracer wrapping it sees the oracle's table reads.
+    # target and with the bounds of the rows it can read, so a tracer
+    # wrapping it sees the oracle's table reads.
     seen = []
 
-    def counted(S, T, trunc):
-        seen.append((S, T))
-        return view(S, T, trunc)
+    def counted(S, T, trunc, bounds=None):
+        seen.append((S, T, bounds))
+        return view(S, T, trunc, bounds=bounds)
 
     view = dual.delta_on_zbasis
     monkeypatch.setattr(dual, "delta_on_zbasis", counted)
     a, b = (W0, (1, 0, 0, 0)), ((1, 0, 0), Y0)
     star_oracle(a, b, 1)
     assert len(seen) == len(set(seen)) > 0
+    assert {bounds for *_, bounds in seen} == {(1, 1)}
     seen.clear()
     star_oracle_grid(1, 1)
     assert len(seen) == len(set(seen)) == sum(
         1 for S in multiindices(3, 2) for _ in multiindices(4, 2 - sum(S)))
+    assert {bounds for *_, bounds in seen} == {(1, 1)}
+
+
+def key_norm(key):
+    return mi_norm(key[0]) + mi_norm(key[1])
+
+
+def grid_targets(norm):
+    """The targets star_oracle_grid(norm, .) reads: |S| + |T| <= 2 norm."""
+    return [(S, T) for S in multiindices(3, 2 * norm)
+            for T in multiindices(4, 2 * norm - sum(S))]
+
+
+@pytest.mark.parametrize("trunc", range(4))
+def test_budgeted_tables_are_the_full_tables_restricted(trunc):
+    # A key's norm is at least its leg monomial's degree, so the legs a
+    # bound skips hold no key within it: a budgeted table is the full one
+    # restricted to its bounds, row for row.  Entries are compared as
+    # series, as dropping rows can change a table's denominator.
+    for nb in (1, 2):
+        for S, T in grid_targets(nb):
+            full = dict(delta_on_zbasis(S, T, trunc))
+            for n1, n2 in ((nb, nb), (nb, nb - 1), (0, nb)):
+                got = delta_on_zbasis(S, T, trunc, bounds=(n1, n2))
+                assert dict(got) == {
+                    (k1, k2): s for (k1, k2), s in full.items()
+                    if key_norm(k1) <= n1 and key_norm(k2) <= n2}, (
+                        S, T, n1, n2)
+
+
+def test_star_suite_oracle_reads_budgeted_tables(monkeypatch):
+    # The star suite's oracle paths read every table on the bounds of the
+    # rows they can read: (nb, nb) for the grid and (|a|, |b|) for a probe.
+    # A fall-back to full tables would keep every other test green.
+    reads = []
+
+    def checked(S, T, trunc, bounds=None):
+        table = view(S, T, trunc, bounds=bounds)
+        reads.append((bounds, table))
+        return table
+
+    view = dual.delta_on_zbasis
+    monkeypatch.setattr(dual, "delta_on_zbasis", checked)
+    star_oracle_grid(2, 1)
+    assert len(reads) == len(grid_targets(2))
+    assert {bounds for bounds, _ in reads} == {(2, 2)}
+    for _, a, b in _DEEP_PROBES:
+        star_oracle(a, b, 3)
+    probes = reads[len(grid_targets(2)):]
+    assert {bounds for bounds, _ in probes} == {
+        (key_norm(a), key_norm(b)) for _, a, b in _DEEP_PROBES}
+    for bounds, table in reads:
+        for k1, k2 in table.rows:
+            assert key_norm(k1) <= bounds[0] and key_norm(k2) <= bounds[1]
 
 
 @pytest.mark.parametrize("label,a,b", _DEEP_PROBES,

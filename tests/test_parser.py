@@ -7,6 +7,7 @@ from ncdeform import (AlgebraElement, DualElement, ExpressionError,
                       SeriesScalar, chi, commutator, evaluate, make_exp_rho,
                       make_generator, make_lambda, make_rho, normal_order_mul,
                       parse_expression)
+from ncdeform import parser
 from ncdeform.parser import evaluate_dual, evaluate_primal
 from ncdeform.render import dual_to_text, element_to_text
 
@@ -53,6 +54,39 @@ def test_dual_expression(p111_d2):
     assert evaluate("x1", p111_d2) == chi(1, 2)
     assert evaluate("x7", p111_d2) == chi(7, 2)
     assert evaluate("2*x4 - x4", p111_d2) == chi(4, 2)
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("_DUAL", "3*W[0,1,0]*Y[1,0,0,0]"),
+    ("_PRIMAL", "3*Q1*P1"),
+])
+def test_products_start_from_the_first_factor(monkeypatch, p111_d2, kind,
+                                              text):
+    # A product starts from its first factor, so no step multiplies by the
+    # unit; only an empty product, x^0, is the unit.
+    unit_operands = []
+    unit, zero, leaf, mul, wrong = getattr(parser, kind)
+    one = unit(p111_d2.trunc if kind == "_DUAL" else p111_d2)
+
+    def counted(x, y):
+        unit_operands.extend(z for z in (x, y) if z == one)
+        return mul(x, y)
+
+    monkeypatch.setattr(parser, kind, (unit, zero, leaf, counted, wrong))
+    got = evaluate(text, p111_d2)
+    assert unit_operands == []
+    if kind == "_DUAL":
+        assert got == DualElement.monomial((0, 1, 0), (1, 0, 0, 0), 2, 3)
+    else:
+        assert got == normal_order_mul(
+            make_generator("Q1", p111_d2),
+            make_generator("P1", p111_d2)).scale(3)
+
+
+def test_empty_power_is_the_unit(p111_d2):
+    assert evaluate("Q1^0", p111_d2) == AlgebraElement.unit(p111_d2)
+    assert evaluate("W[1,0,0]^0", p111_d2) == DualElement.unit(2)
+    assert evaluate("2*x1^0", p111_d2) == DualElement.unit(2).scale(2)
 
 
 def test_mixed_tokens_error(p111_d2):
