@@ -16,7 +16,7 @@ from .hopf import (TensorElement, antipode, apply_coproduct_leg,
                    heisenberg_limit_report, mu_antipode_leg, tensor_commutator,
                    tensor_mul, tensor_of, verify_hopf_axioms)
 from .dual import (DualElement, NonLinearBracketError, chi, classical_product,
-                   delta_on_zbasis, dual_structure_constants, pairing,
+                   delta_on_zbasis, dual_structure_constants,
                    poisson_bracket_dir, star_closed, star_commutator,
                    star_oracle, star_oracle_element, star_oracle_grid)
 from .bialgebra import (GroupElement, LieData, NonPrimitiveResidueError,

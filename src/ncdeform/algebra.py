@@ -170,9 +170,10 @@ class AlgebraElement(TermMap):
         return normal_order_mul(self, other)
 
     def __rmul__(self, other):
+        # Two elements multiply in __mul__; only a scalar is taken here.
         if isinstance(other, (int, Fraction, SeriesScalar)):
             return self.scale(other)
-        return normal_order_mul(other, self)
+        return NotImplemented
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:

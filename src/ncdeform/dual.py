@@ -22,28 +22,21 @@ cop(Z^S X^T) = cop(X^T) prod_i cop(Z_i)^(S_i) / (S! T!): the engine builds
 it as one chain of packed tables (hopf.divided_power_coproduct), the Q/P
 letters of X^T first and then one link per Z letter, never as the
 coproduct of the expansion lam^|S| Th^S X^T; the targets of one T share
-the Q/P links.  It never touches the closed formula.  Every oracle
-path walks the support of a pair (a, b) (_support): the targets Z^S X^T
-with T = y_a + y_b and |S| <= |w_a| + |w_b|, the only ones whose coproduct
-can pair with a (x) b; the grid walks the union of the supports of its
-pairs.  The coproduct and the divided-power basis contain no alpha, beta or
+the Q/P links.  It never touches the closed formula.  star_oracle,
+star_oracle_element and star_oracle_grid all call one walk (_oracle) over
+the union of their pairs' supports; _oracle states the facts about the
+engine's coproduct that bound its targets and the rows of its tables.
+The coproduct and the divided-power basis contain no alpha, beta or
 gamma, so nothing on this side reads them: every function here takes a
 truncation order, or reads it off its operands, and never a DeformParams.
 The oracle's tables (the Z-basis expansion of each monomial and
-cop(Z^S X^T) in that basis) are built once per truncation order, as integer
-rows: each Z-basis expansion over its own denominator, and each
-cop(Z^S X^T) as rows of numerators per pair of basis keys over one
-denominator.  delta_on_zbasis is a view of one table whose entries become
-series coefficients when they are read; the oracle reads each table through
-it and builds its products from the integer rows over the lcm of their
-denominators.  A table holds only the rows its reader can read, the keys
-(k1, k2) within one norm bound per leg: (|a|, |b|) for star_oracle(a, b)
-and (nb, nb) for star_oracle_grid(nb, .), |k| = |I| + |J| for k = (I, J).
-A key's norm is at least its leg monomial's degree, as the basis change
-multiplies Th^I X^J by lam^-|I|, a series in u = h.Z that only adds Z
-letters, so the legs above a bound are never expanded (_delta_z).  Like
-_support's facts, this one comes from the engine, here the basis change,
-not from the closed formula.
+cop(Z^S X^T) in that basis) are built once per truncation order and
+per-leg norm bounds, as integer rows: each Z-basis expansion over its own
+denominator, and each cop(Z^S X^T) as rows of numerators per pair of
+basis keys over one denominator.  delta_on_zbasis is a view of one table
+whose entries become series coefficients when they are read; the oracle
+reads each table through it and builds its products from the integer
+rows over the lcm of their denominators.
 
 Both products run on the integer numerators of series.TermMap: the inner
 loops add integer products per key.  Inside the closed product a key is
@@ -65,15 +58,18 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, lcm
+from operator import add
 
-from .algebra import (AlgebraElement, PBWMonomial, Truncation, ZMonomial,
-                      check_z_key, require_first_order, z_element)
+from .algebra import (AlgebraElement, InvalidParamsError, PBWMonomial,
+                      Truncation, ZMonomial, check_z_key,
+                      require_first_order, z_element)
 from .bialgebra import CHI_NAMES, LieData
 from .hopf import divided_power_coproduct
 from .multiindex import (Layout, Memo, key_layout, mi_binom, mi_norm,
                          multiindices, submultiindices)
-from .series import SeriesScalar, TermMap
+from .series import SeriesScalar, TermMap, substitute
 
 DualMonomial = tuple[tuple[int, int, int], tuple[int, int, int, int]]
 
@@ -355,16 +351,6 @@ def star_commutator(u: DualElement, v: DualElement) -> DualElement:
 # The engine-backed oracle.
 # ---------------------------------------------------------------------------
 
-def pairing(u: DualElement, zmap: Mapping[ZMonomial, SeriesScalar]) -> SeriesScalar:
-    """<W^K Y^L, Z^I X^J> = delta_KI delta_LJ, extended bilinearly."""
-    out = SeriesScalar.zero(u.trunc)
-    for key, s in u.terms.items():
-        c = zmap.get(key)
-        if c is not None:
-            out = out + s * c
-    return out
-
-
 def delta_on_zbasis(S, T, trunc: int, bounds: tuple[int, int] | None = None
                     ) -> Mapping[tuple[ZMonomial, ZMonomial], SeriesScalar]:
     """cop(Z^S X^T) with both tensor legs re-expressed in the Z X basis,
@@ -376,19 +362,17 @@ def delta_on_zbasis(S, T, trunc: int, bounds: tuple[int, int] | None = None
     through the cached Z-basis expansion.  The table is built once per
     truncation order and bounds, on integers (_delta_z); this is a
     read-only view of it (_ZTable), whose entries become SeriesScalars when
-    they are read.  The oracle reads the view's den and rows, never its
-    entries.
+    they are read.  The oracle (_oracle) reads each table through this
+    view, and reads its den and rows, never its entries.
 
-    A key's norm is at least its leg monomial's degree, as the basis
-    change only adds Z letters (_delta_z), so the legs above a bound are
-    never expanded.  Without bounds the whole table is returned, at the
-    bound |S| + |T| + trunc on each leg, which covers every key: counting
-    a letter as 1 and a power of h as -1, no term of cop(Z^S X^T) weighs
-    more than |S| + |T| (each letter's coproduct weighs 1, lam and
-    exp(c rho) are series in h.Th of weight 0, and a contraction trades two
-    letters for lam Th), and the basis change keeps a monomial's weight,
-    each u = h.Z adding one letter and one h.  So a leg key's norm is at
-    most |S| + |T| + |h| for the entry's h.
+    Without bounds the whole table is returned, at the bound |S| + |T| +
+    trunc on each leg, which covers every key: counting a letter as 1 and
+    a power of h as -1, no term of cop(Z^S X^T) weighs more than |S| + |T|
+    (each letter's coproduct weighs 1, lam and exp(c rho) are series in
+    h.Th of weight 0, and a contraction trades two letters for lam Th), and
+    the basis change keeps a monomial's weight, each u = h.Z adding one
+    letter and one h.  So a leg key's norm is at most |S| + |T| + |h| for
+    the entry's h.
     """
     S, T = tuple(S), tuple(T)
     if bounds is None:
@@ -438,14 +422,11 @@ def _delta_z(S, T, trunc: int, n1: int, n2: int) -> tuple[int, dict]:
     coproduct's terms are put over one common denominator, and the
     products of numerators are added per ((k1, k2), h).
 
-    The bounds are applied before any product is formed.  z_element
-    multiplies Th^I X^J by lam^-|I|, a series in u = h.Z, which only adds
-    Z letters, so every key of a leg monomial's expansion has norm at
-    least that monomial's degree: a leg monomial of degree above its
-    leg's bound is skipped before it is expanded, and each expanded key
-    above it is dropped.  The fact comes from the basis change, not from
-    the closed formula.  The denominator is the lcm over the rows kept,
-    so it may be smaller than the unrestricted table's."""
+    The bounds are applied before any product is formed: a leg monomial
+    of degree above its leg's bound holds no key within it (_oracle), so
+    it is skipped before it is expanded, and each expanded key above the
+    bound is dropped.  The denominator is the lcm over the rows kept, so
+    it may be smaller than the unrestricted table's."""
     ten = divided_power_coproduct(S, T, trunc)
     rows = [(_mono_z(m1, trunc), _mono_z(m2, trunc), h, c)
             for (m1, m2, h), c in ten.nums.items()
@@ -478,38 +459,65 @@ def _delta_z(S, T, trunc: int, n1: int, n2: int) -> tuple[int, dict]:
     return ten.den * L1 * L2, out
 
 
-def _support(s_bound: int, T) -> list[tuple[tuple, tuple]]:
-    """The targets Z^S X^T with |S| <= s_bound and this T: the support of
-    every pair of dual monomials (a, b) with y_a + y_b = T and |w_a| + |w_b|
-    = s_bound, the only targets whose coproduct can pair with a (x) b.
+def _oracle(pairs, trunc: int) -> dict:
+    """{(a, b): a * b} for pairs of dual keys, each product reconstructed
+    through <a * b, Z^S X^T> = <a (x) b, cop(Z^S X^T)> in one walk over
+    the union of the pairs' supports.
 
-    The X legs of cop(Z^S X^T) split T exactly (the binomial expansion of
-    the Q/P coproduct powers has no central corrections), and the Z legs
-    carry total Z-degree at least |S|.  Both facts come from the shape of
-    the engine's coproduct, not from the closed formula, so the oracle
-    stays an independent check.  So does the third fact the oracle reads,
-    which bounds the rows of a table rather than its targets: a key's norm
-    is at least its leg monomial's degree (delta_on_zbasis).
-    """
-    return [(S, T) for S in multiindices(3, s_bound)]
+    Three facts bound the walk.  They come from the engine, the shape of
+    its coproduct and the basis change, not from the closed formula, so
+    the oracle stays an independent check:
+    - the X legs of cop(Z^S X^T) split T exactly (the binomial expansion
+      of the Q/P coproduct powers has no central corrections), so only the
+      targets with T = y_a + y_b pair with a (x) b;
+    - its Z legs carry total Z-degree at least |S|, so only those with
+      |S| <= |w_a| + |w_b| do: these targets are the support of (a, b);
+    - a key's norm |I| + |J| is at least its leg monomial's degree, as
+      z_element multiplies Th^I X^J by lam^-|I|, a series in u = h.Z that
+      only adds Z letters: a table on the bounds (|a|, |b|) holds row
+      (a, b) whole, and no leg above a bound is expanded (_delta_z).
+    The pairs are grouped by T.  Each target Z^S X^T with |S| up to the
+    largest |w_a| + |w_b| of its T's pairs is read once through
+    delta_on_zbasis, on the largest (|a|, |b|) of those pairs, and only
+    their rows are kept."""
+    Truncation(trunc)  # rejects a negative order
+    groups: dict[tuple, list] = {}
+    found: dict[tuple, list] = {}
+    for a, b in pairs:
+        groups.setdefault(tuple(map(add, a[1], b[1])), []).append((a, b))
+        found[a, b] = []
+    for T, want in groups.items():
+        s = max(sum(a[0]) + sum(b[0]) for a, b in want)
+        bounds = (max(sum(a[0] + a[1]) for a, _ in want),
+                  max(sum(b[0] + b[1]) for _, b in want))
+        for S in multiindices(3, s):
+            table = delta_on_zbasis(S, T, trunc, bounds=bounds)
+            # A row's pair has this T: if it was requested, it is T's.
+            for pair, row in table.rows.items():
+                rows = found.get(pair)
+                if rows is not None:
+                    rows.append((S, T, table.den, row))
+    zero = DualElement.zero(trunc)
+    return {pair: _over_targets(zero, rows) for pair, rows in found.items()}
+
+
+def _over_targets(zero: DualElement, found: list) -> DualElement:
+    """The dual element over zero's order with the coefficient row / den
+    at W^S Y^T for each (S, T, den, row) found, row an integer row of
+    _delta_z: every row is brought to the lcm L of the dens, so the sums
+    are integers over L."""
+    L = lcm(*(den for _, _, den, _ in found))
+    return zero.over_denominator(
+        {(S, T, h): n * (L // den) for S, T, den, row in found
+         for h, n in row}, L)
 
 
 def star_oracle(a: DualMonomial, b: DualMonomial, trunc: int) -> DualElement:
-    """Star product of two dual monomials reconstructed through the pairing,
-    over the targets of its support.  a and b are keys (K, L) of 3 and 4
-    naturals; any other raises ValueError.  It reads only the row (a, b)
-    of each table, so each table is built on the bounds (|a|, |b|)."""
-    Truncation(trunc)  # rejects a negative order
-    key = a, b = _dual_key(a), _dual_key(b)
-    bounds = mi_norm(a[0]) + mi_norm(a[1]), mi_norm(b[0]) + mi_norm(b[1])
-    T = tuple(x + y for x, y in zip(a[1], b[1]))
-    found = []
-    for S, T in _support(mi_norm(a[0]) + mi_norm(b[0]), T):
-        table = delta_on_zbasis(S, T, trunc, bounds=bounds)
-        row = table.rows.get(key)
-        if row is not None:
-            found.append((S, T, table.den, row))
-    return _over_targets(trunc, found)
+    """Star product of two dual monomials reconstructed through the pairing
+    (_oracle).  a and b are keys (K, L) of 3 and 4 naturals; any other
+    raises ValueError."""
+    pair = _dual_key(a), _dual_key(b)
+    return _oracle([pair], trunc)[pair]
 
 
 def _dual_key(x) -> DualMonomial:
@@ -545,46 +553,27 @@ def oracle_targets(u: DualElement, v: DualElement) -> int:
 
 def star_oracle_element(u: DualElement, v: DualElement) -> DualElement:
     """Bilinear extension of star_oracle to two dual elements of one
-    truncation order."""
+    truncation order: the products of every pair of basis keys from one
+    walk (_oracle), summed with their coefficients."""
     u.check(v)
-    out = DualElement.zero(u.trunc)
-    vterms = v.terms.items()
-    for ka, sa in u.terms.items():
-        for kb, sb in vterms:
-            out = out + star_oracle(ka, kb, u.trunc).scale(sa * sb)
-    return out
+    prods = _oracle(product(u.rows(), v.rows()), u.trunc)
+    return substitute(u, [
+        (prods[ka[:-1], kb[:-1]],
+         tuple(x + y for x, y in zip(ka[-1], kb[-1])), na * nb)
+        for ka, na in u.nums.items() for kb, nb in v.nums.items()],
+        u.den * v.den)
 
 
 def star_oracle_grid(norm_bound: int, trunc: int) -> dict:
-    """Oracle products for every pair of dual monomials of norm <= norm_bound,
-    via one pass over the shared coproduct tables.  The union of the
-    supports of those pairs is every target with |S| + |T| <= 2 *
-    norm_bound: for each T, the support of the pairs with y_a + y_b = T and
-    the most W-norm left.  Each table is built on the bounds (norm_bound,
-    norm_bound), so every row it holds is a pair of the grid: a key's norm
-    is at least its leg monomial's degree, so no leg above the bound is
-    expanded (delta_on_zbasis)."""
-    Truncation(trunc)  # rejects a negative order
-    cap = 2 * norm_bound
-    buckets: dict[tuple[DualMonomial, DualMonomial], list] = {}
-    targets = [target for T in multiindices(4, cap)
-               for target in _support(cap - sum(T), T)]
-    for S, T in targets:
-        table = delta_on_zbasis(S, T, trunc, bounds=(norm_bound, norm_bound))
-        for pair, row in table.rows.items():
-            buckets.setdefault(pair, []).append((S, T, table.den, row))
-    return {pair: _over_targets(trunc, found)
-            for pair, found in buckets.items()}
-
-
-def _over_targets(trunc: int, found: list) -> DualElement:
-    """The dual element with the coefficient row / den at W^S Y^T for each
-    (S, T, den, row) found, row an integer row of _delta_z: every row is
-    brought to the lcm L of the dens, so the sums are integers over L."""
-    L = lcm(*(den for _, _, den, _ in found))
-    return DualElement.zero(trunc).over_denominator(
-        {(S, T, h): n * (L // den) for S, T, den, row in found
-         for h, n in row}, L)
+    """Oracle products for every pair of dual monomials of norm <=
+    norm_bound, from one walk (_oracle): the union of their supports is
+    every target with |S| + |T| <= 2 * norm_bound, and each table is read
+    on the bounds (norm_bound, norm_bound)."""
+    if norm_bound < 0:
+        raise InvalidParamsError(f"norm bound must be >= 0, got {norm_bound}")
+    monos = [(w, y) for w in multiindices(3, norm_bound)
+             for y in multiindices(4, norm_bound - sum(w))]
+    return _oracle(product(monos, repeat=2), trunc)
 
 
 # ---------------------------------------------------------------------------

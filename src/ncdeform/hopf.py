@@ -158,9 +158,10 @@ class TensorElement(TermMap):
         return tensor_mul(self, other)
 
     def __rmul__(self, other):
+        # Two elements multiply in __mul__; only a scalar is taken here.
         if isinstance(other, (int, Fraction, SeriesScalar)):
             return self.scale(other)
-        return tensor_mul(other, self)
+        return NotImplemented
 
     def flip(self) -> "TensorElement":
         if self.arity != 2:

@@ -322,6 +322,23 @@ def test_invalid_params():
         DeformParams(Fraction(1), Fraction(1), Fraction(1), -1)
 
 
+def test_scalars_multiply_an_element_from_either_side():
+    p = params(1, 2, 3, 2)
+    q1 = gen("Q1", p)
+    for c in (3, Fraction(-1, 2), SeriesScalar.hbar(1, 2)):
+        assert c * q1 == q1 * c == q1.scale(c)
+
+
+@pytest.mark.parametrize("other", [1.5, "x", None])
+def test_a_non_scalar_factor_is_a_type_error(other):
+    # 1.5 * Q1 reached normal_order_mul(1.5, Q1) and raised AttributeError.
+    q1 = gen("Q1", params(1, 1, 1, 1))
+    with pytest.raises(TypeError):
+        other * q1
+    with pytest.raises(TypeError):
+        q1 * other
+
+
 # -- z-basis ------------------------------------------------------------------
 
 def test_z_basis_examples():

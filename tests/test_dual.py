@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncdeform import (AlgebraElement, DualElement, SeriesScalar, chi,
                       classical_product, coproduct, delta_on_zbasis,
-                      dual_structure_constants, from_z_basis, pairing,
+                      dual_structure_constants, from_z_basis,
                       poisson_bracket_dir, star_closed, star_commutator,
                       star_oracle, star_oracle_grid, to_z_basis)
 from ncdeform import (InvalidParamsError, ParamsMismatchError, dual, hopf,
@@ -605,18 +605,7 @@ def test_oracle_never_calls_the_closed_formula(monkeypatch):
     assert dual.star_oracle_restricted is star_oracle
 
 
-# -- pairing and the engine oracle ---------------------------------------------
-
-def test_pairing_examples():
-    t = 2
-    one = SeriesScalar.one(t)
-    unit_z = {(W0, Y0): one}
-    assert pairing(DualElement.unit(t), unit_z) == one
-    z100 = {((1, 0, 0), Y0): one}
-    assert pairing(chi(1, t), z100) == one
-    z010 = {((0, 1, 0), Y0): one}
-    assert pairing(chi(1, t), z010) == SeriesScalar.zero(t)
-
+# -- the engine oracle -----------------------------------------------------------
 
 def test_delta_table_unit():
     table = delta_on_zbasis(W0, Y0, 1)
@@ -740,6 +729,54 @@ def test_oracle_reads_its_tables_through_the_public_view(monkeypatch):
     assert len(seen) == len(set(seen)) == sum(
         1 for S in multiindices(3, 2) for _ in multiindices(4, 2 - sum(S)))
     assert {bounds for *_, bounds in seen} == {(1, 1)}
+
+
+def test_oracle_element_reads_each_target_once(monkeypatch):
+    # star_oracle_element walks the union of its pairs' supports once, so
+    # a target shared by several pairs of basis keys is read once, on the
+    # largest bounds of those pairs: both pairs here share all 10 targets.
+    seen = []
+
+    def counted(S, T, trunc, bounds=None):
+        seen.append((S, T, bounds))
+        return view(S, T, trunc, bounds=bounds)
+
+    view = dual.delta_on_zbasis
+    monkeypatch.setattr(dual, "delta_on_zbasis", counted)
+    u, v = chi(1, 1) + chi(2, 1), chi(3, 1)
+    got = star_oracle_element(u, v)
+    assert len(seen) == len(set(seen)) == 10
+    assert {bounds for *_, bounds in seen} == {(1, 1)}
+    assert got == sum((star_oracle(a, b, 1) for a in u.rows()
+                       for b in v.rows()), DualElement.zero(1))
+
+
+def test_oracle_element_sums_coefficients_and_h_degrees():
+    # Series coefficients with h terms and distinct denominators: each
+    # product is weighed by its coefficients' product, and h-degrees past
+    # the truncation are dropped.
+    t = 2
+    u = dm((1, 0, 0), Y0, t, Fraction(1, 2)) + dm(
+        W0, (0, 1, 0, 0), t, h_series((1, 0, 0), Fraction(2, 3), t))
+    v = dm((0, 0, 1), (1, 0, 0, 0), t, h_series((0, 1, 1), 5, t)) + dm(
+        W0, Y0, t, Fraction(-3, 4))
+    want = DualElement.zero(t)
+    for a, sa in u.terms.items():
+        for b, sb in v.terms.items():
+            want = want + star_oracle(a, b, t).scale(sa * sb)
+    assert star_oracle_element(u, v) == want
+    assert star_oracle_element(u, DualElement.zero(t)) == DualElement.zero(t)
+
+
+def test_oracle_grid_rejects_a_negative_norm_bound(monkeypatch):
+    # It returned {} for a negative bound; the refusal comes before any
+    # table is read.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a table was read")
+
+    monkeypatch.setattr(dual, "delta_on_zbasis", forbidden)
+    with pytest.raises(InvalidParamsError, match="norm bound"):
+        star_oracle_grid(-1, 1)
 
 
 def key_norm(key):

@@ -41,6 +41,25 @@ def gens(p):
             for name in ("Th", "Ph", "Ps", "Q1", "Q2", "P1", "P2")}
 
 
+def test_scalars_multiply_a_tensor_from_either_side():
+    p = params(1, 2, 3, 2)
+    g = gens(p)
+    t = tensor_of(g["Q1"], g["P2"])
+    for c in (3, Fraction(-1, 2), SeriesScalar.hbar(2, 2)):
+        assert c * t == t * c == t.scale(c)
+
+
+@pytest.mark.parametrize("other", [1.5, "x", None])
+def test_a_non_scalar_tensor_factor_is_a_type_error(other):
+    # 1.5 * t reached tensor_mul(1.5, t) and raised AttributeError.
+    g = gens(params(1, 1, 1, 1))
+    t = tensor_of(g["Q1"], g["P1"])
+    with pytest.raises(TypeError):
+        other * t
+    with pytest.raises(TypeError):
+        t * other
+
+
 def test_tensor_mul_examples():
     p = params(1, 1, 1, 2)
     g = gens(p)

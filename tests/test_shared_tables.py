@@ -29,10 +29,10 @@ from conftest import params
 #: hopf._block_product also hold the blocks of tensor_mul's operands and of
 #: its reordered leg products, which depend on the parameters; the work
 #: whose misses the tests below count multiplies no two tensors.
-SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._exp_rho,
-                   hopf._letters, hopf._gen, hopf._chain, hopf._cop_table,
-                   hopf._block, hopf._block_product, dual._mono_z,
-                   dual._delta_z)
+SHARED_BUILDERS = (algebra._rho, algebra._lam_pow, algebra._asinh_pow,
+                   algebra._exp_rho, hopf._letters, hopf._gen, hopf._chain,
+                   hopf._cop_table, hopf._block, hopf._block_product,
+                   dual._mono_z, dual._delta_z)
 #: The normal-ordering memos, keyed by the parameters or the truncation.
 ENGINE_MEMOS = (algebra._weights, algebra.mono_mul)
 

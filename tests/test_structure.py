@@ -3,11 +3,12 @@
 attribute of a sibling module it imported.  No function takes a parameter
 that it never reads.  The coefficient storage of a term map and its
 vector-space operations are written once, in series.TermMap.  And the
-CLI's options and config keys are listed, so that a knob added or left
-behind shows up as a diff here."""
+CLI's options and config keys, and the package's memos, are listed, so
+that a knob or a memo added or left behind shows up as a diff here."""
 
 import argparse
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -247,3 +248,101 @@ def test_cli_option_surface():
         "verify": sorted(common + ["--deg", "--maxdeg"]),
     }
     assert config_keys == ["alpha", "beta", "format", "gamma", "trunc"]
+
+
+def memo_names(source: str, module: str) -> list[str]:
+    """Functions of the source that functools.cache or lru_cache memoizes,
+    as module.qualname: decorated, with or without arguments or the
+    functools prefix, or wrapped by a call assigned to a name."""
+    memo = {"cache", "lru_cache"}
+
+    def is_memo(node) -> bool:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return (isinstance(node, ast.Name) and node.id in memo
+                or isinstance(node, ast.Attribute) and node.attr in memo)
+
+    found = []
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(is_memo, node.decorator_list)):
+                    found.append(prefix + node.name)
+                walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.ClassDef):
+                walk(node.body, f"{prefix}{node.name}.")
+            elif (isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Call)
+                  and is_memo(node.value.func)):
+                found.extend(prefix + t.id for t in node.targets
+                             if isinstance(t, ast.Name))
+
+    walk(ast.parse(source).body, f"{module}.")
+    return found
+
+
+#: Every memo of the package, by what its entries are keyed by.
+MEMOS = {
+    # Tables that read no alpha, beta or gamma, shared by every parameter
+    # set of a truncation order.
+    "truncation": [
+        "algebra._asinh_pow", "algebra._exp_rho", "algebra._lam_pow",
+        "algebra._rho", "dual._delta_z", "dual._mono_z", "hopf._chain",
+        "hopf._cop_table", "hopf._gen", "hopf._letters",
+        "series.SeriesScalar.zero", "series._h_exponents"],
+    # Normal ordering and the antipode over one parameter set.
+    "parameters": ["algebra._weights", "algebra.mono_mul",
+                   "hopf.antipode_mono"],
+    # Blocks of the tensors callers pass: they grow with the inputs.
+    "operands": ["hopf._block", "hopf._block_product", "hopf._signed"],
+    # Packed-key layouts, their codes and the closed formula packed in them.
+    "layout": ["dual._codes", "dual._packed_terms", "multiindex.key_layout"],
+    # Multi-indices and their text.
+    "indices": ["algebra.qp_span", "multiindex._bounded_submultiindices",
+                "series._h_text"],
+    # Built once per process.
+    "process": ["cli.build_parser"],
+}
+
+
+def test_every_memo_is_listed_by_kind():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += memo_names(path.read_text(), path.stem)
+    listed = [name for names in MEMOS.values() for name in names]
+    assert sorted(found) == sorted(listed)
+    assert len(listed) == len(set(listed)) == 25
+    for name in listed:
+        module, *attrs = name.split(".")
+        memo = importlib.import_module(f"ncdeform.{module}")
+        for attr in attrs:
+            memo = getattr(memo, attr)
+        assert callable(memo.cache_clear), name
+
+
+def test_memo_names_catches_each_form():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def a(x):\n"
+        "    return x\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def b(x):\n"
+        "    return x\n"
+        "class K:\n"
+        "    @classmethod\n"
+        "    @functools.cache\n"
+        "    def c(cls, x):\n"
+        "        return x\n"
+        "    def d(self):\n"
+        "        @lru_cache\n"
+        "        def e(y):\n"
+        "            return y\n"
+        "        return e\n"
+        "f = cache(len)\n"
+        "def g(x):\n"
+        "    return x\n")
+    assert memo_names(source, "m") == ["m.a", "m.b", "m.K.c", "m.K.d.e",
+                                       "m.f"]
