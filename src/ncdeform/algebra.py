@@ -433,7 +433,8 @@ def normal_order_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     _central_mul keeps its own loop (phi and zbasis ran 1.5-2x slower
     through this one), as does dual.star_sums, the loop under star_closed
     and the star associativity cube: its tables are shared by every Y
-    index of the same norms, and each pair of rows attaches its own.
+    index of the same norms, each pair of rows attaches its own, and its
+    keys carry the tags that keep a block's products apart.
     """
     x.check(y)
     space, trunc = x.params, x.params.trunc

@@ -55,9 +55,9 @@ MAX_VERIFY_DEGREE = 3
 #: hour.  `verify all` adds about 1 s to each (`--trunc` 3 and 4).
 HOPF_GRID_DEGREES = (3, 3, 3, 3, 3, 2)
 
-#: The largest `verify star --maxdeg`: the norm-3 grid took 12.3-12.7 s and
-#: 136 MB of peak memory in process on a 2-vCPU host with Python 3.11, 10.4-
-#: 10.8 s of it in the associativity cube; it stays refused, as admitting a
+#: The largest `verify star --maxdeg`: the norm-3 grid took 7.1-7.6 s and
+#: 76 MB of peak memory in process on a 2-vCPU host with Python 3.11, 6.0-
+#: 6.4 s of it in the associativity cube; it stays refused, as admitting a
 #: larger grid is a decision of its own.  `verify all` runs the star grid at
 #: min(maxdeg, 2).
 MAX_STAR_DEGREE = 2

@@ -45,12 +45,16 @@ tensor key (w + y, h) of multiindex.Layout, the layout hopf's tensor
 kernels use, with fields as wide as the operands' largest exponents and
 the truncation order demand.  The closed formula is tabulated packed
 (_packed_terms), so each pair of terms adds its table's entries as ints,
-acc[ka + kb + m] += n * c, and the sum is decoded once per product;
-keys stay tuples at the edges: DualElement storage, rows(), rendering and
-every public function.  The classical product stays on tuple keys, as its
-pairs of terms mostly form keys of their own.  DualElement and star_oracle
-refuse a key other than (K, L) of 3 and 4 naturals, as a negative field
-would borrow from its neighbour in a packed key.
+acc[ka + kb + m] += n * c, and the sum is decoded once per product.  A
+key may carry an integer tag above the layout's bits (star_rows): the
+associativity cube tags each operand by its index, so the rows of all its
+operands of one shape share one row and one table read, and one flat dict
+holds a whole block of products (star_sums).  Keys stay tuples at the
+edges: DualElement storage, rows(), rendering and every public function.
+The classical product stays on tuple keys, as its pairs of terms mostly
+form keys of their own.  DualElement and star_oracle refuse a key other
+than (K, L) of 3 and 4 naturals, as a negative field would borrow from
+its neighbour in a packed key.
 """
 
 from __future__ import annotations
@@ -276,48 +280,52 @@ def _packed_terms(I, nJ: int, K, nL: int, trunc: int,
     return tuple(out)
 
 
-def star_rows(x: DualElement, layout: Layout, tag=None,
-              scale: int = 1) -> list:
+def star_rows(x: DualElement, layout: Layout, tag: int = 0,
+              scale: int = 1, out: dict | None = None) -> dict:
     """x's numerators times scale as the rows star_sums reads, packed in
-    layout (star_layout): [(tag, w, |y|, [(packed key, |h|, numerator)])],
-    one row for the terms of each W index w and Y-norm |y|, as the closed
-    formula reads y only through |y|."""
+    layout (star_layout), added to out (a new dict if None) and returned:
+    {(w, |y|): [(packed key + tag, |h|, numerator)]}, one row for the
+    terms of each W index w and Y-norm |y|, as the closed formula reads y
+    only through |y|.  tag is an integer offset at or above the layout's
+    bits, so rows of several operands, each with its own tag, share a row
+    per shape and their sums stay apart (star_sums)."""
     codes = _codes(layout)[0]
-    rows: dict = {}
+    rows = {} if out is None else out
     for key, n in x.nums.items():
         w, y, _ = key
         rkey = w, y[0] + y[1] + y[2] + y[3]
         row = rows.get(rkey)
         if row is None:
             row = rows[rkey] = []
-        row.append((*codes[key], n * scale))
-    return [(tag, w, ny, row) for (w, ny), row in rows.items()]
+        k, d = codes[key]
+        row.append((k + tag, d, n * scale))
+    return rows
 
 
-def star_sums(urows: list, vrows: list, trunc: int, layout: Layout,
-              out: dict) -> dict:
+def star_sums(urows: dict, vrows: dict, trunc: int, layout: Layout) -> dict:
     """The closed-formula products of prepared rows (see star_rows), summed
-    into out[(tag_u, tag_v)], a dict keyed by packed key, and returned.
+    into one flat dict keyed by packed key.
 
-    A pair of rows (tu, wa, |ya|, urow), (tv, wb, |yb|, vrow) reads the
-    table _packed_terms(wa, |ya|, wb, |yb|, trunc, layout) once; each pair
-    of their terms (ka, da, na), (kb, db, nb) with da + db <= trunc adds
+    A pair of rows (wa, |ya|): urow, (wb, |yb|): vrow reads the table
+    _packed_terms(wa, |ya|, wb, |yb|, trunc, layout) once; each pair of
+    their terms (ka, da, na), (kb, db, nb) with da + db <= trunc adds
     na * nb * c under ka + kb + m for every entry (m, c) of the table's
-    budget trunc - da - db.  ka + kb + m is the packed key of (W^w, Y^(ya
-    + yb), ha + hb + h): ka and kb carry wa and wb, m carries h and the
-    W part w - wa - wb = -(M + N), and the fields add as integers, which
-    star_layout's width holds, as rows and tables are packed in one
-    layout.  The sums are integers, zeros kept: the caller puts them over
-    the product of its operands' denominators, and decodes them.  Pairs
-    of rows with the same tags add up, so one call can sum a whole block
-    of products.
+    budget trunc - da - db.  Below the layout's bits, ka + kb + m is the
+    packed key of (W^w, Y^(ya + yb), ha + hb + h): ka and kb carry wa and
+    wb, m carries h and the W part w - wa - wb = -(M + N), and the fields
+    add as integers, which star_layout's width holds, as rows and tables
+    are packed in one layout.  So that key lies below 2^bits and the bits
+    above it are the sum of the two terms' tags: tags that add without a
+    carry, such as i << bits on one side and k << (bits + b) on the other
+    for i < 2^b, keep every pair of tagged operands' sums apart in one
+    dict, and one call sums a whole block of products.  The sums are
+    integers, zeros kept: the caller puts them over the product of its
+    operands' denominators, and decodes them.
     """
-    for tu, wa, nya, urow in urows:
-        for tv, wb, nyb, vrow in vrows:
-            acc = out.get((tu, tv))
-            if acc is None:
-                acc = out[(tu, tv)] = {}
-            get = acc.get
+    out: dict[int, int] = {}
+    get = out.get
+    for (wa, nya), urow in urows.items():
+        for (wb, nyb), vrow in vrows.items():
             terms = _packed_terms(wa, nya, wb, nyb, trunc, layout)
             for ka, da, na in urow:
                 for kb, db, nb in vrow:
@@ -327,7 +335,7 @@ def star_sums(urows: list, vrows: list, trunc: int, layout: Layout,
                     k, n = ka + kb, na * nb
                     for m, c in terms[budget]:
                         key = k + m
-                        acc[key] = get(key, 0) + n * c
+                        out[key] = get(key, 0) + n * c
     return out
 
 
@@ -338,9 +346,8 @@ def star_closed(u: DualElement, v: DualElement) -> DualElement:
     u.check(v)
     layout = star_layout(u.trunc, top_exponent(u) + top_exponent(v))
     sums = star_sums(star_rows(u, layout), star_rows(v, layout), u.trunc,
-                     layout, {})
-    return u.over_denominator(_decoded(layout, sums.get((None, None), {})),
-                              u.den * v.den)
+                     layout)
+    return u.over_denominator(_decoded(layout, sums), u.den * v.den)
 
 
 def star_commutator(u: DualElement, v: DualElement) -> DualElement:

@@ -10,9 +10,10 @@ h-degree 3, on functionals of W-norm >= 3.  The dual side reads no
 alpha, beta or gamma, so the star suite takes only its norm bound: it runs
 at truncation 1, its diagnostic at truncation 3.  Its associativity cube
 checks every triple of the grid without building a product per triple: for
-each middle monomial it sums both sides' integer numerators in one block
-per side with dual.star_sums, the kernel under star_closed, and compares
-the blocks on their packed one-int keys, never decoded
+each middle monomial it sums both sides' integer numerators with one
+dual.star_sums call per side, the kernel under star_closed, into one flat
+dict of packed one-int keys whose top bits carry the outer indices (i, k),
+and compares the two dicts as they are, never decoded
 (first_associativity_failure).  The bialgebra suite reads
 the parameters for the Lie data and the group law, and only the truncation
 order for the cocommutators.
@@ -103,11 +104,12 @@ def verify_star_suite(norm_bound: int = 2) -> VerificationReport:
 
     oracle = star_oracle_grid(norm_bound, trunc)
     keys = [next(iter(u.nums))[:-1] for u in monos]
+    zero = DualElement.zero(trunc)
     first = None
     checked = 0
     for i, j in pairs:
         got = table[i][j]
-        want = oracle.get((keys[i], keys[j]), DualElement.zero(trunc))
+        want = oracle.get((keys[i], keys[j]), zero)
         checked += 1
         if got != want:
             first = (monos[i], monos[j], got - want)
@@ -140,12 +142,6 @@ def verify_star_suite(norm_bound: int = 2) -> VerificationReport:
     return report
 
 
-def _nonzero(block: dict) -> dict:
-    """The block with zero sums dropped, and then empty products."""
-    return {key: nonzero for key, sums in block.items()
-            if (nonzero := {k: n for k, n in sums.items() if n})}
-
-
 def first_associativity_failure(monos: list, table: list,
                                 trunc: int) -> tuple | None:
     """The first (i, j, k), in lexicographic order, with
@@ -153,18 +149,23 @@ def first_associativity_failure(monos: list, table: list,
     table[i][j] being monos[i] * monos[j] for dual elements monos of order
     trunc; None if there is none.
 
-    For each middle index j, both sides are summed by dual.star_sums into
-    a block keyed (i, k): the left with one call per i, table[i][j]
-    against every monomial tagged by k, the right with one call per k,
-    every monomial tagged by i against table[j][k].  Every operand is
-    brought to one common denominator D, so both blocks hold numerators
-    over D^2, and they are equal when their nonzero sums are.  Both
-    blocks are kept on packed keys and compared as they are, never
-    decoded, so every row is packed in one layout: dual.star_layout for
-    the largest exponent of a monomial plus the largest of a table entry.
-    Its fields hold every key either side forms, as each side multiplies
-    a monomial by an entry, in one order or the other, and equal keys are
-    equal ints in one layout.
+    For each middle index j, both sides are summed by one dual.star_sums
+    call each into a flat block of packed keys: the left of every
+    table[i][j], tagged i, against every monomial, tagged k, the right of
+    every monomial, tagged i, against every table[j][k], tagged k.  Every
+    operand is brought to one common denominator D, so both blocks hold
+    numerators over D^2, and every row is packed in one layout:
+    dual.star_layout for the largest exponent of a monomial plus the
+    largest of a table entry.  Its fields hold every key either side
+    forms, as each side multiplies a monomial by an entry, in one order or
+    the other, and equal keys are equal ints in one layout.  The tags sit
+    above the layout's bits, i << bits on the left operand and
+    k << (bits + b) on the right, b the bits of the largest index, so a
+    sum's key holds its product's key below bits and (i, k) above it, and
+    each shape of row (W index, Y-norm) is one row across all the tags:
+    a block reads one formula table per pair of shapes.  The blocks are
+    compared as they are, never decoded: they are equal when every key's
+    sum, 0 if it is absent, is, and a key that differs names its (i, k).
     The monomials' rows are read once; a table entry's rows are read for
     each of its two blocks, so that one j-block is held at a time.  Once a
     block differs, a later j can come first only with a smaller i, so the
@@ -175,30 +176,35 @@ def first_associativity_failure(monos: list, table: list,
     D = lcm(*(u.den for u in monos), *(x.den for x in entries))
     layout = star_layout(trunc, max(map(top_exponent, monos), default=0)
                          + max(map(top_exponent, entries), default=0))
-    mono_rows = [star_rows(u, layout, i, D // u.den)
-                 for i, u in enumerate(monos)]
-    every_mono = [row for rows in mono_rows for row in rows]
+    # A packed dual key: the h fields, then the seven W and Y fields.
+    bits = layout.hbits + layout.mono_mask.bit_length()
+    b = (n - 1).bit_length()
+    lefts = [i << bits for i in range(n)]
+    rights = [k << bits + b for k in range(n)]
+
+    def rows(xs: list, tags: list) -> dict:
+        out: dict = {}
+        for x, tag in zip(xs, tags):
+            star_rows(x, layout, tag, D // x.den, out)
+        return out
+
+    every_mono = rows(monos, rights)
+    umonos = rows(monos, lefts)
     first = None
     for j in range(n):
         upto = n if first is None else first[0]
-        left: dict = {}
-        right: dict = {}
-        for i in range(upto):
-            x = table[i][j]
-            star_sums(star_rows(x, layout, i, D // x.den), every_mono, trunc,
-                      layout, left)
-        umonos = [row for rows in mono_rows[:upto] for row in rows]
-        for k in range(n):
-            x = table[j][k]
-            star_sums(umonos, star_rows(x, layout, k, D // x.den), trunc,
-                      layout, right)
+        left = star_sums(rows([table[i][j] for i in range(upto)], lefts),
+                         every_mono, trunc, layout)
+        right = star_sums(umonos, rows(table[j], rights), trunc, layout)
         if left != right:
             # Equal dicts are equal blocks; unequal ones may differ only
             # in zero sums.
-            left, right = _nonzero(left), _nonzero(right)
-            first = min(((i, j, k) for i, k in left.keys() | right.keys()
-                         if left.get((i, k)) != right.get((i, k))),
+            tags = {key >> bits for key in left.keys() | right.keys()
+                    if left.get(key, 0) != right.get(key, 0)}
+            first = min(((t & (1 << b) - 1, j, t >> b) for t in tags),
                         default=first)
+            if first is not None:
+                umonos = rows(monos[:first[0]], lefts)
     return first
 
 

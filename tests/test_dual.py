@@ -278,6 +278,52 @@ def test_block_cube_reports_the_lexicographically_first_triple():
     assert first_associativity_failure(monos, table, 1) == (0, 2, 1)
 
 
+def test_block_cube_keeps_the_tags_apart_past_a_power_of_two():
+    # 33 operands take 6 tag bits, and the last index, 32, is the top bit
+    # of each tag field.  A wrong entry table[32][32] first fails the
+    # right side of (0, 32, 32), which carries k = 32.
+    monos = grid(2, 1)[:33]
+    table = pair_table(monos)
+    table[32][32] = table[32][32] + dm((1, 0, 0), Y0, 1, Fraction(1, 3))
+    assert reference_first_failure(monos, table) == (0, 32, 32)
+    assert first_associativity_failure(monos, table, 1) == (0, 32, 32)
+
+
+def test_block_cube_reads_both_top_tags():
+    # The first 32 operands carry a factor h1, so at truncation 1 they
+    # kill any change of h-degree 1, and the unit is the last.  A wrong
+    # entry table[32][5], off by h2 W[1,0,0], then fails only where the
+    # unit multiplies it: first at (32, 5, 32), i and k both the top
+    # index, where a tag field one bit too narrow would carry i into k.
+    h1 = h_series((1, 0, 0), 1, 1)
+    monos = [x.scale(h1) for x in grid(2, 1)[1:33]] + [DualElement.unit(1)]
+    table = pair_table(monos)
+    table[32][5] = table[32][5] + dm((1, 0, 0), Y0, 1,
+                                     h_series((0, 1, 0), 1, 1))
+    assert reference_first_failure(monos, table) == (32, 5, 32)
+    assert first_associativity_failure(monos, table, 1) == (32, 5, 32)
+
+
+def test_block_cube_reads_one_table_per_pair_of_row_shapes(monkeypatch):
+    # Rows of every tag that share a shape (W index, Y-norm) are one row,
+    # so each block reads one formula table per pair of shapes: the 15
+    # shapes of the norm <= 2 monomials against those of one column of
+    # the pair table (left) or one row (right).  One read per pair of
+    # tagged rows would be 195,264.
+    monos = grid(2, 1)
+    table = pair_table(monos)
+    calls = []
+    real = dual._packed_terms
+
+    def counting(*key):
+        calls.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(dual, "_packed_terms", counting)
+    assert first_associativity_failure(monos, table, 1) is None
+    assert len(calls) == 22680
+
+
 def rational_operands(trunc):
     """Sums of dual monomials with coefficients of several denominators."""
     return [dm(W0, (0, 0, 0, 1), trunc, Fraction(1, 2)),
@@ -446,34 +492,52 @@ def packed_operands(draw):
             draw(st.lists(element, min_size=1, max_size=3)))
 
 
+def by_tags(layout, sums, b):
+    """A flat block of packed sums whose keys carry a tag pair (i, k) as
+    i << bits + (k << bits + b), bits a packed key's own, split back into
+    {(i, k): {packed key: n}}."""
+    bits = layout.hbits + layout.mono_mask.bit_length()
+    out = {}
+    for key, n in sums.items():
+        tag = key >> bits
+        out.setdefault((tag & (1 << b) - 1, tag >> b), {})[
+            key & (1 << bits) - 1] = n
+    return out
+
+
 @settings(max_examples=120, deadline=None)
 @given(packed_operands())
 def test_packed_kernel_matches_the_tuple_kernel(operands):
     # star_closed and classical_product on every pair, and star_sums on
-    # every row at once, untagged rows of the first operand of each list
-    # mixed with rows tagged by position, over one common denominator.
+    # every row at once, over one common denominator: the operands of
+    # each list are tagged by position, the first with offset 0 (the
+    # untagged rows of star_closed), and the one flat block is split back
+    # per tag pair.  A flat block holds no empty product, so the tuple
+    # kernel's empty blocks (pairs of rows beyond the h budget) are
+    # dropped.
     us, vs = operands
     trunc = us[0].trunc
     for u, v in product(us, vs):
         assert star_closed(u, v) == reference_closed(u, v)
         assert classical_product(u, v) == reference_classical_product(u, v)
     layout = layout_for(us, vs)
+    bits = layout.hbits + layout.mono_mask.bit_length()
     D = lcm(*(x.den for x in us + vs))
-    tags = [None] + list(range(1, 4))
-    got = dual.star_sums(
-        [row for tag, u in zip(tags, us)
-         for row in dual.star_rows(u, layout, tag, D // u.den)],
-        [row for tag, v in zip(tags, vs)
-         for row in dual.star_rows(v, layout, tag, D // v.den)],
-        trunc, layout, {})
+    urows, vrows = {}, {}
+    for tag, u in enumerate(us):
+        dual.star_rows(u, layout, tag << bits, D // u.den, urows)
+    for tag, v in enumerate(vs):
+        dual.star_rows(v, layout, tag << bits + 2, D // v.den, vrows)
+    got = dual.star_sums(urows, vrows, trunc, layout)
     want = reference_star_sums(
-        [row for tag, u in zip(tags, us)
+        [row for tag, u in enumerate(us)
          for row in reference_star_rows(u, tag, D // u.den)],
-        [row for tag, v in zip(tags, vs)
+        [row for tag, v in enumerate(vs)
          for row in reference_star_rows(v, tag, D // v.den)],
         trunc, {})
-    assert {pair: unpacked(layout, sums) for pair, sums in got.items()} \
-        == want
+    assert {pair: unpacked(layout, sums)
+            for pair, sums in by_tags(layout, got, 2).items()} \
+        == {pair: sums for pair, sums in want.items() if sums}
 
 
 #: The widest operands: the degree-32 ones the CLI admits at its largest
